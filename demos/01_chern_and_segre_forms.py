@@ -33,9 +33,9 @@ for k in range(1, n + 1):
 # polynomials of the diagonal (1,1)-forms; Segre forms are the signed
 # complete homogeneous ones.  Scalar shadow with eigenvalue sequences:
 vals = [0.5, -1.0, 2.0]
-gammas = sf.SymSeq([sf.elem_sym(vals, j) for j in range(4)])
+gammas = [sf.elem_sym(vals, j) for j in range(4)]
 sigmas = sf.newton_convert(gammas, 3)
-print("\nscalar shadow: gamma =", list(gammas), " sigma =", [f"{s:.3g}" for s in sigmas])
+print("\nscalar shadow: gamma =", gammas, " sigma =", [f"{s:.3g}" for s in sigmas])
 
-# The same Newton recursion runs over the algebra of even-degree forms;
-# that is exactly how segre_forms is cross-checked in the test suite.
+# The same Newton recursion runs over the algebra of even-degree forms:
+# segre_forms is that recursion with gamma_j = (-1)^j c_j.

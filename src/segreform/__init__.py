@@ -9,12 +9,12 @@ the Kobayashi-Luebke-type inequalities together with their equality cases.
 
 __version__ = "0.1.0"
 
-from .curvature import (ChernSequence, CurvatureTensor, Kaehler11,
-                        PreconditionError, TensorValidationError, chern_forms,
-                        direction_form, flatness_detectors, is_hermite_einstein,
-                        load_tensor, mean_curvature, project_to_he,
-                        projectively_flat_tensor, random_curvature, segre_forms,
-                        strong_flat_tensor, tensor_from_dict, tensor_to_dict)
+from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
+                        TensorValidationError, chern_forms, direction_form,
+                        flatness_detectors, is_hermite_einstein, load_tensor,
+                        mean_curvature, project_to_he, projectively_flat_tensor,
+                        random_curvature, segre_forms, strong_flat_tensor,
+                        tensor_from_dict, tensor_to_dict)
 from .exterior import (Form, MultiIndex, block_embed, factorial_power,
                        top_ratio, wedge, wedge_power)
 from .inequalities import (dual_endomorphism_tensor, gamma2_bound,
@@ -24,16 +24,14 @@ from .inequalities import (dual_endomorphism_tensor, gamma2_bound,
 from .kahler import (gamma_rel, primitive_split, primitive_square_ratio,
                      relative_eigenvalues)
 from .moments import (MomentSpec, moment_diagonal, moment_mc, moment_wick,
-                      permanent_int, phi_k_scalar, phi_k_scalar_moments,
-                      phi_k_tensor, sample_directions)
+                      phi_k_scalar, phi_k_tensor, sample_directions)
 from .projective import (FiberPointFrame, gamma_profile, pushforward_segre,
                          rotate_tensor, unitary_sending_last_to,
-                         verify_slope_identity, verify_slope_identity_general,
-                         verify_power_identity, xi_at)
-from .symfun import SymSeq, complete_sym, elem_sym, newton_convert
+                         verify_power_identity, verify_slope_identity, xi_at)
+from .symfun import elem_sym, newton_convert
 
 __all__ = [
-    "ChernSequence", "CurvatureTensor", "Kaehler11", "PreconditionError",
+    "CurvatureTensor", "Kaehler11", "PreconditionError",
     "TensorValidationError", "chern_forms", "direction_form",
     "flatness_detectors", "is_hermite_einstein", "load_tensor",
     "mean_curvature", "project_to_he", "projectively_flat_tensor",
@@ -47,11 +45,10 @@ __all__ = [
     "gamma_rel", "primitive_split", "primitive_square_ratio",
     "relative_eigenvalues",
     "MomentSpec", "moment_diagonal", "moment_mc", "moment_wick",
-    "permanent_int", "phi_k_scalar", "phi_k_scalar_moments", "phi_k_tensor",
-    "sample_directions",
+    "phi_k_scalar", "phi_k_tensor", "sample_directions",
     "FiberPointFrame", "gamma_profile", "pushforward_segre", "rotate_tensor",
-    "unitary_sending_last_to", "verify_slope_identity", "verify_slope_identity_general",
-    "verify_power_identity", "xi_at",
-    "SymSeq", "complete_sym", "elem_sym", "newton_convert",
+    "unitary_sending_last_to", "verify_power_identity", "verify_slope_identity",
+    "xi_at",
+    "elem_sym", "newton_convert",
     "__version__",
 ]

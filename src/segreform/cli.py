@@ -34,8 +34,8 @@ from .inequalities import (kl_classical, kl_segre, projective_flat_bound,
                            surface_compare)
 from .moments import (MomentSpec, moment_diagonal, moment_mc, moment_wick,
                       sample_directions)
-from .projective import (gamma_profile, pushforward_segre, verify_slope_identity,
-                         verify_slope_identity_general, verify_power_identity)
+from .projective import (gamma_profile, pushforward_segre, verify_power_identity,
+                         verify_slope_identity)
 from .report import Report, canonical_json
 
 DEFAULT_TOL = 1e-9
@@ -69,17 +69,19 @@ def parse_omega(spec, n):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
     rows = json.loads(text)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise UsageError("omega must be a JSON matrix, a list of rows")
     mat = np.zeros((len(rows), len(rows)), dtype=complex)
     for j, row in enumerate(rows):
         if len(row) != len(rows):
             raise UsageError("omega matrix must be square")
         for k, entry in enumerate(row):
-            if isinstance(entry, (list, tuple)):
-                if len(entry) != 2:
-                    raise UsageError(f"omega entry {entry!r} is not a [re, im] pair")
+            if _is_number(entry):
+                mat[j, k] = float(entry)
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
                 mat[j, k] = complex(entry[0], entry[1])
             else:
-                mat[j, k] = float(entry)
+                raise UsageError(f"omega entry {entry!r} is not a finite number or a [re, im] pair")
     if mat.shape != (n, n):
         raise UsageError(f"omega is {mat.shape[0]}x{mat.shape[1]}, tensor needs {n}x{n}")
     try:
@@ -89,6 +91,20 @@ def parse_omega(spec, n):
     if not w.is_positive_definite():
         raise UsageError("omega must be positive definite")
     return w
+
+
+def _is_number(x):
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(text, out_path):
@@ -174,7 +190,7 @@ def _verify_identity8(args, report):
         report.add("identity8_residual_max", {"residual": worst, "slope": lam},
                    args.tol, worst <= args.tol)
     else:
-        worst = max(verify_slope_identity_general(t, w, v) for v in dirs)
+        worst = max(verify_power_identity(t, w, v, 1) for v in dirs)
         report.add("identity8_general_residual_max", worst, args.tol, worst <= args.tol)
 
 
@@ -332,7 +348,7 @@ def build_parser():
     v.add_argument("--in", dest="infile", default=None)
     v.add_argument("--k", type=int, default=None)
     v.add_argument("--r", type=int, default=None, help="dimension for kind=moments")
-    v.add_argument("--samples", type=int, default=None)
+    v.add_argument("--samples", type=_positive_int, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--omega", default=None)
@@ -347,7 +363,7 @@ def build_parser():
     c.add_argument("--omega", default=None)
     c.add_argument("--tol", type=float, default=None)
     c.add_argument("--ell", type=int, default=None, help="level for kind=lhe")
-    c.add_argument("--samples", type=int, default=None)
+    c.add_argument("--samples", type=_positive_int, default=None)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--symmetrize", action="store_true")
     c.add_argument("--out", default=None)
@@ -357,7 +373,7 @@ def build_parser():
     m.add_argument("--r", type=int, required=True)
     m.add_argument("--lambdas", type=int, nargs="*", default=None)
     m.add_argument("--mus", type=int, nargs="*", default=None)
-    m.add_argument("--samples", type=int, default=None)
+    m.add_argument("--samples", type=_positive_int, default=None)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_moments)

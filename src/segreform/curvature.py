@@ -19,10 +19,12 @@ Segre forms from inverting the total Chern form degree by degree.
 from __future__ import annotations
 
 import json
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .exterior import Form, MultiIndex, factorial_power, top_ratio, wedge
+from .exterior import Form, factorial_power, top_ratio, wedge
+from .symfun import newton_convert
 
 DEFAULT_HE_TOL = 1e-9
 
@@ -62,12 +64,7 @@ class Kaehler11:
         return bool(np.linalg.eigvalsh(self.g).min() > 0)
 
     def to_form(self):
-        coeffs = {}
-        for j in range(self.n):
-            for k in range(self.n):
-                if self.g[j, k] != 0:
-                    coeffs[(MultiIndex((j + 1,)), MultiIndex((k + 1,)))] = 1j * self.g[j, k]
-        return Form(self.n, 1, 1, coeffs)
+        return Form.one_one(self.g)
 
     def __add__(self, other):
         return Kaehler11(self.g + other.g)
@@ -132,13 +129,7 @@ class CurvatureTensor:
 
     def entry(self, mu, lam):
         """The (1,1)-form Theta_hat[mu, lam] (0-based frame indices)."""
-        coeffs = {}
-        for j in range(self.n):
-            for k in range(self.n):
-                v = self.c[j, k, lam, mu]
-                if v != 0:
-                    coeffs[(MultiIndex((j + 1,)), MultiIndex((k + 1,)))] = 1j * v
-        return Form(self.n, 1, 1, coeffs)
+        return Form.one_one(self.c[:, :, lam, mu])
 
     def __add__(self, other):
         if (self.n, self.r) != (other.n, other.r):
@@ -154,36 +145,12 @@ class CurvatureTensor:
         return f"CurvatureTensor(n={self.n}, r={self.r})"
 
 
-class ChernSequence:
-    """Chern forms c_0..c_r of a curvature tensor; c_0 is the constant 1."""
-
-    def __init__(self, forms):
-        forms = list(forms)
-        if not forms or not forms[0].allclose(Form.constant(forms[0].m), 0.0):
-            raise ValueError("c_0 must be the constant-1 form")
-        for k, f in enumerate(forms):
-            if (f.p, f.q) != (k, k):
-                raise ValueError(f"c_{k} has bidegree ({f.p},{f.q})")
-        self.forms = forms
-
-    def __len__(self):
-        return len(self.forms)
-
-    def __getitem__(self, k):
-        return self.forms[k]
-
-    def __iter__(self):
-        return iter(self.forms)
-
-
 def _det_wedge(entries, subset):
     """Determinant of the subset x subset minor of a matrix of commuting forms."""
-    import itertools
-
     m = entries[subset[0]][subset[0]].m
     k = len(subset)
     acc = Form.zero(m, k, k)
-    for perm in itertools.permutations(range(k)):
+    for perm in permutations(range(k)):
         sign = _perm_sign(perm)
         term = Form.constant(m)
         for a in range(k):
@@ -209,15 +176,13 @@ def _perm_sign(perm):
 
 
 def chern_forms(t):
-    """Chern forms c_0..c_r via sums of principal minors of (Theta_hat[mu,lam]).
+    """Chern forms [c_0, ..., c_r] via sums of principal minors of (Theta_hat[mu,lam]).
 
     c_k vanishes identically once 2k exceeds 2n; those degrees are skipped
     rather than expanded (the wedge would return zero anyway).
     """
     entries = [[t.entry(mu, lam) for lam in range(t.r)] for mu in range(t.r)]
     forms = [Form.constant(t.n)]
-    from itertools import combinations
-
     for k in range(1, t.r + 1):
         if k > t.n:
             forms.append(Form.zero(t.n, k, k))
@@ -226,22 +191,16 @@ def chern_forms(t):
         for subset in combinations(range(t.r), k):
             acc = acc + _det_wedge(entries, subset)
         forms.append(acc)
-    return ChernSequence(forms)
+    return forms
 
 
 def segre_forms(c, n):
-    """Segre forms s_0..s_n inverting the total Chern form: sum_j c_j ^ s_{k-j} = 0."""
-    if not isinstance(c, ChernSequence):
-        c = ChernSequence(c)
-    m = c[0].m
-    s = [Form.constant(m)]
-    for k in range(1, n + 1):
-        acc = Form.zero(m, k, k)
-        for j in range(1, k + 1):
-            cj = c[j] if j < len(c) else Form.zero(m, j, j)
-            acc = acc + wedge(cj, s[k - j])
-        s.append(-1.0 * acc)
-    return s
+    """Segre forms [s_0, ..., s_n] inverting the total Chern form: sum_j c_j ^ s_{k-j} = 0.
+
+    This is the Newton-type recursion with gamma_j = (-1)^j c_j; c_0 must be
+    the constant-1 form.
+    """
+    return newton_convert([cj if j % 2 == 0 else -cj for j, cj in enumerate(c)], n)
 
 
 def direction_form(t, v):
@@ -379,6 +338,8 @@ def tensor_from_dict(d, symmetrize=False, tol=1e-10):
             val = complex(float(e["re"]), float(e.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise TensorValidationError(f"malformed coefficient entry {e!r}: {exc}") from exc
+        if not np.isfinite(val):
+            raise TensorValidationError(f"coefficient entry {e!r} is not finite")
         if not (0 <= j < n and 0 <= k < n and 0 <= lam < r and 0 <= mu < r):
             raise TensorValidationError(f"coefficient entry {e!r} out of range for n={n}, r={r}")
         c[j, k, lam, mu] = val

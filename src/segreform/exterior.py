@@ -33,25 +33,6 @@ class MultiIndex(tuple):
             raise ValueError(f"indices must be strictly increasing, got {t}")
         return super().__new__(cls, t)
 
-    @classmethod
-    def canonicalize(cls, indices):
-        """Sort an arbitrary index sequence, tracking the permutation sign.
-
-        Returns (MultiIndex, sign) with sign in {-1, 0, +1}; sign is 0 exactly
-        when an index repeats (the sorted index is then empty).
-        """
-        seq = [int(i) for i in indices]
-        if len(set(seq)) != len(seq):
-            return cls(), 0
-        sign = 1
-        for i in range(1, len(seq)):  # insertion sort counts inversions
-            j = i
-            while j > 0 and seq[j - 1] > seq[j]:
-                seq[j - 1], seq[j] = seq[j], seq[j - 1]
-                sign = -sign
-                j -= 1
-        return cls(seq), sign
-
 
 def _merge_sorted(a, b):
     """Merge two strictly increasing tuples, returning (merged, sign).
@@ -118,6 +99,17 @@ class Form:
     @classmethod
     def zero(cls, m, p, q):
         return cls(m, p, q)
+
+    @classmethod
+    def one_one(cls, g):
+        """The (1,1)-form sum_jk g[j,k] * (i dz_j ^ dzbar_k) of a square matrix g."""
+        m = len(g)
+        coeffs = {}
+        for j in range(m):
+            for k in range(m):
+                if g[j, k] != 0:
+                    coeffs[(MultiIndex((j + 1,)), MultiIndex((k + 1,)))] = 1j * g[j, k]
+        return cls(m, 1, 1, coeffs)
 
     def coeff(self, I, J):
         return self.coeffs.get((MultiIndex(I), MultiIndex(J)), 0j)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import (CurvatureTensor, PreconditionError, chern_forms,
-                        flatness_detectors, is_hermite_einstein,
-                        mean_curvature, require_kaehler, segre_forms)
+from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
+                        chern_forms, direction_form, flatness_detectors,
+                        is_hermite_einstein, mean_curvature, require_kaehler,
+                        segre_forms)
 from .exterior import top_ratio, wedge, wedge_power
-from .kahler import primitive_split, primitive_square_ratio
+from .kahler import gamma_rel, primitive_split, primitive_square_ratio
 from .symfun import elem_sym
 
 DEFAULT_MARGIN_TOL = 1e-10
@@ -99,10 +100,7 @@ def kl_segre_margin_primitive(t, w, he_tol=1e-9):
         raise PreconditionError("primitive decomposition path needs n >= 2")
     _require_he(t, w, he_tol)
     n, r = t.n, t.r
-    c1_mat = np.einsum("jkll->jk", t.c)
-    from .curvature import Kaehler11
-
-    c1 = Kaehler11(c1_mat)
+    c1 = Kaehler11(np.einsum("jkll->jk", t.c))
     eta, f = primitive_split(c1, w)
     # eta ^ omega^{n-1} must vanish identically
     eta_top = wedge(eta.to_form(), wedge_power(w.to_form(), n - 1))
@@ -137,9 +135,6 @@ def gamma2_bound(t, w, v, he_tol=1e-9, eq_tol=DEFAULT_EQUALITY_TOL):
     Requires Hermite-Einstein input.  Equality at a direction v means all
     relative eigenvalues of theta_v equal lambda/n, i.e. theta_v = (lambda/n) omega.
     """
-    from .curvature import direction_form
-    from .kahler import gamma_rel
-
     lam = _require_he(t, w, he_tol)
     theta = direction_form(t, v)
     g2 = gamma_rel(theta, w, 2)

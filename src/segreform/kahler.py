@@ -10,7 +10,6 @@ top-form identity alpha^k/k! ^ omega^{n-k}/(n-k)! = gamma_k * omega^n/n!.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .curvature import PreconditionError, require_kaehler
 from .symfun import elem_sym
@@ -21,15 +20,17 @@ PRIMITIVITY_RTOL = 1e-9
 def relative_eigenvalues(a, w):
     """Eigenvalues of alpha relative to omega, sorted ascending.
 
-    Solves A v = alpha G v with G positive definite (Cholesky reduction via
-    LAPACK); the result is real for Hermitian A.
+    Solves A v = alpha G v with G positive definite by Cholesky reduction:
+    with G = L L^H, the eigenvalues are those of the Hermitian matrix
+    L^-1 A L^-H, hence real for Hermitian A.
     """
     require_kaehler(w)
     if a.n != w.n:
         raise ValueError("forms live on different dimensions")
     if a.n == 0:
         return np.zeros(0)
-    return scipy.linalg.eigh(a.g, w.g, eigvals_only=True)
+    L_inv = np.linalg.inv(np.linalg.cholesky(w.g))
+    return np.linalg.eigvalsh(L_inv @ a.g @ L_inv.conj().T)
 
 
 def gamma_rel(a, w, k):

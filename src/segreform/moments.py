@@ -8,9 +8,11 @@ m_l counts how often l appears.  The general balanced moment
 
 equals perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b]: writing the
 sphere average as a Gaussian average splits radius from direction, and the
-Gaussian side is a Wick pairing sum.  Everything is computed in exact
-integer/rational arithmetic; floats only appear at form assembly and in the
-Monte Carlo oracle.
+Gaussian side is a Wick pairing sum.  M is a disjoint union of all-ones
+blocks, one per index value, so perm(M) = m_1! ... m_r! when the lambda and
+mu multisets agree and 0 otherwise: every moment is a diagonal one or zero.
+Everything is computed in exact integer/rational arithmetic; floats only
+appear at form assembly and in the Monte Carlo oracle.
 
 phi_k averages <T v, v>^k over the sphere.  For a Hermitian matrix this is
 sigma_k(eigenvalues)/binom(r-1+k, k) (sigma_k complete homogeneous); for a
@@ -23,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .exterior import Form, wedge
-from .symfun import SymSeq, elem_sym, newton_convert
+from .symfun import elem_sym, newton_convert
 
 _MC_CHUNK = 1 << 16
 
@@ -71,46 +73,16 @@ def moment_diagonal(r, multiplicities):
     return Fraction(num, math.factorial(r - 1 + k))
 
 
-def permanent_int(rows):
-    """Permanent of a small integer matrix, by Ryser's inclusion-exclusion."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    total = 0
-    for mask in range(1, 1 << n):
-        bits = bin(mask).count("1")
-        prod = 1
-        for row in rows:
-            s = 0
-            m = mask
-            j = 0
-            while m:
-                if m & 1:
-                    s += row[j]
-                m >>= 1
-                j += 1
-            prod *= s
-            if prod == 0:
-                break
-        total += (-1) ** (n - bits) * prod
-    return total
-
-
 def moment_wick(spec):
-    """Exact balanced moment perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b].
+    """Exact moment perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b].
 
-    Unbalanced index multisets give permanent 0, matching the phase-rotation
-    symmetry of the sphere measure.  Coincides with moment_diagonal whenever
-    lambdas and mus are equal as multisets.
+    The permanent is m_1! ... m_r! when lambdas and mus agree as multisets,
+    so the moment is moment_diagonal of the multiplicities; otherwise it is
+    0, matching the phase-rotation symmetry of the sphere measure.
     """
-    k = spec.k
-    if k == 0:
-        return Fraction(1)
-    M = [[1 if la == mb else 0 for mb in spec.mus] for la in spec.lambdas]
-    return Fraction(permanent_int(M) * math.factorial(spec.r - 1),
-                    math.factorial(spec.r - 1 + k))
+    if sorted(spec.lambdas) != sorted(spec.mus):
+        return Fraction(0)
+    return moment_diagonal(spec.r, [spec.lambdas.count(l) for l in range(1, spec.r + 1)])
 
 
 def moment_mc(spec, samples, seed):
@@ -179,7 +151,7 @@ def phi_k_scalar(T, k):
         return 1.0
     r = T.shape[0]
     eigs = np.linalg.eigvalsh(T)
-    gammas = SymSeq([1.0] + [elem_sym(eigs, j) for j in range(1, min(k, r) + 1)])
+    gammas = [1.0] + [elem_sym(eigs, j) for j in range(1, min(k, r) + 1)]
     sigma_k = newton_convert(gammas, k)[k]
     return float(sigma_k) / math.comb(r - 1 + k, k)
 
@@ -199,28 +171,6 @@ def _pair_multisets(r, k):
             if run > 1:
                 weight //= run
         yield combo, weight
-
-
-def phi_k_scalar_moments(T, k):
-    """Moment-sum evaluation of phi_k: sum over index tuples weighted by moment_wick.
-
-    Slower than the closed form; kept as the independent cross-check path.
-    """
-    T = _check_hermitian(T)
-    if k == 0:
-        return 1.0
-    r = T.shape[0]
-    acc = 0j
-    for pairs, weight in _pair_multisets(r, k):
-        spec = MomentSpec(r, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-        w = moment_wick(spec)
-        if w == 0:
-            continue
-        entry_prod = 1.0 + 0j
-        for la, mu in pairs:
-            entry_prod *= T[mu - 1, la - 1]
-        acc += weight * float(w) * entry_prod
-    return float(acc.real)
 
 
 def phi_k_tensor(t, k):
@@ -249,24 +199,4 @@ def phi_k_tensor(t, k):
         for pair in pairs[1:]:
             term = wedge(term, entries[pair])
         acc = acc + (weight * float(mom)) * term
-    return acc
-
-
-def phi_k_tensor_naive(t, k):
-    """Reference r^(2k) loop for phi_k_tensor; test oracle only."""
-    if k == 0:
-        return Form.constant(t.n)
-    if k > t.n:
-        return Form.zero(t.n, k, k)
-    acc = Form.zero(t.n, k, k)
-    idx = range(1, t.r + 1)
-    for lams in product(idx, repeat=k):
-        for mus in product(idx, repeat=k):
-            mom = moment_wick(MomentSpec(t.r, lams, mus))
-            if mom == 0:
-                continue
-            term = t.entry(mus[0] - 1, lams[0] - 1)
-            for la, mu in zip(lams[1:], mus[1:]):
-                term = wedge(term, t.entry(mu - 1, la - 1))
-            acc = acc + float(mom) * term
     return acc

@@ -156,11 +156,6 @@ def verify_power_identity(t, w, v, k):
     return (lhs - rhs).max_abs()
 
 
-def verify_slope_identity_general(t, w, v):
-    """Residual of the rank-degree identity with gamma_1(theta_v/omega) in place of the slope."""
-    return verify_power_identity(t, w, v, 1)
-
-
 def verify_slope_identity(t, w, v, tol=1e-9):
     """Residual of the Hermite-Einstein form of the rank-degree identity.
 
@@ -172,7 +167,7 @@ def verify_slope_identity(t, w, v, tol=1e-9):
     if not he:
         raise PreconditionError(
             "tensor is not Hermite-Einstein within tolerance; "
-            "use verify_slope_identity_general for arbitrary tensors")
+            "use verify_power_identity(t, w, v, 1) for arbitrary tensors")
     fp = FiberPointFrame(t, v)
     xi, omega_h = _embedded_pieces(fp, w)
     lhs = wedge(factorial_power(xi, t.r), factorial_power(omega_h, t.n - 1))

@@ -1,20 +1,15 @@
-"""Elementary and complete homogeneous symmetric polynomials.
+"""Elementary symmetric polynomials and the Newton-type recursion.
 
-The Newton-type recursion sum_{j=0}^{m} (-1)^j sigma_j * gamma_{m-j} = 0
-links the two families.  It only uses the ring operations, so the same
-implementation runs over real scalars and over the commutative algebra of
-even-degree form values (where the product is the wedge).
+The recursion sum_{j=0}^{m} (-1)^j sigma_j * gamma_{m-j} = 0 links the
+elementary symmetric polynomials gamma_j to the complete homogeneous ones
+sigma_j.  It only uses the ring operations, so the same implementation runs
+over real scalars and over the commutative algebra of even-degree form
+values (where the product is the wedge).
 """
 
 from __future__ import annotations
 
-import math
-from itertools import combinations_with_replacement
-
 from .exterior import Form
-
-# direct enumeration of sigma_k is a test oracle, not a production path
-_COMPLETE_SYM_MAX_K = 6
 
 
 def elem_sym(values, k):
@@ -29,81 +24,29 @@ def elem_sym(values, k):
     return e[k]
 
 
-def complete_sym(values, k):
-    """Complete homogeneous symmetric polynomial sigma_k, by enumeration.
-
-    Sums the products over all weakly increasing k-tuples.  Only supported
-    for k <= 6; larger degrees go through newton_convert.
-    """
-    values = [float(v) for v in values]
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > _COMPLETE_SYM_MAX_K:
-        raise ValueError(f"direct enumeration supports k <= {_COMPLETE_SYM_MAX_K}; use newton_convert")
-    total = 0.0
-    for tup in combinations_with_replacement(values, k):
-        total += math.prod(tup)
-    return total
-
-
-class SymSeq:
-    """Sequence gamma_0..gamma_N (or sigma_0..sigma_N) in a commutative algebra.
-
-    Entries are scalars or even-degree Form values; entry 0 must be the
-    algebra unit (the scalar 1, or the constant-1 form).
-    """
-
-    def __init__(self, entries):
-        entries = list(entries)
-        if not entries:
-            raise ValueError("SymSeq needs at least the unit entry")
-        e0 = entries[0]
-        if isinstance(e0, Form):
-            if (e0.p, e0.q) != (0, 0) or abs(e0.coeff((), ()) - 1.0) > 1e-12:
-                raise ValueError("entry 0 must be the constant-1 form")
-        elif abs(complex(e0) - 1.0) > 1e-12:
-            raise ValueError(f"entry 0 must be the unit, got {e0!r}")
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def _zero_like(unit, k):
-    # the degree-k zero element of the algebra the unit lives in
-    if isinstance(unit, Form):
-        return Form.zero(unit.m, k, k)
-    return 0.0
-
-
 def newton_convert(gammas, m_max):
     """Solve the Newton-type recursion for sigma_0..sigma_m_max.
 
     sigma_m = sum_{j=1}^{m} (-1)^(j+1) gamma_j * sigma_{m-j}, with gamma_j
-    beyond the given sequence treated as zero.  Works verbatim when the
-    entries are even-degree forms, with the wedge as product.
+    beyond the given sequence treated as zero.  Entries are scalars or
+    even-degree forms (with the wedge as product); entry 0 must be the unit
+    of that algebra.  Returns the list sigma_0..sigma_m_max.
     """
-    if not isinstance(gammas, SymSeq):
-        gammas = SymSeq(gammas)
+    gammas = list(gammas)
+    unit = gammas[0] if gammas else 0.0
+    if isinstance(unit, Form):
+        is_unit = (unit.p, unit.q) == (0, 0) and abs(unit.coeff((), ()) - 1.0) <= 1e-12
+    else:
+        is_unit = abs(complex(unit) - 1.0) <= 1e-12
+    if not is_unit:
+        raise ValueError(f"entry 0 must be the unit of the algebra, got {unit!r}")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    sigmas = [gammas[0]]
+    sigmas = [unit]
     for m in range(1, m_max + 1):
-        acc = None
-        for j in range(1, m + 1):
-            if j >= len(gammas):
-                break
+        acc = Form.zero(unit.m, m, m) if isinstance(unit, Form) else 0.0
+        for j in range(1, min(m, len(gammas) - 1) + 1):
             term = gammas[j] * sigmas[m - j]
-            if j % 2 == 0:
-                term = (-1.0) * term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = _zero_like(gammas[0], m)
+            acc = acc + (term if j % 2 else (-1.0) * term)
         sigmas.append(acc)
-    return SymSeq(sigmas)
+    return sigmas

@@ -1,0 +1,107 @@
+"""Reference implementations the tests compare the library against.
+
+Each one takes a slower, more literal route than the library code it checks:
+Ryser's permanent for the Wick moments, enumeration of weakly increasing
+tuples for the complete homogeneous polynomials, and moment sums over index
+tuples for the phi_k averages.
+"""
+
+import math
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+
+from segreform.exterior import Form, wedge
+from segreform.moments import MomentSpec, _check_hermitian, _pair_multisets
+
+# direct enumeration of sigma_k is exponential in k
+_COMPLETE_SYM_MAX_K = 6
+
+
+def permanent_int(rows):
+    """Permanent of a small integer matrix, by Ryser's inclusion-exclusion."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    total = 0
+    for mask in range(1, 1 << n):
+        bits = bin(mask).count("1")
+        prod = 1
+        for row in rows:
+            s = 0
+            m = mask
+            j = 0
+            while m:
+                if m & 1:
+                    s += row[j]
+                m >>= 1
+                j += 1
+            prod *= s
+            if prod == 0:
+                break
+        total += (-1) ** (n - bits) * prod
+    return total
+
+
+def moment_permanent(spec):
+    """Sphere moment as perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b]."""
+    M = [[1 if la == mb else 0 for mb in spec.mus] for la in spec.lambdas]
+    return Fraction(permanent_int(M) * math.factorial(spec.r - 1),
+                    math.factorial(spec.r - 1 + spec.k))
+
+
+def complete_sym(values, k):
+    """Complete homogeneous symmetric polynomial sigma_k, by enumeration.
+
+    Sums the products over all weakly increasing k-tuples.  Only supported
+    for k <= 6; larger degrees go through newton_convert.
+    """
+    values = [float(v) for v in values]
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k > _COMPLETE_SYM_MAX_K:
+        raise ValueError(f"direct enumeration supports k <= {_COMPLETE_SYM_MAX_K}; use newton_convert")
+    total = 0.0
+    for tup in combinations_with_replacement(values, k):
+        total += math.prod(tup)
+    return total
+
+
+def phi_k_scalar_moments(T, k):
+    """Moment-sum evaluation of phi_k: sum over index tuples weighted by the moments."""
+    T = _check_hermitian(T)
+    if k == 0:
+        return 1.0
+    r = T.shape[0]
+    acc = 0j
+    for pairs, weight in _pair_multisets(r, k):
+        spec = MomentSpec(r, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        w = moment_permanent(spec)
+        if w == 0:
+            continue
+        entry_prod = 1.0 + 0j
+        for la, mu in pairs:
+            entry_prod *= T[mu - 1, la - 1]
+        acc += weight * float(w) * entry_prod
+    return float(acc.real)
+
+
+def phi_k_tensor_naive(t, k):
+    """Reference r^(2k) loop for phi_k_tensor."""
+    if k == 0:
+        return Form.constant(t.n)
+    if k > t.n:
+        return Form.zero(t.n, k, k)
+    acc = Form.zero(t.n, k, k)
+    idx = range(1, t.r + 1)
+    for lams in product(idx, repeat=k):
+        for mus in product(idx, repeat=k):
+            mom = moment_permanent(MomentSpec(t.r, lams, mus))
+            if mom == 0:
+                continue
+            term = t.entry(mus[0] - 1, lams[0] - 1)
+            for la, mu in zip(lams[1:], mus[1:]):
+                term = wedge(term, t.entry(mu - 1, la - 1))
+            acc = acc + float(mom) * term
+    return acc

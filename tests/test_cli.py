@@ -114,6 +114,28 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "pushforward", "--in", str(bad), "--symmetrize")
         assert code == 0
 
+    @pytest.mark.parametrize("spelling", ["NaN", '"inf"', "-Infinity"])
+    def test_non_finite_coefficient_is_validation_error(self, tmp_path, capsys, spelling):
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text('{"n": 2, "r": 1, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, '
+                       f'"re": {spelling}, "im": 0.0}}]}}')
+        for argv in (["verify", "pushforward"], ["check", "he"]):
+            code, out = run_cli(capsys, *argv, "--in", str(bad))
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["type"] == "validation" and "finite" in err["message"]
+
+    @pytest.mark.parametrize("argv", [["verify", "identity8"], ["verify", "moments"],
+                                      ["check", "lhe"], ["moments", "--r", "2"]],
+                             ids=["identity8", "verify-moments", "lhe", "moments"])
+    def test_samples_below_one_is_usage_error(self, he_instance_path, argv):
+        if argv[0] != "moments" and argv[1] != "moments":
+            argv = argv + ["--in", he_instance_path]
+        for samples in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--samples", samples])
+            assert exc.value.code == 2
+
 
 class TestCheck:
     def test_thm12_on_strong_flat(self, tmp_path, capsys):
@@ -162,6 +184,17 @@ class TestCheck:
         report = json.loads(out)
         row = report["results"][0]
         assert row["value"]["slope"] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("omega", ["5", "[1, 2]", '[[1, 0], [0, "x"]]',
+                                       "[[1, 0], [0, null]]", "[[1, [0, 0, 1]], [0, 1]]",
+                                       "[[NaN, 0], [0, 1]]", "[[1" + "0" * 400 + ", 0], [0, 1]]"],
+                             ids=["scalar", "flat-list", "string-entry", "null-entry",
+                                  "triple-entry", "nan-entry", "huge-int-entry"])
+    def test_malformed_omega_is_usage_error(self, he_instance_path, capsys, omega):
+        code, out = run_cli(capsys, "check", "he", "--in", he_instance_path,
+                            "--omega", omega)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "usage"
 
     def test_surface_and_remark41(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"

@@ -13,7 +13,7 @@ from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  strong_flat_tensor, tensor_from_dict,
                                  tensor_to_dict)
 from segreform.exterior import Form, factorial_power, top_ratio, wedge, wedge_power
-from segreform.symfun import SymSeq, newton_convert
+from segreform.symfun import newton_convert
 from segreform.report import canonical_json
 
 from conftest import random_hermitian, random_spd
@@ -74,7 +74,7 @@ class TestChernForms:
         g3 = wedge(forms[0], wedge(forms[1], forms[2]))
         for got, expect in ((cs[1], g1), (cs[2], g2), (cs[3], g3)):
             assert (got - expect).max_abs() <= 1e-10
-        sig = newton_convert(SymSeq([Form.constant(n), g1, g2, g3]), n)
+        sig = newton_convert([Form.constant(n), g1, g2, g3], n)
         ss = segre_forms(cs, n)
         for k in range(1, n + 1):
             assert (ss[k] - (-1.0) ** k * sig[k]).max_abs() <= 1e-10

@@ -19,26 +19,6 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             MultiIndex((0, 1))
 
-    def test_canonicalize_sign(self):
-        idx, sign = MultiIndex.canonicalize((3, 1, 2))
-        assert idx == (1, 2, 3) and sign == 1  # cyclic, even
-        idx, sign = MultiIndex.canonicalize((2, 1))
-        assert idx == (1, 2) and sign == -1
-
-    def test_canonicalize_repeat_is_zero(self):
-        _, sign = MultiIndex.canonicalize((1, 2, 1))
-        assert sign == 0
-
-    def test_canonicalize_idempotent(self, rng):
-        for _ in range(50):
-            seq = rng.permutation(rng.choice(np.arange(1, 8), size=4, replace=False))
-            idx1, s1 = MultiIndex.canonicalize(seq)
-            idx2, s2 = MultiIndex.canonicalize(idx1)
-            assert idx2 == idx1 and s2 == 1
-            # re-permuting and re-sorting gives the same index
-            idx3, _ = MultiIndex.canonicalize(rng.permutation(np.array(idx1)))
-            assert idx3 == idx1
-
 
 class TestWedge:
     def test_volume_positivity_convention(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,12 +7,13 @@ import pytest
 
 from segreform.curvature import chern_forms, random_curvature, segre_forms
 from segreform.moments import (MomentSpec, moment_diagonal, moment_mc,
-                               moment_wick, permanent_int, phi_k_scalar,
-                               phi_k_scalar_moments, phi_k_tensor,
-                               phi_k_tensor_naive, sample_directions)
+                               moment_wick, phi_k_scalar, phi_k_tensor,
+                               sample_directions)
 from segreform.symfun import elem_sym
 
 from conftest import random_hermitian
+from oracles import (moment_permanent, permanent_int, phi_k_scalar_moments,
+                     phi_k_tensor_naive)
 
 
 class TestMomentDiagonal:
@@ -41,8 +43,6 @@ class TestPermanent:
         assert permanent_int([[0, 1], [1, 0]]) == 1
 
     def test_against_definition(self, rng):
-        import itertools
-
         M = rng.integers(0, 3, size=(4, 4)).tolist()
         brute = sum(math.prod(M[i][p[i]] for i in range(4))
                     for p in itertools.permutations(range(4)))
@@ -76,6 +76,15 @@ class TestMomentWick:
             perm = tuple(np.array(idx)[rng.permutation(k)])
             mult = [idx.count(l) for l in range(1, r + 1)]
             assert moment_wick(MomentSpec(r, idx, perm)) == moment_diagonal(r, mult)
+
+    def test_closed_form_matches_permanent_exhaustively(self):
+        # every pair of index tuples, balanced or not, for r <= 3 and k <= 3
+        for r in (1, 2, 3):
+            for k in range(4):
+                for lams in itertools.product(range(1, r + 1), repeat=k):
+                    for mus in itertools.product(range(1, r + 1), repeat=k):
+                        spec = MomentSpec(r, lams, mus)
+                        assert moment_wick(spec) == moment_permanent(spec)
 
 
 class TestMomentMC:

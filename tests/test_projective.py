@@ -11,9 +11,8 @@ from segreform.kahler import gamma_rel
 from segreform.moments import sample_directions
 from segreform.projective import (FiberPointFrame, gamma_profile,
                                   pushforward_segre, rotate_tensor,
-                                  unitary_sending_last_to, verify_slope_identity,
-                                  verify_slope_identity_general, verify_power_identity,
-                                  xi_at)
+                                  unitary_sending_last_to, verify_power_identity,
+                                  verify_slope_identity, xi_at)
 
 from conftest import random_spd
 
@@ -155,23 +154,17 @@ class TestSlopeIdentity:
         w = Kaehler11(random_spd(2, rng))
         t = project_to_he(random_curvature(2, 3, seed=18), w, 0.4)
         for v in sample_directions(3, 5, seed=6):
-            assert verify_slope_identity_general(t, w, v) <= 1e-12
+            assert verify_power_identity(t, w, v, 1) <= 1e-12
             assert verify_slope_identity(t, w, v) <= 1e-12
 
     def test_non_he_directed_to_general(self):
         w = Kaehler11.euclidean(2)
         t = random_curvature(2, 2, seed=11)
-        with pytest.raises(PreconditionError, match="general"):
+        with pytest.raises(PreconditionError, match="verify_power_identity"):
             verify_slope_identity(t, w, [1, 0])
 
 
 class TestPowerIdentity:
-    def test_degree_one_reduces_to_rank_identity(self, rng):
-        t = random_curvature(2, 3, seed=12)
-        w = Kaehler11(random_spd(2, rng))
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert verify_slope_identity_general(t, w, v) == verify_power_identity(t, w, v, 1)
-
     def test_strong_flat_gamma_closed_form(self, rng):
         n, r, lam = 3, 2, 0.8
         w = Kaehler11(random_spd(n, rng))
@@ -201,7 +194,7 @@ class TestPowerIdentity:
         t = random_curvature(2, 3, seed=14)
         w = Kaehler11.euclidean(2)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert verify_slope_identity_general(t, w, v) <= 1e-10
+        assert verify_power_identity(t, w, v, 1) <= 1e-10
 
     def test_k_out_of_range(self):
         t = random_curvature(2, 2, seed=15)

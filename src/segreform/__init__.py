@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                         TensorValidationError, chern_forms, direction_form,
-                        flatness_detectors, is_hermite_einstein, load_tensor,
-                        mean_curvature, project_to_he, projectively_flat_tensor,
-                        random_curvature, segre_forms, strong_flat_tensor,
-                        tensor_from_dict, tensor_to_dict)
+                        direction_matrices, flatness_detectors, is_hermite_einstein,
+                        load_tensor, mean_curvature, project_to_he,
+                        projectively_flat_tensor, random_curvature, segre_forms,
+                        strong_flat_tensor, tensor_from_dict, tensor_to_dict)
 from .exterior import (Form, MultiIndex, block_embed, factorial_power,
-                       top_ratio, wedge, wedge_power)
+                       one_one_power, top_ratio, wedge, wedge_power)
 from .inequalities import (dual_endomorphism_tensor, gamma2_bound,
                            gamma2_constrained_gap, kl_classical, kl_segre,
                            kl_segre_margin_primitive, projective_flat_bound,
@@ -32,13 +32,13 @@ from .symfun import elem_sym, newton_convert
 
 __all__ = [
     "CurvatureTensor", "Kaehler11", "PreconditionError",
-    "TensorValidationError", "chern_forms", "direction_form",
+    "TensorValidationError", "chern_forms", "direction_form", "direction_matrices",
     "flatness_detectors", "is_hermite_einstein", "load_tensor",
     "mean_curvature", "project_to_he", "projectively_flat_tensor",
     "random_curvature", "segre_forms", "strong_flat_tensor",
     "tensor_from_dict", "tensor_to_dict",
-    "Form", "MultiIndex", "block_embed", "factorial_power", "top_ratio",
-    "wedge", "wedge_power",
+    "Form", "MultiIndex", "block_embed", "factorial_power", "one_one_power",
+    "top_ratio", "wedge", "wedge_power",
     "dual_endomorphism_tensor", "gamma2_bound", "gamma2_constrained_gap",
     "kl_classical", "kl_segre", "kl_segre_margin_primitive",
     "projective_flat_bound", "surface_compare",

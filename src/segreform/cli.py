@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import (Kaehler11, PreconditionError, TensorValidationError,
-                        chern_forms, is_hermite_einstein, load_tensor,
+                        check_dims, chern_forms, is_hermite_einstein, load_tensor,
                         mean_curvature, project_to_he, projectively_flat_tensor,
                         random_curvature, segre_forms, strong_flat_tensor,
                         tensor_to_dict)
@@ -46,14 +46,19 @@ class UsageError(ValueError):
     pass
 
 
-def _default_tol():
-    env = os.environ.get("SEGREFORM_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise UsageError(f"SEGREFORM_TOL is not a number: {env!r}") from exc
+def _tolerance(tol):
+    """The --tol value, else SEGREFORM_TOL, else DEFAULT_TOL; it must be finite."""
+    if tol is None:
+        env = os.environ.get("SEGREFORM_TOL")
+        if env is None:
+            return DEFAULT_TOL
+        try:
+            tol = float(env)
+        except ValueError as exc:
+            raise UsageError(f"SEGREFORM_TOL is not a number: {env!r}") from exc
+    if not math.isfinite(tol):
+        raise UsageError(f"tolerance must be a finite number, got {tol!r}")
+    return tol
 
 
 def parse_omega(spec, n):
@@ -125,6 +130,7 @@ def _finish_report(report, out_path):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args):
+    check_dims(args.n, args.r)
     w = parse_omega(args.omega, args.n)
     if args.strong_flat:
         if args.he is None:
@@ -151,6 +157,8 @@ def _load_input(args):
 
 
 def _verify_pushforward(args, report):
+    if args.samples == 1:
+        raise UsageError("--samples must be >= 2: a standard error needs two directions")
     t = _load_input(args)
     tol = args.tol
     ks = [args.k] if args.k is not None else list(range(0, t.n + 1))
@@ -160,23 +168,14 @@ def _verify_pushforward(args, report):
         res = (got - segre[k]).max_abs()
         report.add(f"pushforward_vs_segre_k{k}", res, tol, res <= tol)
     if args.samples:
-        # batched Monte Carlo: deviation from the Segre form in stderr units
-        batches = 8
-        per = max(1, args.samples // batches)
+        # Monte Carlo: worst coefficient deviation from the Segre form in stderr units
         for k in ks:
             if k == 0:
                 continue
-            vals = [pushforward_segre(t, k, method="mc", samples=per,
-                                      seed=args.seed + 1000 * b)
-                    for b in range(batches)]
-            keys = set(segre[k].coeffs)
-            for v in vals:
-                keys |= set(v.coeffs)
-            worst = 0.0
-            for key in keys:
-                batch = np.array([v.coeffs.get(key, 0j) for v in vals])
-                err = float(np.std(batch)) / math.sqrt(batches) + 1e-12
-                worst = max(worst, abs(batch.mean() - segre[k].coeffs.get(key, 0j)) / err)
+            mean, err = pushforward_segre(t, k, method="mc", samples=args.samples,
+                                          seed=args.seed)
+            worst = max((abs(c) / (abs(err.coeffs.get(key, 0j)) + 1e-12)
+                         for key, c in (mean - segre[k]).coeffs.items()), default=0.0)
             report.add(f"pushforward_mc_k{k}_stderr_units", worst, 4.0, worst <= 4.0)
 
 
@@ -383,9 +382,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "tol") and args.tol is None:
-        args.tol = _default_tol()
     try:
+        if hasattr(args, "tol"):
+            args.tol = _tolerance(args.tol)
         return args.func(args)
     except json.JSONDecodeError as exc:
         _print_error("parse", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")

@@ -27,6 +27,7 @@ from .exterior import Form, factorial_power, top_ratio, wedge
 from .symfun import newton_convert
 
 DEFAULT_HE_TOL = 1e-9
+MAX_DIM = 32  # bound on n and r of outside input: an (n, n, r, r) array <= 16 MiB
 
 
 class PreconditionError(ValueError):
@@ -203,20 +204,26 @@ def segre_forms(c, n):
     return newton_convert([cj if j % 2 == 0 else -cj for j, cj in enumerate(c)], n)
 
 
-def direction_form(t, v):
-    """The real (1,1)-form (i/2pi)<Theta v, v>/|v|^2 for a fiber direction v.
-
-    Returns the Kaehler11 with matrix g[j,k] = sum_lm c[j,k,lam,mu] v_lam
-    conj(v_mu) / |v|^2; invariant under scaling of v.
+def direction_matrices(t, V):
+    """The (N, n, n) stack of the Hermitian matrices G_v[j,k] = sum_lm
+    c[j,k,lam,mu] v_lam conj(v_mu) / |v|^2 of direction_form, one per row v of V.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (t.r,):
-        raise ValueError(f"direction has length {v.size}, expected {t.r}")
-    nrm2 = float(np.vdot(v, v).real)
-    if nrm2 == 0:
+    V = np.asarray(V, dtype=complex)
+    if V.ndim != 2 or V.shape[1] != t.r:
+        raise ValueError(f"directions have shape {V.shape}, expected (N, {t.r})")
+    nrm2 = np.einsum("il,il->i", V, V.conj()).real
+    if not np.all(nrm2 > 0):
         raise ValueError("direction must be nonzero")
-    g = np.einsum("jklm,l,m->jk", t.c, v, v.conj()) / nrm2
-    return Kaehler11(g)
+    G = np.einsum("jklm,il,im->ijk", t.c, V, V.conj()) / nrm2[:, None, None]
+    GH = G.conj().transpose(0, 2, 1)
+    if not np.allclose(G, GH, atol=1e-12):
+        raise ValueError("coefficient matrix must be Hermitian")
+    return 0.5 * (G + GH)
+
+
+def direction_form(t, v):
+    """The real (1,1)-form (i/2pi)<Theta v, v>/|v|^2 of a fiber direction v."""
+    return Kaehler11(direction_matrices(t, np.reshape(v, (1, -1)))[0])
 
 
 def mean_curvature(t, w):
@@ -319,6 +326,13 @@ def tensor_to_dict(t):
     return {"n": t.n, "r": t.r, "coeffs": coeffs}
 
 
+def check_dims(n, r):
+    """Reject dimensions n, r of outside input unless integers in [1, MAX_DIM]."""
+    for name, value in (("n", n), ("r", r)):
+        if type(value) is not int or not 1 <= value <= MAX_DIM:
+            raise TensorValidationError(f"{name} must be an integer in [1, {MAX_DIM}], got {value!r}")
+
+
 def tensor_from_dict(d, symmetrize=False, tol=1e-10):
     """Build a CurvatureTensor from its JSON dict.
 
@@ -326,10 +340,11 @@ def tensor_from_dict(d, symmetrize=False, tol=1e-10):
     symmetrize=True, in which case the symmetric part is taken instead.
     """
     try:
-        n, r = int(d["n"]), int(d["r"])
+        n, r = d["n"], d["r"]
         entries = d.get("coeffs", [])
     except (KeyError, TypeError) as exc:
         raise TensorValidationError(f"malformed tensor payload: {exc}") from exc
+    check_dims(n, r)
     c = np.zeros((n, n, r, r), dtype=complex)
     for e in entries:
         try:

@@ -20,6 +20,9 @@ positive multiple of the Euclidean volume form.
 from __future__ import annotations
 
 import math
+from itertools import combinations
+
+import numpy as np
 
 
 class MultiIndex(tuple):
@@ -219,6 +222,21 @@ def wedge_power(f, k):
     for _ in range(k):
         out = wedge(out, f)
     return out
+
+
+def one_one_power(G, k):
+    """Minors giving theta^k for theta = sum_jk G[j,k] * (i dz_j ^ dzbar_k), G a stack.
+
+    Returns (keys, C): keys lists the k-subsets of 1..m lexicographically,
+    and C[..., a, b] = k! i^k (-1)^{k(k-1)/2} det G[..., I, J] is the
+    coefficient of dz_I ^ dzbar_J for I = keys[a], J = keys[b].
+    """
+    G = np.asarray(G, dtype=complex)
+    keys = list(combinations(range(1, G.shape[-1] + 1), k))
+    idx = np.array(keys, dtype=int).reshape(len(keys), k) - 1
+    minors = G[..., idx[:, None, :, None], idx[None, :, None, :]]
+    scale = math.factorial(k) * 1j**k * (-1) ** (k * (k - 1) // 2)
+    return keys, scale * np.linalg.det(minors)
 
 
 def top_ratio(t, vol):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import PreconditionError, require_kaehler
+from .curvature import Kaehler11, PreconditionError, require_kaehler
 from .symfun import elem_sym
 
 PRIMITIVITY_RTOL = 1e-9
@@ -22,21 +22,19 @@ def relative_eigenvalues(a, w):
 
     Solves A v = alpha G v with G positive definite by Cholesky reduction:
     with G = L L^H, the eigenvalues are those of the Hermitian matrix
-    L^-1 A L^-H, hence real for Hermitian A.
+    L^-1 A L^-H, hence real for Hermitian A.  a is a Kaehler11 or an
+    (..., n, n) stack of matrices A, whose eigenvalues fill the last axis.
     """
     require_kaehler(w)
-    if a.n != w.n:
+    A = a.g if isinstance(a, Kaehler11) else np.asarray(a)
+    if A.shape[-1] != w.n:
         raise ValueError("forms live on different dimensions")
-    if a.n == 0:
-        return np.zeros(0)
     L_inv = np.linalg.inv(np.linalg.cholesky(w.g))
-    return np.linalg.eigvalsh(L_inv @ a.g @ L_inv.conj().T)
+    return np.linalg.eigvalsh(L_inv @ A @ L_inv.conj().T)
 
 
 def gamma_rel(a, w, k):
     """gamma_k(alpha/omega): elementary symmetric polynomial of the relative eigenvalues."""
-    if k == 0:
-        return 1.0
     return float(elem_sym(relative_eigenvalues(a, w), k))
 
 

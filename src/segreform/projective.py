@@ -11,7 +11,7 @@ The vertical block is normalised so its (r-1)-st power carries unit fiber
 mass; with that choice the pushforward of the (r-1+k)-th power of the
 combined form reproduces the k-th Segre form, which is what
 pushforward_segre verifies (exactly through the moment expansion, or by
-Monte Carlo averaging of wedge powers).
+Monte Carlo averaging minors, which are the coefficients of theta_v^k).
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ import math
 
 import numpy as np
 
-from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
-                        direction_form, is_hermite_einstein, require_kaehler)
-from .exterior import Form, block_embed, factorial_power, wedge
-from .kahler import gamma_rel
-from .moments import phi_k_tensor, sample_directions
+from .curvature import (CurvatureTensor, Kaehler11, PreconditionError, direction_form,
+                        direction_matrices, is_hermite_einstein, require_kaehler)
+from .exterior import Form, block_embed, factorial_power, one_one_power, wedge
+from .kahler import gamma_rel, relative_eigenvalues
+from .moments import _MC_CHUNK, phi_k_tensor, sample_directions
+from .symfun import elem_sym
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,9 +105,10 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
     """Fiber integration of the (r-1+k)-th power of the combined form.
 
     Returns (-1)^k * binom(r-1+k, k) * E[theta_v ^ ... ^ theta_v] over fiber
-    directions v: exactly through the moment expansion (method="exact"), or
-    as a Monte Carlo average of wedge powers (method="mc").  Agrees with the
-    k-th Segre form of the tensor.
+    directions v, the k-th Segre form: exactly through the moment expansion
+    (method="exact"), or (method="mc") as the (mean, stderr) pair of forms of
+    the minors giving theta_v^k over N sample_directions, whose stderr is
+    sqrt(sum |x - mean|^2 / (N-1) / N) per coefficient (0 for N = 1).
     """
     if not 0 <= k <= t.n:
         raise ValueError(f"k={k} out of range [0, {t.n}]")
@@ -116,15 +118,18 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     if k == 0:
-        return Form.constant(t.n)
-    acc = Form.zero(t.n, k, k)
-    for v in sample_directions(t.r, int(samples), seed):
-        theta = direction_form(t, v).to_form()
-        term = theta
-        for _ in range(k - 1):
-            term = wedge(term, theta)
-        acc = acc + term
-    return (factor / int(samples)) * acc
+        return Form.constant(t.n), Form.zero(t.n, 0, 0)
+    V = sample_directions(t.r, int(samples), seed)
+    total = total_sq = 0.0
+    for start in range(0, len(V), _MC_CHUNK):
+        keys, x = one_one_power(direction_matrices(t, V[start:start + _MC_CHUNK]), k)
+        total = total + x.sum(axis=0)
+        total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=0)
+    mean, mean_sq = total / len(V), total_sq / len(V)
+    var = np.maximum(mean_sq - (mean.real**2 + mean.imag**2), 0.0) * len(V) / max(len(V) - 1, 1)
+    return tuple(Form(t.n, k, k, {(I, J): c[a, b] for a, I in enumerate(keys)
+                                  for b, J in enumerate(keys)})
+                 for c in (factor * mean, abs(factor) * np.sqrt(var / len(V))))
 
 
 def _embedded_pieces(fp, w):
@@ -183,7 +188,7 @@ def gamma_profile(t, w, k, samples=2000, seed=0):
     recovers the Hermite-Einstein condition itself).
     """
     require_kaehler(w)
-    vals = np.array([gamma_rel(direction_form(t, v), w, k)
-                     for v in sample_directions(t.r, int(samples), seed)])
+    G = direction_matrices(t, sample_directions(t.r, int(samples), seed))
+    vals = elem_sym(relative_eigenvalues(G, w), k)
     return {"min": float(vals.min()), "max": float(vals.max()),
             "mean": float(vals.mean()), "spread": float(vals.max() - vals.min())}

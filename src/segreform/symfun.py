@@ -9,19 +9,23 @@ values (where the product is the wedge).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .exterior import Form
 
 
 def elem_sym(values, k):
-    """Elementary symmetric polynomial gamma_k of a sequence of reals."""
-    values = [float(v) for v in values]
-    if k < 0 or k > len(values):
-        raise ValueError(f"k={k} out of range for {len(values)} values")
-    e = [1.0] + [0.0] * k
-    for v in values:
-        for j in range(min(k, len(e) - 1), 0, -1):
-            e[j] += v * e[j - 1]
-    return e[k]
+    """Elementary symmetric polynomial gamma_k of reals along the last axis
+    (a scalar for 1-D input); every entry uses the same update order."""
+    values = np.asarray(values, dtype=float)
+    m = values.shape[-1]
+    if k < 0 or k > m:
+        raise ValueError(f"k={k} out of range for {m} values")
+    e = [np.ones(values.shape[:-1])] + [np.zeros(values.shape[:-1])] * k
+    for i in range(m):
+        for j in range(k, 0, -1):
+            e[j] = e[j] + values[..., i] * e[j - 1]
+    return e[k][()]
 
 
 def newton_convert(gammas, m_max):

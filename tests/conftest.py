@@ -1,9 +1,19 @@
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segreform
 from segreform.exterior import Form, MultiIndex
+
+
+def child_env():
+    """os.environ with the imported segreform's source root first on PYTHONPATH."""
+    src = str(Path(segreform.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def random_form(m, p, q, rng, density=1.0):
@@ -36,6 +46,12 @@ def real_one_one(m, g):
             if g[j, k] != 0:
                 coeffs[(MultiIndex((j + 1,)), MultiIndex((k + 1,)))] = 1j * g[j, k]
     return Form(m, 1, 1, coeffs)
+
+
+def stderr_units(mean, err, target):
+    """Worst coefficient gap |mean - target| in standard errors, as the CLI reports it."""
+    return max((abs(c) / (abs(err.coeffs.get(key, 0j)) + 1e-12)
+                for key, c in (mean - target).coeffs.items()), default=0.0)
 
 
 @pytest.fixture

@@ -2,16 +2,23 @@
 
 Each one takes a slower, more literal route than the library code it checks:
 Ryser's permanent for the Wick moments, enumeration of weakly increasing
-tuples for the complete homogeneous polynomials, and moment sums over index
-tuples for the phi_k averages.
+tuples for the complete homogeneous polynomials, moment sums over index
+tuples for the phi_k averages, one Python-float loop for gamma_k, and one
+wedge power or one eigensolve per sampled fiber direction for the Monte
+Carlo pushforward and the gamma_k profile.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from segreform.exterior import Form, wedge
-from segreform.moments import MomentSpec, _check_hermitian, _pair_multisets
+import numpy as np
+
+from segreform.curvature import direction_form
+from segreform.exterior import Form, wedge, wedge_power
+from segreform.kahler import gamma_rel
+from segreform.moments import (MomentSpec, _check_hermitian, _pair_multisets,
+                               sample_directions)
 
 # direct enumeration of sigma_k is exponential in k
 _COMPLETE_SYM_MAX_K = 6
@@ -105,3 +112,35 @@ def phi_k_tensor_naive(t, k):
                 term = wedge(term, t.entry(mu - 1, la - 1))
             acc = acc + float(mom) * term
     return acc
+
+
+def elem_sym_scalar(values, k):
+    """gamma_k of a sequence of reals, by the update loop over Python floats."""
+    values = [float(v) for v in values]
+    e = [1.0] + [0.0] * k
+    for v in values:
+        for j in range(k, 0, -1):
+            e[j] += v * e[j - 1]
+    return e[k]
+
+
+def pushforward_mc_loop(t, k, samples, seed):
+    """Monte Carlo pushforward with one sparse wedge power per sampled direction.
+
+    Returns (mean, stderr) as (k,k)-forms like pushforward_segre(method="mc"),
+    the standard error taken two-pass from the stored per-direction terms.
+    """
+    factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)
+    terms = [factor * wedge_power(direction_form(t, v).to_form(), k)
+             for v in sample_directions(t.r, samples, seed)]
+    keys = set().union(*(f.coeffs for f in terms))
+    x = {key: np.array([f.coeffs.get(key, 0j) for f in terms]) for key in keys}
+    mean = Form(t.n, k, k, {key: v.mean() for key, v in x.items()})
+    err = Form(t.n, k, k, {key: np.std(v, ddof=1) / math.sqrt(samples) for key, v in x.items()})
+    return mean, err
+
+
+def gamma_profile_loop(t, w, k, samples, seed):
+    """gamma_k(theta_v/omega) of each sampled direction, one gamma_rel call each."""
+    return np.array([gamma_rel(direction_form(t, v), w, k)
+                     for v in sample_directions(t.r, samples, seed)])

@@ -7,6 +7,8 @@ import pytest
 from segreform.cli import main
 from segreform.report import validate_report
 
+from conftest import child_env, stderr_units
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -51,6 +53,13 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "2", "2", "1", "--flat", "--strong-flat"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("dims", [("33", "2"), ("2", "33"), ("0", "2")])
+    def test_dimension_out_of_bound_is_validation_error(self, capsys, dims):
+        code, out = run_cli(capsys, "gen", *dims, "1")
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "validation" and "must be an integer in [1, 32]" in err["message"]
 
     def test_strong_flat_needs_slope(self, capsys):
         code, out = run_cli(capsys, "gen", "2", "2", "1", "--strong-flat")
@@ -124,6 +133,43 @@ class TestVerify:
             assert code == 2
             err = json.loads(out)["error"]
             assert err["type"] == "validation" and "finite" in err["message"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "NaN"), ("n", "2.5"), ("n", '"2"'), ("n", "true"), ("n", "1e400"),
+        ("n", "1" + "0" * 400), ("n", "33"), ("n", "0"), ("r", "NaN"), ("r", "33")],
+        ids=["n-nan", "n-fraction", "n-string", "n-bool", "n-float-overflow",
+             "n-huge-int", "n-over-bound", "n-zero", "r-nan", "r-over-bound"])
+    def test_malformed_or_oversized_dimension_is_validation_error(self, tmp_path, capsys,
+                                                                  field, value):
+        dims = {"n": "2", "r": "2", field: value}
+        bad = tmp_path / "dims.json"
+        bad.write_text(f'{{"n": {dims["n"]}, "r": {dims["r"]}, "coeffs": []}}')
+        code, out = run_cli(capsys, "check", "he", "--in", str(bad))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "validation" and f"{field} must be an integer" in err["message"]
+
+    def test_pushforward_mc_draws_exactly_the_requested_samples(self, he_instance_path,
+                                                                capsys):
+        from segreform.curvature import chern_forms, load_tensor, segre_forms
+        from segreform.projective import pushforward_segre
+
+        code, out = run_cli(capsys, "verify", "pushforward", "--in", he_instance_path,
+                            "--k", "1", "--samples", "3", "--seed", "5")
+        report = json.loads(out)
+        validate_report(report)
+        row = {r["name"]: r for r in report["results"]}["pushforward_mc_k1_stderr_units"]
+        t = load_tensor(he_instance_path)
+        mean, err = pushforward_segre(t, 1, method="mc", samples=3, seed=5)
+        assert row["value"] == stderr_units(mean, err, segre_forms(chern_forms(t), 2)[1])
+        assert code == (0 if row["pass"] else 1)
+
+    def test_pushforward_single_sample_is_usage_error(self, he_instance_path, capsys):
+        code, out = run_cli(capsys, "verify", "pushforward", "--in", he_instance_path,
+                            "--samples", "1")
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "usage" and "--samples" in err["message"]
 
     @pytest.mark.parametrize("argv", [["verify", "identity8"], ["verify", "moments"],
                                       ["check", "lhe"], ["moments", "--r", "2"]],
@@ -235,18 +281,36 @@ class TestToleranceEnvVar:
         assert code == 1
         assert json.loads(out)["inputs"]["tol"] == 1e-25
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    def test_env_non_finite_or_non_number_is_usage_error(self, he_instance_path, capsys,
+                                                         monkeypatch, value):
+        monkeypatch.setenv("SEGREFORM_TOL", value)
+        code, out = run_cli(capsys, "verify", "identity9", "--in", he_instance_path,
+                            "--samples", "3")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize("argv", [["verify", "identity9", "--samples", "3"],
+                                      ["check", "he"]], ids=["verify", "check"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_flag_non_finite_is_usage_error(self, he_instance_path, capsys, argv, value):
+        code, out = run_cli(capsys, *argv, "--in", he_instance_path, "--tol", value)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "usage" and "finite" in err["message"]
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "segreform.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
 
     def test_round_trip_save_load_save(self, tmp_path):
         p1 = tmp_path / "one.json"
         p2 = tmp_path / "two.json"
         subprocess.run([sys.executable, "-m", "segreform.cli", "gen", "2", "3", "11",
-                        "--he", "0.3", "--out", str(p1)], check=True)
+                        "--he", "0.3", "--out", str(p1)], check=True, env=child_env())
         from segreform.curvature import load_tensor, tensor_to_dict
         from segreform.report import canonical_json
 

@@ -1,18 +1,15 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import segreform
+from conftest import child_env
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def test_every_demo_runs():
     assert DEMOS
-    src = str(Path(segreform.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     for demo in DEMOS:
         proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                               text=True, env=env, timeout=300)

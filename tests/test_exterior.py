@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segreform.exterior import (Form, MultiIndex, block_embed, factorial_power,
-                                top_ratio, wedge, wedge_power)
+                                one_one_power, top_ratio, wedge, wedge_power)
 
 from conftest import random_form, random_hermitian, random_spd, real_one_one
 
@@ -84,6 +86,36 @@ class TestWedge:
         b = real_one_one(3, random_hermitian(3, rng))
         assert a.is_real() and b.is_real()
         assert wedge(a, b).is_real()
+
+
+@st.composite
+def hermitian_matrices(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    entry = st.floats(-1.0, 1.0, allow_nan=False)
+    a = np.array(draw(st.lists(entry, min_size=2 * n * n, max_size=2 * n * n)))
+    z = (a[:n * n] + 1j * a[n * n:]).reshape(n, n)
+    return z + z.conj().T
+
+
+class TestOneOnePower:
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_matrices())
+    def test_minors_equal_wedge_power(self, g):
+        n = g.shape[0]
+        for k in range(n + 1):
+            keys, C = one_one_power(g, k)
+            ref = wedge_power(Form.one_one(g), k)
+            got = Form(n, k, k, {(I, J): C[a, b] for a, I in enumerate(keys)
+                                 for b, J in enumerate(keys)})
+            assert (got - ref).max_abs() <= 1e-12 * max(1.0, ref.max_abs())
+
+    def test_stack_matches_each_matrix(self, rng):
+        stack = np.array([random_hermitian(3, rng) for _ in range(5)])
+        for k in range(4):
+            keys, C = one_one_power(stack, k)
+            assert C.shape == (5, len(keys), len(keys))
+            for g, c in zip(stack, C):
+                assert np.array_equal(one_one_power(g, k)[1], c)
 
 
 class TestTopRatio:

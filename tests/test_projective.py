@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from segreform import projective
 from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  chern_forms, direction_form, project_to_he,
                                  random_curvature, segre_forms,
@@ -14,7 +15,8 @@ from segreform.projective import (FiberPointFrame, gamma_profile,
                                   unitary_sending_last_to, verify_power_identity,
                                   verify_slope_identity, xi_at)
 
-from conftest import random_spd
+from conftest import random_spd, stderr_units
+from oracles import gamma_profile_loop, pushforward_mc_loop
 
 
 class TestFrames:
@@ -76,8 +78,9 @@ class TestPushforward:
             t = random_curvature(2, 3, seed)
             exact = pushforward_segre(t, 0)
             assert exact.coeff((), ()) == 1
-            mc = pushforward_segre(t, 0, method="mc", samples=10, seed=1)
+            mc, err = pushforward_segre(t, 0, method="mc", samples=10, seed=1)
             assert mc.coeff((), ()) == 1
+            assert err.is_zero()
 
     def test_exact_matches_segre(self):
         for (n, r, seed) in ((1, 2, 0), (2, 2, 1), (2, 4, 2), (3, 3, 3)):
@@ -94,15 +97,39 @@ class TestPushforward:
     def test_mc_path_agrees_within_stderr(self):
         t = random_curvature(2, 3, seed=5)
         ss = segre_forms(chern_forms(t), 2)
-        batches = [pushforward_segre(t, 2, method="mc", samples=4000, seed=100 + b)
-                   for b in range(8)]
-        keys = set(ss[2].coeffs)
-        for v in batches:
-            keys |= set(v.coeffs)
-        for key in keys:
-            vals = np.array([b.coeffs.get(key, 0j) for b in batches])
-            err = np.std(vals) / math.sqrt(len(batches)) + 1e-12
-            assert abs(vals.mean() - ss[2].coeffs.get(key, 0j)) <= 4 * err
+        mean, err = pushforward_segre(t, 2, method="mc", samples=32000, seed=100)
+        assert stderr_units(mean, err, ss[2]) <= 4.0
+
+    def test_mc_rejects_segre_form_of_perturbed_tensor(self):
+        t = random_curvature(2, 3, seed=5)
+        mean, err = pushforward_segre(t, 2, method="mc", samples=32000, seed=100)
+        t_off = t + 0.2 * random_curvature(2, 3, seed=55)
+        assert stderr_units(mean, err, segre_forms(chern_forms(t_off), 2)[2]) > 4.0
+
+    @pytest.mark.parametrize("n, r", [(2, 3), (3, 3)])
+    def test_mc_matches_per_direction_loop(self, n, r):
+        t = random_curvature(n, r, seed=n + r)
+        for k in range(n + 1):
+            mean, err = pushforward_segre(t, k, method="mc", samples=300, seed=k)
+            ref_mean, ref_err = pushforward_mc_loop(t, k, 300, k)
+            scale = 1.0 + ref_mean.max_abs()
+            assert (mean - ref_mean).max_abs() <= 1e-13 * scale
+            assert (err - ref_err).max_abs() <= 1e-12 * scale
+
+    def test_mc_chunked_reduction_matches_one_chunk(self, monkeypatch):
+        t = random_curvature(3, 3, seed=8)
+        whole = pushforward_segre(t, 2, method="mc", samples=100, seed=3)
+        monkeypatch.setattr(projective, "_MC_CHUNK", 7)
+        chunked = pushforward_segre(t, 2, method="mc", samples=100, seed=3)
+        for a, b in zip(whole, chunked):
+            assert (a - b).max_abs() <= 1e-12 * (1.0 + a.max_abs())
+
+    def test_mc_single_sample_has_zero_stderr(self):
+        t = random_curvature(2, 2, seed=4)
+        mean, err = pushforward_segre(t, 1, method="mc", samples=1, seed=0)
+        theta = direction_form(t, sample_directions(2, 1, 0)[0]).to_form()
+        assert (mean + 2 * theta).max_abs() <= 1e-14
+        assert err.is_zero()
 
     def test_frame_invariance(self, rng):
         t = random_curvature(2, 3, seed=6)
@@ -218,6 +245,18 @@ class TestGammaProfile:
         assert p1["mean"] == pytest.approx(0.5, abs=1e-10)
         p2 = gamma_profile(t, w, 2, samples=200, seed=1)
         assert p2["spread"] > 1e-3  # generic instance is not 2-HE
+
+    @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (4, 3)])
+    def test_matches_per_direction_gamma_rel(self, rng, n, r):
+        t = random_curvature(n, r, seed=20 + n)
+        w = Kaehler11(random_spd(n, rng))
+        for k in range(n + 1):
+            vals = gamma_profile_loop(t, w, k, 150, 9)
+            prof = gamma_profile(t, w, k, samples=150, seed=9)
+            scale = 1.0 + np.abs(vals).max()
+            assert prof["min"] == pytest.approx(vals.min(), abs=1e-12 * scale)
+            assert prof["max"] == pytest.approx(vals.max(), abs=1e-12 * scale)
+            assert prof["mean"] == pytest.approx(vals.mean(), abs=1e-12 * scale)
 
     def test_rank_one_trivially_constant(self):
         w = Kaehler11.euclidean(2)

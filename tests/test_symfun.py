@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from segreform.exterior import Form, wedge_power
 from segreform.symfun import elem_sym, newton_convert
 
 from conftest import random_spd, real_one_one
-from oracles import complete_sym
+from oracles import complete_sym, elem_sym_scalar
 
 
 class TestElemSym:
@@ -29,6 +30,17 @@ class TestElemSym:
             elem_sym([1, 2], 3)
         with pytest.raises(ValueError):
             elem_sym([1, 2], -1)
+
+    def test_last_axis_matches_scalar_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for m in range(0, 6):
+            vals = rng.standard_normal((4, 3, m))
+            for k in range(m + 1):
+                batch = elem_sym(vals, k)
+                assert batch.shape == (4, 3)
+                for idx in np.ndindex(4, 3):
+                    one = elem_sym(vals[idx], k)
+                    assert one == batch[idx] == elem_sym_scalar(vals[idx], k)
 
 
 class TestCompleteSym:

@@ -45,6 +45,5 @@ print(f"Hermite-Einstein form of the identity: {worst:.2e}")
 
 # gamma_k profiles over the fiber: degree 1 is constant exactly when the
 # input is Hermite-Einstein; higher degrees generically vary
-for k in (1, 2):
-    prof = sf.gamma_profile(t_he, w, k, samples=400, seed=6)
+for k, prof in enumerate(sf.gamma_profile(t_he, w, 2, samples=400, seed=6), start=1):
     print(f"gamma_{k} spread over directions: {prof['spread']:.3e}")

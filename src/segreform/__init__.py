@@ -15,8 +15,8 @@ from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                         load_tensor, mean_curvature, project_to_he,
                         projectively_flat_tensor, random_curvature, segre_forms,
                         strong_flat_tensor, tensor_from_dict, tensor_to_dict)
-from .exterior import (Form, MultiIndex, block_embed, factorial_power,
-                       one_one_power, top_ratio, wedge, wedge_power)
+from .exterior import (Form, block_embed, factorial_power, one_one_power,
+                       top_ratio, wedge, wedge_power)
 from .inequalities import (dual_endomorphism_tensor, gamma2_bound,
                            gamma2_constrained_gap, kl_classical, kl_segre,
                            kl_segre_margin_primitive, projective_flat_bound,
@@ -37,7 +37,7 @@ __all__ = [
     "mean_curvature", "project_to_he", "projectively_flat_tensor",
     "random_curvature", "segre_forms", "strong_flat_tensor",
     "tensor_from_dict", "tensor_to_dict",
-    "Form", "MultiIndex", "block_embed", "factorial_power", "one_one_power",
+    "Form", "block_embed", "factorial_power", "one_one_power",
     "top_ratio", "wedge", "wedge_power",
     "dual_endomorphism_tensor", "gamma2_bound", "gamma2_constrained_gap",
     "kl_classical", "kl_segre", "kl_segre_margin_primitive",

@@ -105,11 +105,15 @@ def _is_number(x):
         return False
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer, rejected (exit 2) below low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _emit(text, out_path):
@@ -174,8 +178,7 @@ def _verify_pushforward(args, report):
                 continue
             mean, err = pushforward_segre(t, k, method="mc", samples=args.samples,
                                           seed=args.seed)
-            worst = max((abs(c) / (abs(err.coeffs.get(key, 0j)) + 1e-12)
-                         for key, c in (mean - segre[k]).coeffs.items()), default=0.0)
+            worst = float((np.abs((mean - segre[k]).a) / (np.abs(err.a) + 1e-12)).max())
             report.add(f"pushforward_mc_k{k}_stderr_units", worst, 4.0, worst <= 4.0)
 
 
@@ -276,8 +279,8 @@ def cmd_check(args):
         ell = min(args.ell or 1, t.n)
         level = 0
         ok = True
-        for k in range(1, ell + 1):
-            prof = gamma_profile(t, w, k, samples=args.samples or 2000, seed=args.seed)
+        profiles = gamma_profile(t, w, ell, samples=args.samples or 2000, seed=args.seed)
+        for k, prof in enumerate(profiles, start=1):
             passed = prof["spread"] <= args.tol
             if ok and passed:
                 level = k
@@ -345,9 +348,9 @@ def build_parser():
     v = sub.add_parser("verify", help="verify an identity against its oracle")
     v.add_argument("kind", choices=["pushforward", "identity8", "identity9", "moments"])
     v.add_argument("--in", dest="infile", default=None)
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--r", type=int, default=None, help="dimension for kind=moments")
-    v.add_argument("--samples", type=_positive_int, default=None)
+    v.add_argument("--k", type=_int_at_least(0), default=None)
+    v.add_argument("--r", type=_int_at_least(1), default=None, help="dimension for kind=moments")
+    v.add_argument("--samples", type=_int_at_least(1), default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--omega", default=None)
@@ -361,8 +364,8 @@ def build_parser():
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--omega", default=None)
     c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--ell", type=int, default=None, help="level for kind=lhe")
-    c.add_argument("--samples", type=_positive_int, default=None)
+    c.add_argument("--ell", type=_int_at_least(1), default=None, help="level for kind=lhe")
+    c.add_argument("--samples", type=_int_at_least(1), default=None)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--symmetrize", action="store_true")
     c.add_argument("--out", default=None)
@@ -372,7 +375,7 @@ def build_parser():
     m.add_argument("--r", type=int, required=True)
     m.add_argument("--lambdas", type=int, nargs="*", default=None)
     m.add_argument("--mus", type=int, nargs="*", default=None)
-    m.add_argument("--samples", type=_positive_int, default=None)
+    m.add_argument("--samples", type=_int_at_least(1), default=None)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_moments)

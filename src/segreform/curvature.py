@@ -12,14 +12,16 @@ exterior module below never sees it.  The point metric is the identity
 matrix (normal-frame gauge), so hermitian symmetry of the metric expansion
 forces conj(c[j,k,lam,mu]) == c[k,j,mu,lam].
 
-Chern forms come from the principal-minor expansion of det(Id + t*Theta_hat),
-Segre forms from inverting the total Chern form degree by degree.
+Chern forms come from the power sums tr Theta_hat^k of the form-valued
+curvature matrix by Newton's identities, Segre forms from inverting the
+total Chern form degree by degree.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from itertools import combinations, permutations
+import operator
 
 import numpy as np
 
@@ -146,53 +148,31 @@ class CurvatureTensor:
         return f"CurvatureTensor(n={self.n}, r={self.r})"
 
 
-def _det_wedge(entries, subset):
-    """Determinant of the subset x subset minor of a matrix of commuting forms."""
-    m = entries[subset[0]][subset[0]].m
-    k = len(subset)
-    acc = Form.zero(m, k, k)
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        term = Form.constant(m)
-        for a in range(k):
-            term = wedge(term, entries[subset[a]][subset[perm[a]]])
-        acc = acc + sign * term
-    return acc
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def chern_forms(t):
-    """Chern forms [c_0, ..., c_r] via sums of principal minors of (Theta_hat[mu,lam]).
+    """Chern forms [c_0, ..., c_r] from the power sums p_i = tr Theta_hat^i.
 
-    c_k vanishes identically once 2k exceeds 2n; those degrees are skipped
-    rather than expanded (the wedge would return zero anyway).
+    Newton's identities k c_k = sum_{i=1}^{k} (-1)^{i-1} c_{k-i} ^ p_i hold
+    in the commutative algebra of even-degree forms.  c_k vanishes
+    identically once k exceeds n; those degrees are zero forms, not
+    computed.
     """
-    entries = [[t.entry(mu, lam) for lam in range(t.r)] for mu in range(t.r)]
-    forms = [Form.constant(t.n)]
+    theta = [[t.entry(mu, lam) for lam in range(t.r)] for mu in range(t.r)]
+    power, sums, forms = theta, [None], [Form.constant(t.n)]
     for k in range(1, t.r + 1):
         if k > t.n:
             forms.append(Form.zero(t.n, k, k))
             continue
-        acc = Form.zero(t.n, k, k)
-        for subset in combinations(range(t.r), k):
-            acc = acc + _det_wedge(entries, subset)
-        forms.append(acc)
+        if k > 1:
+            power = [[_sum_forms(wedge(power[a][b], theta[b][d]) for b in range(t.r))
+                      for d in range(t.r)] for a in range(t.r)]
+        sums.append(_sum_forms(power[a][a] for a in range(t.r)))
+        forms.append(_sum_forms((-1.0) ** (i - 1) * wedge(forms[k - i], sums[i])
+                                for i in range(1, k + 1)) / k)
     return forms
+
+
+def _sum_forms(forms):
+    return functools.reduce(operator.add, forms)
 
 
 def segre_forms(c, n):

@@ -5,9 +5,9 @@ in the basis dz_I ^ dzbar_J with all dz factors written before the dzbar
 factors.  Coefficients are raw complex numbers against that basis: no i or
 2*pi normalisations are folded in at this level (those belong to the modules
 that build geometric forms).  With this convention a (1,1)-form with
-Hermitian coefficient matrix g, i.e. sum_jk g_jk * (i dz_j ^ dzbar_k), is
-stored with coefficient 1j*g_jk on the key ((j,), (k,)), and the reality
-predicate below reads coeff(I, J) == conj(coeff(J, I)) * (-1)**(p*q).
+Hermitian coefficient matrix g, i.e. sum_jk g_jk * (i dz_j ^ dzbar_k), has
+coefficient 1j*g_jk at ((j,), (k,)), and the reality predicate below reads
+coeff(I, J) == conj(coeff(J, I)) * (-1)**(p*q).
 
 The sign of any reordering is the parity of the permutation sorting the
 z-indices and the zbar-indices separately, plus one factor (-1)**(q1*p2)
@@ -19,85 +19,92 @@ positive multiple of the Euclidean volume form.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
 
-class MultiIndex(tuple):
-    """Strictly increasing tuple of 1-based coordinate indices."""
-
-    def __new__(cls, indices=()):
-        t = tuple(int(i) for i in indices)
-        if t and t[0] < 1:
-            raise ValueError(f"indices must be positive, got {t}")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError(f"indices must be strictly increasing, got {t}")
-        return super().__new__(cls, t)
+@functools.cache
+def _basis(m, p):
+    """The p-subsets of 1..m in lexicographic order, and each one's position."""
+    subsets = tuple(combinations(range(1, m + 1), p))
+    return subsets, {s: i for i, s in enumerate(subsets)}
 
 
-def _merge_sorted(a, b):
-    """Merge two strictly increasing tuples, returning (merged, sign).
+@functools.cache
+def _wedge_table(m, p1, p2):
+    """Disjoint pairs of a p1- and a p2-subset of 1..m, indexed by split and union.
 
-    sign is the parity of sorting the concatenation a + b; (None, 0) if the
-    tuples share an element.
+    Returns index arrays (i1, i2) into the p1- and p2-subset bases and the
+    sign of sorting each concatenated pair.  Pair number j*U + u is the j-th
+    split, in lexicographic order, of the u-th of the U (p1+p2)-subsets, so
+    summing over the leading axis of a (C(p1+p2, p1), U) reshape adds the
+    pairs of each union.
     """
-    sign = 1
-    out = []
-    i, j = 0, 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-            if (na - i) % 2:
-                sign = -sign
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
+    _, pos1 = _basis(m, p1)
+    _, pos2 = _basis(m, p2)
+    i1, i2, sign = [], [], []
+    for union in _basis(m, p1 + p2)[0]:
+        for left in combinations(union, p1):
+            right = tuple(x for x in union if x not in left)
+            inversions = sum(x > y for x in left for y in right)
+            i1.append(pos1[left])
+            i2.append(pos2[right])
+            sign.append(-1.0 if inversions % 2 else 1.0)
+    splits = math.comb(p1 + p2, p1)
+    return tuple(np.array(v).reshape(-1, splits).T.ravel() for v in (i1, i2, sign))
 
 
 class Form:
-    """Value of a complex (p,q)-form on C^m, stored as a sparse map.
+    """Value of a complex (p,q)-form on C^m, stored as one dense array.
 
-    coeffs maps (I, J) pairs of strictly increasing index tuples (lengths p
-    and q, entries in 1..m) to complex coefficients; missing keys are zero.
-    A bidegree with p > m or q > m is representable but has no admissible
-    keys, hence is identically zero.  Instances are treated as immutable:
-    all operations return new forms.
+    a[s, t] is the coefficient of dz_I ^ dzbar_J for I the s-th p-subset and
+    J the t-th q-subset of 1..m, both in lexicographic order, so a has shape
+    C(m,p) x C(m,q).  The constructor takes that array, or a mapping
+    {(I, J): c} from pairs of strictly increasing index tuples to
+    coefficients (missing keys are zero).  A bidegree with p > m or q > m has
+    an empty array, hence is identically zero.  Instances are treated as
+    immutable: all operations return new forms.
     """
 
-    __slots__ = ("m", "p", "q", "coeffs")
+    __slots__ = ("m", "p", "q", "a")
 
-    def __init__(self, m, p, q, coeffs=None):
+    def __init__(self, m, p, q, a=None):
         if m < 0 or p < 0 or q < 0:
             raise ValueError("m, p, q must be nonnegative")
         self.m = int(m)
         self.p = int(p)
         self.q = int(q)
-        clean = {}
-        for (I, J), c in (coeffs or {}).items():
-            I = I if isinstance(I, MultiIndex) else MultiIndex(I)
-            J = J if isinstance(J, MultiIndex) else MultiIndex(J)
-            if len(I) != self.p or len(J) != self.q:
-                raise ValueError(f"key ({I}, {J}) has wrong length for bidegree ({p}, {q})")
-            if (I and I[-1] > self.m) or (J and J[-1] > self.m):
-                raise ValueError(f"key ({I}, {J}) exceeds ambient dimension m={m}")
-            c = complex(c)
-            if c != 0:
-                clean[(I, J)] = c
-        self.coeffs = clean
+        shape = (math.comb(self.m, self.p), math.comb(self.m, self.q))
+        if a is None or isinstance(a, Mapping):
+            arr = np.zeros(shape, dtype=complex)
+            for (I, J), c in (a or {}).items():
+                arr[self._position(I, J)] = complex(c)
+            a = arr
+        else:
+            a = np.asarray(a, dtype=complex)
+            if a.shape != shape:
+                raise ValueError(f"coefficient array has shape {a.shape}, expected {shape} "
+                                 f"for bidegree ({p}, {q}) on C^{m}")
+        self.a = a
+
+    def _position(self, I, J):
+        """Row and column of dz_I ^ dzbar_J; ValueError unless I, J are strictly
+        increasing tuples of lengths p, q with entries in 1..m."""
+        try:
+            return _basis(self.m, self.p)[1][tuple(I)], _basis(self.m, self.q)[1][tuple(J)]
+        except KeyError:
+            raise ValueError(f"key ({tuple(I)}, {tuple(J)}) is not a pair of strictly increasing "
+                             f"index tuples of lengths ({self.p}, {self.q}) in 1..{self.m}") from None
 
     @classmethod
     def constant(cls, m, value=1.0):
         """The (0,0)-form with the given constant value."""
-        return cls(m, 0, 0, {(MultiIndex(), MultiIndex()): complex(value)})
+        return cls(m, 0, 0, [[value]])
 
     @classmethod
     def zero(cls, m, p, q):
@@ -106,28 +113,28 @@ class Form:
     @classmethod
     def one_one(cls, g):
         """The (1,1)-form sum_jk g[j,k] * (i dz_j ^ dzbar_k) of a square matrix g."""
-        m = len(g)
-        coeffs = {}
-        for j in range(m):
-            for k in range(m):
-                if g[j, k] != 0:
-                    coeffs[(MultiIndex((j + 1,)), MultiIndex((k + 1,)))] = 1j * g[j, k]
-        return cls(m, 1, 1, coeffs)
+        return cls(len(g), 1, 1, 1j * np.asarray(g))
+
+    @property
+    def coeffs(self):
+        """Read-only {(I, J): c} view of the nonzero coefficients."""
+        rows, cols = _basis(self.m, self.p)[0], _basis(self.m, self.q)[0]
+        return MappingProxyType({(rows[s], cols[t]): complex(self.a[s, t])
+                                 for s, t in zip(*np.nonzero(self.a))})
 
     def coeff(self, I, J):
-        return self.coeffs.get((MultiIndex(I), MultiIndex(J)), 0j)
+        return complex(self.a[self._position(I, J)])
 
     def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        return bool(np.all(np.abs(self.a) <= tol))
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.abs(self.a).max(initial=0.0))
 
     def conjugate(self):
         """Complex conjugate, a (q,p)-form: conj(c dz_I^dzbar_J) = (-1)^{pq} conj(c) dz_J^dzbar_I."""
         sign = -1.0 if (self.p * self.q) % 2 else 1.0
-        return Form(self.m, self.q, self.p,
-                    {(J, I): sign * c.conjugate() for (I, J), c in self.coeffs.items()})
+        return Form(self.m, self.q, self.p, sign * self.a.conj().T)
 
     def is_real(self, tol=1e-10):
         """Whether coeff(I,J) == conj(coeff(J,I)) * (-1)^{pq} up to tol."""
@@ -138,10 +145,7 @@ class Form:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0j) + c
-        return Form(self.m, self.p, self.q, out)
+        return Form(self.m, self.p, self.q, self.a + other.a)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -152,8 +156,7 @@ class Form:
     def __mul__(self, other):
         if isinstance(other, Form):
             return wedge(self, other)
-        s = complex(other)
-        return Form(self.m, self.p, self.q, {k: s * c for k, c in self.coeffs.items()})
+        return Form(self.m, self.p, self.q, complex(other) * self.a)
 
     __rmul__ = __mul__
 
@@ -164,10 +167,7 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         return ((self.m, self.p, self.q) == (other.m, other.p, other.q)
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.m, self.p, self.q, frozenset(self.coeffs.items())))
+                and np.array_equal(self.a, other.a))
 
     def allclose(self, other, tol=1e-10):
         self._check_compatible(other)
@@ -181,7 +181,7 @@ class Form:
                 f"incompatible forms: ({self.m},{self.p},{self.q}) vs ({other.m},{other.p},{other.q})")
 
     def __repr__(self):
-        return f"Form(m={self.m}, p={self.p}, q={self.q}, nnz={len(self.coeffs)})"
+        return f"Form(m={self.m}, p={self.p}, q={self.q}, nnz={np.count_nonzero(self.a)})"
 
 
 def wedge(a, b):
@@ -195,23 +195,26 @@ def wedge(a, b):
         raise TypeError("wedge expects two Form values")
     if a.m != b.m:
         raise ValueError(f"dimension mismatch: m={a.m} vs m={b.m}")
-    p, q = a.p + b.p, a.q + b.q
-    if p > a.m or q > a.m:
-        return Form(a.m, p, q)
+    m, p, q = a.m, a.p + b.p, a.q + b.q
+    if p > m or q > m:
+        return Form(m, p, q)
     # moving the dz block of b (length b.p) past the dzbar block of a (length a.q)
-    swap = -1 if (a.q * b.p) % 2 else 1
-    out = {}
-    for (I1, J1), c1 in a.coeffs.items():
-        for (I2, J2), c2 in b.coeffs.items():
-            I, sI = _merge_sorted(I1, I2)
-            if sI == 0:
-                continue
-            J, sJ = _merge_sorted(J1, J2)
-            if sJ == 0:
-                continue
-            key = (MultiIndex(I), MultiIndex(J))
-            out[key] = out.get(key, 0j) + (swap * sI * sJ) * c1 * c2
-    return Form(a.m, p, q, out)
+    swap = -1.0 if (a.q * b.p) % 2 else 1.0
+    ia, ib, sign_p = _wedge_table(m, a.p, b.p)
+    ja, jb, sign_q = _wedge_table(m, a.q, b.q)
+    rows, cols = math.comb(m, p), math.comb(m, q)
+    # x[row split, row union, column split, column union]
+    x = (swap * sign_p[:, None] * a.a[ia])[:, ja] * (b.a[:, jb] * sign_q)[ib]
+    x = x.reshape(-1, rows, len(ja) // cols, cols)
+    # One split pair at a time, in the same order for every coefficient: np.sum
+    # goes pairwise for a lone coefficient, and the rounding of generated
+    # instances (exact products against Euclidean omega powers in
+    # mean_curvature) would then depend on the dimension.
+    out = np.zeros((rows, cols), dtype=complex)
+    for j in range(x.shape[0]):
+        for k in range(x.shape[2]):
+            out += x[j, :, k]
+    return Form(m, p, q, out)
 
 
 def wedge_power(f, k):
@@ -225,18 +228,17 @@ def wedge_power(f, k):
 
 
 def one_one_power(G, k):
-    """Minors giving theta^k for theta = sum_jk G[j,k] * (i dz_j ^ dzbar_k), G a stack.
+    """Coefficient arrays of theta^k for theta = sum_jk G[j,k] * (i dz_j ^ dzbar_k), G a stack.
 
-    Returns (keys, C): keys lists the k-subsets of 1..m lexicographically,
-    and C[..., a, b] = k! i^k (-1)^{k(k-1)/2} det G[..., I, J] is the
-    coefficient of dz_I ^ dzbar_J for I = keys[a], J = keys[b].
+    C[..., s, t] = k! i^k (-1)^{k(k-1)/2} det G[..., I, J] for I, J the s-th
+    and t-th k-subsets of 1..m, so C[i] is the array of a Form(m, k, k).
     """
     G = np.asarray(G, dtype=complex)
-    keys = list(combinations(range(1, G.shape[-1] + 1), k))
-    idx = np.array(keys, dtype=int).reshape(len(keys), k) - 1
+    subsets = _basis(G.shape[-1], k)[0]
+    idx = np.array(subsets, dtype=np.intp).reshape(len(subsets), k) - 1
     minors = G[..., idx[:, None, :, None], idx[None, :, None, :]]
     scale = math.factorial(k) * 1j**k * (-1) ** (k * (k - 1) // 2)
-    return keys, scale * np.linalg.det(minors)
+    return scale * np.linalg.det(minors)
 
 
 def top_ratio(t, vol):
@@ -249,11 +251,10 @@ def top_ratio(t, vol):
             raise ValueError(f"{name} has bidegree ({f.p},{f.q}), expected top degree ({f.m},{f.m})")
     if t.m != vol.m:
         raise ValueError(f"dimension mismatch: m={t.m} vs m={vol.m}")
-    key = (MultiIndex(range(1, t.m + 1)), MultiIndex(range(1, t.m + 1)))
-    v = vol.coeffs.get(key, 0j)
+    v = complex(vol.a[0, 0])
     if v == 0:
         raise ZeroDivisionError("top_ratio against the zero volume form")
-    return t.coeffs.get(key, 0j) / v
+    return complex(t.a[0, 0]) / v
 
 
 def block_embed(f, offset, m):
@@ -264,11 +265,12 @@ def block_embed(f, offset, m):
     """
     if offset < 0 or offset + f.m > m:
         raise ValueError(f"block [{offset + 1}, {offset + f.m}] does not fit in C^{m}")
-    shifted = {}
-    for (I, J), c in f.coeffs.items():
-        key = (MultiIndex(i + offset for i in I), MultiIndex(j + offset for j in J))
-        shifted[key] = c
-    return Form(m, f.p, f.q, shifted)
+    rows, cols = (
+        [_basis(m, d)[1][tuple(i + offset for i in s)] for s in _basis(f.m, d)[0]]
+        for d in (f.p, f.q))
+    out = Form(m, f.p, f.q)
+    out.a[np.ix_(rows, cols)] = f.a
+    return out
 
 
 def factorial_power(f, k):

@@ -10,8 +10,11 @@ tensor is first rotated by a unitary sending v to the last frame vector.
 The vertical block is normalised so its (r-1)-st power carries unit fiber
 mass; with that choice the pushforward of the (r-1+k)-th power of the
 combined form reproduces the k-th Segre form, which is what
-pushforward_segre verifies (exactly through the moment expansion, or by
-Monte Carlo averaging minors, which are the coefficients of theta_v^k).
+pushforward_segre verifies: exactly through the moment expansion, or by
+Monte Carlo, averaging over sampled directions the k x k minors of the
+matrix of theta_v, which fill the coefficient array of theta_v^k.  The
+gamma_k(theta_v/omega) profiles of every degree up to l come from one draw
+of directions and one batched eigensolve.
 """
 
 from __future__ import annotations
@@ -122,14 +125,12 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
     V = sample_directions(t.r, int(samples), seed)
     total = total_sq = 0.0
     for start in range(0, len(V), _MC_CHUNK):
-        keys, x = one_one_power(direction_matrices(t, V[start:start + _MC_CHUNK]), k)
+        x = one_one_power(direction_matrices(t, V[start:start + _MC_CHUNK]), k)
         total = total + x.sum(axis=0)
         total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=0)
     mean, mean_sq = total / len(V), total_sq / len(V)
     var = np.maximum(mean_sq - (mean.real**2 + mean.imag**2), 0.0) * len(V) / max(len(V) - 1, 1)
-    return tuple(Form(t.n, k, k, {(I, J): c[a, b] for a, I in enumerate(keys)
-                                  for b, J in enumerate(keys)})
-                 for c in (factor * mean, abs(factor) * np.sqrt(var / len(V))))
+    return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * np.sqrt(var / len(V)))
 
 
 def _embedded_pieces(fp, w):
@@ -180,15 +181,20 @@ def verify_slope_identity(t, w, v, tol=1e-9):
     return (lhs + lam * rhs).max_abs()
 
 
-def gamma_profile(t, w, k, samples=2000, seed=0):
-    """Distribution of gamma_k(theta_v/omega) over sampled fiber directions.
+def gamma_profile(t, w, ell, samples=2000, seed=0):
+    """Distributions of gamma_k(theta_v/omega), k = 1..ell, over sampled fiber directions.
 
-    Returns {"min", "max", "mean", "spread"}; a spread ~ 0 for all degrees
+    Returns one {"min", "max", "mean", "spread"} per degree k, all from the
+    same directions and one batched eigensolve; a spread ~ 0 for all degrees
     up to l is the pointwise l-Hermite-Einstein diagnostic (degree 1
     recovers the Hermite-Einstein condition itself).
     """
     require_kaehler(w)
     G = direction_matrices(t, sample_directions(t.r, int(samples), seed))
-    vals = elem_sym(relative_eigenvalues(G, w), k)
-    return {"min": float(vals.min()), "max": float(vals.max()),
-            "mean": float(vals.mean()), "spread": float(vals.max() - vals.min())}
+    eigs = relative_eigenvalues(G, w)
+    profiles = []
+    for k in range(1, ell + 1):
+        vals = elem_sym(eigs, k)
+        profiles.append({"min": float(vals.min()), "max": float(vals.max()),
+                         "mean": float(vals.mean()), "spread": float(vals.max() - vals.min())})
+    return profiles

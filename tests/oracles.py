@@ -3,14 +3,16 @@
 Each one takes a slower, more literal route than the library code it checks:
 Ryser's permanent for the Wick moments, enumeration of weakly increasing
 tuples for the complete homogeneous polynomials, moment sums over index
-tuples for the phi_k averages, one Python-float loop for gamma_k, and one
-wedge power or one eigensolve per sampled fiber direction for the Monte
-Carlo pushforward and the gamma_k profile.
+tuples for the phi_k averages, one Python-float loop for gamma_k, one wedge
+power or one eigensolve per sampled fiber direction for the Monte Carlo
+pushforward and the gamma_k profile, a merge of sorted index tuples per pair
+of nonzero coefficients for the wedge, and the permutation expansion of
+principal minors for the Chern forms.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -144,3 +146,92 @@ def gamma_profile_loop(t, w, k, samples, seed):
     """gamma_k(theta_v/omega) of each sampled direction, one gamma_rel call each."""
     return np.array([gamma_rel(direction_form(t, v), w, k)
                      for v in sample_directions(t.r, samples, seed)])
+
+
+def _merge_sorted(a, b):
+    """Merge two strictly increasing tuples, returning (merged, sign).
+
+    sign is the parity of sorting the concatenation a + b; (None, 0) if the
+    tuples share an element.
+    """
+    sign = 1
+    out = []
+    i, j = 0, 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        if a[i] == b[j]:
+            return None, 0
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+            if (na - i) % 2:
+                sign = -sign
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out), sign
+
+
+def wedge_sparse(a, b):
+    """Wedge product over the nonzero coefficients of a and b, key pair by key pair."""
+    if a.m != b.m:
+        raise ValueError(f"dimension mismatch: m={a.m} vs m={b.m}")
+    p, q = a.p + b.p, a.q + b.q
+    if p > a.m or q > a.m:
+        return Form(a.m, p, q)
+    swap = -1 if (a.q * b.p) % 2 else 1
+    out = {}
+    for (I1, J1), c1 in a.coeffs.items():
+        for (I2, J2), c2 in b.coeffs.items():
+            I, sI = _merge_sorted(I1, I2)
+            if sI == 0:
+                continue
+            J, sJ = _merge_sorted(J1, J2)
+            if sJ == 0:
+                continue
+            out[(I, J)] = out.get((I, J), 0j) + (swap * sI * sJ) * c1 * c2
+    return Form(a.m, p, q, out)
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _det_wedge(entries, subset):
+    """Determinant of the subset x subset minor of a matrix of commuting forms."""
+    m = entries[subset[0]][subset[0]].m
+    k = len(subset)
+    acc = Form.zero(m, k, k)
+    for perm in permutations(range(k)):
+        term = Form.constant(m)
+        for a in range(k):
+            term = wedge(term, entries[subset[a]][subset[perm[a]]])
+        acc = acc + _perm_sign(perm) * term
+    return acc
+
+
+def chern_forms_minors(t):
+    """Chern forms [c_0, ..., c_r] as sums of principal minors of (Theta_hat[mu,lam])."""
+    entries = [[t.entry(mu, lam) for lam in range(t.r)] for mu in range(t.r)]
+    forms = [Form.constant(t.n)]
+    for k in range(1, t.r + 1):
+        acc = Form.zero(t.n, k, k)
+        if k <= t.n:
+            for subset in combinations(range(t.r), k):
+                acc = acc + _det_wedge(entries, subset)
+        forms.append(acc)
+    return forms

@@ -182,6 +182,30 @@ class TestVerify:
                 main(argv + ["--samples", samples])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["check", "lhe", "--ell", "-2"],
+                                      ["check", "lhe", "--ell", "0"],
+                                      ["verify", "moments", "--r", "0"],
+                                      ["verify", "moments", "--k", "-1"]],
+                             ids=["ell-negative", "ell-zero", "moments-r-zero",
+                                  "moments-k-negative"])
+    def test_integer_option_out_of_range_is_usage_error(self, he_instance_path, argv):
+        # each of these used to run with a substituted value, or no check at all
+        if argv[0] == "check":
+            argv = argv + ["--in", he_instance_path]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_pushforward_at_five_five(self, tmp_path, capsys):
+        path = tmp_path / "he55.json"
+        assert run_cli(capsys, "gen", "5", "5", "3", "--he", "1.0", "--out", str(path))[0] == 0
+        code, out = run_cli(capsys, "verify", "pushforward", "--in", str(path))
+        assert code == 0
+        report = json.loads(out)
+        validate_report(report)
+        assert [r["name"] for r in report["results"]] == [
+            f"pushforward_vs_segre_k{k}" for k in range(6)]
+
 
 class TestCheck:
     def test_thm12_on_strong_flat(self, tmp_path, capsys):
@@ -218,6 +242,25 @@ class TestCheck:
         assert code == 1  # mathematical failure: instance is 1-HE, not 2-HE
         report = json.loads(out)
         validate_report(report)
+
+    def test_lhe_draws_directions_once(self, tmp_path, capsys, monkeypatch):
+        import segreform.projective as projective
+
+        calls = []
+
+        def counted(t, V):
+            calls.append(len(V))
+            return direction_matrices(t, V)
+
+        direction_matrices = projective.direction_matrices
+        monkeypatch.setattr(projective, "direction_matrices", counted)
+        path = tmp_path / "he33.json"
+        run_cli(capsys, "gen", "3", "3", "4", "--he", "1.0", "--out", str(path))
+        code, out = run_cli(capsys, "check", "lhe", "--in", str(path), "--ell", "3",
+                            "--samples", "300")
+        names = [r["name"] for r in json.loads(out)["results"]]
+        assert names == ["gamma1_spread", "gamma2_spread", "gamma3_spread", "lhe_level"]
+        assert calls == [300]
 
     def test_he_check_with_omega_matrix(self, tmp_path, capsys):
         path = tmp_path / "t.json"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  TensorValidationError, chern_forms,
@@ -13,10 +15,13 @@ from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  strong_flat_tensor, tensor_from_dict,
                                  tensor_to_dict)
 from segreform.exterior import Form, factorial_power, top_ratio, wedge, wedge_power
+from segreform.inequalities import dual_endomorphism_tensor
+from segreform.projective import rotate_tensor
 from segreform.symfun import newton_convert
 from segreform.report import canonical_json
 
 from conftest import random_hermitian, random_spd
+from oracles import chern_forms_minors
 
 
 def tensor_from_diagonal(forms11, r=None):
@@ -44,15 +49,32 @@ class TestChernForms:
 
     def test_scalar_times_identity_binomial(self, rng):
         # Theta_hat = beta tensor Id_r: det(1 + t beta)^r gives c_k = C(r,k) beta^k
-        n, r = 3, 3
-        beta = Kaehler11(random_hermitian(n, rng))
-        c = np.einsum("jk,ml->jklm", beta.g, np.eye(r))
-        t = CurvatureTensor(n, r, c)
-        cs = chern_forms(t)
-        bf = beta.to_form()
-        for k in range(r + 1):
-            expect = math.comb(r, k) * wedge_power(bf, k)
-            assert (cs[k] - expect).max_abs() <= 1e-11 * (1 + expect.max_abs())
+        for n, r in ((3, 3), (8, 8)):
+            beta = Kaehler11(random_hermitian(n, rng))
+            c = np.einsum("jk,ml->jklm", beta.g, np.eye(r))
+            t = CurvatureTensor(n, r, c)
+            cs = chern_forms(t)
+            bf = beta.to_form()
+            for k in range(r + 1):
+                expect = math.comb(r, k) * wedge_power(bf, k)
+                assert (cs[k] - expect).max_abs() <= 1e-11 * (1 + expect.max_abs())
+
+    @pytest.mark.parametrize("n, r", [(2, 3), (3, 3), (4, 4), (3, 5)])
+    def test_power_sums_match_principal_minors(self, n, r):
+        t = random_curvature(n, r, seed=10 * n + r)
+        self._assert_agree(chern_forms(t), chern_forms_minors(t))
+
+    def test_power_sums_match_minors_for_endomorphism_bundle(self):
+        dual = dual_endomorphism_tensor(random_curvature(2, 3, seed=6))
+        assert dual.r == 9
+        self._assert_agree(chern_forms(dual), chern_forms_minors(dual))
+
+    @staticmethod
+    def _assert_agree(got, ref):
+        assert len(got) == len(ref)
+        for g, f in zip(got, ref):
+            assert (g.p, g.q) == (f.p, f.q)
+            assert (g - f).max_abs() <= 1e-11 * (1 + f.max_abs())
 
     def test_chern_forms_are_real(self, rng):
         t = random_curvature(2, 3, seed=4)
@@ -78,6 +100,45 @@ class TestChernForms:
         ss = segre_forms(cs, n)
         for k in range(1, n + 1):
             assert (ss[k] - (-1.0) ** k * sig[k]).max_abs() <= 1e-10
+
+
+@st.composite
+def curvature_cases(draw):
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return random_curvature(n, r, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestChernFormProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(curvature_cases(), st.floats(-3.0, 3.0))
+    def test_homogeneity(self, t, s):
+        # c_k(s Theta) = s^k c_k(Theta)
+        for k, (got, ck) in enumerate(zip(chern_forms(s * t), chern_forms(t))):
+            expect = s ** k * ck
+            assert (got - expect).max_abs() <= 1e-10 * (1 + expect.max_abs())
+
+    @settings(max_examples=30, deadline=None)
+    @given(curvature_cases(), st.integers(0, 2**32 - 1))
+    def test_unitary_frame_change(self, t, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((t.r, t.r)) + 1j * rng.standard_normal((t.r, t.r))
+        U, _ = np.linalg.qr(z)
+        for got, ck in zip(chern_forms(rotate_tensor(t, U)), chern_forms(t)):
+            assert (got - ck).max_abs() <= 1e-10 * (1 + ck.max_abs())
+
+    @settings(max_examples=30, deadline=None)
+    @given(curvature_cases(), st.integers(0, 2**32 - 1))
+    def test_line_bundle_twist(self, t, seed):
+        # Theta + beta tensor Id is the curvature of E tensor L with c_1(L) = beta:
+        # c_k(E tensor L) = sum_i C(r-i, k-i) c_i(E) ^ beta^{k-i}
+        beta = random_hermitian(t.n, np.random.default_rng(seed))
+        twisted = t + CurvatureTensor(t.n, t.r, np.einsum("jk,ml->jklm", beta, np.eye(t.r)))
+        cs, bf = chern_forms(t), Form.one_one(beta)
+        for k, got in enumerate(chern_forms(twisted)):
+            expect = Form.zero(t.n, k, k)
+            for i in range(k + 1):
+                expect = expect + math.comb(t.r - i, k - i) * wedge(cs[i], wedge_power(bf, k - i))
+            assert (got - expect).max_abs() <= 1e-10 * (1 + expect.max_abs())
 
 
 class TestSegreForms:

@@ -234,25 +234,24 @@ class TestGammaProfile:
     def test_strong_flat_spread_zero(self, rng):
         w = Kaehler11(random_spd(2, rng))
         t = strong_flat_tensor(2, 3, w, 0.9)
-        for k in (1, 2):
-            assert gamma_profile(t, w, k, samples=100, seed=0)["spread"] <= 1e-12
+        for prof in gamma_profile(t, w, 2, samples=100, seed=0):
+            assert prof["spread"] <= 1e-12
 
     def test_he_first_degree_constant_second_spread(self):
         w = Kaehler11.euclidean(2)
         t = project_to_he(random_curvature(2, 3, seed=16), w, 0.5)
-        p1 = gamma_profile(t, w, 1, samples=200, seed=1)
+        p1, p2 = gamma_profile(t, w, 2, samples=200, seed=1)
         assert p1["spread"] <= 1e-10
         assert p1["mean"] == pytest.approx(0.5, abs=1e-10)
-        p2 = gamma_profile(t, w, 2, samples=200, seed=1)
         assert p2["spread"] > 1e-3  # generic instance is not 2-HE
 
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (4, 3)])
     def test_matches_per_direction_gamma_rel(self, rng, n, r):
         t = random_curvature(n, r, seed=20 + n)
         w = Kaehler11(random_spd(n, rng))
-        for k in range(n + 1):
+        profiles = gamma_profile(t, w, n, samples=150, seed=9)
+        for k, prof in enumerate(profiles, start=1):
             vals = gamma_profile_loop(t, w, k, 150, 9)
-            prof = gamma_profile(t, w, k, samples=150, seed=9)
             scale = 1.0 + np.abs(vals).max()
             assert prof["min"] == pytest.approx(vals.min(), abs=1e-12 * scale)
             assert prof["max"] == pytest.approx(vals.max(), abs=1e-12 * scale)
@@ -261,4 +260,4 @@ class TestGammaProfile:
     def test_rank_one_trivially_constant(self):
         w = Kaehler11.euclidean(2)
         t = random_curvature(2, 1, seed=17)
-        assert gamma_profile(t, w, 1, samples=50, seed=2)["spread"] <= 1e-12
+        assert gamma_profile(t, w, 1, samples=50, seed=2)[0]["spread"] <= 1e-12

@@ -16,8 +16,7 @@ t = sf.random_curvature(n, r, seed=11)
 w = sf.Kaehler11.euclidean(n)
 
 v = np.array([1.0, 2.0j, -0.5])
-fp = sf.FiberPointFrame(t, v)
-xi = sf.xi_at(fp)
+xi = sf.xi_at(t, v)
 print("combined form on C^{n+r-1}:", xi, " real:", xi.is_real(1e-12))
 
 # pushforward of powers: exact moment path vs the Segre recursion

@@ -25,9 +25,9 @@ from .kahler import (gamma_rel, primitive_split, primitive_square_ratio,
                      relative_eigenvalues)
 from .moments import (MomentSpec, moment_diagonal, moment_mc, moment_wick,
                       phi_k_scalar, phi_k_tensor, sample_directions)
-from .projective import (FiberPointFrame, gamma_profile, pushforward_segre,
-                         rotate_tensor, unitary_sending_last_to,
-                         verify_power_identity, verify_slope_identity, xi_at)
+from .projective import (gamma_profile, pushforward_segre, rotate_tensor,
+                         unitary_sending_last_to, verify_power_identity,
+                         verify_slope_identity, xi_at)
 from .symfun import elem_sym, newton_convert
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "relative_eigenvalues",
     "MomentSpec", "moment_diagonal", "moment_mc", "moment_wick",
     "phi_k_scalar", "phi_k_tensor", "sample_directions",
-    "FiberPointFrame", "gamma_profile", "pushforward_segre", "rotate_tensor",
+    "gamma_profile", "pushforward_segre", "rotate_tensor",
     "unitary_sending_last_to", "verify_power_identity", "verify_slope_identity",
     "xi_at",
     "elem_sym", "newton_convert",

@@ -25,9 +25,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import (Kaehler11, PreconditionError, TensorValidationError,
-                        check_dims, chern_forms, is_hermite_einstein, load_tensor,
-                        mean_curvature, project_to_he, projectively_flat_tensor,
+from .curvature import (MAX_DIM, Kaehler11, PreconditionError, TensorValidationError,
+                        _he_deviation, check_dims, chern_forms, is_hermite_einstein,
+                        load_tensor, project_to_he, projectively_flat_tensor,
                         random_curvature, segre_forms, strong_flat_tensor,
                         tensor_to_dict)
 from .inequalities import (kl_classical, kl_segre, projective_flat_bound,
@@ -40,6 +40,7 @@ from .report import Report, canonical_json
 
 DEFAULT_TOL = 1e-9
 HE_DETECT_TOL = 1e-9
+MAX_MOMENT_ROWS = 100_000  # moment_diag_* rows of one verify moments report
 
 
 class UsageError(ValueError):
@@ -105,12 +106,14 @@ def _is_number(x):
         return False
 
 
-def _int_at_least(low):
-    """An argparse type: an integer, rejected (exit 2) below low."""
+def _int_in(low, high=None):
+    """An argparse type: an integer, rejected (exit 2) below low or above high."""
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in its messages
     return parse
@@ -211,6 +214,10 @@ def _verify_moments(args, report):
 
     r = args.r or 3
     kmax = args.k if args.k is not None else 3
+    rows = math.comb(r + kmax, kmax)  # sum over k <= kmax of C(r-1+k, k)
+    if rows > MAX_MOMENT_ROWS:
+        raise UsageError(f"--r {r} --k {kmax} asks for {rows} moment_diag rows, "
+                         f"more than {MAX_MOMENT_ROWS}")
     for k in range(0, kmax + 1):
         for combo in combinations_with_replacement(range(1, r + 1), k):
             mult = [combo.count(l) for l in range(1, r + 1)]
@@ -254,11 +261,9 @@ def cmd_check(args):
                      "omega": args.omega or "euclidean", "ell": args.ell,
                      "samples": args.samples, "seed": args.seed})
     if args.kind == "he":
-        he, lam = is_hermite_einstein(t, w, args.tol)
-        T = mean_curvature(t, w)
-        dev = float(np.abs(T - lam * np.eye(t.r)).max())
+        dev, lam = _he_deviation(t, w)
         report.add("hermite_einstein", {"deviation": dev, "slope": lam},
-                   args.tol, he)
+                   args.tol, dev <= args.tol)
     elif args.kind == "kl":
         res = kl_classical(t, w)
         report.add("kl_nonpositive", res, args.tol, res["q"] <= args.tol)
@@ -348,9 +353,9 @@ def build_parser():
     v = sub.add_parser("verify", help="verify an identity against its oracle")
     v.add_argument("kind", choices=["pushforward", "identity8", "identity9", "moments"])
     v.add_argument("--in", dest="infile", default=None)
-    v.add_argument("--k", type=_int_at_least(0), default=None)
-    v.add_argument("--r", type=_int_at_least(1), default=None, help="dimension for kind=moments")
-    v.add_argument("--samples", type=_int_at_least(1), default=None)
+    v.add_argument("--k", type=_int_in(0), default=None)
+    v.add_argument("--r", type=_int_in(1, MAX_DIM), default=None, help="dimension for kind=moments")
+    v.add_argument("--samples", type=_int_in(1), default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--omega", default=None)
@@ -364,18 +369,18 @@ def build_parser():
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--omega", default=None)
     c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--ell", type=_int_at_least(1), default=None, help="level for kind=lhe")
-    c.add_argument("--samples", type=_int_at_least(1), default=None)
+    c.add_argument("--ell", type=_int_in(1), default=None, help="level for kind=lhe")
+    c.add_argument("--samples", type=_int_in(1), default=None)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--symmetrize", action="store_true")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_check)
 
     m = sub.add_parser("moments", help="evaluate one sphere moment")
-    m.add_argument("--r", type=int, required=True)
+    m.add_argument("--r", type=_int_in(1, MAX_DIM), required=True)
     m.add_argument("--lambdas", type=int, nargs="*", default=None)
     m.add_argument("--mus", type=int, nargs="*", default=None)
-    m.add_argument("--samples", type=_int_at_least(1), default=None)
+    m.add_argument("--samples", type=_int_in(1), default=None)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_moments)

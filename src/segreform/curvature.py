@@ -221,11 +221,16 @@ def mean_curvature(t, w):
     return 0.5 * (T + T.conj().T)
 
 
-def is_hermite_einstein(t, w, tol=DEFAULT_HE_TOL):
-    """Whether T == lambda * Id within tol; returns (flag, lambda = tr(T)/r)."""
+def _he_deviation(t, w):
+    """(max |T - lambda * Id|, lambda = tr(T)/r) from one mean curvature T."""
     T = mean_curvature(t, w)
     lam = float(np.trace(T).real) / t.r
-    dev = float(np.abs(T - lam * np.eye(t.r)).max())
+    return float(np.abs(T - lam * np.eye(t.r)).max()), lam
+
+
+def is_hermite_einstein(t, w, tol=DEFAULT_HE_TOL):
+    """Whether T == lambda * Id within tol; returns (flag, lambda = tr(T)/r)."""
+    dev, lam = _he_deviation(t, w)
     return dev <= tol, lam
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
+from .curvature import (CurvatureTensor, Kaehler11, PreconditionError, _he_deviation,
                         chern_forms, direction_form, flatness_detectors,
-                        is_hermite_einstein, mean_curvature, require_kaehler,
-                        segre_forms)
+                        require_kaehler, segre_forms)
 from .exterior import top_ratio, wedge, wedge_power
 from .kahler import gamma_rel, primitive_split, primitive_square_ratio
 from .symfun import elem_sym
@@ -35,10 +34,8 @@ def _ratio(form, w_form, n, power):
 
 
 def _require_he(t, w, tol):
-    he, lam = is_hermite_einstein(t, w, tol)
-    if not he:
-        T = mean_curvature(t, w)
-        dev = float(np.abs(T - lam * np.eye(t.r)).max())
+    dev, lam = _he_deviation(t, w)
+    if dev > tol:
         raise PreconditionError(
             f"tensor is not Hermite-Einstein within {tol:g} (deviation {dev:.3e})")
     return lam

@@ -156,29 +156,18 @@ def phi_k_scalar(T, k):
     return float(sigma_k) / math.comb(r - 1 + k, k)
 
 
-def _pair_multisets(r, k):
-    """Multisets of k index pairs (lam, mu) in [1,r]^2 with their orbit weights.
-
-    Yields (pairs, weight) with weight = k!/prod(multiplicities!), covering
-    the r^(2k) ordered tuples without repetition.
-    """
-    all_pairs = [(la, mu) for la in range(1, r + 1) for mu in range(1, r + 1)]
-    for combo in combinations_with_replacement(all_pairs, k):
-        weight = math.factorial(k)
-        run = 1
-        for a, b in zip(combo, combo[1:]):
-            run = run + 1 if a == b else 1
-            if run > 1:
-                weight //= run
-        yield combo, weight
-
-
 def phi_k_tensor(t, k):
     """Sphere average of the k-th wedge power of the directional (1,1)-form.
 
-    Exact expansion: sum over index tuples of the wedge of curvature entries
-    times the exact moment; the enumeration runs over unordered multisets of
-    (lambda, mu) pairs with multiplicity weights.  Returns a real (k,k)-form;
+    Only tuples whose mu part rearranges the lambda part have a nonzero
+    moment, and with lambda sorted they all weigh 1/binom(r-1+k, k).  So the
+    average is that weight times the sum, over weakly increasing lambda and
+    the distinct rearrangements mu of lambda, of theta[lambda_1][mu_1] ^ ...
+    ^ theta[lambda_k][mu_k] with theta[lam][mu] = Theta_hat[mu, lam]; up to
+    (-1)^k, MacMahon's degree-k part of 1/det(I + Theta_hat).  The sum is
+    walked depth first, each suffix sum kept for the call under the lambda
+    and mu values still to place; the sums of the lambdas are added by
+    math.fsum, coefficient by coefficient.  Returns a real (k,k)-form;
     (-1)^k * binom(r-1+k, k) * phi_k_tensor(t, k) is the k-th Segre form.
     """
     if k < 0:
@@ -187,16 +176,23 @@ def phi_k_tensor(t, k):
         return Form.constant(t.n)
     if k > t.n:
         return Form.zero(t.n, k, k)
-    entries = {(la, mu): t.entry(mu - 1, la - 1) for la in range(1, t.r + 1)
-               for mu in range(1, t.r + 1)}
-    acc = Form.zero(t.n, k, k)
-    for pairs, weight in _pair_multisets(t.r, k):
-        spec = MomentSpec(t.r, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-        mom = moment_wick(spec)
-        if mom == 0:
-            continue
-        term = entries[pairs[0]]
-        for pair in pairs[1:]:
-            term = wedge(term, entries[pair])
-        acc = acc + (weight * float(mom)) * term
-    return acc
+    theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
+    suffix_sums = {}
+
+    def arrangements(lams, mus):
+        if len(lams) == 1:
+            return theta[lams[0]][mus[0]]
+        total = suffix_sums.get((lams, mus))
+        if total is None:
+            for j, mu in enumerate(mus):
+                if j and mus[j - 1] == mu:
+                    continue
+                term = wedge(theta[lams[0]][mu], arrangements(lams[1:], mus[:j] + mus[j + 1:]))
+                total = term if total is None else total + term
+            suffix_sums[(lams, mus)] = total
+        return total
+
+    parts = np.array([arrangements(lams, lams).a
+                      for lams in combinations_with_replacement(range(t.r), k)])
+    summed = np.apply_along_axis(math.fsum, 0, parts.view(float)).view(complex)
+    return Form(t.n, k, k, summed / math.comb(t.r - 1 + k, k))

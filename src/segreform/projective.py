@@ -4,8 +4,8 @@ At a fiber direction v the first Chern form of the dual tautological bundle
 splits into a vertical Fubini-Study block and minus the horizontal
 directional (1,1)-form of the curvature.  The splitting is realised on
 C^(n+r-1): horizontal coordinates 1..n, vertical coordinates n+1..n+r-1.
-Formulas only hold at the centre of an adapted chart, so the curvature
-tensor is first rotated by a unitary sending v to the last frame vector.
+Formulas only hold at the centre of an adapted chart, so xi_at(t, v) first
+rotates the curvature tensor by a unitary sending v to the last frame vector.
 
 The vertical block is normalised so its (r-1)-st power carries unit fiber
 mass; with that choice the pushforward of the (r-1+k)-th power of the
@@ -61,46 +61,25 @@ def rotate_tensor(t, U):
     return CurvatureTensor(t.n, t.r, c)
 
 
-class FiberPointFrame:
-    """Adapted unitary frame at a fiber direction: last frame vector is v."""
+def xi_at(t, v):
+    """The combined (1,1)-form at the fiber direction v, on C^(n+r-1).
 
-    __slots__ = ("tensor", "direction", "unitary", "rotated")
-
-    def __init__(self, tensor, direction):
-        v = np.asarray(direction, dtype=complex).reshape(-1)
-        if v.shape != (tensor.r,):
-            raise ValueError(f"direction has length {v.size}, expected {tensor.r}")
-        self.tensor = tensor
-        self.direction = v / np.linalg.norm(v)
-        self.unitary = unitary_sending_last_to(v)
-        self.rotated = rotate_tensor(tensor, self.unitary)
-
-    @property
-    def n(self):
-        return self.tensor.n
-
-    @property
-    def r(self):
-        return self.tensor.r
-
-    @property
-    def total_dim(self):
-        return self.tensor.n + self.tensor.r - 1
-
-
-def xi_at(fp):
-    """The combined (1,1)-form at the fiber point, on C^(n+r-1).
-
-    Vertical block: the Fubini-Study value (1/2pi) * sum_l i dxi_l ^ dxibar_l
-    (unit fiber mass for its top vertical power); horizontal block: minus the
-    directional curvature form of the rotated tensor.
+    The tensor is first rotated by unitary_sending_last_to(v), so v is the
+    last frame vector.  Vertical block: the Fubini-Study value
+    (1/2pi) * sum_l i dxi_l ^ dxibar_l (unit fiber mass for its top vertical
+    power); horizontal block: minus the directional curvature form of the
+    rotated tensor.  A direction of the wrong length or a zero direction
+    raises ValueError.
     """
-    m = fp.total_dim
-    vertical = Kaehler11(np.eye(fp.r - 1) / TWO_PI)
-    e_last = np.zeros(fp.r, dtype=complex)
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.shape != (t.r,):
+        raise ValueError(f"direction has length {v.size}, expected {t.r}")
+    m = t.n + t.r - 1
+    vertical = Kaehler11(np.eye(t.r - 1) / TWO_PI)
+    e_last = np.zeros(t.r, dtype=complex)
     e_last[-1] = 1.0
-    horizontal = direction_form(fp.rotated, e_last)
-    return (block_embed(vertical.to_form(), fp.n, m)
+    horizontal = direction_form(rotate_tensor(t, unitary_sending_last_to(v)), e_last)
+    return (block_embed(vertical.to_form(), t.n, m)
             - block_embed(horizontal.to_form(), 0, m))
 
 
@@ -133,15 +112,17 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
     return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * np.sqrt(var / len(V)))
 
 
-def _embedded_pieces(fp, w):
-    """Xi and the embedded pullback of omega at the fiber point."""
+def _top_form_residual(t, w, v, k, scalar):
+    """Max coefficient of Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)! minus
+    scalar * Xi^{r-1}/(r-1)! ^ omega^n/n!, top forms on C^(n+r-1) at v."""
     require_kaehler(w)
-    if w.n != fp.n:
+    if w.n != t.n:
         raise ValueError("omega dimension differs from base dimension")
-    m = fp.total_dim
-    xi = xi_at(fp)
-    omega_h = block_embed(w.to_form(), 0, m)
-    return xi, omega_h
+    xi = xi_at(t, v)
+    omega_h = block_embed(w.to_form(), 0, t.n + t.r - 1)
+    lhs = wedge(factorial_power(xi, t.r - 1 + k), factorial_power(omega_h, t.n - k))
+    rhs = scalar * wedge(factorial_power(xi, t.r - 1), factorial_power(omega_h, t.n))
+    return (lhs - rhs).max_abs()
 
 
 def verify_power_identity(t, w, v, k):
@@ -153,13 +134,8 @@ def verify_power_identity(t, w, v, k):
     """
     if not 1 <= k <= t.n:
         raise ValueError(f"k={k} out of range [1, {t.n}]")
-    fp = FiberPointFrame(t, v)
-    xi, omega_h = _embedded_pieces(fp, w)
-    lhs = wedge(factorial_power(xi, t.r - 1 + k), factorial_power(omega_h, t.n - k))
     gam = gamma_rel(direction_form(t, v), w, k)
-    rhs = ((-1.0) ** k * gam) * wedge(factorial_power(xi, t.r - 1),
-                                      factorial_power(omega_h, t.n))
-    return (lhs - rhs).max_abs()
+    return _top_form_residual(t, w, v, k, (-1.0) ** k * gam)
 
 
 def verify_slope_identity(t, w, v, tol=1e-9):
@@ -174,11 +150,7 @@ def verify_slope_identity(t, w, v, tol=1e-9):
         raise PreconditionError(
             "tensor is not Hermite-Einstein within tolerance; "
             "use verify_power_identity(t, w, v, 1) for arbitrary tensors")
-    fp = FiberPointFrame(t, v)
-    xi, omega_h = _embedded_pieces(fp, w)
-    lhs = wedge(factorial_power(xi, t.r), factorial_power(omega_h, t.n - 1))
-    rhs = wedge(factorial_power(xi, t.r - 1), factorial_power(omega_h, t.n))
-    return (lhs + lam * rhs).max_abs()
+    return _top_form_residual(t, w, v, 1, -lam)
 
 
 def gamma_profile(t, w, ell, samples=2000, seed=0):

@@ -90,10 +90,3 @@ def canonical_json(obj):
 def load_report_schema():
     with resources.files("segreform").joinpath("report_schema.json").open("r") as fh:
         return json.load(fh)
-
-
-def validate_report(report_dict):
-    """Validate a report dict against the shipped JSON schema (raises on failure)."""
-    import jsonschema
-
-    jsonschema.validate(report_dict, load_report_schema())

@@ -2,11 +2,13 @@ import itertools
 import os
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 import segreform
 from segreform.exterior import Form
+from segreform.report import load_report_schema
 
 
 def child_env():
@@ -14,6 +16,11 @@ def child_env():
     src = str(Path(segreform.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def validate_report(report_dict):
+    """Validate a report dict against the shipped JSON schema (raises on failure)."""
+    jsonschema.validate(report_dict, load_report_schema())
 
 
 def random_form(m, p, q, rng, density=1.0):

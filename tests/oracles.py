@@ -2,12 +2,13 @@
 
 Each one takes a slower, more literal route than the library code it checks:
 Ryser's permanent for the Wick moments, enumeration of weakly increasing
-tuples for the complete homogeneous polynomials, moment sums over index
-tuples for the phi_k averages, one Python-float loop for gamma_k, one wedge
-power or one eigensolve per sampled fiber direction for the Monte Carlo
-pushforward and the gamma_k profile, a merge of sorted index tuples per pair
-of nonzero coefficients for the wedge, and the permutation expansion of
-principal minors for the Chern forms.
+tuples for the complete homogeneous polynomials, moment sums over ordered
+index tuples weighted by those permanents for the phi_k averages (the library
+folds the balanced moments into one constant), one Python-float loop for
+gamma_k, one wedge power or one eigensolve per sampled fiber direction for
+the Monte Carlo pushforward and the gamma_k profile, a merge of sorted index
+tuples per pair of nonzero coefficients for the wedge, and the permutation
+expansion of principal minors for the Chern forms.
 """
 
 import math
@@ -19,8 +20,7 @@ import numpy as np
 from segreform.curvature import direction_form
 from segreform.exterior import Form, wedge, wedge_power
 from segreform.kahler import gamma_rel
-from segreform.moments import (MomentSpec, _check_hermitian, _pair_multisets,
-                               sample_directions)
+from segreform.moments import MomentSpec, sample_directions
 
 # direct enumeration of sigma_k is exponential in k
 _COMPLETE_SYM_MAX_K = 6
@@ -78,21 +78,19 @@ def complete_sym(values, k):
 
 
 def phi_k_scalar_moments(T, k):
-    """Moment-sum evaluation of phi_k: sum over index tuples weighted by the moments."""
-    T = _check_hermitian(T)
-    if k == 0:
-        return 1.0
+    """Moment-sum evaluation of phi_k over ordered index tuples.
+
+    Runs over every ordered lambda in [1,r]^k and every distinct
+    rearrangement mu of it (all other moments vanish), weighting
+    T[mu_1, lambda_1] ... T[mu_k, lambda_k] by the permanent moment.
+    """
+    T = np.asarray(T, dtype=complex)
     r = T.shape[0]
     acc = 0j
-    for pairs, weight in _pair_multisets(r, k):
-        spec = MomentSpec(r, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-        w = moment_permanent(spec)
-        if w == 0:
-            continue
-        entry_prod = 1.0 + 0j
-        for la, mu in pairs:
-            entry_prod *= T[mu - 1, la - 1]
-        acc += weight * float(w) * entry_prod
+    for lams in product(range(1, r + 1), repeat=k):
+        for mus in set(permutations(lams)):
+            w = moment_permanent(MomentSpec(r, lams, mus))
+            acc += float(w) * math.prod(T[mu - 1, la - 1] for la, mu in zip(lams, mus))
     return float(acc.real)
 
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 import segreform as sf
-from segreform.report import validate_report
+
+from conftest import validate_report
 
 _timings = {}
 

@@ -5,9 +5,8 @@ import sys
 import pytest
 
 from segreform.cli import main
-from segreform.report import validate_report
 
-from conftest import child_env, stderr_units
+from conftest import child_env, stderr_units, validate_report
 
 
 def run_cli(capsys, *argv):
@@ -185,16 +184,30 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [["check", "lhe", "--ell", "-2"],
                                       ["check", "lhe", "--ell", "0"],
                                       ["verify", "moments", "--r", "0"],
-                                      ["verify", "moments", "--k", "-1"]],
+                                      ["verify", "moments", "--k", "-1"],
+                                      ["verify", "moments", "--r", "33", "--k", "1",
+                                       "--samples", "10"],
+                                      ["moments", "--r", "33", "--lambdas", "1"],
+                                      ["moments", "--r", "1000000", "--lambdas", "1"],
+                                      ["verify", "moments", "--r", "32", "--k", "6"],
+                                      ["verify", "moments", "--r", "2", "--k", "446"]],
                              ids=["ell-negative", "ell-zero", "moments-r-zero",
-                                  "moments-k-negative"])
-    def test_integer_option_out_of_range_is_usage_error(self, he_instance_path, argv):
-        # each of these used to run with a substituted value, or no check at all
+                                  "moments-k-negative", "moments-r-above-max",
+                                  "moment-r-above-max", "moment-r-huge",
+                                  "moments-grid-r32-k6", "moments-grid-r2-k446"])
+    def test_integer_option_out_of_range_is_usage_error(self, he_instance_path, capsys,
+                                                        argv):
+        # each of these used to run with a substituted value, no check at all,
+        # or for minutes (factorial(999999); 2.7 M or 100,128 moment_diag rows)
         if argv[0] == "check":
             argv = argv + ["--in", he_instance_path]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        try:
+            code = main(argv)  # a bound on --r and --k together is checked after parsing
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "usage"
+        assert code == 2
 
     def test_pushforward_at_five_five(self, tmp_path, capsys):
         path = tmp_path / "he55.json"

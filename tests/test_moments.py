@@ -193,11 +193,14 @@ class TestPhiTensor:
                 got = (-1.0) ** k * math.comb(r - 1 + k, k) * phi_k_tensor(t, k)
                 assert (got - ss[k]).max_abs() <= 1e-10
 
-    def test_multiset_enumeration_matches_naive_loop(self):
-        t = random_curvature(2, 3, seed=6)
-        for k in (1, 2):
-            gap = (phi_k_tensor(t, k) - phi_k_tensor_naive(t, k)).max_abs()
-            assert gap <= 1e-12
+    @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (4, 2), (3, 3)])
+    def test_balanced_walk_matches_naive_loop(self, n, r):
+        # k > r has several distinct mu with the same pair multiset, e.g. lambda = (1,1,2,2)
+        t = random_curvature(n, r, seed=6 + n + r)
+        for k in range(n + 1):
+            ref = phi_k_tensor_naive(t, k)
+            gap = (phi_k_tensor(t, k) - ref).max_abs()
+            assert gap <= 1e-12 * (1.0 + ref.max_abs())
 
     def test_result_is_real(self):
         t = random_curvature(3, 2, seed=7)

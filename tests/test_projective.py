@@ -10,8 +10,7 @@ from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  strong_flat_tensor)
 from segreform.kahler import gamma_rel
 from segreform.moments import sample_directions
-from segreform.projective import (FiberPointFrame, gamma_profile,
-                                  pushforward_segre, rotate_tensor,
+from segreform.projective import (gamma_profile, pushforward_segre, rotate_tensor,
                                   unitary_sending_last_to, verify_power_identity,
                                   verify_slope_identity, xi_at)
 
@@ -40,18 +39,17 @@ class TestFrames:
     def test_direction_form_invariant_under_adapted_frame(self, rng):
         t = random_curvature(2, 3, seed=2)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        fp = FiberPointFrame(t, v)
+        rotated = rotate_tensor(t, unitary_sending_last_to(v))
         e_last = np.zeros(3, dtype=complex)
         e_last[-1] = 1
-        assert np.allclose(direction_form(fp.rotated, e_last).g,
+        assert np.allclose(direction_form(rotated, e_last).g,
                            direction_form(t, v).g, atol=1e-12)
 
 
 class TestXi:
     def test_flat_curvature_leaves_fubini_study(self):
         t = CurvatureTensor(1, 2)  # zero curvature, n=1, r=2
-        fp = FiberPointFrame(t, [1, 0])
-        xi = xi_at(fp)
+        xi = xi_at(t, [1, 0])
         assert xi.m == 2
         assert list(xi.coeffs) == [((2,), (2,))]
         assert xi.coeff((2,), (2,)) == pytest.approx(1j / (2 * math.pi))
@@ -59,7 +57,7 @@ class TestXi:
     def test_horizontal_block_is_minus_direction_form(self, rng):
         t = random_curvature(2, 3, seed=3)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        xi = xi_at(FiberPointFrame(t, v))
+        xi = xi_at(t, v)
         theta = direction_form(t, v)
         for j in range(1, 3):
             for k in range(1, 3):
@@ -69,7 +67,18 @@ class TestXi:
     def test_xi_is_real(self, rng):
         t = random_curvature(2, 2, seed=4)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert xi_at(FiberPointFrame(t, v)).is_real(1e-12)
+        assert xi_at(t, v).is_real(1e-12)
+
+    @pytest.mark.parametrize("v", [[1.0, 0.5], [1.0, 0.0, 2.0, 1.0], [0.0, 0.0, 0.0]],
+                             ids=["short", "long", "zero"])
+    def test_bad_direction_is_rejected(self, v):
+        t = random_curvature(2, 3, seed=5)
+        w = Kaehler11.euclidean(2)
+        with pytest.raises(ValueError, match="direction"):
+            xi_at(t, v)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="direction"):
+                verify_power_identity(t, w, v, k)
 
 
 class TestPushforward:
@@ -169,10 +178,8 @@ class TestSlopeIdentity:
         w = Kaehler11.euclidean(2)
         t = strong_flat_tensor(2, 2, w, 0.0)
         from segreform.exterior import factorial_power, wedge, block_embed
-        from segreform.projective import xi_at
 
-        fp = FiberPointFrame(t, [1, 0])
-        xi = xi_at(fp)
+        xi = xi_at(t, [1, 0])
         lhs = wedge(factorial_power(xi, 2),
                     factorial_power(block_embed(w.to_form(), 0, 3), 1))
         assert lhs.coeffs == {}

@@ -19,10 +19,14 @@ spec = sf.MomentSpec(2, (1, 2), (2, 1))
 print("\ncrossed indices E[v1 v2 conj(v2) conj(v1)] =", sf.moment_wick(spec))
 print("unbalanced E[v1 conj(v2)] =", sf.moment_wick(sf.MomentSpec(2, (1,), (2,))))
 
-est, err = sf.moment_mc(spec, samples=500_000, seed=1)
-exact = complex(sf.moment_wick(spec))
-print(f"Monte Carlo: {est.real:.6f} +- {err:.6f}  (exact {exact.real:.6f}, "
-      f"{abs(est - exact) / err:.2f} stderr units)")
+# moment_mc reads a batch of moments of one r off one draw of directions;
+# each estimate is the one its spec would get alone with the same seed.
+batch = [spec, sf.MomentSpec(2, (1, 1), (1, 1)), sf.MomentSpec(2, (1,), (2,))]
+print("\nMonte Carlo, one draw of 500k directions:")
+for s, (est, err) in zip(batch, sf.moment_mc(batch, samples=500_000, seed=1)):
+    exact = complex(sf.moment_wick(s))
+    print(f"  l={s.lambdas} m={s.mus}: {est.real:+.6f}{est.imag:+.6f}i +- {err:.6f}  "
+          f"(exact {exact.real:.6f}, {abs(est - exact) / err:.2f} stderr units)")
 
 # phi_k of a Hermitian matrix
 rng = np.random.default_rng(7)

@@ -40,7 +40,7 @@ from .report import Report, canonical_json
 
 DEFAULT_TOL = 1e-9
 HE_DETECT_TOL = 1e-9
-MAX_MOMENT_ROWS = 100_000  # moment_diag_* rows of one verify moments report
+MAX_MOMENT_TERMS = 100_000  # diagonal moments summed by one verify moments report
 
 
 class UsageError(ValueError):
@@ -214,25 +214,25 @@ def _verify_moments(args, report):
 
     r = args.r or 3
     kmax = args.k if args.k is not None else 3
-    rows = math.comb(r + kmax, kmax)  # sum over k <= kmax of C(r-1+k, k)
-    if rows > MAX_MOMENT_ROWS:
-        raise UsageError(f"--r {r} --k {kmax} asks for {rows} moment_diag rows, "
-                         f"more than {MAX_MOMENT_ROWS}")
+    terms = math.comb(r + kmax, kmax)  # sum over k <= kmax of C(r-1+k, k)
+    if terms > MAX_MOMENT_TERMS:
+        raise UsageError(f"--r {r} --k {kmax} asks for {terms} diagonal moments, "
+                         f"more than {MAX_MOMENT_TERMS}")
     for k in range(0, kmax + 1):
+        # E[(|v_1|^2 + ... + |v_r|^2)^k] = 1, expanded by the multinomial theorem
+        total = 0
         for combo in combinations_with_replacement(range(1, r + 1), k):
             mult = [combo.count(l) for l in range(1, r + 1)]
-            gap = moment_wick(MomentSpec(r, combo, combo)) - moment_diagonal(r, mult)
-            name = "moment_diag_" + ("".join(map(str, combo)) or "0")
-            report.add(name, float(gap), 0.0, gap == 0)
+            weight = math.factorial(k) // math.prod(map(math.factorial, mult))
+            total += weight * moment_diagonal(r, mult)
+        report.add(f"moment_norm_k{k}", float(abs(total - 1)), 0.0, total == 1)
     samples = args.samples or 1_000_000
     specs = [MomentSpec(r, (1,), (1,)), MomentSpec(r, (1, 2), (2, 1)),
              MomentSpec(r, (1, 1), (1, 1)), MomentSpec(r, (1,), (2,))]
     if r >= 3:
         specs.append(MomentSpec(r, (1, 2, 3), (3, 2, 1)))
-    for i, spec in enumerate(specs):
-        exact = complex(moment_wick(spec))
-        est, err = moment_mc(spec, samples, args.seed + i)
-        units = abs(est - exact) / (err + 1e-15)
+    for spec, (est, err) in zip(specs, moment_mc(specs, samples, args.seed)):
+        units = abs(est - complex(moment_wick(spec))) / (err + 1e-15)
         name = f"moment_mc_l{''.join(map(str, spec.lambdas))}_m{''.join(map(str, spec.mus))}"
         report.add(name, units, 4.0, units <= 4.0)
 
@@ -314,7 +314,7 @@ def cmd_moments(args):
                 "fraction": f"{exact.numerator}/{exact.denominator}"},
                0.0, True)
     if args.samples:
-        est, err = moment_mc(spec, args.samples, args.seed)
+        [(est, err)] = moment_mc([spec], args.samples, args.seed)
         units = abs(est - complex(exact)) / (err + 1e-15)
         report.add("mc_gap_stderr_units",
                    {"estimate_re": float(est.real), "estimate_im": float(est.imag),

@@ -12,7 +12,8 @@ Gaussian side is a Wick pairing sum.  M is a disjoint union of all-ones
 blocks, one per index value, so perm(M) = m_1! ... m_r! when the lambda and
 mu multisets agree and 0 otherwise: every moment is a diagonal one or zero.
 Everything is computed in exact integer/rational arithmetic; floats only
-appear at form assembly and in the Monte Carlo oracle.
+appear at form assembly and in the Monte Carlo estimator, which reads a
+batch of moments of one r off one seeded, chunked draw of directions.
 
 phi_k averages <T v, v>^k over the sphere.  For a Hermitian matrix this is
 sigma_k(eigenvalues)/binom(r-1+k, k) (sigma_k complete homogeneous); for a
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -85,39 +87,47 @@ def moment_wick(spec):
     return moment_diagonal(spec.r, [spec.lambdas.count(l) for l in range(1, spec.r + 1)])
 
 
-def moment_mc(spec, samples, seed):
-    """Monte Carlo estimate of a sphere moment; returns (estimate, stderr).
+def moment_mc(specs, samples, seed):
+    """Monte Carlo estimates of sphere moments of one r; one (estimate, stderr) per spec.
 
-    Directions are normalised complex Gaussians.  Sampling is chunked with a
-    per-chunk generator seeded by (seed, chunk index), so the result is a
-    deterministic function of (spec, samples, seed) however chunks are run.
+    Directions are normalised complex Gaussians, drawn once for the whole
+    batch.  Sampling is chunked with a per-chunk generator seeded by (seed,
+    chunk index), so each estimate is a deterministic function of (spec,
+    samples, seed), whatever the other specs of the batch and their order.
     """
+    specs = [] if isinstance(specs, MomentSpec) else list(specs)
+    if not specs:
+        raise ValueError("moment_mc needs a non-empty sequence of MomentSpec, e.g. [spec]")
+    r = specs[0].r
+    if any(spec.r != r for spec in specs):
+        raise ValueError("all specs of one moment_mc batch must share r")
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if spec.k == 0:
-        return complex(1.0), 0.0
-    lam = np.array(spec.lambdas) - 1
-    mu = np.array(spec.mus) - 1
-    acc = 0j
-    acc_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
+    acc = [0j] * len(specs)
+    acc_sq = [0.0] * len(specs)
+    live = [i for i, spec in enumerate(specs) if spec.k]
+    done = chunk_idx = 0
+    while live and done < samples:
         count = min(_MC_CHUNK, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), chunk_idx)))
-        z = rng.standard_normal((count, spec.r)) + 1j * rng.standard_normal((count, spec.r))
-        v = z / np.linalg.norm(z, axis=1, keepdims=True)
-        vals = np.prod(v[:, lam], axis=1) * np.prod(v[:, mu].conj(), axis=1)
-        acc += vals.sum()
-        acc_sq += float((vals.real**2 + vals.imag**2).sum())
+        z = rng.standard_normal((count, r)) + 1j * rng.standard_normal((count, r))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        cols = z.T.copy()
+        del z
+        for i in live:  # np.multiply, as `*` may reuse a temporary right operand, swapping factors
+            vals = np.multiply(reduce(np.multiply, (cols[l - 1] for l in specs[i].lambdas)),
+                               reduce(np.multiply, (cols[m - 1].conj() for m in specs[i].mus)))
+            acc[i] += vals.sum()
+            acc_sq[i] += float((vals.real**2 + vals.imag**2).sum())
         done += count
         chunk_idx += 1
-    mean = acc / samples
-    if samples == 1:
-        return complex(mean), 0.0
-    var = max(acc_sq - samples * abs(mean) ** 2, 0.0) / (samples - 1)
-    return complex(mean), float(math.sqrt(var / samples))
+    results = []
+    for spec, total, total_sq in zip(specs, acc, acc_sq):
+        mean = total / samples
+        var = max(total_sq - samples * abs(mean) ** 2, 0.0) / (samples - 1) if samples > 1 else 0.0
+        results.append((complex(mean), float(math.sqrt(var / samples))) if spec.k else (1 + 0j, 0.0))
+    return results
 
 
 def sample_directions(r, count, seed):

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Each one takes a slower, more literal route than the library code it checks:
-Ryser's permanent for the Wick moments, enumeration of weakly increasing
+Ryser's permanent for the Wick moments, one draw per spec and fancy-indexed
+products for the Monte Carlo moments, enumeration of weakly increasing
 tuples for the complete homogeneous polynomials, moment sums over ordered
 index tuples weighted by those permanents for the phi_k averages (the library
 folds the balanced moments into one constant), one Python-float loop for
@@ -24,6 +25,8 @@ from segreform.moments import MomentSpec, sample_directions
 
 # direct enumeration of sigma_k is exponential in k
 _COMPLETE_SYM_MAX_K = 6
+# directions per generator in moment_mc; moment_mc_loop must draw the same chunks
+_MC_CHUNK = 1 << 16
 
 
 def permanent_int(rows):
@@ -58,6 +61,42 @@ def moment_permanent(spec):
     M = [[1 if la == mb else 0 for mb in spec.mus] for la in spec.lambdas]
     return Fraction(permanent_int(M) * math.factorial(spec.r - 1),
                     math.factorial(spec.r - 1 + spec.k))
+
+
+def moment_mc_loop(spec, samples, seed):
+    """Monte Carlo estimate of one sphere moment; returns (estimate, stderr).
+
+    One spec per draw: the per-chunk generators, seeded by (seed, chunk
+    index), and the normalised complex Gaussian directions are those of
+    moment_mc, and the product over the lambda and conjugated mu columns is
+    taken by np.prod on fancy-indexed copies.
+    """
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if spec.k == 0:
+        return complex(1.0), 0.0
+    lam = np.array(spec.lambdas) - 1
+    mu = np.array(spec.mus) - 1
+    acc = 0j
+    acc_sq = 0.0
+    done = 0
+    chunk_idx = 0
+    while done < samples:
+        count = min(_MC_CHUNK, samples - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), chunk_idx)))
+        z = rng.standard_normal((count, spec.r)) + 1j * rng.standard_normal((count, spec.r))
+        v = z / np.linalg.norm(z, axis=1, keepdims=True)
+        vals = np.prod(v[:, lam], axis=1) * np.prod(v[:, mu].conj(), axis=1)
+        acc += vals.sum()
+        acc_sq += float((vals.real**2 + vals.imag**2).sum())
+        done += count
+        chunk_idx += 1
+    mean = acc / samples
+    if samples == 1:
+        return complex(mean), 0.0
+    var = max(acc_sq - samples * abs(mean) ** 2, 0.0) / (samples - 1)
+    return complex(mean), float(math.sqrt(var / samples))
 
 
 def complete_sym(values, k):

@@ -82,7 +82,7 @@ def test_criterion_2_sphere_moments_exact_and_monte_carlo():
         mc_ok = True
         for i, (r, lams, mus) in enumerate(balanced):
             spec = sf.MomentSpec(r, lams, mus)
-            est, err = sf.moment_mc(spec, 10**6, seed=7_000 + i)
+            [(est, err)] = sf.moment_mc([spec], 10**6, seed=7_000 + i)
             mc_ok &= abs(est - complex(sf.moment_wick(spec))) <= 4 * err
 
         unbalanced = [(2, (1,), (2,)), (3, (1, 1), (1, 2)), (4, (1, 2), (3, 4)),
@@ -91,7 +91,7 @@ def test_criterion_2_sphere_moments_exact_and_monte_carlo():
         for i, (r, lams, mus) in enumerate(unbalanced):
             spec = sf.MomentSpec(r, lams, mus)
             assert sf.moment_wick(spec) == 0
-            est, err = sf.moment_mc(spec, 10**6, seed=8_000 + i)
+            [(est, err)] = sf.moment_mc([spec], 10**6, seed=8_000 + i)
             zero_ok &= abs(est) <= 4 * err
 
     _verdict(2, "sphere moments: exact closed form + MC within 4 stderr",

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -97,6 +98,43 @@ class TestVerify:
         report = json.loads(out)
         validate_report(report)
         assert any(r["name"].startswith("moment_mc") for r in report["results"])
+        norm = [r for r in report["results"] if r["name"].startswith("moment_norm")]
+        assert [r["name"] for r in norm] == ["moment_norm_k0", "moment_norm_k1", "moment_norm_k2"]
+        assert all(r["value"] == 0 and r["pass"] for r in norm)
+
+    def test_moments_norm_row_catches_a_wrong_diagonal_moment(self, capsys, monkeypatch):
+        import segreform.cli as cli
+
+        exact = cli.moment_diagonal
+        # the closed form without the factorial of the last multiplicity
+        monkeypatch.setattr(cli, "moment_diagonal",
+                            lambda r, mult: exact(r, mult) / math.factorial(mult[-1]))
+        code, out = run_cli(capsys, "verify", "moments", "--r", "3", "--k", "3",
+                            "--samples", "1000")
+        assert code == 1
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        # m_3 >= 2 first occurs at k = 2
+        assert [rows[f"moment_norm_k{k}"]["pass"] for k in range(4)] == [True, True, False, False]
+        assert rows["moment_norm_k2"]["value"] > 0
+
+    def test_moments_draws_directions_once(self, capsys, monkeypatch):
+        import numpy as np
+
+        import segreform.moments as moments
+
+        generators = []
+
+        def counted(seed):
+            generators.append(seed)
+            return default_rng(seed)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(moments.np.random, "default_rng", counted)
+        code, out = run_cli(capsys, "verify", "moments", "--r", "3", "--k", "2",
+                            "--samples", "70000")
+        names = [r["name"] for r in json.loads(out)["results"]]
+        assert sum(name.startswith("moment_mc_") for name in names) == 5
+        assert len(generators) == 2  # ceil(70000 / 2**16) chunks, shared by all five rows
 
     def test_missing_input_is_usage_error(self, capsys):
         code, out = run_cli(capsys, "verify", "pushforward")
@@ -198,7 +236,7 @@ class TestVerify:
     def test_integer_option_out_of_range_is_usage_error(self, he_instance_path, capsys,
                                                         argv):
         # each of these used to run with a substituted value, no check at all,
-        # or for minutes (factorial(999999); 2.7 M or 100,128 moment_diag rows)
+        # or for minutes (factorial(999999); 2.7 M or 100,128 diagonal moment terms)
         if argv[0] == "check":
             argv = argv + ["--in", he_instance_path]
         try:

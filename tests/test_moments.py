@@ -12,8 +12,8 @@ from segreform.moments import (MomentSpec, moment_diagonal, moment_mc,
 from segreform.symfun import elem_sym
 
 from conftest import random_hermitian
-from oracles import (moment_permanent, permanent_int, phi_k_scalar_moments,
-                     phi_k_tensor_naive)
+from oracles import (moment_mc_loop, moment_permanent, permanent_int,
+                     phi_k_scalar_moments, phi_k_tensor_naive)
 
 
 class TestMomentDiagonal:
@@ -88,34 +88,65 @@ class TestMomentWick:
 
 
 class TestMomentMC:
+    # a mixed r = 3 batch: degree 0, balanced, crossed, unbalanced, a repeated index
+    BATCH = [MomentSpec(3, (1, 2), (2, 1)), MomentSpec(3, (), ()),
+             MomentSpec(3, (1,), (2,)), MomentSpec(3, (1, 1, 3), (3, 1, 1)),
+             MomentSpec(3, (2, 2), (2, 3)), MomentSpec(3, (3,), (3,))]
+
     def test_degree_zero_exact(self):
-        est, err = moment_mc(MomentSpec(3, (), ()), 10, seed=0)
+        [(est, err)] = moment_mc([MomentSpec(3, (), ())], 10, seed=0)
         assert est == 1 and err == 0
 
     def test_matches_closed_form(self):
         spec = MomentSpec(2, (1,), (1,))
-        est, err = moment_mc(spec, 200_000, seed=3)
+        [(est, err)] = moment_mc([spec], 200_000, seed=3)
         assert abs(est - 0.5) <= 3 * err
 
     def test_wick_cross_check_off_diagonal(self):
         spec = MomentSpec(2, (1, 2), (2, 1))
-        est, err = moment_mc(spec, 200_000, seed=4)
+        [(est, err)] = moment_mc([spec], 200_000, seed=4)
         assert abs(est - 1 / 6) <= 3 * err
 
     def test_unbalanced_estimates_zero(self):
-        est, err = moment_mc(MomentSpec(2, (1,), (2,)), 200_000, seed=5)
+        [(est, err)] = moment_mc([MomentSpec(2, (1,), (2,))], 200_000, seed=5)
         assert abs(est) <= 4 * err
 
     def test_deterministic(self):
         spec = MomentSpec(3, (1, 2), (1, 2))
-        assert moment_mc(spec, 70_000, seed=9) == moment_mc(spec, 70_000, seed=9)
+        assert moment_mc([spec], 70_000, seed=9) == moment_mc([spec], 70_000, seed=9)
 
     def test_chunk_boundary_consistency(self):
         # determinism must not depend on sample count crossing chunk edges
         spec = MomentSpec(2, (1,), (1,))
-        e1, _ = moment_mc(spec, (1 << 16) + 17, seed=2)
-        e2, _ = moment_mc(spec, (1 << 16) + 17, seed=2)
+        [(e1, _)] = moment_mc([spec], (1 << 16) + 17, seed=2)
+        [(e2, _)] = moment_mc([spec], (1 << 16) + 17, seed=2)
         assert e1 == e2
+
+    # no chunk of exactly one direction: np.prod over a one-row array takes numpy's
+    # reduce loop, whose product of two or more factors can differ in the last bit
+    @pytest.mark.parametrize("samples", [2, 1000, (1 << 16) + 17])
+    def test_batch_matches_per_spec_loop_bitwise(self, samples):
+        results = moment_mc(self.BATCH, samples, seed=13)
+        assert results == [moment_mc_loop(spec, samples, seed=13) for spec in self.BATCH]
+
+    def test_estimate_independent_of_batch_company_and_order(self):
+        samples = (1 << 16) + 17
+        alone = [moment_mc([spec], samples, seed=21)[0] for spec in self.BATCH]
+        assert moment_mc(self.BATCH[::-1], samples, seed=21) == alone[::-1]
+        assert moment_mc(self.BATCH[2:5], samples, seed=21) == alone[2:5]
+        assert moment_mc(self.BATCH + self.BATCH[:2], samples, seed=21) == alone + alone[:2]
+
+    def test_empty_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            moment_mc([], 100, seed=0)
+
+    def test_mixed_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match="share r"):
+            moment_mc([MomentSpec(2, (1,), (1,)), MomentSpec(3, (1,), (1,))], 100, seed=0)
+
+    def test_bare_spec_is_rejected(self):
+        with pytest.raises(ValueError, match=r"sequence of MomentSpec, e\.g\. \[spec\]"):
+            moment_mc(MomentSpec(3, (1,), (1,)), 100, seed=0)
 
 
 class TestPhiScalar:

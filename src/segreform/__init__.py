@@ -15,7 +15,7 @@ from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                         load_tensor, mean_curvature, project_to_he,
                         projectively_flat_tensor, random_curvature, segre_forms,
                         strong_flat_tensor, tensor_from_dict, tensor_to_dict)
-from .exterior import (Form, block_embed, factorial_power, one_one_power,
+from .exterior import (Form, factorial_power, one_one_power, top_pairing,
                        top_ratio, wedge, wedge_power)
 from .inequalities import (dual_endomorphism_tensor, gamma2_bound,
                            gamma2_constrained_gap, kl_classical, kl_segre,
@@ -23,11 +23,11 @@ from .inequalities import (dual_endomorphism_tensor, gamma2_bound,
                            surface_compare)
 from .kahler import (gamma_rel, primitive_split, primitive_square_ratio,
                      relative_eigenvalues)
-from .moments import (MomentSpec, moment_diagonal, moment_mc, moment_wick,
-                      phi_k_scalar, phi_k_tensor, sample_directions)
-from .projective import (gamma_profile, pushforward_segre, rotate_tensor,
-                         unitary_sending_last_to, verify_power_identity,
-                         verify_slope_identity, xi_at)
+from .moments import (DIRECTION_CHUNK, MomentSpec, direction_chunks, moment_diagonal,
+                      moment_mc, moment_wick, phi_k_scalar, phi_k_tensor,
+                      sample_directions)
+from .projective import (gamma_profile, identity_residuals, pushforward_segre,
+                         verify_power_identity, verify_slope_identity)
 from .symfun import elem_sym, newton_convert
 
 __all__ = [
@@ -37,18 +37,17 @@ __all__ = [
     "mean_curvature", "project_to_he", "projectively_flat_tensor",
     "random_curvature", "segre_forms", "strong_flat_tensor",
     "tensor_from_dict", "tensor_to_dict",
-    "Form", "block_embed", "factorial_power", "one_one_power",
+    "Form", "factorial_power", "one_one_power", "top_pairing",
     "top_ratio", "wedge", "wedge_power",
     "dual_endomorphism_tensor", "gamma2_bound", "gamma2_constrained_gap",
     "kl_classical", "kl_segre", "kl_segre_margin_primitive",
     "projective_flat_bound", "surface_compare",
     "gamma_rel", "primitive_split", "primitive_square_ratio",
     "relative_eigenvalues",
-    "MomentSpec", "moment_diagonal", "moment_mc", "moment_wick",
-    "phi_k_scalar", "phi_k_tensor", "sample_directions",
-    "gamma_profile", "pushforward_segre", "rotate_tensor",
-    "unitary_sending_last_to", "verify_power_identity", "verify_slope_identity",
-    "xi_at",
+    "DIRECTION_CHUNK", "MomentSpec", "direction_chunks", "moment_diagonal",
+    "moment_mc", "moment_wick", "phi_k_scalar", "phi_k_tensor", "sample_directions",
+    "gamma_profile", "identity_residuals", "pushforward_segre",
+    "verify_power_identity", "verify_slope_identity",
     "elem_sym", "newton_convert",
     "__version__",
 ]

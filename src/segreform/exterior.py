@@ -257,20 +257,18 @@ def top_ratio(t, vol):
     return complex(t.a[0, 0]) / v
 
 
-def block_embed(f, offset, m):
-    """Reindex a form on C^a into coordinates offset+1 .. offset+a of C^m.
+def top_pairing(a, b, m, k):
+    """Top coefficients of the wedges of a stack a[..., :, :] of (k,k)-form
+    arrays with one (m-k,m-k)-form array b on C^m, shaped like a's stack.
 
-    Index shifts preserve relative order, so no signs appear; wedges of
-    embeddings into disjoint blocks agree with embedding the wedge.
+    The Laplace expansion sum_{I,J} eps_I eps_J a[..., I, J] b[I^c, J^c],
+    eps_I the sign of the shuffle (I, I^c), times the sign (-1)^(k(m-k)) of
+    moving the dz block of b past the dzbar block of a, as in wedge.
     """
-    if offset < 0 or offset + f.m > m:
-        raise ValueError(f"block [{offset + 1}, {offset + f.m}] does not fit in C^{m}")
-    rows, cols = (
-        [_basis(m, d)[1][tuple(i + offset for i in s)] for s in _basis(f.m, d)[0]]
-        for d in (f.p, f.q))
-    out = Form(m, f.p, f.q)
-    out.a[np.ix_(rows, cols)] = f.a
-    return out
+    # the one union of the table is 1..m, so its splits I run over the k-subsets in order
+    _, complement, sign = _wedge_table(m, k, m - k)
+    swap = -1.0 if (k * (m - k)) % 2 else 1.0
+    return np.einsum("...st,st->...", a, swap * np.outer(sign, sign) * b[np.ix_(complement, complement)])
 
 
 def factorial_power(f, k):

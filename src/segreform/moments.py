@@ -12,8 +12,12 @@ Gaussian side is a Wick pairing sum.  M is a disjoint union of all-ones
 blocks, one per index value, so perm(M) = m_1! ... m_r! when the lambda and
 mu multisets agree and 0 otherwise: every moment is a diagonal one or zero.
 Everything is computed in exact integer/rational arithmetic; floats only
-appear at form assembly and in the Monte Carlo estimator, which reads a
-batch of moments of one r off one seeded, chunked draw of directions.
+appear at form assembly and in the Monte Carlo estimator.
+
+Every sampler of the package, that estimator included, reads a seed's
+direction stream (direction_chunks), which is fixed per seed and
+prefix-stable: N samples are its first N directions.  Consumers keep running
+sums, minima and maxima, so their memory does not grow with the sample count.
 
 phi_k averages <T v, v>^k over the sphere.  For a Hermitian matrix this is
 sigma_k(eigenvalues)/binom(r-1+k, k) (sigma_k complete homogeneous); for a
@@ -34,7 +38,7 @@ import numpy as np
 from .exterior import Form, wedge
 from .symfun import elem_sym, newton_convert
 
-_MC_CHUNK = 1 << 16
+DIRECTION_CHUNK = 8192  # directions per generator of a direction stream
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,10 @@ def moment_wick(spec):
 def moment_mc(specs, samples, seed):
     """Monte Carlo estimates of sphere moments of one r; one (estimate, stderr) per spec.
 
-    Directions are normalised complex Gaussians, drawn once for the whole
-    batch.  Sampling is chunked with a per-chunk generator seeded by (seed,
-    chunk index), so each estimate is a deterministic function of (spec,
-    samples, seed), whatever the other specs of the batch and their order.
+    All specs read the first `samples` directions of the seed's direction
+    stream, chunk by chunk, so each estimate is a deterministic function of
+    (spec, samples, seed), whatever the other specs of the batch and their
+    order, and memory does not grow with `samples`.
     """
     specs = [] if isinstance(specs, MomentSpec) else list(specs)
     if not specs:
@@ -107,21 +111,13 @@ def moment_mc(specs, samples, seed):
     acc = [0j] * len(specs)
     acc_sq = [0.0] * len(specs)
     live = [i for i, spec in enumerate(specs) if spec.k]
-    done = chunk_idx = 0
-    while live and done < samples:
-        count = min(_MC_CHUNK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), chunk_idx)))
-        z = rng.standard_normal((count, r)) + 1j * rng.standard_normal((count, r))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+    for z in direction_chunks(r, samples if live else 0, seed):
         cols = z.T.copy()
-        del z
         for i in live:  # np.multiply, as `*` may reuse a temporary right operand, swapping factors
             vals = np.multiply(reduce(np.multiply, (cols[l - 1] for l in specs[i].lambdas)),
                                reduce(np.multiply, (cols[m - 1].conj() for m in specs[i].mus)))
             acc[i] += vals.sum()
             acc_sq[i] += float((vals.real**2 + vals.imag**2).sum())
-        done += count
-        chunk_idx += 1
     results = []
     for spec, total, total_sq in zip(specs, acc, acc_sq):
         mean = total / samples
@@ -130,11 +126,27 @@ def moment_mc(specs, samples, seed):
     return results
 
 
+def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
+    """The first `count` unit vectors in C^r of the seed's direction stream.
+
+    Chunk c of the stream, directions c * DIRECTION_CHUNK onwards, is drawn
+    by a generator seeded with SeedSequence((seed, c)) as complex Gaussians,
+    real and imaginary parts interleaved, and normalised in place.  Yields
+    the directions in order as (<= rows, r) views of one chunk at a time;
+    `rows` only splits the chunks, so the directions do not depend on it.
+    """
+    count = int(count)
+    for c, start in enumerate(range(0, count, DIRECTION_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), c)))
+        z = rng.standard_normal((min(DIRECTION_CHUNK, count - start), r, 2)).view(complex)[..., 0]
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        for i in range(0, len(z), rows):
+            yield z[i:i + rows]
+
+
 def sample_directions(r, count, seed):
-    """count unit vectors in C^r, rows of the returned array; seeded."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, r)) + 1j * rng.standard_normal((count, r))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """The first `count` directions of the seed's direction stream, rows of one array."""
+    return np.concatenate([np.empty((0, r), dtype=complex), *direction_chunks(r, count, seed)])
 
 
 def _check_hermitian(T, tol=1e-10):
@@ -176,7 +188,9 @@ def phi_k_tensor(t, k):
     ^ theta[lambda_k][mu_k] with theta[lam][mu] = Theta_hat[mu, lam]; up to
     (-1)^k, MacMahon's degree-k part of 1/det(I + Theta_hat).  The sum is
     walked depth first, each suffix sum kept for the call under the lambda
-    and mu values still to place; the sums of the lambdas are added by
+    and mu values still to place.  The lambdas are taken in colex order, so
+    those sharing a suffix are contiguous and the sums kept for a suffix are
+    dropped once it is finished; the sums of the lambdas are added by
     math.fsum, coefficient by coefficient.  Returns a real (k,k)-form;
     (-1)^k * binom(r-1+k, k) * phi_k_tensor(t, k) is the k-th Segre form.
     """
@@ -187,22 +201,27 @@ def phi_k_tensor(t, k):
     if k > t.n:
         return Form.zero(t.n, k, k)
     theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
-    suffix_sums = {}
+    suffix_sums = [{} for _ in range(k + 1)]  # [length]: sums by mus, for that suffix of lambda
 
     def arrangements(lams, mus):
         if len(lams) == 1:
             return theta[lams[0]][mus[0]]
-        total = suffix_sums.get((lams, mus))
+        total = suffix_sums[len(lams)].get(mus)
         if total is None:
             for j, mu in enumerate(mus):
                 if j and mus[j - 1] == mu:
                     continue
                 term = wedge(theta[lams[0]][mu], arrangements(lams[1:], mus[:j] + mus[j + 1:]))
                 total = term if total is None else total + term
-            suffix_sums[(lams, mus)] = total
+            suffix_sums[len(lams)][mus] = total
         return total
 
-    parts = np.array([arrangements(lams, lams).a
-                      for lams in combinations_with_replacement(range(t.r), k)])
-    summed = np.apply_along_axis(math.fsum, 0, parts.view(float)).view(complex)
+    parts, previous = [], ()
+    for lams in sorted(combinations_with_replacement(range(t.r), k), key=lambda lams: lams[::-1]):
+        shared = next(s for s in range(k, -1, -1) if lams[k - s:] == previous[k - s:])
+        for sums in suffix_sums[shared + 1:]:
+            sums.clear()
+        parts.append(arrangements(lams, lams).a)
+        previous = lams
+    summed = np.apply_along_axis(math.fsum, 0, np.array(parts).view(float)).view(complex)
     return Form(t.n, k, k, summed / math.comb(t.r - 1 + k, k))

@@ -1,20 +1,20 @@
 """Geometry of the projectivized bundle over a single point.
 
-At a fiber direction v the first Chern form of the dual tautological bundle
-splits into a vertical Fubini-Study block and minus the horizontal
-directional (1,1)-form of the curvature.  The splitting is realised on
-C^(n+r-1): horizontal coordinates 1..n, vertical coordinates n+1..n+r-1.
-Formulas only hold at the centre of an adapted chart, so xi_at(t, v) first
-rotates the curvature tensor by a unitary sending v to the last frame vector.
+At a fiber direction v the first Chern form Xi of the dual tautological
+bundle splits, on C^(n+r-1), into a vertical Fubini-Study block on the r-1
+fiber coordinates and minus the directional (1,1)-form theta_v on the n base
+coordinates, where omega lives.  The vertical block is normalised so its
+(r-1)-st power carries unit fiber mass; then the pushforward of the
+(r-1+k)-th power of Xi is the k-th Segre form, which pushforward_segre
+verifies: exactly through the moment expansion, or by Monte Carlo over the
+k x k minors of the matrix of theta_v, which fill the array of theta_v^k.
 
-The vertical block is normalised so its (r-1)-st power carries unit fiber
-mass; with that choice the pushforward of the (r-1+k)-th power of the
-combined form reproduces the k-th Segre form, which is what
-pushforward_segre verifies: exactly through the moment expansion, or by
-Monte Carlo, averaging over sampled directions the k x k minors of the
-matrix of theta_v, which fill the coefficient array of theta_v^k.  The
-gamma_k(theta_v/omega) profiles of every degree up to l come from one draw
-of directions and one batched eigensolve.
+Only that top vertical power survives in a top form, so the top-form
+identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: a Laplace
+contraction of the minors of -theta_v against the complementary minors of
+omega, batched over directions and compared with gamma_k(theta_v/omega) from
+a batched eigensolve.  Every sampler reads the seed's direction stream in
+blocks whose per-direction arrays stay within _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -23,64 +23,20 @@ import math
 
 import numpy as np
 
-from .curvature import (CurvatureTensor, Kaehler11, PreconditionError, direction_form,
-                        direction_matrices, is_hermite_einstein, require_kaehler)
-from .exterior import Form, block_embed, factorial_power, one_one_power, wedge
-from .kahler import gamma_rel, relative_eigenvalues
-from .moments import _MC_CHUNK, phi_k_tensor, sample_directions
+from .curvature import (PreconditionError, direction_matrices, is_hermite_einstein,
+                        require_kaehler)
+from .exterior import Form, one_one_power, top_pairing
+from .kahler import relative_eigenvalues
+from .moments import direction_chunks, phi_k_tensor
 from .symfun import elem_sym
 
 TWO_PI = 2.0 * math.pi
+_BLOCK_BYTES = 1 << 20  # per-direction arrays of one block of directions
 
 
-def unitary_sending_last_to(v):
-    """A unitary matrix whose last column is v/|v| (deterministic in v)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("direction must be nonzero")
-    v = v / nrm
-    r = v.size
-    if r == 1:
-        return v.reshape(1, 1)
-    # complete v to an orthonormal basis; drop the standard vector most
-    # parallel to v so the column set stays independent
-    j0 = int(np.argmax(np.abs(v)))
-    cols = [v] + [np.eye(r, dtype=complex)[:, j] for j in range(r) if j != j0]
-    q, _ = np.linalg.qr(np.column_stack(cols))
-    q[:, 0] *= np.vdot(q[:, 0], v)  # undo the QR phase so column 0 is exactly v
-    return np.column_stack([q[:, 1:], q[:, 0]])
-
-
-def rotate_tensor(t, U):
-    """Curvature coefficients in the rotated frame e~_lam = sum_rho U[rho,lam] e_rho."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (t.r, t.r):
-        raise ValueError(f"unitary has shape {U.shape}, expected {(t.r, t.r)}")
-    c = np.einsum("jktr,tl,rm->jklm", t.c, U, U.conj())
-    return CurvatureTensor(t.n, t.r, c)
-
-
-def xi_at(t, v):
-    """The combined (1,1)-form at the fiber direction v, on C^(n+r-1).
-
-    The tensor is first rotated by unitary_sending_last_to(v), so v is the
-    last frame vector.  Vertical block: the Fubini-Study value
-    (1/2pi) * sum_l i dxi_l ^ dxibar_l (unit fiber mass for its top vertical
-    power); horizontal block: minus the directional curvature form of the
-    rotated tensor.  A direction of the wrong length or a zero direction
-    raises ValueError.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (t.r,):
-        raise ValueError(f"direction has length {v.size}, expected {t.r}")
-    m = t.n + t.r - 1
-    vertical = Kaehler11(np.eye(t.r - 1) / TWO_PI)
-    e_last = np.zeros(t.r, dtype=complex)
-    e_last[-1] = 1.0
-    horizontal = direction_form(rotate_tensor(t, unitary_sending_last_to(v)), e_last)
-    return (block_embed(vertical.to_form(), t.n, m)
-            - block_embed(horizontal.to_form(), 0, m))
+def _block_rows(n, k):
+    """Directions per block: their n x n matrices and k x k minors fill about _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (16 * (math.comb(n, k) * k + n) ** 2))
 
 
 def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
@@ -89,8 +45,9 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
     Returns (-1)^k * binom(r-1+k, k) * E[theta_v ^ ... ^ theta_v] over fiber
     directions v, the k-th Segre form: exactly through the moment expansion
     (method="exact"), or (method="mc") as the (mean, stderr) pair of forms of
-    the minors giving theta_v^k over N sample_directions, whose stderr is
-    sqrt(sum |x - mean|^2 / (N-1) / N) per coefficient (0 for N = 1).
+    the minors giving theta_v^k over the first N directions of the seed's
+    stream, whose stderr is sqrt(sum |x - mean|^2 / (N-1) / N) per
+    coefficient (0 for N = 1).
     """
     if not 0 <= k <= t.n:
         raise ValueError(f"k={k} out of range [0, {t.n}]")
@@ -101,28 +58,46 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
         raise ValueError(f"unknown method {method!r}")
     if k == 0:
         return Form.constant(t.n), Form.zero(t.n, 0, 0)
-    V = sample_directions(t.r, int(samples), seed)
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     total = total_sq = 0.0
-    for start in range(0, len(V), _MC_CHUNK):
-        x = one_one_power(direction_matrices(t, V[start:start + _MC_CHUNK]), k)
+    for V in direction_chunks(t.r, samples, seed, _block_rows(t.n, k)):
+        x = one_one_power(direction_matrices(t, V), k)
         total = total + x.sum(axis=0)
         total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=0)
-    mean, mean_sq = total / len(V), total_sq / len(V)
-    var = np.maximum(mean_sq - (mean.real**2 + mean.imag**2), 0.0) * len(V) / max(len(V) - 1, 1)
-    return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * np.sqrt(var / len(V)))
+    mean, mean_sq = total / samples, total_sq / samples
+    var = np.maximum(mean_sq - (mean.real**2 + mean.imag**2), 0.0) * samples / max(samples - 1, 1)
+    return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * np.sqrt(var / samples))
 
 
-def _top_form_residual(t, w, v, k, scalar):
-    """Max coefficient of Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)! minus
-    scalar * Xi^{r-1}/(r-1)! ^ omega^n/n!, top forms on C^(n+r-1) at v."""
+def identity_residuals(t, w, V, k, scalar=None):
+    """Arrays (ratio, residual) of the degree-k top-form identity, one entry per row v of V.
+
+    ratio = [Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)!] / [Xi^{r-1}/(r-1)! ^
+    omega^n/n!] at v, and residual = |left - scalar * right|, the coefficient
+    of that difference of top forms on C^(n+r-1).  scalar defaults to
+    (-1)^k gamma_k(theta_v/omega) per direction; a number, such as -lambda
+    for the Hermite-Einstein form at k = 1, applies to all.
+    """
     require_kaehler(w)
     if w.n != t.n:
         raise ValueError("omega dimension differs from base dimension")
-    xi = xi_at(t, v)
-    omega_h = block_embed(w.to_form(), 0, t.n + t.r - 1)
-    lhs = wedge(factorial_power(xi, t.r - 1 + k), factorial_power(omega_h, t.n - k))
-    rhs = scalar * wedge(factorial_power(xi, t.r - 1), factorial_power(omega_h, t.n))
-    return (lhs - rhs).max_abs()
+    if not 1 <= k <= t.n:
+        raise ValueError(f"k={k} out of range [1, {t.n}]")
+    V = np.asarray(V)
+    n, rows = t.n, _block_rows(t.n, k)
+    # omega^(n-k)/(n-k)! and omega^n/n!; the top vertical power has modulus (2pi)^(1-r)
+    rest = one_one_power(w.g, n - k) / math.factorial(n - k)
+    vol = one_one_power(w.g, n)[0, 0] / math.factorial(n)
+    ratios, residuals = [], []
+    for start in range(0, max(len(V), 1), rows):
+        G = direction_matrices(t, V[start:start + rows])
+        top = top_pairing(one_one_power(-G, k) / math.factorial(k), rest, n, k)
+        s = (-1.0) ** k * elem_sym(relative_eigenvalues(G, w), k) if scalar is None else scalar
+        ratios.append(top / vol)
+        residuals.append(np.abs(top - s * vol) / TWO_PI ** (t.r - 1))
+    return np.concatenate(ratios), np.concatenate(residuals)
 
 
 def verify_power_identity(t, w, v, k):
@@ -130,12 +105,9 @@ def verify_power_identity(t, w, v, k):
 
     Checks Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)! against
     (-1)^k gamma_k(theta_v/omega) Xi^{r-1}/(r-1)! ^ omega^n/n! as top forms
-    on C^(n+r-1); returns the max coefficient residual of the difference.
+    on C^(n+r-1); the largest residual when v is a stack of directions (rows).
     """
-    if not 1 <= k <= t.n:
-        raise ValueError(f"k={k} out of range [1, {t.n}]")
-    gam = gamma_rel(direction_form(t, v), w, k)
-    return _top_form_residual(t, w, v, k, (-1.0) ** k * gam)
+    return float(identity_residuals(t, w, np.atleast_2d(v), k)[1].max())
 
 
 def verify_slope_identity(t, w, v, tol=1e-9):
@@ -143,30 +115,35 @@ def verify_slope_identity(t, w, v, tol=1e-9):
 
     Requires t Hermite-Einstein w.r.t. omega within tol; the check then uses
     the constant slope: residual of Xi^r/r! ^ omega^{n-1}/(n-1)! plus
-    lambda * Xi^{r-1}/(r-1)! ^ omega^n/n!.
+    lambda * Xi^{r-1}/(r-1)! ^ omega^n/n!, the largest for a stack of v.
     """
     he, lam = is_hermite_einstein(t, w, tol)
     if not he:
         raise PreconditionError(
             "tensor is not Hermite-Einstein within tolerance; "
             "use verify_power_identity(t, w, v, 1) for arbitrary tensors")
-    return _top_form_residual(t, w, v, 1, -lam)
+    return float(identity_residuals(t, w, np.atleast_2d(v), 1, -lam)[1].max())
 
 
 def gamma_profile(t, w, ell, samples=2000, seed=0):
     """Distributions of gamma_k(theta_v/omega), k = 1..ell, over sampled fiber directions.
 
     Returns one {"min", "max", "mean", "spread"} per degree k, all from the
-    same directions and one batched eigensolve; a spread ~ 0 for all degrees
-    up to l is the pointwise l-Hermite-Einstein diagnostic (degree 1
-    recovers the Hermite-Einstein condition itself).
+    first `samples` directions of the seed's stream and one batched
+    eigensolve per block of them; a spread ~ 0 for all degrees up to l is
+    the pointwise l-Hermite-Einstein diagnostic (degree 1 recovers the
+    Hermite-Einstein condition itself).
     """
     require_kaehler(w)
-    G = direction_matrices(t, sample_directions(t.r, int(samples), seed))
-    eigs = relative_eigenvalues(G, w)
-    profiles = []
-    for k in range(1, ell + 1):
-        vals = elem_sym(eigs, k)
-        profiles.append({"min": float(vals.min()), "max": float(vals.max()),
-                         "mean": float(vals.mean()), "spread": float(vals.max() - vals.min())})
-    return profiles
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    low, high, total = np.inf, -np.inf, 0.0
+    for V in direction_chunks(t.r, samples, seed, _block_rows(t.n, 1)):
+        eigs = relative_eigenvalues(direction_matrices(t, V), w)
+        vals = np.array([elem_sym(eigs, k) for k in range(1, ell + 1)])
+        low = np.minimum(low, vals.min(axis=1))
+        high = np.maximum(high, vals.max(axis=1))
+        total = total + vals.sum(axis=1)
+    return [{"min": float(lo), "max": float(hi), "mean": float(s / samples),
+             "spread": float(hi - lo)} for lo, hi, s in zip(low, high, total)]

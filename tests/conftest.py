@@ -1,5 +1,6 @@
 import itertools
 import os
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -53,6 +54,16 @@ def real_one_one(m, g):
 def stderr_units(mean, err, target):
     """Worst coefficient gap |mean - target| in standard errors, as the CLI reports it."""
     return float((np.abs((mean - target).a) / (np.abs(err.a) + 1e-12)).max())
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes tracemalloc sees allocated while fn(*args, **kwargs) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

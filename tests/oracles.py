@@ -5,11 +5,14 @@ Ryser's permanent for the Wick moments, one draw per spec and fancy-indexed
 products for the Monte Carlo moments, enumeration of weakly increasing
 tuples for the complete homogeneous polynomials, moment sums over ordered
 index tuples weighted by those permanents for the phi_k averages (the library
-folds the balanced moments into one constant), one Python-float loop for
-gamma_k, one wedge power or one eigensolve per sampled fiber direction for
-the Monte Carlo pushforward and the gamma_k profile, a merge of sorted index
-tuples per pair of nonzero coefficients for the wedge, and the permutation
-expansion of principal minors for the Chern forms.
+folds the balanced moments into one constant), the balanced walk over the
+lambdas in lexicographic order keeping every suffix sum, one Python-float
+loop for gamma_k, one wedge power or one eigensolve per sampled fiber
+direction for the Monte Carlo pushforward and the gamma_k profile, a merge
+of sorted index tuples per pair of nonzero coefficients for the wedge, the
+permutation expansion of principal minors for the Chern forms, and the
+combined form Xi on C^(n+r-1), in a frame whose last vector is the fiber
+direction, for the top-form identities.
 """
 
 import math
@@ -18,15 +21,15 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 
-from segreform.curvature import direction_form
-from segreform.exterior import Form, wedge, wedge_power
+from segreform.curvature import CurvatureTensor, Kaehler11, direction_form, require_kaehler
+from segreform.exterior import Form, _basis, factorial_power, top_ratio, wedge, wedge_power
 from segreform.kahler import gamma_rel
 from segreform.moments import MomentSpec, sample_directions
 
 # direct enumeration of sigma_k is exponential in k
 _COMPLETE_SYM_MAX_K = 6
-# directions per generator in moment_mc; moment_mc_loop must draw the same chunks
-_MC_CHUNK = 1 << 16
+# directions per generator of a direction stream; moment_mc_loop must draw the same chunks
+_MC_CHUNK = 8192
 
 
 def permanent_int(rows):
@@ -67,9 +70,11 @@ def moment_mc_loop(spec, samples, seed):
     """Monte Carlo estimate of one sphere moment; returns (estimate, stderr).
 
     One spec per draw: the per-chunk generators, seeded by (seed, chunk
-    index), and the normalised complex Gaussian directions are those of
-    moment_mc, and the product over the lambda and conjugated mu columns is
-    taken by np.prod on fancy-indexed copies.
+    index), and the normalised complex Gaussian directions, real and
+    imaginary parts interleaved per direction, are those of the library's
+    direction stream; each direction is assembled here as re + 1j * im, and
+    the product over the lambda and conjugated mu columns is taken by
+    np.prod on fancy-indexed copies.
     """
     samples = int(samples)
     if samples < 1:
@@ -85,7 +90,8 @@ def moment_mc_loop(spec, samples, seed):
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), chunk_idx)))
-        z = rng.standard_normal((count, spec.r)) + 1j * rng.standard_normal((count, spec.r))
+        x = rng.standard_normal((count, spec.r, 2))
+        z = x[..., 0] + 1j * x[..., 1]
         v = z / np.linalg.norm(z, axis=1, keepdims=True)
         vals = np.prod(v[:, lam], axis=1) * np.prod(v[:, mu].conj(), axis=1)
         acc += vals.sum()
@@ -151,6 +157,35 @@ def phi_k_tensor_naive(t, k):
                 term = wedge(term, t.entry(mu - 1, la - 1))
             acc = acc + float(mom) * term
     return acc
+
+
+def phi_k_tensor_lex(t, k):
+    """phi_k_tensor walking the weakly increasing lambdas in lexicographic
+    order and keeping every suffix sum to the end."""
+    if k == 0:
+        return Form.constant(t.n)
+    if k > t.n:
+        return Form.zero(t.n, k, k)
+    theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
+    suffix_sums = {}
+
+    def arrangements(lams, mus):
+        if len(lams) == 1:
+            return theta[lams[0]][mus[0]]
+        total = suffix_sums.get((lams, mus))
+        if total is None:
+            for j, mu in enumerate(mus):
+                if j and mus[j - 1] == mu:
+                    continue
+                term = wedge(theta[lams[0]][mu], arrangements(lams[1:], mus[:j] + mus[j + 1:]))
+                total = term if total is None else total + term
+            suffix_sums[(lams, mus)] = total
+        return total
+
+    parts = np.array([arrangements(lams, lams).a
+                      for lams in combinations_with_replacement(range(t.r), k)])
+    summed = np.apply_along_axis(math.fsum, 0, parts.view(float)).view(complex)
+    return Form(t.n, k, k, summed / math.comb(t.r - 1 + k, k))
 
 
 def elem_sym_scalar(values, k):
@@ -272,3 +307,87 @@ def chern_forms_minors(t):
                 acc = acc + _det_wedge(entries, subset)
         forms.append(acc)
     return forms
+
+
+def unitary_sending_last_to(v):
+    """A unitary matrix whose last column is v/|v| (deterministic in v)."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise ValueError("direction must be nonzero")
+    v = v / nrm
+    r = v.size
+    if r == 1:
+        return v.reshape(1, 1)
+    # complete v to an orthonormal basis; drop the standard vector most
+    # parallel to v so the column set stays independent
+    j0 = int(np.argmax(np.abs(v)))
+    cols = [v] + [np.eye(r, dtype=complex)[:, j] for j in range(r) if j != j0]
+    q, _ = np.linalg.qr(np.column_stack(cols))
+    q[:, 0] *= np.vdot(q[:, 0], v)  # undo the QR phase so column 0 is exactly v
+    return np.column_stack([q[:, 1:], q[:, 0]])
+
+
+def rotate_tensor(t, U):
+    """Curvature coefficients in the rotated frame e~_lam = sum_rho U[rho,lam] e_rho."""
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (t.r, t.r):
+        raise ValueError(f"unitary has shape {U.shape}, expected {(t.r, t.r)}")
+    c = np.einsum("jktr,tl,rm->jklm", t.c, U, U.conj())
+    return CurvatureTensor(t.n, t.r, c)
+
+
+def block_embed(f, offset, m):
+    """Reindex a form on C^a into coordinates offset+1 .. offset+a of C^m.
+
+    Index shifts preserve relative order, so no signs appear; wedges of
+    embeddings into disjoint blocks agree with embedding the wedge.
+    """
+    if offset < 0 or offset + f.m > m:
+        raise ValueError(f"block [{offset + 1}, {offset + f.m}] does not fit in C^{m}")
+    rows, cols = (
+        [_basis(m, d)[1][tuple(i + offset for i in s)] for s in _basis(f.m, d)[0]]
+        for d in (f.p, f.q))
+    out = Form(m, f.p, f.q)
+    out.a[np.ix_(rows, cols)] = f.a
+    return out
+
+
+def xi_at(t, v):
+    """The combined (1,1)-form at the fiber direction v, on C^(n+r-1).
+
+    The tensor is first rotated by unitary_sending_last_to(v), so v is the
+    last frame vector.  Vertical block: the Fubini-Study value
+    (1/2pi) * sum_l i dxi_l ^ dxibar_l (unit fiber mass for its top vertical
+    power); horizontal block: minus the directional curvature form of the
+    rotated tensor.  A direction of the wrong length or a zero direction
+    raises ValueError.
+    """
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.shape != (t.r,):
+        raise ValueError(f"direction has length {v.size}, expected {t.r}")
+    m = t.n + t.r - 1
+    vertical = Kaehler11(np.eye(t.r - 1) / (2.0 * math.pi))
+    e_last = np.zeros(t.r, dtype=complex)
+    e_last[-1] = 1.0
+    horizontal = direction_form(rotate_tensor(t, unitary_sending_last_to(v)), e_last)
+    return (block_embed(vertical.to_form(), t.n, m)
+            - block_embed(horizontal.to_form(), 0, m))
+
+
+def top_form_residual(t, w, v, k, scalar=None):
+    """(top ratio, residual) of the degree-k identity at v, wedging Xi on C^(n+r-1).
+
+    The ratio is Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)! over
+    Xi^{r-1}/(r-1)! ^ omega^n/n!, the residual the max coefficient of the
+    first minus scalar times the second; scalar defaults to
+    (-1)^k gamma_k(theta_v/omega) from one gamma_rel call.
+    """
+    require_kaehler(w)
+    if scalar is None:
+        scalar = (-1.0) ** k * gamma_rel(direction_form(t, v), w, k)
+    xi = xi_at(t, v)
+    omega_h = block_embed(w.to_form(), 0, t.n + t.r - 1)
+    lhs = wedge(factorial_power(xi, t.r - 1 + k), factorial_power(omega_h, t.n - k))
+    rhs = wedge(factorial_power(xi, t.r - 1), factorial_power(omega_h, t.n))
+    return top_ratio(lhs, rhs), (lhs - scalar * rhs).max_abs()

@@ -134,7 +134,8 @@ class TestVerify:
                             "--samples", "70000")
         names = [r["name"] for r in json.loads(out)["results"]]
         assert sum(name.startswith("moment_mc_") for name in names) == 5
-        assert len(generators) == 2  # ceil(70000 / 2**16) chunks, shared by all five rows
+        # one generator per chunk of the direction stream, shared by all five rows
+        assert len(generators) == math.ceil(70000 / moments.DIRECTION_CHUNK)
 
     def test_missing_input_is_usage_error(self, capsys):
         code, out = run_cli(capsys, "verify", "pushforward")
@@ -204,6 +205,19 @@ class TestVerify:
     def test_pushforward_single_sample_is_usage_error(self, he_instance_path, capsys):
         code, out = run_cli(capsys, "verify", "pushforward", "--in", he_instance_path,
                             "--samples", "1")
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "usage" and "--samples" in err["message"]
+
+    @pytest.mark.parametrize("argv", [["verify", "moments", "--r", "2", "--k", "1"],
+                                      ["moments", "--r", "2", "--lambdas", "1"],
+                                      ["check", "lhe"]],
+                             ids=["verify-moments", "moments", "lhe"])
+    def test_single_sample_is_usage_error(self, he_instance_path, capsys, argv):
+        # one direction has no standard error and no spread
+        if argv[0] == "check":
+            argv = argv + ["--in", he_instance_path]
+        code, out = run_cli(capsys, *argv, "--samples", "1")
         assert code == 2
         err = json.loads(out)["error"]
         assert err["type"] == "usage" and "--samples" in err["message"]

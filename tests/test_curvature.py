@@ -16,12 +16,11 @@ from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  tensor_to_dict)
 from segreform.exterior import Form, factorial_power, top_ratio, wedge, wedge_power
 from segreform.inequalities import dual_endomorphism_tensor
-from segreform.projective import rotate_tensor
 from segreform.symfun import newton_convert
 from segreform.report import canonical_json
 
 from conftest import random_hermitian, random_spd
-from oracles import chern_forms_minors
+from oracles import chern_forms_minors, rotate_tensor
 
 
 def tensor_from_diagonal(forms11, r=None):

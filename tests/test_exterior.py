@@ -7,11 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segreform.exterior import (Form, block_embed, factorial_power, one_one_power,
+from segreform.exterior import (Form, factorial_power, one_one_power, top_pairing,
                                 top_ratio, wedge, wedge_power)
 
 from conftest import random_form, random_hermitian, random_spd, real_one_one
-from oracles import wedge_sparse
+from oracles import block_embed, wedge_sparse
 
 
 class TestFormKeys:
@@ -129,6 +129,20 @@ class TestOneOnePower:
             assert C.shape == (5, math.comb(3, k), math.comb(3, k))
             for g, c in zip(stack, C):
                 assert np.array_equal(one_one_power(g, k), c)
+
+
+class TestTopPairing:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_top_coefficient_of_wedge(self, rng, m):
+        # k(m-k) odd (m = 3, k = 1) exercises the sign of moving dz past dzbar
+        for k in range(m + 1):
+            stack = [random_form(m, k, k, rng) for _ in range(3)]
+            b = random_form(m, m - k, m - k, rng)
+            got = top_pairing(np.array([f.a for f in stack]), b.a, m, k)
+            assert got.shape == (3,)
+            for f, top in zip(stack, got):
+                ref = wedge(f, b).coeff(tuple(range(1, m + 1)), tuple(range(1, m + 1)))
+                assert abs(top - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 class TestTopRatio:

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from segreform.curvature import chern_forms, random_curvature, segre_forms
-from segreform.moments import (MomentSpec, moment_diagonal, moment_mc,
-                               moment_wick, phi_k_scalar, phi_k_tensor,
-                               sample_directions)
+from segreform.moments import (DIRECTION_CHUNK, MomentSpec, direction_chunks,
+                               moment_diagonal, moment_mc, moment_wick, phi_k_scalar,
+                               phi_k_tensor, sample_directions)
 from segreform.symfun import elem_sym
 
-from conftest import random_hermitian
+from conftest import random_hermitian, traced_peak
 from oracles import (moment_mc_loop, moment_permanent, permanent_int,
-                     phi_k_scalar_moments, phi_k_tensor_naive)
+                     phi_k_scalar_moments, phi_k_tensor_lex, phi_k_tensor_naive)
 
 
 class TestMomentDiagonal:
@@ -47,6 +47,30 @@ class TestPermanent:
         brute = sum(math.prod(M[i][p[i]] for i in range(4))
                     for p in itertools.permutations(range(4)))
         assert permanent_int(M) == brute
+
+
+class TestDirectionStream:
+    SAMPLES = 3 * DIRECTION_CHUNK + 7
+
+    def test_prefix_stable(self):
+        full = sample_directions(3, self.SAMPLES, seed=17)
+        assert full.shape == (self.SAMPLES, 3)
+        for count in (1, 5, DIRECTION_CHUNK - 1, DIRECTION_CHUNK, DIRECTION_CHUNK + 1,
+                      2 * DIRECTION_CHUNK + 3):
+            assert np.array_equal(sample_directions(3, count, seed=17), full[:count])
+
+    def test_blocks_split_the_chunks_only(self):
+        full = sample_directions(2, self.SAMPLES, seed=4)
+        blocks = list(direction_chunks(2, self.SAMPLES, seed=4, rows=1000))
+        assert max(len(b) for b in blocks) == 1000
+        assert np.array_equal(np.concatenate(blocks), full)
+
+    def test_unit_vectors_fixed_per_seed(self):
+        v = sample_directions(4, 100, seed=1)
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-14)
+        assert np.array_equal(v, sample_directions(4, 100, seed=1))
+        assert not np.array_equal(v, sample_directions(4, 100, seed=2))
+        assert sample_directions(4, 0, seed=1).shape == (0, 4)
 
 
 class TestMomentWick:
@@ -123,7 +147,8 @@ class TestMomentMC:
         assert e1 == e2
 
     # no chunk of exactly one direction: np.prod over a one-row array takes numpy's
-    # reduce loop, whose product of two or more factors can differ in the last bit
+    # reduce loop, whose product of two or more factors can differ in the last bit;
+    # (1 << 16) + 17 ends in a chunk of 17
     @pytest.mark.parametrize("samples", [2, 1000, (1 << 16) + 17])
     def test_batch_matches_per_spec_loop_bitwise(self, samples):
         results = moment_mc(self.BATCH, samples, seed=13)
@@ -135,6 +160,11 @@ class TestMomentMC:
         assert moment_mc(self.BATCH[::-1], samples, seed=21) == alone[::-1]
         assert moment_mc(self.BATCH[2:5], samples, seed=21) == alone[2:5]
         assert moment_mc(self.BATCH + self.BATCH[:2], samples, seed=21) == alone + alone[:2]
+
+    def test_memory_flat_in_samples(self):
+        batch = [MomentSpec(3, (1, 2), (2, 1)), MomentSpec(3, (3,), (3,))]
+        peak = traced_peak(moment_mc, batch, 2 * DIRECTION_CHUNK, seed=6)
+        assert traced_peak(moment_mc, batch, 8 * DIRECTION_CHUNK, seed=6) <= 1.5 * peak
 
     def test_empty_batch_is_rejected(self):
         with pytest.raises(ValueError, match="non-empty sequence"):
@@ -232,6 +262,19 @@ class TestPhiTensor:
             ref = phi_k_tensor_naive(t, k)
             gap = (phi_k_tensor(t, k) - ref).max_abs()
             assert gap <= 1e-12 * (1.0 + ref.max_abs())
+
+    @pytest.mark.parametrize("n, r, ks", [(4, 4, range(5)), (5, 5, range(6)), (8, 3, (3, 6))],
+                             ids=["4-4", "5-5", "8-3"])
+    def test_colex_walk_matches_lex_walk_bitwise(self, n, r, ks):
+        # the sum of each lambda is unchanged and math.fsum is correctly rounded
+        t = random_curvature(n, r, seed=10 * n + r)
+        for k in ks:
+            assert phi_k_tensor(t, k) == phi_k_tensor_lex(t, k)
+
+    def test_finished_suffix_sums_are_dropped(self):
+        # keeping every suffix sum peaks at about 13 MB here
+        t = random_curvature(8, 3, seed=83)
+        assert traced_peak(phi_k_tensor, t, 6) < 8 * 2**20
 
     def test_result_is_real(self):
         t = random_curvature(3, 2, seed=7)

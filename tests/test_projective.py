@@ -8,14 +8,15 @@ from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  chern_forms, direction_form, project_to_he,
                                  random_curvature, segre_forms,
                                  strong_flat_tensor)
-from segreform.kahler import gamma_rel
-from segreform.moments import sample_directions
-from segreform.projective import (gamma_profile, pushforward_segre, rotate_tensor,
-                                  unitary_sending_last_to, verify_power_identity,
-                                  verify_slope_identity, xi_at)
+from segreform.kahler import gamma_rel, relative_eigenvalues
+from segreform.moments import DIRECTION_CHUNK, sample_directions
+from segreform.symfun import elem_sym
+from segreform.projective import (gamma_profile, identity_residuals, pushforward_segre,
+                                  verify_power_identity, verify_slope_identity)
 
-from conftest import random_spd, stderr_units
-from oracles import gamma_profile_loop, pushforward_mc_loop
+from conftest import random_spd, stderr_units, traced_peak
+from oracles import (block_embed, gamma_profile_loop, pushforward_mc_loop, rotate_tensor,
+                     top_form_residual, unitary_sending_last_to, xi_at)
 
 
 class TestFrames:
@@ -128,10 +129,16 @@ class TestPushforward:
     def test_mc_chunked_reduction_matches_one_chunk(self, monkeypatch):
         t = random_curvature(3, 3, seed=8)
         whole = pushforward_segre(t, 2, method="mc", samples=100, seed=3)
-        monkeypatch.setattr(projective, "_MC_CHUNK", 7)
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 7 * 16 * (3 * 2 + 3) ** 2)  # 7 rows
         chunked = pushforward_segre(t, 2, method="mc", samples=100, seed=3)
         for a, b in zip(whole, chunked):
             assert (a - b).max_abs() <= 1e-12 * (1.0 + a.max_abs())
+
+    def test_mc_memory_flat_in_samples(self):
+        t = random_curvature(3, 3, seed=8)
+        peak = traced_peak(pushforward_segre, t, 2, method="mc", samples=2 * DIRECTION_CHUNK)
+        assert traced_peak(pushforward_segre, t, 2, method="mc",
+                           samples=8 * DIRECTION_CHUNK) <= 1.5 * peak
 
     def test_mc_single_sample_has_zero_stderr(self):
         t = random_curvature(2, 2, seed=4)
@@ -177,7 +184,7 @@ class TestSlopeIdentity:
         # lambda = 0 strong instance is the zero tensor: the left side has no keys
         w = Kaehler11.euclidean(2)
         t = strong_flat_tensor(2, 2, w, 0.0)
-        from segreform.exterior import factorial_power, wedge, block_embed
+        from segreform.exterior import factorial_power, wedge
 
         xi = xi_at(t, [1, 0])
         lhs = wedge(factorial_power(xi, 2),
@@ -196,6 +203,57 @@ class TestSlopeIdentity:
         t = random_curvature(2, 2, seed=11)
         with pytest.raises(PreconditionError, match="verify_power_identity"):
             verify_slope_identity(t, w, [1, 0])
+
+
+class TestBatchedIdentities:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_xi_oracle_per_direction(self, rng, n, r):
+        t = random_curvature(n, r, seed=30 + 4 * n + r)
+        w = Kaehler11(random_spd(n, rng))
+        V = sample_directions(r, 3, seed=n + r)
+        # both sides carry the vertical factor of modulus (2pi)^(1-r) and omega^n/n!
+        unit = np.linalg.det(w.g).real / (2 * math.pi) ** (r - 1)
+        for k in range(1, n + 1):
+            ratios, residuals = identity_residuals(t, w, V, k)
+            for v, ratio, res in zip(V, ratios, residuals):
+                ref_ratio, ref_res = top_form_residual(t, w, v, k)
+                scale = 1.0 + abs(ref_ratio)
+                assert abs(ratio - ref_ratio) <= 1e-12 * scale
+                assert abs(res - ref_res) <= 1e-12 * scale * unit
+
+    @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (4, 4)])
+    def test_slope_form_matches_xi_oracle(self, rng, n, r):
+        w = Kaehler11(random_spd(n, rng))
+        t = project_to_he(random_curvature(n, r, seed=n * r), w, 0.7)
+        V = sample_directions(r, 3, seed=1)
+        ratios, residuals = identity_residuals(t, w, V, 1, -0.7)
+        unit = np.linalg.det(w.g).real / (2 * math.pi) ** (r - 1)
+        for v, ratio, res in zip(V, ratios, residuals):
+            ref_ratio, ref_res = top_form_residual(t, w, v, 1, -0.7)
+            assert abs(ratio - ref_ratio) <= 1e-12 * (1.0 + abs(ref_ratio))
+            assert abs(res - ref_res) <= 1e-12 * unit
+            assert ratio == pytest.approx(-0.7, abs=1e-12)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        t = random_curvature(3, 2, seed=40)
+        w = Kaehler11.euclidean(3)
+        V = sample_directions(2, 50, seed=2)
+        whole = identity_residuals(t, w, V, 2)
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 1)
+        for a, b in zip(whole, identity_residuals(t, w, V, 2)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (3, 4)])
+    def test_wrong_scalar_residual_matches_xi_oracle(self, rng, n, r):
+        t = random_curvature(n, r, seed=41 + n + r)
+        w = Kaehler11(random_spd(n, rng))
+        for v in sample_directions(r, 3, seed=3):
+            for k in range(1, n + 1):
+                [ratio], [res] = identity_residuals(t, w, [v], k, scalar=0.25)
+                _, ref_res = top_form_residual(t, w, v, k, scalar=0.25)
+                assert res == pytest.approx(ref_res, rel=1e-12)
+                assert res > 1e-6 * abs(ratio - 0.25)
 
 
 class TestPowerIdentity:
@@ -263,6 +321,25 @@ class TestGammaProfile:
             assert prof["min"] == pytest.approx(vals.min(), abs=1e-12 * scale)
             assert prof["max"] == pytest.approx(vals.max(), abs=1e-12 * scale)
             assert prof["mean"] == pytest.approx(vals.mean(), abs=1e-12 * scale)
+
+    def test_chunked_reduction_matches_one_chunk(self, monkeypatch):
+        t = random_curvature(2, 3, seed=19)
+        w = Kaehler11.euclidean(2)
+        samples = DIRECTION_CHUNK + 100
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 97 * 16 * (2 + 2) ** 2)  # 97 directions
+        profiles = gamma_profile(t, w, 2, samples=samples, seed=5)
+        eigs = relative_eigenvalues(projective.direction_matrices(
+            t, sample_directions(3, samples, seed=5)), w)
+        for k, prof in enumerate(profiles, start=1):
+            vals = elem_sym(eigs, k)
+            assert (prof["min"], prof["max"]) == (vals.min(), vals.max())
+            assert prof["mean"] == pytest.approx(vals.mean(), rel=1e-13)
+
+    def test_memory_flat_in_samples(self):
+        t = random_curvature(3, 3, seed=21)
+        w = Kaehler11.euclidean(3)
+        peak = traced_peak(gamma_profile, t, w, 3, samples=2 * DIRECTION_CHUNK)
+        assert traced_peak(gamma_profile, t, w, 3, samples=8 * DIRECTION_CHUNK) <= 1.5 * peak
 
     def test_rank_one_trivially_constant(self):
         w = Kaehler11.euclidean(2)

@@ -7,6 +7,8 @@
 # <Tv,v>^k produces the complete homogeneous symmetric polynomial of the
 # eigenvalues, normalized by binom(r-1+k, k).
 
+import math
+
 import numpy as np
 
 import segreform as sf
@@ -28,25 +30,26 @@ for s, (est, err) in zip(batch, sf.moment_mc(batch, samples=500_000, seed=1)):
     print(f"  l={s.lambdas} m={s.mus}: {est.real:+.6f}{est.imag:+.6f}i +- {err:.6f}  "
           f"(exact {exact.real:.6f}, {abs(est - exact) / err:.2f} stderr units)")
 
-# phi_k of a Hermitian matrix
+# phi_k of a Hermitian matrix: sigma_k of its eigenvalues over binom(r-1+k, k),
+# sigma_k from the elementary symmetric ones by the Newton-type recursion
 rng = np.random.default_rng(7)
 a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 T = 0.5 * (a + a.conj().T)
+eigs = np.linalg.eigvalsh(T)
+sigma = sf.newton_convert([sf.elem_sym(eigs, j) for j in range(5)], 3)
+phi = [sigma[k] / math.comb(4 - 1 + k, k) for k in range(4)]
 vs = sf.sample_directions(4, 200_000, seed=2)
 quad = np.einsum("si,ij,sj->s", vs.conj(), T, vs).real  # <T v, v> per direction
 print("\nphi_k(T) for a random Hermitian T on C^4:")
 for k in range(1, 4):
-    closed = sf.phi_k_scalar(T, k)
     mc = np.mean(quad**k)
-    print(f"  k={k}: closed form {closed:+.6f}, Monte Carlo (200k directions) {mc:+.6f}")
-print("phi_1(T) equals tr(T)/r:", np.isclose(sf.phi_k_scalar(T, 1), np.trace(T).real / 4))
+    print(f"  k={k}: closed form {phi[k]:+.6f}, Monte Carlo (200k directions) {mc:+.6f}")
+print("phi_1(T) equals tr(T)/r:", np.isclose(phi[1], np.trace(T).real / 4))
 
 # The tensor-valued version averages the directional curvature form over
 # fiber directions; signed and rescaled it reproduces the Segre forms.
 t = sf.random_curvature(2, 3, seed=5)
 ss = sf.segre_forms(sf.chern_forms(t), 2)
-import math
-
 for k in (1, 2):
     avg = sf.phi_k_tensor(t, k)
     gap = ((-1.0) ** k * math.comb(3 - 1 + k, k) * avg - ss[k]).max_abs()

@@ -22,10 +22,14 @@ out = sf.kl_segre(t, w)
 print("Segre-form check:", {k: round(v, 6) if isinstance(v, float) else v
                             for k, v in out.items()})
 
-# the same margin assembled independently through c_1 = eta + f omega
-alt = sf.kl_segre_margin_primitive(t, w)
-print("primitive-path margin:", round(alt["margin"], 6),
-      " (direct:", round(out["margin"], 6), ")")
+# the same margin assembled independently through c_1 = eta + f omega, with
+# eta primitive: margin = -((r+1)/2r) eta^2 ^ omega^{n-2}/omega^n - q/(2r),
+# the eta^2 term from the relative eigenvalues of eta
+c1 = np.einsum("jkll->jk", t.c)
+f = sf.elem_sym(sf.relative_eigenvalues(c1, w), 1) / n
+eta2 = 2 * sf.elem_sym(sf.relative_eigenvalues(c1 - f * w.g, w), 2) / (n * (n - 1))
+alt = -(r + 1) / (2 * r) * eta2 - sf.kl_classical(t, w)["q"] / (2 * r)
+print("primitive-path margin:", round(alt, 6), " (direct:", round(out["margin"], 6), ")")
 
 # equality families ------------------------------------------------------
 strong = sf.strong_flat_tensor(n, r, w, lam)
@@ -39,9 +43,10 @@ print("  Segre-form margin:", round(sf.kl_segre(flat, w)["margin"], 6), "(strict
 print("  flatness:", sf.flatness_detectors(flat, w))
 print("  bound for flat instances:", sf.projective_flat_bound(flat, w))
 
-# directional bound behind the proof: gamma_2 of the directional form
-v = np.array([1.0, 1.0j])
-print("\ndirectional bound:", sf.gamma2_bound(t, w, v))
+# directional bound behind the proof: gamma_2(theta_v/omega) <= (n-1) lambda^2/(2n)
+theta_v = sf.direction_matrices(t, [[1.0, 1.0j]])[0]
+print("\ndirectional bound: gamma_2", sf.elem_sym(sf.relative_eigenvalues(theta_v, w), 2),
+      "<=", (n - 1) * slope**2 / (2 * n))
 
 # surface comparison of the two bounds (n = 2)
 print("\nsurface comparison:", sf.surface_compare(t, w))

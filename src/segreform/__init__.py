@@ -10,44 +10,33 @@ the Kobayashi-Luebke-type inequalities together with their equality cases.
 __version__ = "0.1.0"
 
 from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
-                        TensorValidationError, chern_forms, direction_form,
-                        direction_matrices, flatness_detectors, is_hermite_einstein,
-                        load_tensor, mean_curvature, project_to_he,
+                        TensorValidationError, chern_forms, direction_matrices,
+                        flatness_detectors, is_hermite_einstein, load_tensor,
+                        mean_curvature, project_to_he,
                         projectively_flat_tensor, random_curvature, segre_forms,
                         strong_flat_tensor, tensor_from_dict, tensor_to_dict)
-from .exterior import (Form, factorial_power, one_one_power, top_pairing,
-                       top_ratio, wedge, wedge_power)
-from .inequalities import (dual_endomorphism_tensor, gamma2_bound,
-                           gamma2_constrained_gap, kl_classical, kl_segre,
-                           kl_segre_margin_primitive, projective_flat_bound,
+from .exterior import Form, one_one_power, top_pairing, wedge
+from .inequalities import (kl_classical, kl_segre, projective_flat_bound,
                            surface_compare)
-from .kahler import (gamma_rel, primitive_split, primitive_square_ratio,
-                     relative_eigenvalues)
+from .kahler import relative_eigenvalues
 from .moments import (DIRECTION_CHUNK, MomentSpec, direction_chunks, moment_diagonal,
-                      moment_mc, moment_wick, phi_k_scalar, phi_k_tensor,
-                      sample_directions)
-from .projective import (gamma_profile, identity_residuals, pushforward_segre,
-                         verify_power_identity, verify_slope_identity)
+                      moment_mc, moment_wick, phi_k_tensor, sample_directions)
+from .projective import gamma_profile, identity_residuals, pushforward_segre
 from .symfun import elem_sym, newton_convert
 
 __all__ = [
     "CurvatureTensor", "Kaehler11", "PreconditionError",
-    "TensorValidationError", "chern_forms", "direction_form", "direction_matrices",
+    "TensorValidationError", "chern_forms", "direction_matrices",
     "flatness_detectors", "is_hermite_einstein", "load_tensor",
     "mean_curvature", "project_to_he", "projectively_flat_tensor",
     "random_curvature", "segre_forms", "strong_flat_tensor",
     "tensor_from_dict", "tensor_to_dict",
-    "Form", "factorial_power", "one_one_power", "top_pairing",
-    "top_ratio", "wedge", "wedge_power",
-    "dual_endomorphism_tensor", "gamma2_bound", "gamma2_constrained_gap",
-    "kl_classical", "kl_segre", "kl_segre_margin_primitive",
-    "projective_flat_bound", "surface_compare",
-    "gamma_rel", "primitive_split", "primitive_square_ratio",
+    "Form", "one_one_power", "top_pairing", "wedge",
+    "kl_classical", "kl_segre", "projective_flat_bound", "surface_compare",
     "relative_eigenvalues",
     "DIRECTION_CHUNK", "MomentSpec", "direction_chunks", "moment_diagonal",
-    "moment_mc", "moment_wick", "phi_k_scalar", "phi_k_tensor", "sample_directions",
+    "moment_mc", "moment_wick", "phi_k_tensor", "sample_directions",
     "gamma_profile", "identity_residuals", "pushforward_segre",
-    "verify_power_identity", "verify_slope_identity",
     "elem_sym", "newton_convert",
     "__version__",
 ]

@@ -10,8 +10,7 @@ moments    evaluate a single sphere moment exactly, optionally against Monte Car
 Every command emits a canonical-JSON report whose result rows carry explicit
 tolerances.  Exit codes: 0 when every reported result passes, 1 on a
 mathematical failure, 2 on usage, parse, or precondition errors.  The
-default tolerance of verify/check can be overridden with the SEGREFORM_TOL
-environment variable.
+tolerance of verify/check is --tol, by default 1e-9.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +35,6 @@ from .projective import gamma_profile, identity_residuals, pushforward_segre
 from .report import Report, canonical_json
 
 DEFAULT_TOL = 1e-9
-HE_DETECT_TOL = 1e-9
 MAX_MOMENT_TERMS = 100_000  # diagonal moments summed by one verify moments report
 
 
@@ -46,15 +43,9 @@ class UsageError(ValueError):
 
 
 def _tolerance(tol):
-    """The --tol value, else SEGREFORM_TOL, else DEFAULT_TOL; it must be finite."""
+    """The --tol value, else DEFAULT_TOL; it must be finite."""
     if tol is None:
-        env = os.environ.get("SEGREFORM_TOL")
-        if env is None:
-            return DEFAULT_TOL
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise UsageError(f"SEGREFORM_TOL is not a number: {env!r}") from exc
+        return DEFAULT_TOL
     if not math.isfinite(tol):
         raise UsageError(f"tolerance must be a finite number, got {tol!r}")
     return tol
@@ -191,7 +182,7 @@ def _verify_pushforward(args, report):
 def _verify_identity8(args, report):
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
-    he, lam = is_hermite_einstein(t, w, HE_DETECT_TOL)
+    he, lam = is_hermite_einstein(t, w)
     worst = max(float(identity_residuals(t, w, V, 1, -lam if he else None)[1].max())
                 for V in direction_chunks(t.r, args.samples or 20, args.seed))
     if he:

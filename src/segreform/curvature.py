@@ -14,18 +14,21 @@ forces conj(c[j,k,lam,mu]) == c[k,j,mu,lam].
 
 Chern forms come from the power sums tr Theta_hat^k of the form-valued
 curvature matrix by Newton's identities, Segre forms from inverting the
-total Chern form degree by degree.
+total Chern form degree by degree.  Every ratio of a top form against
+omega^n/n!, the mean curvature among them, is one Laplace contraction of
+minors (omega_ratio).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 
 import numpy as np
 
-from .exterior import Form, factorial_power, top_ratio, wedge
+from .exterior import Form, one_one_power, top_pairing, wedge
 from .symfun import newton_convert
 
 DEFAULT_HE_TOL = 1e-9
@@ -186,7 +189,8 @@ def segre_forms(c, n):
 
 def direction_matrices(t, V):
     """The (N, n, n) stack of the Hermitian matrices G_v[j,k] = sum_lm
-    c[j,k,lam,mu] v_lam conj(v_mu) / |v|^2 of direction_form, one per row v of V.
+    c[j,k,lam,mu] v_lam conj(v_mu) / |v|^2, one per row v of V: the
+    directional (1,1)-forms (i/2pi)<Theta v, v>/|v|^2 of the fiber directions.
     """
     V = np.asarray(V, dtype=complex)
     if V.ndim != 2 or V.shape[1] != t.r:
@@ -201,23 +205,25 @@ def direction_matrices(t, V):
     return 0.5 * (G + GH)
 
 
-def direction_form(t, v):
-    """The real (1,1)-form (i/2pi)<Theta v, v>/|v|^2 of a fiber direction v."""
-    return Kaehler11(direction_matrices(t, np.reshape(v, (1, -1)))[0])
+def omega_ratio(a, w, k):
+    """a ^ omega^(n-k)/(n-k)! over omega^n/n!, for a stack a[..., :, :] of
+    (k,k)-form arrays on C^n: the one contraction behind every top ratio.
+
+    Each ratio is the Laplace contraction (top_pairing) of a against the
+    minors of omega; for a = alpha^k/k! it is gamma_k(alpha/omega).
+    """
+    require_kaehler(w)
+    n = w.n
+    if not 0 <= k <= n or np.shape(a)[-2:] != (math.comb(n, k),) * 2:
+        raise ValueError(f"expected ({k},{k})-form arrays on C^{n}, got shape {np.shape(a)}")
+    vol = one_one_power(w.g, n)[0, 0] / math.factorial(n)
+    return top_pairing(a, one_one_power(w.g, n - k) / math.factorial(n - k), n, k) / vol
 
 
 def mean_curvature(t, w):
     """Mean curvature T: the Hermitian r x r matrix with
-    Theta_hat ^ omega^{n-1}/(n-1)! = T * omega^n/n!, entrywise by top ratio."""
-    require_kaehler(w)
-    if w.n != t.n:
-        raise ValueError("omega dimension differs from base dimension")
-    vol = factorial_power(w.to_form(), t.n)
-    wpow = factorial_power(w.to_form(), t.n - 1)
-    T = np.empty((t.r, t.r), dtype=complex)
-    for mu in range(t.r):
-        for lam in range(t.r):
-            T[mu, lam] = top_ratio(wedge(t.entry(mu, lam), wpow), vol)
+    Theta_hat ^ omega^{n-1}/(n-1)! = T * omega^n/n!, entrywise."""
+    T = omega_ratio(1j * t.c.transpose(3, 2, 0, 1), w, 1)
     return 0.5 * (T + T.conj().T)
 
 

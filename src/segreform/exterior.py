@@ -207,24 +207,14 @@ def wedge(a, b):
     x = (swap * sign_p[:, None] * a.a[ia])[:, ja] * (b.a[:, jb] * sign_q)[ib]
     x = x.reshape(-1, rows, len(ja) // cols, cols)
     # One split pair at a time, in the same order for every coefficient: np.sum
-    # goes pairwise for a lone coefficient, and the rounding of generated
-    # instances (exact products against Euclidean omega powers in
-    # mean_curvature) would then depend on the dimension.
+    # goes pairwise for a lone coefficient, and the rounding of the Chern,
+    # Segre and pushforward forms, hence of their reports, would then depend
+    # on the dimension.
     out = np.zeros((rows, cols), dtype=complex)
     for j in range(x.shape[0]):
         for k in range(x.shape[2]):
             out += x[j, :, k]
     return Form(m, p, q, out)
-
-
-def wedge_power(f, k):
-    """k-th wedge power of f, with f**0 the constant 1."""
-    if k < 0:
-        raise ValueError("negative wedge power")
-    out = Form.constant(f.m)
-    for _ in range(k):
-        out = wedge(out, f)
-    return out
 
 
 def one_one_power(G, k):
@@ -241,22 +231,6 @@ def one_one_power(G, k):
     return scale * np.linalg.det(minors)
 
 
-def top_ratio(t, vol):
-    """The unique scalar c with t == c * vol, for two (m,m)-forms.
-
-    vol must be nonzero; t may be zero (giving 0).
-    """
-    for f, name in ((t, "t"), (vol, "vol")):
-        if f.p != f.m or f.q != f.m:
-            raise ValueError(f"{name} has bidegree ({f.p},{f.q}), expected top degree ({f.m},{f.m})")
-    if t.m != vol.m:
-        raise ValueError(f"dimension mismatch: m={t.m} vs m={vol.m}")
-    v = complex(vol.a[0, 0])
-    if v == 0:
-        raise ZeroDivisionError("top_ratio against the zero volume form")
-    return complex(t.a[0, 0]) / v
-
-
 def top_pairing(a, b, m, k):
     """Top coefficients of the wedges of a stack a[..., :, :] of (k,k)-form
     arrays with one (m-k,m-k)-form array b on C^m, shaped like a's stack.
@@ -269,8 +243,3 @@ def top_pairing(a, b, m, k):
     _, complement, sign = _wedge_table(m, k, m - k)
     swap = -1.0 if (k * (m - k)) % 2 else 1.0
     return np.einsum("...st,st->...", a, swap * np.outer(sign, sign) * b[np.ix_(complement, complement)])
-
-
-def factorial_power(f, k):
-    """f**k / k!, the normalised power used in the top-form identities."""
-    return wedge_power(f, k) / math.factorial(k)

@@ -36,7 +36,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .exterior import Form, wedge
-from .symfun import elem_sym, newton_convert
 
 DIRECTION_CHUNK = 8192  # directions per generator of a direction stream
 
@@ -147,35 +146,6 @@ def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
 def sample_directions(r, count, seed):
     """The first `count` directions of the seed's direction stream, rows of one array."""
     return np.concatenate([np.empty((0, r), dtype=complex), *direction_chunks(r, count, seed)])
-
-
-def _check_hermitian(T, tol=1e-10):
-    T = np.asarray(T, dtype=complex)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(T).max()))
-    if float(np.abs(T - T.conj().T).max()) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return T
-
-
-def phi_k_scalar(T, k):
-    """Sphere average of <T v, v>^k for Hermitian T.
-
-    Equals sigma_k(eigenvalues) / binom(r-1+k, k); positive for positive
-    definite T.  sigma_k is produced from the elementary symmetric
-    polynomials through the Newton-type recursion.
-    """
-    T = _check_hermitian(T)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 1.0
-    r = T.shape[0]
-    eigs = np.linalg.eigvalsh(T)
-    gammas = [1.0] + [elem_sym(eigs, j) for j in range(1, min(k, r) + 1)]
-    sigma_k = newton_convert(gammas, k)[k]
-    return float(sigma_k) / math.comb(r - 1 + k, k)
 
 
 def phi_k_tensor(t, k):

@@ -12,7 +12,7 @@ k x k minors of the matrix of theta_v, which fill the array of theta_v^k.
 Only that top vertical power survives in a top form, so the top-form
 identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: a Laplace
 contraction of the minors of -theta_v against the complementary minors of
-omega, batched over directions and compared with gamma_k(theta_v/omega) from
+omega (curvature.omega_ratio), batched over directions and compared with gamma_k(theta_v/omega) from
 a batched eigensolve.  Every sampler reads the seed's direction stream in
 blocks whose per-direction arrays stay within _BLOCK_BYTES.
 """
@@ -23,9 +23,8 @@ import math
 
 import numpy as np
 
-from .curvature import (PreconditionError, direction_matrices, is_hermite_einstein,
-                        require_kaehler)
-from .exterior import Form, one_one_power, top_pairing
+from .curvature import direction_matrices, omega_ratio, require_kaehler
+from .exterior import Form, one_one_power
 from .kahler import relative_eigenvalues
 from .moments import direction_chunks, phi_k_tensor
 from .symfun import elem_sym
@@ -81,48 +80,19 @@ def identity_residuals(t, w, V, k, scalar=None):
     for the Hermite-Einstein form at k = 1, applies to all.
     """
     require_kaehler(w)
-    if w.n != t.n:
-        raise ValueError("omega dimension differs from base dimension")
     if not 1 <= k <= t.n:
         raise ValueError(f"k={k} out of range [1, {t.n}]")
     V = np.asarray(V)
-    n, rows = t.n, _block_rows(t.n, k)
-    # omega^(n-k)/(n-k)! and omega^n/n!; the top vertical power has modulus (2pi)^(1-r)
-    rest = one_one_power(w.g, n - k) / math.factorial(n - k)
-    vol = one_one_power(w.g, n)[0, 0] / math.factorial(n)
+    vol = np.linalg.det(w.g).real  # |omega^n/n!|; the top vertical power has modulus (2pi)^(1-r)
+    rows = _block_rows(t.n, k)
     ratios, residuals = [], []
     for start in range(0, max(len(V), 1), rows):
         G = direction_matrices(t, V[start:start + rows])
-        top = top_pairing(one_one_power(-G, k) / math.factorial(k), rest, n, k)
+        ratio = omega_ratio(one_one_power(-G, k) / math.factorial(k), w, k)
         s = (-1.0) ** k * elem_sym(relative_eigenvalues(G, w), k) if scalar is None else scalar
-        ratios.append(top / vol)
-        residuals.append(np.abs(top - s * vol) / TWO_PI ** (t.r - 1))
+        ratios.append(ratio)
+        residuals.append(np.abs(ratio - s) * vol / TWO_PI ** (t.r - 1))
     return np.concatenate(ratios), np.concatenate(residuals)
-
-
-def verify_power_identity(t, w, v, k):
-    """Residual of the degree-k top-form identity at a fiber direction.
-
-    Checks Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)! against
-    (-1)^k gamma_k(theta_v/omega) Xi^{r-1}/(r-1)! ^ omega^n/n! as top forms
-    on C^(n+r-1); the largest residual when v is a stack of directions (rows).
-    """
-    return float(identity_residuals(t, w, np.atleast_2d(v), k)[1].max())
-
-
-def verify_slope_identity(t, w, v, tol=1e-9):
-    """Residual of the Hermite-Einstein form of the rank-degree identity.
-
-    Requires t Hermite-Einstein w.r.t. omega within tol; the check then uses
-    the constant slope: residual of Xi^r/r! ^ omega^{n-1}/(n-1)! plus
-    lambda * Xi^{r-1}/(r-1)! ^ omega^n/n!, the largest for a stack of v.
-    """
-    he, lam = is_hermite_einstein(t, w, tol)
-    if not he:
-        raise PreconditionError(
-            "tensor is not Hermite-Einstein within tolerance; "
-            "use verify_power_identity(t, w, v, 1) for arbitrary tensors")
-    return float(identity_residuals(t, w, np.atleast_2d(v), 1, -lam)[1].max())
 
 
 def gamma_profile(t, w, ell, samples=2000, seed=0):

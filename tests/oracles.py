@@ -13,6 +13,12 @@ of sorted index tuples per pair of nonzero coefficients for the wedge, the
 permutation expansion of principal minors for the Chern forms, and the
 combined form Xi on C^(n+r-1), in a frame whose last vector is the fiber
 direction, for the top-form identities.
+
+The wedge path (wedge_power, factorial_power, top_ratio) is the reference
+for the one omega contraction of the library, curvature.omega_ratio; the
+primitive decomposition c_1 = eta + f omega, the gamma_2 bounds, the
+End(E) tensor and the closed form of phi_k on a matrix check the
+inequalities and the moments from the eigenvalue side.
 """
 
 import math
@@ -21,15 +27,198 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 
-from segreform.curvature import CurvatureTensor, Kaehler11, direction_form, require_kaehler
-from segreform.exterior import Form, _basis, factorial_power, top_ratio, wedge, wedge_power
-from segreform.kahler import gamma_rel
+from segreform.curvature import (DEFAULT_HE_TOL, CurvatureTensor, Kaehler11, PreconditionError,
+                                 direction_matrices, require_kaehler)
+from segreform.exterior import Form, _basis, wedge
+from segreform.inequalities import DEFAULT_EQUALITY_TOL, _require_he, kl_classical
+from segreform.kahler import relative_eigenvalues
 from segreform.moments import MomentSpec, sample_directions
+from segreform.symfun import elem_sym, newton_convert
 
 # direct enumeration of sigma_k is exponential in k
 _COMPLETE_SYM_MAX_K = 6
 # directions per generator of a direction stream; moment_mc_loop must draw the same chunks
 _MC_CHUNK = 8192
+PRIMITIVITY_RTOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the wedge path: top ratios by explicit wedge powers
+# ---------------------------------------------------------------------------
+
+def wedge_power(f, k):
+    """k-th wedge power of f, with f**0 the constant 1."""
+    if k < 0:
+        raise ValueError("negative wedge power")
+    out = Form.constant(f.m)
+    for _ in range(k):
+        out = wedge(out, f)
+    return out
+
+
+def factorial_power(f, k):
+    """f**k / k!, the normalised power used in the top-form identities."""
+    return wedge_power(f, k) / math.factorial(k)
+
+
+def top_ratio(t, vol):
+    """The unique scalar c with t == c * vol, for two (m,m)-forms.
+
+    vol must be nonzero; t may be zero (giving 0).
+    """
+    for f, name in ((t, "t"), (vol, "vol")):
+        if f.p != f.m or f.q != f.m:
+            raise ValueError(f"{name} has bidegree ({f.p},{f.q}), expected top degree ({f.m},{f.m})")
+    if t.m != vol.m:
+        raise ValueError(f"dimension mismatch: m={t.m} vs m={vol.m}")
+    v = complex(vol.a[0, 0])
+    if v == 0:
+        raise ZeroDivisionError("top_ratio against the zero volume form")
+    return complex(t.a[0, 0]) / v
+
+
+def mean_curvature_wedge(t, w):
+    """Mean curvature T by one wedge against omega^(n-1)/(n-1)! and one
+    top_ratio per entry Theta_hat[mu, lam]."""
+    require_kaehler(w)
+    vol = factorial_power(w.to_form(), t.n)
+    wpow = factorial_power(w.to_form(), t.n - 1)
+    T = np.empty((t.r, t.r), dtype=complex)
+    for mu in range(t.r):
+        for lam in range(t.r):
+            T[mu, lam] = top_ratio(wedge(t.entry(mu, lam), wpow), vol)
+    return 0.5 * (T + T.conj().T)
+
+
+def direction_form(t, v):
+    """The real (1,1)-form (i/2pi)<Theta v, v>/|v|^2 of a fiber direction v."""
+    return Kaehler11(direction_matrices(t, np.reshape(v, (1, -1)))[0])
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue side: gamma_k, the primitive split, the gamma_2 bounds
+# ---------------------------------------------------------------------------
+
+def gamma_rel(a, w, k):
+    """gamma_k(alpha/omega): elementary symmetric polynomial of the relative eigenvalues."""
+    return float(elem_sym(relative_eigenvalues(a, w), k))
+
+
+def primitive_split(c1, w):
+    """Split c1 = eta + f*omega with eta omega-primitive (gamma_1(eta/omega) = 0).
+
+    Returns (eta, f) with f = gamma_1(c1/omega)/n; eta then satisfies
+    eta ^ omega^{n-1} = 0.
+    """
+    require_kaehler(w)
+    f = gamma_rel(c1, w, 1) / w.n
+    return c1 - f * w, f
+
+
+def primitive_square_ratio(eta, w):
+    """sum_{j<k} alpha_j alpha_k over the relative eigenvalues of a primitive eta.
+
+    This is the coefficient governing eta^2 ^ omega^{n-2}; it is <= 0, with
+    equality only for eta = 0.  Requires n >= 2 and gamma_1(eta/omega) ~ 0.
+    """
+    require_kaehler(w)
+    if w.n < 2:
+        raise PreconditionError("primitive square ratio needs n >= 2")
+    alphas = relative_eigenvalues(eta, w)
+    g1 = float(elem_sym(alphas, 1))
+    if abs(g1) > PRIMITIVITY_RTOL * (1.0 + eta.max_abs()):
+        raise PreconditionError(f"input is not primitive: gamma_1 = {g1:.3e}")
+    return float(elem_sym(alphas, 2))
+
+
+def kl_segre_margin_primitive(t, w, he_tol=DEFAULT_HE_TOL):
+    """The Segre-form margin of kl_segre, rederived through c_1 = eta + f*omega.
+
+    margin = -((r+1)/2r) * [eta^2 ^ omega^{n-2} / omega^n] - (1/2r) * q_classical,
+    with the eta^2 term evaluated through relative eigenvalues rather than
+    wedge products.  Returns {"margin", "f", "eta_residual"}.
+    """
+    require_kaehler(w)
+    if t.n < 2:
+        raise PreconditionError("primitive decomposition path needs n >= 2")
+    _require_he(t, w, he_tol)
+    n, r = t.n, t.r
+    eta, f = primitive_split(Kaehler11(np.einsum("jkll->jk", t.c)), w)
+    # eta ^ omega^{n-1} must vanish identically
+    eta_top = wedge(eta.to_form(), wedge_power(w.to_form(), n - 1))
+    eta2 = 2.0 * primitive_square_ratio(eta, w) / (n * (n - 1))
+    q = kl_classical(t, w, he_tol)["q"]
+    margin = -(r + 1) / (2 * r) * eta2 - q / (2 * r)
+    return {"margin": margin, "f": f, "eta_residual": eta_top.max_abs()}
+
+
+def gamma2_constrained_gap(x, C):
+    """Gap of the second symmetric polynomial below its constrained maximum.
+
+    With n = len(x)+1 variables summing to C, evaluates gamma_2 at
+    (x_1 + C/n, ..., x_{n-1} + C/n, C - sum(...)) minus gamma_2(C/n,...,C/n)
+    directly; the value equals -(sum x)^2/2 - (sum x^2)/2 and is <= 0 with
+    equality only at x = 0.
+    """
+    x = [float(v) for v in x]
+    n = len(x) + 1
+    if n < 2:
+        raise ValueError("need at least one free variable")
+    C = float(C)
+    point = [xi + C / n for xi in x]
+    # last coordinate C - sum(point), written so x = 0 hits C/n exactly
+    point.append(C / n - sum(x))
+    return elem_sym(point, 2) - elem_sym([C / n] * n, 2)
+
+
+def gamma2_bound(t, w, v, he_tol=DEFAULT_HE_TOL, eq_tol=DEFAULT_EQUALITY_TOL):
+    """Directional bound gamma_2(theta_v/omega) <= (n-1) lambda^2 / (2n).
+
+    Requires Hermite-Einstein input.  Equality at a direction v means all
+    relative eigenvalues of theta_v equal lambda/n, i.e. theta_v = (lambda/n) omega.
+    """
+    lam = _require_he(t, w, he_tol)
+    theta = direction_form(t, v)
+    bound = (t.n - 1) * lam * lam / (2 * t.n)
+    eq = (theta - (lam / t.n) * w).max_abs() <= eq_tol
+    return {"gamma2": gamma_rel(theta, w, 2), "bound": bound, "equality": eq}
+
+
+def dual_endomorphism_tensor(t):
+    """Curvature tensor of End(E) = E* tensor E, rank r^2.
+
+    Built as Id_r tensor Theta_hat - Theta_hat^T tensor Id_r on the frame
+    e*_a tensor e_b; its first Chern form vanishes and its second equals
+    2r c_2 - (r-1) c_1^2.
+    """
+    r = t.r
+    eye = np.eye(r)
+    # index pairs (a, b) flattened as a * r + b; transpose acts on the E* slot
+    c_dual = (np.einsum("ac,jkbd->jkabcd", eye, t.c)
+              - np.einsum("jkca,bd->jkabcd", t.c, eye))
+    return CurvatureTensor(t.n, r * r, c_dual.reshape(t.n, t.n, r * r, r * r))
+
+
+def phi_k_scalar(T, k):
+    """Sphere average of <T v, v>^k for Hermitian T, in closed form.
+
+    Equals sigma_k(eigenvalues) / binom(r-1+k, k), sigma_k produced from the
+    elementary symmetric polynomials through the Newton-type recursion;
+    positive for positive definite T.
+    """
+    T = np.asarray(T, dtype=complex)
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise ValueError("expected a square matrix")
+    if float(np.abs(T - T.conj().T).max()) > 1e-10 * max(1.0, float(np.abs(T).max())):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return 1.0
+    r = T.shape[0]
+    eigs = np.linalg.eigvalsh(T)
+    gammas = [1.0] + [elem_sym(eigs, j) for j in range(1, min(k, r) + 1)]
+    return float(newton_convert(gammas, k)[k]) / math.comb(r - 1 + k, k)
 
 
 def permanent_int(rows):

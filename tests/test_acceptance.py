@@ -15,6 +15,8 @@ import numpy as np
 import segreform as sf
 
 from conftest import validate_report
+from oracles import (dual_endomorphism_tensor, gamma2_constrained_gap,
+                     kl_segre_margin_primitive, phi_k_scalar)
 
 _timings = {}
 
@@ -109,7 +111,7 @@ def test_criterion_3_phi_closed_forms_and_sign_convention():
             T = 0.5 * (a + a.conj().T)
             eigs = np.linalg.eigvalsh(T)
             display = 2 / (r * (r + 1)) * (np.trace(T).real ** 2 - sf.elem_sym(eigs, 2))
-            display_ok &= abs(sf.phi_k_scalar(T, 2) - display) <= 1e-10
+            display_ok &= abs(phi_k_scalar(T, 2) - display) <= 1e-10
             count += 1
 
         # sign convention: MC sphere averages of <Tv,v>^k side with the
@@ -123,7 +125,7 @@ def test_criterion_3_phi_closed_forms_and_sign_convention():
             quad = np.array([np.vdot(v, T @ v).real for v in vs])
             for k in (1, 2, 3):
                 mc = float(np.mean(quad**k))
-                pos = sf.phi_k_scalar(T, k)
+                pos = phi_k_scalar(T, k)
                 sign_ok &= abs(mc - pos) < abs(mc - (-pos))
                 sign_ok &= abs(mc - pos) <= 6 * float(np.std(quad**k)) / math.sqrt(len(vs))
     _verdict(3, "phi_2 display formula + positive sign convention",
@@ -133,6 +135,7 @@ def test_criterion_3_phi_closed_forms_and_sign_convention():
 def test_criterion_4_top_form_identities():
     tol = 1e-10
     worst = 0.0
+    he_ok = True
     with _timed(4):
         cases = [(1, 2, 4), (2, 2, 4), (2, 3, 4), (3, 3, 4), (3, 4, 4)]
         assert sum(c[2] for c in cases) == 20  # 20 tensors overall, up to (3,4)
@@ -142,14 +145,14 @@ def test_criterion_4_top_form_identities():
             for i in range(count):
                 t = sf.random_curvature(n, r, seed=10_000 + 10 * n + r + i)
                 dirs = sf.sample_directions(r, 20, seed=20_000 + i)
-                for v in dirs:
-                    for k in range(1, n + 1):
-                        worst = max(worst, sf.verify_power_identity(t, w, v, k))
+                for k in range(1, n + 1):
+                    worst = max(worst, sf.identity_residuals(t, w, dirs, k)[1].max())
                 # Hermite-Einstein variant of the rank-degree identity
                 t_he = sf.project_to_he(t, w, 0.5)
-                for v in dirs[:5]:
-                    worst = max(worst, sf.verify_slope_identity(t_he, w, v))
-    _verdict(4, f"identities on P(E), residual max {worst:.2e}", worst <= tol)
+                he, lam = sf.is_hermite_einstein(t_he, w)
+                he_ok &= he
+                worst = max(worst, sf.identity_residuals(t_he, w, dirs[:5], 1, -lam)[1].max())
+    _verdict(4, f"identities on P(E), residual max {worst:.2e}", he_ok and worst <= tol)
 
 
 def _hermitian(rng, n, spd=False):
@@ -216,7 +219,7 @@ def test_criterion_6_segre_form_inequality():
             w = sf.Kaehler11.euclidean(n)
             t = sf.project_to_he(sf.random_curvature(n, r, seed), w, 0.6)
             q = sf.kl_classical(t, w)["q"]
-            lhs_dual = sf.kl_segre(sf.dual_endomorphism_tensor(t), w)["lhs"]
+            lhs_dual = sf.kl_segre(dual_endomorphism_tensor(t), w)["lhs"]
             dual_ok &= abs(q - lhs_dual) <= 1e-9
     _verdict(6, "Segre-form inequality: margin, rhs agreement, equality, dual trick",
              margin_ok and rhs_ok and equality_ok and dual_ok)
@@ -230,14 +233,14 @@ def test_criterion_7_symmetric_polynomial_gap():
             n = int(rng.integers(2, 7))
             x = rng.standard_normal(n - 1)
             C = float(rng.standard_normal() * 3)
-            gap = sf.gamma2_constrained_gap(x, C)
+            gap = gamma2_constrained_gap(x, C)
             expect = -0.5 * float(x.sum()) ** 2 - 0.5 * float((x**2).sum())
             identity_ok &= abs(gap - expect) <= 1e-12 * (1 + abs(expect))
 
         max_ok = True
         for n in range(2, 7):
             # gap vanishes identically at x = 0
-            max_ok &= sf.gamma2_constrained_gap([0.0] * (n - 1), 1.234) == 0.0
+            max_ok &= gamma2_constrained_gap([0.0] * (n - 1), 1.234) == 0.0
             # maximum value formula, exact where C/n is exactly representable
             for mult in (1.0, 2.0, 0.5):
                 C = mult * n
@@ -252,7 +255,7 @@ def test_criterion_8_primitive_decomposition_path():
                                   (3, 3, 3, 0.05)):
             w = sf.Kaehler11.euclidean(n)
             t = sf.project_to_he(sf.random_curvature(n, r, seed), w, lam)
-            alt = sf.kl_segre_margin_primitive(t, w)
+            alt = kl_segre_margin_primitive(t, w)
             ok &= alt["eta_residual"] <= 1e-10
             ok &= abs(alt["f"] - lam * r / n) <= 1e-10
             ok &= abs(alt["margin"] - sf.kl_segre(t, w)["margin"]) <= 1e-9

@@ -381,22 +381,13 @@ class TestMomentsCommand:
 
 
 class TestToleranceEnvVar:
-    def test_env_overrides_default(self, he_instance_path, capsys, monkeypatch):
+    def test_env_is_ignored(self, he_instance_path, capsys, monkeypatch):
+        # --tol is the one tolerance knob; SEGREFORM_TOL is not read
         monkeypatch.setenv("SEGREFORM_TOL", "1e-25")
         code, out = run_cli(capsys, "verify", "identity9", "--in", he_instance_path,
                             "--samples", "3")
-        # machine-precision residuals cannot beat 1e-25: must fail
-        assert code == 1
-        assert json.loads(out)["inputs"]["tol"] == 1e-25
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
-    def test_env_non_finite_or_non_number_is_usage_error(self, he_instance_path, capsys,
-                                                         monkeypatch, value):
-        monkeypatch.setenv("SEGREFORM_TOL", value)
-        code, out = run_cli(capsys, "verify", "identity9", "--in", he_instance_path,
-                            "--samples", "3")
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "usage"
+        assert code == 0
+        assert json.loads(out)["inputs"]["tol"] == 1e-9
 
     @pytest.mark.parametrize("argv", [["verify", "identity9", "--samples", "3"],
                                       ["check", "he"]], ids=["verify", "check"])

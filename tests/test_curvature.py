@@ -8,19 +8,19 @@ from hypothesis import strategies as st
 
 from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                                  TensorValidationError, chern_forms,
-                                 direction_form, flatness_detectors,
-                                 is_hermite_einstein, mean_curvature,
-                                 project_to_he, projectively_flat_tensor,
-                                 random_curvature, segre_forms,
-                                 strong_flat_tensor, tensor_from_dict,
-                                 tensor_to_dict)
-from segreform.exterior import Form, factorial_power, top_ratio, wedge, wedge_power
-from segreform.inequalities import dual_endomorphism_tensor
+                                 flatness_detectors, is_hermite_einstein,
+                                 mean_curvature, omega_ratio, project_to_he,
+                                 projectively_flat_tensor, random_curvature,
+                                 segre_forms, strong_flat_tensor,
+                                 tensor_from_dict, tensor_to_dict)
+from segreform.exterior import Form, wedge
 from segreform.symfun import newton_convert
 from segreform.report import canonical_json
 
-from conftest import random_hermitian, random_spd
-from oracles import chern_forms_minors, rotate_tensor
+from conftest import random_form, random_hermitian, random_spd
+from oracles import (chern_forms_minors, direction_form, dual_endomorphism_tensor,
+                     factorial_power, mean_curvature_wedge, rotate_tensor, top_ratio,
+                     wedge_power)
 
 
 def tensor_from_diagonal(forms11, r=None):
@@ -194,6 +194,50 @@ class TestDirectionForm:
             direction_form(t, [0, 0])
 
 
+class TestOmegaRatio:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_wedge_path(self, rng, n):
+        # a ^ omega^(n-k)/(n-k)! over omega^n/n!, wedged out in full
+        for _ in range(3):
+            w = Kaehler11(random_spd(n, rng))
+            wf = w.to_form()
+            vol = factorial_power(wf, n)
+            for k in range(1, n + 1):
+                f = random_form(n, k, k, rng)
+                ref = top_ratio(wedge(f, factorial_power(wf, n - k)), vol)
+                got = omega_ratio(f.a, w, k)
+                assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_stack_matches_each_entry(self, rng):
+        w = Kaehler11(random_spd(4, rng))
+        for k in range(5):
+            stack = np.array([[random_form(4, k, k, rng).a for _ in range(3)]
+                              for _ in range(2)])
+            got = omega_ratio(stack, w, k)
+            assert got.shape == (2, 3)
+            for i in range(2):
+                for j in range(3):
+                    assert got[i, j] == omega_ratio(stack[i, j], w, k)
+
+    def test_gamma_k_of_powers(self, rng):
+        # omega_ratio(alpha^k/k!) = gamma_k(alpha/omega), alpha = omega gives C(n, k)
+        w = Kaehler11(random_spd(4, rng))
+        for k in range(5):
+            power = factorial_power(w.to_form(), k)
+            assert omega_ratio(power.a, w, k) == pytest.approx(math.comb(4, k), rel=1e-12)
+
+    def test_wrong_shape_or_degree_raises(self, rng):
+        w = Kaehler11.euclidean(3)
+        with pytest.raises(ValueError, match="form arrays"):
+            omega_ratio(np.zeros((2, 2)), w, 1)
+        with pytest.raises(ValueError, match="form arrays"):
+            omega_ratio(np.zeros((0, 0)), w, 4)
+
+    def test_not_pd_raises(self):
+        with pytest.raises(PreconditionError):
+            omega_ratio(np.eye(2), Kaehler11(np.diag([1.0, -1.0])), 1)
+
+
 class TestMeanCurvature:
     def test_omega_proportional(self, rng):
         n, r, lam = 3, 2, 1.7
@@ -242,6 +286,21 @@ class TestMeanCurvature:
         t = random_curvature(2, 2, seed=1)
         with pytest.raises(PreconditionError):
             mean_curvature(t, Kaehler11(np.diag([1.0, -1.0])))
+
+    def test_euclidean_equals_wedge_path_bitwise(self):
+        # generated instances (gen --he, --flat) go through this rounding
+        for n in range(1, 7):
+            w = Kaehler11.euclidean(n)
+            for r in range(1, 7):
+                t = random_curvature(n, r, seed=100 * n + r)
+                assert np.array_equal(mean_curvature(t, w), mean_curvature_wedge(t, w))
+
+    def test_matches_wedge_path(self, rng):
+        for n, r in ((1, 2), (2, 3), (3, 2), (4, 3)):
+            w = Kaehler11(random_spd(n, rng))
+            t = random_curvature(n, r, seed=n + r)
+            ref = mean_curvature_wedge(t, w)
+            assert np.abs(mean_curvature(t, w) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestHermiteEinstein:

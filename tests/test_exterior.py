@@ -7,11 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segreform.exterior import (Form, factorial_power, one_one_power, top_pairing,
-                                top_ratio, wedge, wedge_power)
+from segreform.exterior import Form, one_one_power, top_pairing, wedge
 
 from conftest import random_form, random_hermitian, random_spd, real_one_one
-from oracles import block_embed, wedge_sparse
+from oracles import block_embed, factorial_power, top_ratio, wedge_power, wedge_sparse
 
 
 class TestFormKeys:

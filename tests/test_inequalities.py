@@ -2,20 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
-                                 chern_forms, project_to_he,
+                                 chern_forms, direction_matrices, mean_curvature,
+                                 project_to_he,
                                  projectively_flat_tensor, random_curvature,
                                  strong_flat_tensor)
-from segreform.inequalities import (dual_endomorphism_tensor, gamma2_bound,
-                                    gamma2_constrained_gap, kl_classical,
-                                    kl_segre, kl_segre_margin_primitive,
-                                    projective_flat_bound, surface_compare)
-from segreform.kahler import primitive_square_ratio
+from segreform.inequalities import (kl_classical, kl_segre, projective_flat_bound,
+                                    surface_compare)
+from segreform.kahler import relative_eigenvalues
 from segreform.moments import sample_directions
 from segreform.symfun import elem_sym
 
 from conftest import random_spd
+from oracles import (dual_endomorphism_tensor, gamma2_bound, gamma2_constrained_gap,
+                     kl_segre_margin_primitive, primitive_square_ratio)
 
 
 def he_instance(n, r, seed, lam=0.7, w=None):
@@ -54,6 +57,12 @@ class TestKLClassical:
             q = kl_classical(t, w)["q"]
             assert abs(out_dual["lhs"] - q) <= 1e-9
             assert abs(out_dual["rhs"]) <= 1e-10  # slope of End(E) is zero
+
+    def test_line_bundle_is_equality(self):
+        # r = 1: c_2 = 0 and (r-1) c_1^2 vanishes, so q = 0 at projective flatness
+        t, w = he_instance(2, 1, 3)
+        out = kl_classical(t, w)
+        assert out["q"] == 0 and out["equality"]
 
     def test_requires_surface_dimension(self):
         t, w = he_instance(1, 2, 3)
@@ -260,3 +269,37 @@ class TestScaling:
         for scale in (2.0, 5.0):
             he, lam = is_hermite_einstein(t, scale * w)
             assert he and lam == pytest.approx(0.9 / scale, abs=1e-10)
+
+
+def base_change(rng, n):
+    """A random A in GL(n, C) with singular values in [0.5, 2]."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2
+
+
+class TestBaseChange:
+    # z = A z' pulls sum g_jk i dz_j ^ dzbar_k back to A^T g conj(A), on omega
+    # and on every curvature entry alike; every ratio against omega is invariant
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_ratios_against_omega_are_invariant(self, n, r, seed):
+        rng = np.random.default_rng(seed)
+        w = Kaehler11(random_spd(n, rng))
+        t = project_to_he(random_curvature(n, r, seed), w, 0.7)
+        A = base_change(rng, n)
+        w2 = Kaehler11(A.T @ w.g @ A.conj())
+        t2 = CurvatureTensor(n, r, np.einsum("ja,jklm,kb->ablm", A, t.c, A.conj()))
+
+        def close(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(a).max())
+
+        assert close(mean_curvature(t2, w2), mean_curvature(t, w))
+        V = sample_directions(r, 5, seed % 1000)
+        assert close(relative_eigenvalues(direction_matrices(t2, V), w2),
+                     relative_eigenvalues(direction_matrices(t, V), w))
+        assert close(kl_classical(t2, w2)["q"], kl_classical(t, w)["q"])
+        seg, seg2 = kl_segre(t, w), kl_segre(t2, w2)
+        assert close(seg2["lhs"], seg["lhs"])
+        assert close(seg2["margin"], seg["margin"])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from segreform.curvature import Kaehler11, PreconditionError
-from segreform.exterior import factorial_power, top_ratio, wedge
-from segreform.kahler import (gamma_rel, primitive_split,
-                              primitive_square_ratio, relative_eigenvalues)
+from segreform.exterior import wedge
+from segreform.kahler import relative_eigenvalues
 
 from conftest import random_hermitian, random_spd
+from oracles import (factorial_power, gamma_rel, primitive_split, primitive_square_ratio,
+                     top_ratio)
 
 
 class TestRelativeEigenvalues:

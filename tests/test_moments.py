@@ -7,12 +7,12 @@ import pytest
 
 from segreform.curvature import chern_forms, random_curvature, segre_forms
 from segreform.moments import (DIRECTION_CHUNK, MomentSpec, direction_chunks,
-                               moment_diagonal, moment_mc, moment_wick, phi_k_scalar,
-                               phi_k_tensor, sample_directions)
+                               moment_diagonal, moment_mc, moment_wick, phi_k_tensor,
+                               sample_directions)
 from segreform.symfun import elem_sym
 
 from conftest import random_hermitian, traced_peak
-from oracles import (moment_mc_loop, moment_permanent, permanent_int,
+from oracles import (moment_mc_loop, moment_permanent, permanent_int, phi_k_scalar,
                      phi_k_scalar_moments, phi_k_tensor_lex, phi_k_tensor_naive)
 
 

@@ -1,22 +1,32 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from segreform import projective
-from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
-                                 chern_forms, direction_form, project_to_he,
-                                 random_curvature, segre_forms,
-                                 strong_flat_tensor)
-from segreform.kahler import gamma_rel, relative_eigenvalues
+from segreform.cli import main
+from segreform.curvature import (CurvatureTensor, Kaehler11, chern_forms,
+                                 is_hermite_einstein, project_to_he, random_curvature,
+                                 segre_forms, strong_flat_tensor, tensor_to_dict)
+from segreform.exterior import wedge
+from segreform.kahler import relative_eigenvalues
 from segreform.moments import DIRECTION_CHUNK, sample_directions
+from segreform.report import canonical_json
 from segreform.symfun import elem_sym
-from segreform.projective import (gamma_profile, identity_residuals, pushforward_segre,
-                                  verify_power_identity, verify_slope_identity)
+from segreform.projective import gamma_profile, identity_residuals, pushforward_segre
 
 from conftest import random_spd, stderr_units, traced_peak
-from oracles import (block_embed, gamma_profile_loop, pushforward_mc_loop, rotate_tensor,
-                     top_form_residual, unitary_sending_last_to, xi_at)
+from oracles import (block_embed, direction_form, factorial_power, gamma_profile_loop,
+                     gamma_rel, pushforward_mc_loop, rotate_tensor, top_form_residual,
+                     unitary_sending_last_to, xi_at)
+
+
+def slope_residuals(t, w, V):
+    """Residuals of the Hermite-Einstein form of the degree-1 identity, lambda from T."""
+    he, lam = is_hermite_einstein(t, w)
+    assert he
+    return identity_residuals(t, w, V, 1, -lam)[1]
 
 
 class TestFrames:
@@ -79,7 +89,7 @@ class TestXi:
             xi_at(t, v)
         for k in (1, 2):
             with pytest.raises(ValueError, match="direction"):
-                verify_power_identity(t, w, v, k)
+                identity_residuals(t, w, [v], k)
 
 
 class TestPushforward:
@@ -170,22 +180,19 @@ class TestSlopeIdentity:
         t = strong_flat_tensor(2, 3, w, 1.2)
         for _ in range(5):
             v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert verify_slope_identity(t, w, v) <= 1e-12
+            assert slope_residuals(t, w, [v]).max() <= 1e-12
 
     def test_random_he_instances(self, rng):
         for seed in range(4):
             n, r = 2, 3
             w = Kaehler11(random_spd(n, rng))
             t = project_to_he(random_curvature(n, r, seed), w, 0.6)
-            for v in sample_directions(r, 20, seed):
-                assert verify_slope_identity(t, w, v) <= 1e-10
+            assert slope_residuals(t, w, sample_directions(r, 20, seed)).max() <= 1e-10
 
     def test_zero_slope_lhs_vanishes(self):
         # lambda = 0 strong instance is the zero tensor: the left side has no keys
         w = Kaehler11.euclidean(2)
         t = strong_flat_tensor(2, 2, w, 0.0)
-        from segreform.exterior import factorial_power, wedge
-
         xi = xi_at(t, [1, 0])
         lhs = wedge(factorial_power(xi, 2),
                     factorial_power(block_embed(w.to_form(), 0, 3), 1))
@@ -194,15 +201,20 @@ class TestSlopeIdentity:
     def test_general_form_reduces_on_he_input(self, rng):
         w = Kaehler11(random_spd(2, rng))
         t = project_to_he(random_curvature(2, 3, seed=18), w, 0.4)
-        for v in sample_directions(3, 5, seed=6):
-            assert verify_power_identity(t, w, v, 1) <= 1e-12
-            assert verify_slope_identity(t, w, v) <= 1e-12
+        V = sample_directions(3, 5, seed=6)
+        assert identity_residuals(t, w, V, 1)[1].max() <= 1e-12
+        assert slope_residuals(t, w, V).max() <= 1e-12
 
-    def test_non_he_directed_to_general(self):
+    def test_non_he_directed_to_general(self, tmp_path, capsys):
+        # without a constant slope, verify identity8 checks the general degree-1 identity
         w = Kaehler11.euclidean(2)
         t = random_curvature(2, 2, seed=11)
-        with pytest.raises(PreconditionError, match="verify_power_identity"):
-            verify_slope_identity(t, w, [1, 0])
+        assert not is_hermite_einstein(t, w)[0]
+        path = tmp_path / "t.json"
+        path.write_text(canonical_json(tensor_to_dict(t)))
+        assert main(["verify", "identity8", "--in", str(path), "--samples", "5"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["results"]
+        assert row["name"] == "identity8_general_residual_max"
 
 
 class TestBatchedIdentities:
@@ -265,34 +277,34 @@ class TestPowerIdentity:
         for k in range(1, n + 1):
             gam = gamma_rel(direction_form(t, v), w, k)
             assert gam == pytest.approx(math.comb(n, k) * (lam / n) ** k, abs=1e-10)
-            assert verify_power_identity(t, w, v, k) <= 1e-12
+            assert identity_residuals(t, w, [v], k)[1].max() <= 1e-12
 
     def test_random_tensors_all_degrees(self, rng):
         for (n, r, seed) in ((2, 2, 0), (2, 4, 1), (3, 3, 2)):
             t = random_curvature(n, r, seed)
             w = Kaehler11(random_spd(n, rng))
-            for v in sample_directions(r, 20, seed):
-                for k in range(1, n + 1):
-                    assert verify_power_identity(t, w, v, k) <= 1e-10
+            V = sample_directions(r, 20, seed)
+            for k in range(1, n + 1):
+                assert identity_residuals(t, w, V, k)[1].max() <= 1e-10
 
     def test_rank_one_reduces_to_wedge_identity(self, rng):
         # no vertical part: the identity is the gamma_k statement downstairs
         t = random_curvature(3, 1, seed=13)
         w = Kaehler11(random_spd(3, rng))
         for k in (1, 2, 3):
-            assert verify_power_identity(t, w, [1.0], k) <= 1e-10
+            assert identity_residuals(t, w, [[1.0]], k)[1].max() <= 1e-10
 
     def test_non_he_passes_general_identity(self, rng):
         t = random_curvature(2, 3, seed=14)
         w = Kaehler11.euclidean(2)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert verify_power_identity(t, w, v, 1) <= 1e-10
+        assert identity_residuals(t, w, [v], 1)[1].max() <= 1e-10
 
     def test_k_out_of_range(self):
         t = random_curvature(2, 2, seed=15)
         w = Kaehler11.euclidean(2)
         with pytest.raises(ValueError):
-            verify_power_identity(t, w, [1, 0], 3)
+            identity_residuals(t, w, [[1, 0]], 3)
 
 
 class TestGammaProfile:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from segreform.exterior import Form, wedge_power
+from segreform.exterior import Form
 from segreform.symfun import elem_sym, newton_convert
 
 from conftest import random_spd, real_one_one
-from oracles import complete_sym, elem_sym_scalar
+from oracles import complete_sym, elem_sym_scalar, wedge_power
 
 
 class TestElemSym:

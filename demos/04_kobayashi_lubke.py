@@ -34,13 +34,15 @@ print("primitive-path margin:", round(alt, 6), " (direct:", round(out["margin"],
 # equality families ------------------------------------------------------
 strong = sf.strong_flat_tensor(n, r, w, lam)
 print("\nomega-proportional instance:", sf.kl_segre(strong, w))
-print("flatness:", sf.flatness_detectors(strong, w))
+print("projectively flat:", sf.is_projectively_flat(strong),
+      " strong-flat (Segre-form equality):", sf.kl_segre(strong, w)["equality"])
 
 flat = sf.projectively_flat_tensor(n, r, seed=5, w=w, lam=lam)
 print("\nbeta-tensor-identity instance:")
 print("  classical:", sf.kl_classical(flat, w))         # equality fires
 print("  Segre-form margin:", round(sf.kl_segre(flat, w)["margin"], 6), "(strict)")
-print("  flatness:", sf.flatness_detectors(flat, w))
+print("  projectively flat:", sf.is_projectively_flat(flat),
+      " strong-flat (Segre-form equality):", sf.kl_segre(flat, w)["equality"])
 print("  bound for flat instances:", sf.projective_flat_bound(flat, w))
 
 # directional bound behind the proof: gamma_2(theta_v/omega) <= (n-1) lambda^2/(2n)

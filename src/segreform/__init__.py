@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .curvature import (CurvatureTensor, Kaehler11, PreconditionError,
                         TensorValidationError, chern_forms, direction_matrices,
-                        flatness_detectors, is_hermite_einstein, load_tensor,
+                        is_hermite_einstein, is_projectively_flat, load_tensor,
                         mean_curvature, project_to_he,
                         projectively_flat_tensor, random_curvature, segre_forms,
                         strong_flat_tensor, tensor_from_dict, tensor_to_dict)
@@ -27,7 +27,7 @@ from .symfun import elem_sym, newton_convert
 __all__ = [
     "CurvatureTensor", "Kaehler11", "PreconditionError",
     "TensorValidationError", "chern_forms", "direction_matrices",
-    "flatness_detectors", "is_hermite_einstein", "load_tensor",
+    "is_hermite_einstein", "is_projectively_flat", "load_tensor",
     "mean_curvature", "project_to_he", "projectively_flat_tensor",
     "random_curvature", "segre_forms", "strong_flat_tensor",
     "tensor_from_dict", "tensor_to_dict",

@@ -36,6 +36,8 @@ from .report import Report, canonical_json
 
 DEFAULT_TOL = 1e-9
 MAX_MOMENT_TERMS = 100_000  # diagonal moments summed by one verify moments report
+MC_MOMENT_PAIRS = (((1,), (1,)), ((1, 2), (2, 1)), ((1, 1), (1, 1)), ((1,), (2,)),
+                   ((1, 2, 3), (3, 2, 1)))  # (lambdas, mus) of verify moments' MC rows
 
 
 class UsageError(ValueError):
@@ -222,10 +224,7 @@ def _verify_moments(args, report):
             total += weight * moment_diagonal(r, mult)
         report.add(f"moment_norm_k{k}", float(abs(total - 1)), 0.0, total == 1)
     samples = _mc_samples(args.samples, 1_000_000)
-    specs = [MomentSpec(r, (1,), (1,)), MomentSpec(r, (1, 2), (2, 1)),
-             MomentSpec(r, (1, 1), (1, 1)), MomentSpec(r, (1,), (2,))]
-    if r >= 3:
-        specs.append(MomentSpec(r, (1, 2, 3), (3, 2, 1)))
+    specs = [MomentSpec(r, lam, mu) for lam, mu in MC_MOMENT_PAIRS if max(lam + mu) <= r]
     for spec, (est, err) in zip(specs, moment_mc(specs, samples, args.seed)):
         units = abs(est - complex(moment_wick(spec))) / (err + 1e-15)
         name = f"moment_mc_l{''.join(map(str, spec.lambdas))}_m{''.join(map(str, spec.mus))}"

@@ -16,7 +16,8 @@ Chern forms come from the power sums tr Theta_hat^k of the form-valued
 curvature matrix by Newton's identities, Segre forms from inverting the
 total Chern form degree by degree.  Every ratio of a top form against
 omega^n/n!, the mean curvature among them, is one Laplace contraction of
-minors (omega_ratio).
+minors (omega_ratio), which each Kaehler11 builds once per degree.
+Projective flatness reads only c; tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .exterior import Form, one_one_power, top_pairing, wedge
 from .symfun import newton_convert
 
 DEFAULT_HE_TOL = 1e-9
+DEFAULT_EQUALITY_TOL = 1e-8
 MAX_DIM = 32  # bound on n and r of outside input: an (n, n, r, r) array <= 16 MiB
 
 
@@ -49,7 +51,7 @@ class Kaehler11:
     Positive definite g makes this a Kaehler form value omega at the point.
     """
 
-    __slots__ = ("n", "g")
+    __slots__ = ("n", "g", "_powers")
 
     def __init__(self, g):
         g = np.asarray(g, dtype=complex)
@@ -59,6 +61,7 @@ class Kaehler11:
             raise ValueError("coefficient matrix must be Hermitian")
         self.n = g.shape[0]
         self.g = 0.5 * (g + g.conj().T)  # kill roundoff asymmetry
+        self._powers = {}  # k -> one_one_power(g, k) / k!, filled by omega_ratio
 
     @classmethod
     def euclidean(cls, n):
@@ -198,11 +201,9 @@ def direction_matrices(t, V):
     nrm2 = np.einsum("il,il->i", V, V.conj()).real
     if not np.all(nrm2 > 0):
         raise ValueError("direction must be nonzero")
+    t.validate()  # the tensor's symmetry makes every G_v Hermitian up to roundoff
     G = np.einsum("jklm,il,im->ijk", t.c, V, V.conj()) / nrm2[:, None, None]
-    GH = G.conj().transpose(0, 2, 1)
-    if not np.allclose(G, GH, atol=1e-12):
-        raise ValueError("coefficient matrix must be Hermitian")
-    return 0.5 * (G + GH)
+    return 0.5 * (G + G.conj().transpose(0, 2, 1))
 
 
 def omega_ratio(a, w, k):
@@ -216,8 +217,10 @@ def omega_ratio(a, w, k):
     n = w.n
     if not 0 <= k <= n or np.shape(a)[-2:] != (math.comb(n, k),) * 2:
         raise ValueError(f"expected ({k},{k})-form arrays on C^{n}, got shape {np.shape(a)}")
-    vol = one_one_power(w.g, n)[0, 0] / math.factorial(n)
-    return top_pairing(a, one_one_power(w.g, n - k) / math.factorial(n - k), n, k) / vol
+    for p in (n - k, n):
+        if p not in w._powers:
+            w._powers[p] = one_one_power(w.g, p) / math.factorial(p)
+    return top_pairing(a, w._powers[n - k], n, k) / w._powers[n][0, 0]
 
 
 def mean_curvature(t, w):
@@ -275,28 +278,16 @@ def projectively_flat_tensor(n, r, seed, w=None, lam=None):
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     beta = Kaehler11(0.5 * (b + b.conj().T))
     if w is not None and lam is not None:
-        t0 = CurvatureTensor(n, 1, beta.g.reshape(n, n, 1, 1))
-        cur = float(mean_curvature(t0, w)[0, 0].real)
+        cur = float(omega_ratio(1j * beta.g, w, 1).real)
         beta = beta + ((float(lam) - cur) / n) * w
     c = np.einsum("jk,ml->jklm", beta.g, np.eye(r))
     return CurvatureTensor(n, r, c)
 
 
-def flatness_detectors(t, w, tol=1e-8):
-    """Projective flatness and the stronger omega-proportional flatness.
-
-    projectively_flat: Theta_hat == (1/r) c_1 tensor Id within tol (max norm
-    on coefficients); strong_flat: Theta_hat == (lam/n) omega tensor Id.
-    """
-    require_kaehler(w)
-    c1_mat = np.einsum("jkll->jk", t.c)
-    eye = np.eye(t.r)
-    proj = np.einsum("jk,ml->jklm", c1_mat / t.r, eye)
-    pflat = float(np.abs(t.c - proj).max()) <= tol
-    _, lam = is_hermite_einstein(t, w)
-    strong = np.einsum("jk,ml->jklm", (lam / t.n) * w.g, eye)
-    sflat = float(np.abs(t.c - strong).max()) <= tol
-    return {"projectively_flat": pflat, "strong_flat": sflat}
+def is_projectively_flat(t):
+    """Whether Theta_hat == (1/r) c_1 tensor Id, coefficientwise within DEFAULT_EQUALITY_TOL."""
+    proj = np.einsum("jk,ml->jklm", np.einsum("jkll->jk", t.c) / t.r, np.eye(t.r))
+    return float(np.abs(t.c - proj).max()) <= DEFAULT_EQUALITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +315,7 @@ def check_dims(n, r):
             raise TensorValidationError(f"{name} must be an integer in [1, {MAX_DIM}], got {value!r}")
 
 
-def tensor_from_dict(d, symmetrize=False, tol=1e-10):
+def tensor_from_dict(d, symmetrize=False):
     """Build a CurvatureTensor from its JSON dict.
 
     Omitted entries are zero.  The hermitian invariant is enforced unless
@@ -352,7 +343,7 @@ def tensor_from_dict(d, symmetrize=False, tol=1e-10):
     t = CurvatureTensor(n, r, c, validate=False)
     if symmetrize:
         return t.symmetrized()
-    t.validate(tol)
+    t.validate()
     return t
 
 

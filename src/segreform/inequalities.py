@@ -5,22 +5,25 @@ so they read exactly like the displayed inequalities: the classical check
 evaluates ((r-1) c_1^2 - 2 r c_2) ^ omega^{n-2} / omega^n, the Segre-form
 check compares s_2 ^ omega^{n-2} / omega^n with lambda^2 r(r+1)/(2 n^2).
 Each ratio of a (p,p)-form is one curvature.omega_ratio contraction of its
-coefficient array against the minors of omega, over n!/(n-p)!.  Equality
-cases are detected through the flatness predicates: projective flatness for
-the classical inequality, and the stronger condition
-Theta_hat = (lambda/n) omega tensor Id for the Segre-form one.
+coefficient array against the minors of omega, over n!/(n-p)!.  Each check
+gates on T == lambda * Id within DEFAULT_HE_TOL and reuses that lambda.
+Equality cases are detected within DEFAULT_EQUALITY_TOL: projective
+flatness for the classical inequality, and Theta_hat equal to
+strong_flat_tensor(n, r, omega, lambda) for the Segre-form one.
 """
 
 from __future__ import annotations
 
 import math
 
-from .curvature import (DEFAULT_HE_TOL, PreconditionError, _he_deviation, chern_forms,
-                        flatness_detectors, omega_ratio, require_kaehler, segre_forms)
+import numpy as np
+
+from .curvature import (DEFAULT_EQUALITY_TOL, DEFAULT_HE_TOL, PreconditionError,
+                        _he_deviation, chern_forms, is_projectively_flat, omega_ratio,
+                        require_kaehler, segre_forms, strong_flat_tensor)
 from .exterior import Form, wedge
 
 DEFAULT_MARGIN_TOL = 1e-10
-DEFAULT_EQUALITY_TOL = 1e-8
 
 
 def _ratio(form, w):
@@ -31,15 +34,15 @@ def _ratio(form, w):
     return float(val.real)
 
 
-def _require_he(t, w, tol):
+def _require_he(t, w):
     dev, lam = _he_deviation(t, w)
-    if dev > tol:
+    if dev > DEFAULT_HE_TOL:
         raise PreconditionError(
-            f"tensor is not Hermite-Einstein within {tol:g} (deviation {dev:.3e})")
+            f"tensor is not Hermite-Einstein within {DEFAULT_HE_TOL:g} (deviation {dev:.3e})")
     return lam
 
 
-def kl_classical(t, w, he_tol=DEFAULT_HE_TOL, eq_tol=DEFAULT_EQUALITY_TOL):
+def kl_classical(t, w):
     """Classical pointwise check: ((r-1) c_1^2 - 2r c_2) ^ omega^{n-2} <= 0.
 
     Requires n >= 2 and Hermite-Einstein input.  Returns {"q", "equality"};
@@ -49,15 +52,14 @@ def kl_classical(t, w, he_tol=DEFAULT_HE_TOL, eq_tol=DEFAULT_EQUALITY_TOL):
     require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("classical check needs n >= 2")
-    _require_he(t, w, he_tol)
+    _require_he(t, w)
     c = chern_forms(t) + [Form.zero(t.n, 2, 2)]  # c_2 = 0 when r = 1
     combo = (t.r - 1) * wedge(c[1], c[1]) - (2 * t.r) * c[2]
     q = _ratio(combo, w)
-    return {"q": q, "equality": abs(q) <= eq_tol
-            and flatness_detectors(t, w, eq_tol)["projectively_flat"]}
+    return {"q": q, "equality": abs(q) <= DEFAULT_EQUALITY_TOL and is_projectively_flat(t)}
 
 
-def kl_segre(t, w, he_tol=DEFAULT_HE_TOL, eq_tol=DEFAULT_EQUALITY_TOL):
+def kl_segre(t, w):
     """Segre-form inequality: s_2 ^ omega^{n-2} <= lambda (r+1)/(2n) c_1 ^ omega^{n-1}.
 
     The right-hand side is evaluated both as written and in the equivalent
@@ -68,7 +70,7 @@ def kl_segre(t, w, he_tol=DEFAULT_HE_TOL, eq_tol=DEFAULT_EQUALITY_TOL):
     require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("Segre-form check needs n >= 2")
-    lam = _require_he(t, w, he_tol)
+    lam = _require_he(t, w)
     n, r = t.n, t.r
     c = chern_forms(t)
     s = segre_forms(c, 2)
@@ -76,20 +78,20 @@ def kl_segre(t, w, he_tol=DEFAULT_HE_TOL, eq_tol=DEFAULT_EQUALITY_TOL):
     rhs_chern = lam * (r + 1) / (2 * n) * _ratio(c[1], w)
     rhs_slope = lam * lam * r * (r + 1) / (2 * n * n)
     margin = rhs_slope - lhs
-    equality = abs(margin) <= eq_tol and flatness_detectors(t, w, eq_tol)["strong_flat"]
+    equality = abs(margin) <= DEFAULT_EQUALITY_TOL and float(
+        np.abs(t.c - strong_flat_tensor(n, r, w, lam).c).max()) <= DEFAULT_EQUALITY_TOL
     return {"lhs": lhs, "rhs": rhs_slope, "rhs_chern": rhs_chern,
             "margin": margin, "equality": equality}
 
 
-def projective_flat_bound(t, w, he_tol=DEFAULT_HE_TOL, margin_tol=DEFAULT_MARGIN_TOL,
-                          eq_tol=DEFAULT_EQUALITY_TOL):
+def projective_flat_bound(t, w, margin_tol=DEFAULT_MARGIN_TOL):
     """For projectively flat Hermite-Einstein input:
     c_1^2 ^ omega^{n-2} <= (lambda r / n)^2 omega^n."""
     require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("needs n >= 2")
-    lam = _require_he(t, w, he_tol)
-    if not flatness_detectors(t, w, eq_tol)["projectively_flat"]:
+    lam = _require_he(t, w)
+    if not is_projectively_flat(t):
         raise PreconditionError("input is not projectively flat within tolerance")
     c = chern_forms(t)
     lhs = _ratio(wedge(c[1], c[1]), w)
@@ -97,7 +99,7 @@ def projective_flat_bound(t, w, he_tol=DEFAULT_HE_TOL, margin_tol=DEFAULT_MARGIN
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + margin_tol}
 
 
-def surface_compare(t, w, he_tol=DEFAULT_HE_TOL):
+def surface_compare(t, w):
     """Surface-case (n = 2) comparison of the two inequalities, pointwise.
 
     Evaluates the classical bound (2r/(r-1)) c_2 and the Segre-form bound
@@ -112,7 +114,7 @@ def surface_compare(t, w, he_tol=DEFAULT_HE_TOL):
         raise PreconditionError("surface comparison is defined for n = 2 only")
     if t.r < 2:
         raise PreconditionError("classical bound needs r >= 2 (division by r - 1)")
-    lam = _require_he(t, w, he_tol)
+    lam = _require_he(t, w)
     r = t.r
     c = chern_forms(t)
     c1_sq = _ratio(wedge(c[1], c[1]), w)

@@ -27,10 +27,10 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 
-from segreform.curvature import (DEFAULT_HE_TOL, CurvatureTensor, Kaehler11, PreconditionError,
-                                 direction_matrices, require_kaehler)
+from segreform.curvature import (DEFAULT_EQUALITY_TOL, CurvatureTensor, Kaehler11,
+                                 PreconditionError, direction_matrices, require_kaehler)
 from segreform.exterior import Form, _basis, wedge
-from segreform.inequalities import DEFAULT_EQUALITY_TOL, _require_he, kl_classical
+from segreform.inequalities import _require_he, kl_classical
 from segreform.kahler import relative_eigenvalues
 from segreform.moments import MomentSpec, sample_directions
 from segreform.symfun import elem_sym, newton_convert
@@ -131,7 +131,7 @@ def primitive_square_ratio(eta, w):
     return float(elem_sym(alphas, 2))
 
 
-def kl_segre_margin_primitive(t, w, he_tol=DEFAULT_HE_TOL):
+def kl_segre_margin_primitive(t, w):
     """The Segre-form margin of kl_segre, rederived through c_1 = eta + f*omega.
 
     margin = -((r+1)/2r) * [eta^2 ^ omega^{n-2} / omega^n] - (1/2r) * q_classical,
@@ -141,13 +141,13 @@ def kl_segre_margin_primitive(t, w, he_tol=DEFAULT_HE_TOL):
     require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("primitive decomposition path needs n >= 2")
-    _require_he(t, w, he_tol)
+    _require_he(t, w)
     n, r = t.n, t.r
     eta, f = primitive_split(Kaehler11(np.einsum("jkll->jk", t.c)), w)
     # eta ^ omega^{n-1} must vanish identically
     eta_top = wedge(eta.to_form(), wedge_power(w.to_form(), n - 1))
     eta2 = 2.0 * primitive_square_ratio(eta, w) / (n * (n - 1))
-    q = kl_classical(t, w, he_tol)["q"]
+    q = kl_classical(t, w)["q"]
     margin = -(r + 1) / (2 * r) * eta2 - q / (2 * r)
     return {"margin": margin, "f": f, "eta_residual": eta_top.max_abs()}
 
@@ -171,16 +171,16 @@ def gamma2_constrained_gap(x, C):
     return elem_sym(point, 2) - elem_sym([C / n] * n, 2)
 
 
-def gamma2_bound(t, w, v, he_tol=DEFAULT_HE_TOL, eq_tol=DEFAULT_EQUALITY_TOL):
+def gamma2_bound(t, w, v):
     """Directional bound gamma_2(theta_v/omega) <= (n-1) lambda^2 / (2n).
 
     Requires Hermite-Einstein input.  Equality at a direction v means all
     relative eigenvalues of theta_v equal lambda/n, i.e. theta_v = (lambda/n) omega.
     """
-    lam = _require_he(t, w, he_tol)
+    lam = _require_he(t, w)
     theta = direction_form(t, v)
     bound = (t.n - 1) * lam * lam / (2 * t.n)
-    eq = (theta - (lam / t.n) * w).max_abs() <= eq_tol
+    eq = (theta - (lam / t.n) * w).max_abs() <= DEFAULT_EQUALITY_TOL
     return {"gamma2": gamma_rel(theta, w, 2), "bound": bound, "equality": eq}
 
 

@@ -102,6 +102,14 @@ class TestVerify:
         assert [r["name"] for r in norm] == ["moment_norm_k0", "moment_norm_k1", "moment_norm_k2"]
         assert all(r["value"] == 0 and r["pass"] for r in norm)
 
+    def test_moments_rank_one_keeps_the_rows_that_fit(self, capsys):
+        code, out = run_cli(capsys, "verify", "moments", "--r", "1", "--samples", "1000")
+        assert code == 0
+        report = json.loads(out)
+        validate_report(report)
+        names = [r["name"] for r in report["results"] if r["name"].startswith("moment_mc")]
+        assert names == ["moment_mc_l1_m1", "moment_mc_l11_m11"]
+
     def test_moments_norm_row_catches_a_wrong_diagonal_moment(self, capsys, monkeypatch):
         import segreform.cli as cli
 
@@ -349,6 +357,31 @@ class TestCheck:
                             "--omega", omega)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("remark41", ["--flat", "--he", "1.0"]),
+        ("kl", ["--strong-flat", "--he", "0.7"]),
+        ("thm12", ["--strong-flat", "--he", "0.7"]),
+    ])
+    def test_equality_cases_take_one_mean_curvature(self, tmp_path, capsys, monkeypatch,
+                                                    kind, flags):
+        import segreform.curvature as curvature
+
+        path = tmp_path / "flat.json"
+        run_cli(capsys, "gen", "3", "2", "11", *flags, "--out", str(path))
+        calls = []
+
+        def counted(t, w):
+            calls.append(t.n)
+            return mean_curvature(t, w)
+
+        mean_curvature = curvature.mean_curvature
+        monkeypatch.setattr(curvature, "mean_curvature", counted)
+        code, out = run_cli(capsys, "check", kind, "--in", str(path))
+        assert code == 0
+        assert all(r["value"].get("equality", True) for r in json.loads(out)["results"]
+                   if isinstance(r["value"], dict))
+        assert len(calls) == 1
 
     def test_surface_and_remark41(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
-                                 TensorValidationError, chern_forms,
-                                 flatness_detectors, is_hermite_einstein,
+                                 TensorValidationError, chern_forms, direction_matrices,
+                                 is_hermite_einstein, is_projectively_flat,
                                  mean_curvature, omega_ratio, project_to_he,
                                  projectively_flat_tensor, random_curvature,
                                  segre_forms, strong_flat_tensor,
                                  tensor_from_dict, tensor_to_dict)
 from segreform.exterior import Form, wedge
+from segreform.inequalities import kl_segre
 from segreform.symfun import newton_convert
 from segreform.report import canonical_json
 
@@ -193,6 +194,14 @@ class TestDirectionForm:
         with pytest.raises(ValueError):
             direction_form(t, [0, 0])
 
+    def test_asymmetric_tensor_is_rejected(self):
+        # an asymmetry of 1e-7 is below allclose's default rtol, not below validate()'s rule
+        t = random_curvature(3, 3, seed=0)
+        c = t.c.copy()
+        c[0, 1, 0, 2] += 1e-7
+        with pytest.raises(TensorValidationError, match="hermitian symmetry"):
+            direction_matrices(CurvatureTensor(3, 3, c, validate=False), np.eye(3))
+
 
 class TestOmegaRatio:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -367,19 +376,21 @@ class TestRandomCurvature:
 class TestFlatness:
     def test_strong_flat_sets_both(self, rng):
         w = Kaehler11(random_spd(2, rng))
-        out = flatness_detectors(strong_flat_tensor(2, 2, w, 2.0), w)
-        assert out == {"projectively_flat": True, "strong_flat": True}
+        t = strong_flat_tensor(2, 2, w, 2.0)
+        assert is_projectively_flat(t)
+        assert kl_segre(t, w)["equality"]
 
     def test_beta_identity_only_projective(self, rng):
         w = Kaehler11.euclidean(2)
         t = projectively_flat_tensor(2, 3, seed=6)
-        out = flatness_detectors(t, w)
-        assert out["projectively_flat"] and not out["strong_flat"]
+        assert is_projectively_flat(t)
+        assert not kl_segre(t, w)["equality"]  # beta tensor Id is Hermite-Einstein
 
     def test_random_neither(self):
         w = Kaehler11.euclidean(2)
-        out = flatness_detectors(random_curvature(2, 2, seed=3), w)
-        assert not out["projectively_flat"] and not out["strong_flat"]
+        t = random_curvature(2, 2, seed=3)
+        assert not is_projectively_flat(t)
+        assert not kl_segre(project_to_he(t, w, 1.0), w)["equality"]
 
 
 class TestJsonInterchange:

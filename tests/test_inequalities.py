@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
-                                 chern_forms, direction_matrices, mean_curvature,
-                                 project_to_he,
+                                 chern_forms, direction_matrices, is_projectively_flat,
+                                 mean_curvature, project_to_he,
                                  projectively_flat_tensor, random_curvature,
-                                 strong_flat_tensor)
+                                 strong_flat_tensor, tensor_from_dict)
 from segreform.inequalities import (kl_classical, kl_segre, projective_flat_bound,
                                     surface_compare)
 from segreform.kahler import relative_eigenvalues
@@ -303,3 +304,17 @@ class TestBaseChange:
         seg, seg2 = kl_segre(t, w), kl_segre(t2, w2)
         assert close(seg2["lhs"], seg["lhs"])
         assert close(seg2["margin"], seg["margin"])
+
+
+class TestOptionSurface:
+    # the equality cases are fixed, so no check takes a tolerance no caller sets
+    @pytest.mark.parametrize("fn, params", [
+        (kl_classical, ["t", "w"]),
+        (kl_segre, ["t", "w"]),
+        (surface_compare, ["t", "w"]),
+        (projective_flat_bound, ["t", "w", "margin_tol"]),
+        (is_projectively_flat, ["t"]),
+        (tensor_from_dict, ["d", "symmetrize"]),
+    ], ids=lambda x: getattr(x, "__name__", ""))
+    def test_parameters(self, fn, params):
+        assert list(inspect.signature(fn).parameters) == params

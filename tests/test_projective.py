@@ -1,15 +1,18 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segreform import projective
+from segreform import curvature, projective
 from segreform.cli import main
 from segreform.curvature import (CurvatureTensor, Kaehler11, chern_forms,
                                  is_hermite_einstein, project_to_he, random_curvature,
                                  segre_forms, strong_flat_tensor, tensor_to_dict)
-from segreform.exterior import wedge
+from segreform.exterior import Form, wedge
 from segreform.kahler import relative_eigenvalues
 from segreform.moments import DIRECTION_CHUNK, sample_directions
 from segreform.report import canonical_json
@@ -174,6 +177,37 @@ class TestPushforward:
             pushforward_segre(t, -1)
 
 
+class TestPushforwardProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.floats(-2.0, 2.0))
+    def test_exact_path_is_homogeneous(self, n, r, seed, log_s):
+        # s_k(s Theta) = s^k s_k(Theta), through the balanced moment walk
+        s = 10.0**log_s
+        t = random_curvature(n, r, seed)
+        for k in range(n + 1):
+            ref = s**k * pushforward_segre(t, k)
+            assert (pushforward_segre(s * t, k) - ref).max_abs() <= 1e-12 * ref.max_abs()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_griffiths_positive_curvature_gives_positive_segre_forms(self, n, r, seed):
+        # c[j,k,lam,mu] = sum_a A_a[j,k] H_a[mu,lam] makes theta_v = sum_a (v^H H_a v) A_a > 0,
+        # so (-1)^k s_k, an average of theta_v^k, is positive against every i alpha ^ alpha-bar
+        rng = np.random.default_rng(seed)
+        c = sum(np.einsum("jk,ml->jklm", random_spd(n, rng), random_spd(r, rng))
+                for _ in range(2))
+        t = CurvatureTensor(n, r, c)
+        vol = functools.reduce(wedge, [Form.one_one(np.diag(e)) for e in np.eye(n)])
+        for k in range(n + 1):
+            alphas = rng.standard_normal((n - k, n)) + 1j * rng.standard_normal((n - k, n))
+            top = functools.reduce(wedge, [Form.one_one(np.outer(a, a.conj())) for a in alphas],
+                                   (-1) ** k * pushforward_segre(t, k))
+            ratio = complex(top.a[0, 0] / vol.a[0, 0])
+            assert ratio.real > 0
+            assert abs(ratio.imag) <= 1e-12 * ratio.real
+
+
 class TestSlopeIdentity:
     def test_strong_flat_closed_form(self, rng):
         w = Kaehler11(random_spd(2, rng))
@@ -255,6 +289,20 @@ class TestBatchedIdentities:
         monkeypatch.setattr(projective, "_BLOCK_BYTES", 1)
         for a, b in zip(whole, identity_residuals(t, w, V, 2)):
             assert np.array_equal(a, b)
+
+    def test_omega_minors_built_once_per_degree(self, monkeypatch):
+        calls = []
+
+        def counted(G, k):
+            calls.append(k)
+            return one_one_power(G, k)
+
+        one_one_power = curvature.one_one_power
+        monkeypatch.setattr(curvature, "one_one_power", counted)
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 1)  # one direction per block
+        t = random_curvature(3, 2, seed=40)
+        identity_residuals(t, Kaehler11.euclidean(3), sample_directions(2, 50, seed=2), 2)
+        assert sorted(calls) == [1, 3]  # omega^(n-k) and omega^n, once each
 
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (3, 4)])
     def test_wrong_scalar_residual_matches_xi_oracle(self, rng, n, r):

@@ -57,7 +57,7 @@ class Kaehler11:
         g = np.asarray(g, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {g.shape}")
-        if not np.allclose(g, g.conj().T, atol=1e-12):
+        if np.abs(g - g.conj().T).max(initial=0.0) > 1e-12:  # absolute: no relative slack
             raise ValueError("coefficient matrix must be Hermitian")
         self.n = g.shape[0]
         self.g = 0.5 * (g + g.conj().T)  # kill roundoff asymmetry

@@ -77,22 +77,32 @@ def identity_residuals(t, w, V, k, scalar=None):
     omega^n/n!] at v, and residual = |left - scalar * right|, the coefficient
     of that difference of top forms on C^(n+r-1).  scalar defaults to
     (-1)^k gamma_k(theta_v/omega) per direction; a number, such as -lambda
-    for the Hermite-Einstein form at k = 1, applies to all.
+    for the Hermite-Einstein form at k = 1, applies to all.  A sequence of
+    degrees k gives arrays with one row per degree, from one build of each
+    block's directional matrices and eigenvalues.
     """
     require_kaehler(w)
-    if not 1 <= k <= t.n:
-        raise ValueError(f"k={k} out of range [1, {t.n}]")
+    ks = np.atleast_1d(k).tolist()
+    for deg in ks:
+        if not 1 <= deg <= t.n:
+            raise ValueError(f"k={deg} out of range [1, {t.n}]")
     V = np.asarray(V)
     vol = np.linalg.det(w.g).real  # |omega^n/n!|; the top vertical power has modulus (2pi)^(1-r)
-    rows = _block_rows(t.n, k)
+    rows = min(_block_rows(t.n, deg) for deg in ks)
     ratios, residuals = [], []
     for start in range(0, max(len(V), 1), rows):
         G = direction_matrices(t, V[start:start + rows])
-        ratio = omega_ratio(one_one_power(-G, k) / math.factorial(k), w, k)
-        s = (-1.0) ** k * elem_sym(relative_eigenvalues(G, w), k) if scalar is None else scalar
+        ratio = np.array([omega_ratio(one_one_power(-G, deg) / math.factorial(deg), w, deg)
+                          for deg in ks])
+        if scalar is None:
+            eigs = relative_eigenvalues(G, w)
+            s = np.array([(-1.0) ** deg * elem_sym(eigs, deg) for deg in ks])
+        else:
+            s = scalar
         ratios.append(ratio)
         residuals.append(np.abs(ratio - s) * vol / TWO_PI ** (t.r - 1))
-    return np.concatenate(ratios), np.concatenate(residuals)
+    ratios, residuals = np.concatenate(ratios, axis=1), np.concatenate(residuals, axis=1)
+    return (ratios, residuals) if np.ndim(k) else (ratios[0], residuals[0])
 
 
 def gamma_profile(t, w, ell, samples=2000, seed=0):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 
 from . import __version__
 
@@ -85,8 +84,3 @@ def canonical_json(obj):
     out = []
     _render(obj, out)
     return "".join(out)
-
-
-def load_report_schema():
-    with resources.files("segreform").joinpath("report_schema.json").open("r") as fh:
-        return json.load(fh)

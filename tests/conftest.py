@@ -1,6 +1,8 @@
 import itertools
+import json
 import os
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -9,14 +11,22 @@ import pytest
 
 import segreform
 from segreform.exterior import Form
-from segreform.report import load_report_schema
 
 
 def child_env():
-    """os.environ with the imported segreform's source root first on PYTHONPATH."""
+    """os.environ with the imported segreform's source root first on PYTHONPATH,
+    less OPENBLAS_NUM_THREADS: importing segreform.cli in this process sets it."""
     src = str(Path(segreform.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def load_report_schema():
+    """The report JSON schema shipped as segreform package data."""
+    with resources.files("segreform").joinpath("report_schema.json").open("r") as fh:
+        return json.load(fh)
 
 
 def validate_report(report_dict):

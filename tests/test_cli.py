@@ -91,6 +91,31 @@ class TestVerify:
         validate_report(report)
         assert len(report["results"]) == 2  # k = 1, 2
 
+    def test_identity9_builds_each_block_once(self, tmp_path, capsys, monkeypatch):
+        import segreform.projective as projective
+
+        calls = []
+
+        def counted(name):
+            original = getattr(projective, name)
+
+            def wrapper(*args):
+                result = original(*args)
+                calls.append((name, len(result)))  # one entry per direction of the block
+                return result
+            return wrapper
+
+        for name in ("direction_matrices", "relative_eigenvalues"):
+            monkeypatch.setattr(projective, name, counted(name))
+        path = tmp_path / "rand33.json"
+        run_cli(capsys, "gen", "3", "3", "8", "--out", str(path))
+        code, out = run_cli(capsys, "verify", "identity9", "--in", str(path), "--samples", "20")
+        assert code == 0
+        assert [r["name"] for r in json.loads(out)["results"]] == [
+            f"identity9_residual_max_k{k}" for k in (1, 2, 3)]
+        # 20 directions are one block: one build and one eigensolve for all three degrees
+        assert calls == [("direction_matrices", 20), ("relative_eigenvalues", 20)]
+
     def test_moments_kind(self, capsys):
         code, out = run_cli(capsys, "verify", "moments", "--r", "2", "--k", "2",
                             "--samples", "40000")
@@ -349,9 +374,11 @@ class TestCheck:
 
     @pytest.mark.parametrize("omega", ["5", "[1, 2]", '[[1, 0], [0, "x"]]',
                                        "[[1, 0], [0, null]]", "[[1, [0, 0, 1]], [0, 1]]",
-                                       "[[NaN, 0], [0, 1]]", "[[1" + "0" * 400 + ", 0], [0, 1]]"],
+                                       "[[NaN, 0], [0, 1]]", "[[1" + "0" * 400 + ", 0], [0, 1]]",
+                                       "[[2, 1.000001], [1, 2]]"],
                              ids=["scalar", "flat-list", "string-entry", "null-entry",
-                                  "triple-entry", "nan-entry", "huge-int-entry"])
+                                  "triple-entry", "nan-entry", "huge-int-entry",
+                                  "relative-asymmetry"])
     def test_malformed_omega_is_usage_error(self, he_instance_path, capsys, omega):
         code, out = run_cli(capsys, "check", "he", "--in", he_instance_path,
                             "--omega", omega)

@@ -304,6 +304,37 @@ class TestBatchedIdentities:
         identity_residuals(t, Kaehler11.euclidean(3), sample_directions(2, 50, seed=2), 2)
         assert sorted(calls) == [1, 3]  # omega^(n-k) and omega^n, once each
 
+    @pytest.mark.parametrize("scalar", [None, -0.7])
+    def test_degree_sequence_stacks_single_degrees(self, monkeypatch, scalar):
+        t = random_curvature(4, 3, seed=42)
+        w = Kaehler11.euclidean(4)
+        V = sample_directions(3, 300, seed=5)
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 1 << 16)  # blocks differ by degree
+        ratios, residuals = identity_residuals(t, w, V, [1, 2, 3, 4], scalar)
+        assert ratios.shape == residuals.shape == (4, 300)
+        for k in range(1, 5):
+            one = identity_residuals(t, w, V, k, scalar)
+            assert np.array_equal(ratios[k - 1], one[0])
+            assert np.array_equal(residuals[k - 1], one[1])
+
+    def test_directions_built_once_for_all_degrees(self, monkeypatch):
+        calls = {"direction_matrices": 0, "relative_eigenvalues": 0}
+
+        def counted(name):
+            original = getattr(projective, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(projective, name, counted(name))
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 1)  # one direction per block
+        t = random_curvature(3, 3, seed=40)
+        identity_residuals(t, Kaehler11.euclidean(3), sample_directions(3, 50, seed=2), [1, 2, 3])
+        assert calls == {"direction_matrices": 50, "relative_eigenvalues": 50}
+
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (3, 4)])
     def test_wrong_scalar_residual_matches_xi_oracle(self, rng, n, r):
         t = random_curvature(n, r, seed=41 + n + r)

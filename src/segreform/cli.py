@@ -16,6 +16,7 @@ tolerance of verify/check is --tol, by default 1e-9.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -34,10 +35,6 @@ from .curvature import (MAX_DIM, Kaehler11, PreconditionError, TensorValidationE
                         load_tensor, project_to_he, projectively_flat_tensor,
                         random_curvature, segre_forms, strong_flat_tensor,
                         tensor_to_dict)
-from .inequalities import (kl_classical, kl_segre, projective_flat_bound,
-                           surface_compare)
-from .moments import MomentSpec, direction_chunks, moment_diagonal, moment_mc, moment_wick
-from .projective import gamma_profile, identity_residuals, pushforward_segre
 from .report import Report, canonical_json
 
 DEFAULT_TOL = 1e-9
@@ -168,6 +165,7 @@ def _load_input(args):
 
 
 def _verify_pushforward(args, report):
+    from .projective import pushforward_segre
     samples = _mc_samples(args.samples)
     t = _load_input(args)
     tol = args.tol
@@ -188,11 +186,12 @@ def _verify_pushforward(args, report):
 
 
 def _verify_identity8(args, report):
+    from . import moments, projective
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
     he, lam = is_hermite_einstein(t, w)
-    worst = max(float(identity_residuals(t, w, V, 1, -lam if he else None)[1].max())
-                for V in direction_chunks(t.r, args.samples or 20, args.seed))
+    worst = max(float(projective.identity_residuals(t, w, V, 1, -lam if he else None)[1].max())
+                for V in moments.direction_chunks(t.r, args.samples or 20, args.seed))
     if he:
         report.add("identity8_residual_max", {"residual": worst, "slope": lam},
                    args.tol, worst <= args.tol)
@@ -201,12 +200,13 @@ def _verify_identity8(args, report):
 
 
 def _verify_identity9(args, report):
+    from . import moments, projective
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
     ks = [args.k] if args.k is not None else list(range(1, t.n + 1))
     worst = np.zeros(len(ks))
-    for V in direction_chunks(t.r, args.samples or 20, args.seed):
-        worst = np.maximum(worst, identity_residuals(t, w, V, ks)[1].max(axis=1))
+    for V in moments.direction_chunks(t.r, args.samples or 20, args.seed):
+        worst = np.maximum(worst, projective.identity_residuals(t, w, V, ks)[1].max(axis=1))
     for k, res in zip(ks, worst.tolist()):
         report.add(f"identity9_residual_max_k{k}", res, args.tol, res <= args.tol)
 
@@ -214,6 +214,7 @@ def _verify_identity9(args, report):
 def _verify_moments(args, report):
     from itertools import combinations_with_replacement
 
+    from .moments import MomentSpec, moment_diagonal, moment_mc, moment_wick
     r = args.r or 3
     kmax = args.k if args.k is not None else 3
     terms = math.comb(r + kmax, kmax)  # sum over k <= kmax of C(r-1+k, k)
@@ -264,25 +265,29 @@ def cmd_check(args):
         report.add("hermite_einstein", {"deviation": dev, "slope": lam},
                    args.tol, dev <= args.tol)
     elif args.kind == "kl":
+        from .inequalities import kl_classical
         res = kl_classical(t, w)
         report.add("kl_nonpositive", res, args.tol, res["q"] <= args.tol)
     elif args.kind == "thm12":
+        from .inequalities import kl_segre
         res = kl_segre(t, w)
         report.add("thm12_margin", res, args.tol, res["margin"] >= -args.tol)
         gap = abs(res["rhs"] - res["rhs_chern"])
         report.add("thm12_rhs_agreement", gap, 1e-10, gap <= 1e-10)
     elif args.kind == "surface":
+        from .inequalities import surface_compare
         res = surface_compare(t, w)
         s2_ratio = res["c1_sq"] - res["c2"]
         report.add("surface_eq4_margin", res,
                    args.tol, res["eq4_rhs"] - s2_ratio >= -args.tol)
     elif args.kind == "remark41":
+        from .inequalities import projective_flat_bound
         res = projective_flat_bound(t, w, margin_tol=args.tol)
         report.add("remark41_bound", res, args.tol, res["holds"])
     elif args.kind == "lhe":
+        from .projective import gamma_profile
         ell = min(args.ell or 1, t.n)
-        level = 0
-        ok = True
+        level, ok = 0, True
         profiles = gamma_profile(t, w, ell, samples=_mc_samples(args.samples, 2000),
                                  seed=args.seed)
         for k, prof in enumerate(profiles, start=1):
@@ -301,6 +306,7 @@ def cmd_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_moments(args):
+    from .moments import MomentSpec, moment_mc, moment_wick
     samples = _mc_samples(args.samples)
     lambdas = tuple(args.lambdas or ())
     mus = tuple(args.mus) if args.mus is not None else lambdas
@@ -413,5 +419,11 @@ def _print_error(kind, message):
     print(canonical_json({"error": {"type": kind, "message": message}}))
 
 
+def run():
+    """Process entry: keep the import heap out of every collection, then exit with main's code."""
+    gc.freeze()
+    return sys.exit(main())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -35,6 +35,8 @@ from .symfun import newton_convert
 DEFAULT_HE_TOL = 1e-9
 DEFAULT_EQUALITY_TOL = 1e-8
 MAX_DIM = 32  # bound on n and r of outside input: an (n, n, r, r) array <= 16 MiB
+MAX_TOP_POWER = 1e150  # bound on max|c|^(n+r-1) of outside input: the top-degree products,
+                       # their squares and sums stay inside the float range (1.8e308)
 
 
 class PreconditionError(ValueError):
@@ -318,7 +320,8 @@ def check_dims(n, r):
 def tensor_from_dict(d, symmetrize=False):
     """Build a CurvatureTensor from its JSON dict.
 
-    Omitted entries are zero.  The hermitian invariant is enforced unless
+    Omitted entries are zero, and the largest modulus m must keep
+    m^(n+r-1) <= MAX_TOP_POWER.  The hermitian invariant is enforced unless
     symmetrize=True, in which case the symmetric part is taken instead.
     """
     try:
@@ -340,6 +343,11 @@ def tensor_from_dict(d, symmetrize=False):
         if not (0 <= j < n and 0 <= k < n and 0 <= lam < r and 0 <= mu < r):
             raise TensorValidationError(f"coefficient entry {e!r} out of range for n={n}, r={r}")
         c[j, k, lam, mu] = val
+    big, top = float(np.abs(c).max()), n + r - 1
+    if big > MAX_TOP_POWER ** (1 / top):
+        raise TensorValidationError(
+            f"largest coefficient modulus {big:.3e} exceeds {MAX_TOP_POWER:.0e}^(1/{top}): "
+            f"products of degree n+r-1 = {top} would overflow")
     t = CurvatureTensor(n, r, c, validate=False)
     if symmetrize:
         return t.symmetrized()

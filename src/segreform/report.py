@@ -9,6 +9,7 @@ which makes repeated runs byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -68,6 +69,8 @@ def _render(obj, out):
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} has no JSON form: a report holds finite numbers only")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, int):
         out.append(str(obj))
@@ -80,7 +83,7 @@ def _render(obj, out):
 
 
 def canonical_json(obj):
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits; nan and inf raise."""
     out = []
     _render(obj, out)
     return "".join(out)

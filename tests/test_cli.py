@@ -136,11 +136,11 @@ class TestVerify:
         assert names == ["moment_mc_l1_m1", "moment_mc_l11_m11"]
 
     def test_moments_norm_row_catches_a_wrong_diagonal_moment(self, capsys, monkeypatch):
-        import segreform.cli as cli
+        import segreform.moments as moments
 
-        exact = cli.moment_diagonal
+        exact = moments.moment_diagonal
         # the closed form without the factorial of the last multiplicity
-        monkeypatch.setattr(cli, "moment_diagonal",
+        monkeypatch.setattr(moments, "moment_diagonal",
                             lambda r, mult: exact(r, mult) / math.factorial(mult[-1]))
         code, out = run_cli(capsys, "verify", "moments", "--r", "3", "--k", "3",
                             "--samples", "1000")
@@ -204,6 +204,36 @@ class TestVerify:
             assert code == 2
             err = json.loads(out)["error"]
             assert err["type"] == "validation" and "finite" in err["message"]
+
+    def test_oversized_coefficients_are_rejected_before_any_computation(self, tmp_path, capsys):
+        path = tmp_path / "big32.json"
+        run_cli(capsys, "gen", "3", "2", "7", "--out", str(path))
+        data = json.loads(path.read_text())
+        for e in data["coeffs"]:
+            e["re"], e["im"] = e["re"] * 1e160, e["im"] * 1e160
+        path.write_text(json.dumps(data))
+        proc = subprocess.run([sys.executable, "-m", "segreform.cli", "verify", "identity9",
+                               "--in", str(path), "--samples", "20000"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 2
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "validation" and "would overflow" in err["message"]
+        assert proc.stderr == ""  # no RuntimeWarning: nothing was computed
+
+    @pytest.mark.parametrize("shape", [
+        ("4", "4", "--he", "1.0"), ("3", "3", "--he", "1.0"), ("3", "3", "--flat", "--he", "1.0"),
+        ("2", "2"), ("2", "2", "--he", "1.0"), ("2", "2", "--flat", "--he", "1.0"),
+        ("2", "2", "--strong-flat", "--he", "1.0")],
+        ids=["he44", "he33", "flat33", "rand22", "he22", "flat22", "strong22"])
+    @pytest.mark.parametrize("seed", ["11", "12"])
+    def test_generated_instances_of_every_workload_shape_are_accepted(self, tmp_path, capsys,
+                                                                      shape, seed):
+        n, r, *flags = shape
+        path = str(tmp_path / "inst.json")
+        assert run_cli(capsys, "gen", n, r, seed, *flags, "--out", path)[0] == 0
+        code, out = run_cli(capsys, "verify", "identity9", "--in", path, "--samples", "3")
+        assert code == 0
+        assert all(row["pass"] for row in json.loads(out)["results"])
 
     @pytest.mark.parametrize("field, value", [
         ("n", "NaN"), ("n", "2.5"), ("n", '"2"'), ("n", "true"), ("n", "1e400"),

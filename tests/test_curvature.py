@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
+from segreform.curvature import (MAX_TOP_POWER, CurvatureTensor, Kaehler11, PreconditionError,
                                  TensorValidationError, chern_forms, direction_matrices,
                                  is_hermite_einstein, is_projectively_flat,
                                  mean_curvature, omega_ratio, project_to_he,
@@ -401,6 +401,29 @@ class TestJsonInterchange:
         text2 = canonical_json(tensor_to_dict(t2))
         assert text1 == text2
         assert np.array_equal(t.c, t2.c)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    def test_canonical_json_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="no JSON form"):
+            canonical_json({"v": value})
+        with pytest.raises(ValueError, match="no JSON form"):
+            canonical_json({"rows": [{"v": 1.0}, {"v": value}]})
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (8, 8)])
+    def test_coefficient_bound_is_max_top_power_at_degree_n_plus_r_minus_1(self, n, r):
+        bound = MAX_TOP_POWER ** (1 / (n + r - 1))
+
+        def payload(value):
+            return {"n": n, "r": r, "coeffs": [
+                {"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": 0.0, "im": 0.0},
+                {"j": n, "k": n, "lambda": r, "mu": r, "re": value, "im": 0.0}]}
+
+        assert tensor_from_dict(payload(bound)).c[n - 1, n - 1, r - 1, r - 1] == bound
+        for value in (bound * (1 + 1e-12), -bound * 2):
+            with pytest.raises(TensorValidationError, match=f"degree n\\+r-1 = {n + r - 1}"):
+                tensor_from_dict(payload(value))
+        with pytest.raises(TensorValidationError, match="would overflow"):
+            tensor_from_dict(payload(bound * 2), symmetrize=True)
 
     def test_omitted_entries_are_zero(self):
         t = tensor_from_dict({"n": 2, "r": 1, "coeffs": [

@@ -1,21 +1,25 @@
-"""The lazy package namespace and the CLI's BLAS thread setting, checked in child processes."""
+"""The lazy package namespace, and the CLI process's BLAS threads, imports and
+garbage-collector freeze, checked in child processes."""
 
+import ast
+import gc
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import segreform
-from segreform import curvature, exterior, inequalities, kahler, moments, projective, symfun
+from segreform import cli, curvature, exterior, inequalities, kahler, moments, projective, symfun
 
 from conftest import child_env
 
 HOMES = (curvature, exterior, inequalities, kahler, moments, projective, symfun)
 
 
-def run_child(code, **env):
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def run_child(code, *argv, **env):
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=dict(child_env(), **env), check=True)
     return proc.stdout.split()
 
@@ -59,3 +63,56 @@ class TestBlasThreads:
     def test_user_setting_wins(self):
         probe = "import os, segreform.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert run_child(probe, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+class TestProcessEntry:
+    """`python -m segreform.cli` and the `segreform` script run through one entry, which
+    freezes the import heap; each subcommand imports only the layers it runs."""
+
+    # runs the CLI as __main__ with argv, then prints the freeze count and the loaded
+    # segreform modules at exit, after the entry's sys.exit
+    PROBE = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print(gc.get_freeze_count(), *sorted(\n"
+             "    m for m in sys.modules if m.split('.')[0] == 'segreform')))\n"
+             "sys.argv[0] = 'segreform'\n"
+             "runpy.run_module('segreform.cli', run_name='__main__')\n")
+    BASE = {"segreform", "segreform.curvature", "segreform.exterior", "segreform.report",
+            "segreform.symfun"}
+
+    def run_cli_child(self, *argv):
+        freeze_count, *loaded = run_child(self.PROBE, *argv)
+        return int(freeze_count), set(loaded)
+
+    def test_each_subcommand_loads_only_its_layers(self, tmp_path):
+        inst, out = str(tmp_path / "he22.json"), str(tmp_path / "out.json")
+        assert self.run_cli_child("gen", "2", "2", "1", "--he", "1.0", "--out", inst)[1] \
+            == self.BASE
+        assert self.run_cli_child("check", "kl", "--in", inst, "--out", out)[1] \
+            == self.BASE | {"segreform.inequalities"}
+        assert self.run_cli_child("moments", "--r", "2", "--lambdas", "1", "--samples", "100",
+                                  "--out", out)[1] == self.BASE | {"segreform.moments"}
+
+    def test_entry_freezes_the_import_heap(self, tmp_path):
+        freeze_count, _ = self.run_cli_child("gen", "2", "2", "1", "--out",
+                                             str(tmp_path / "t.json"))
+        assert freeze_count > 0
+
+    def test_main_in_process_freezes_nothing(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        inst = str(tmp_path / "t.json")
+        assert cli.main(["gen", "2", "2", "1", "--he", "1.0", "--out", inst]) == 0
+        assert cli.main(["check", "he", "--in", inst]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_and_main_block_share_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = Path(cli.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["segreform"]
+        module, _, name = target.partition(":")
+        assert module == "segreform.cli" and getattr(cli, name) is cli.run
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert ast.unparse(block).splitlines()[1:] == [f"    {name}()"]

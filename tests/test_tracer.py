@@ -1,5 +1,6 @@
 """The benchmark's span tracer (perfbench/tracer.py) still wraps the package."""
 
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -31,8 +32,11 @@ def package_attributes():
 
 
 def test_tracer_counts_a_pipeline_and_uninstalls(tmp_path, capsys):
+    tracer_module = load_tracer()
+    for short in tracer_module.MODULES:  # the CLI imports most layers only when a command runs
+        importlib.import_module(f"segreform.{short}")
     before = package_attributes()
-    tracer = load_tracer().Tracer()
+    tracer = tracer_module.Tracer()
     tracer.install()
     try:
         inst = str(tmp_path / "he22.json")

@@ -5,6 +5,8 @@
 # principal minors of that matrix of forms; Segre forms invert the total
 # Chern form degree by degree.
 
+import numpy as np
+
 import segreform as sf
 
 n, r = 3, 3
@@ -14,7 +16,8 @@ print(t)
 cs = sf.chern_forms(t)
 print("\nChern forms: bidegrees", [(c.p, c.q) for c in cs])
 print("c_1 nonzeros:", len(cs[1].coeffs), " c_2 nonzeros:", len(cs[2].coeffs))
-print("all real:", all(c.is_real(1e-11) for c in cs))
+# a (k,k)-form is real when coeff(I, J) == (-1)^k conj(coeff(J, I))
+print("all real:", all(np.abs(c.a - (-1) ** c.p * c.a.conj().T).max() <= 1e-11 for c in cs))
 
 ss = sf.segre_forms(cs, n)
 print("\nSegre forms satisfy s_1 = -c_1:",
@@ -29,13 +32,17 @@ for k in range(1, n + 1):
         acc = acc + sf.wedge(cs[j], ss[k - j])
     print(f"inversion residual at degree {k}: {acc.max_abs():.2e}")
 
-# For a diagonal tensor the Chern forms are the elementary symmetric
-# polynomials of the diagonal (1,1)-forms; Segre forms are the signed
-# complete homogeneous ones.  Scalar shadow with eigenvalue sequences:
+# For Theta_hat = diag(a_1, ..., a_r) tensor omega, omega = sum_j i dz_j ^ dzbar_j,
+# the Chern forms are c_k = gamma_k(a) omega^k and the Segre forms
+# s_k = (-1)^k sigma_k(a) omega^k, gamma and sigma the elementary and complete
+# homogeneous symmetric polynomials.  Newton's recursion over the forms
+# gamma_k(a) omega^k, the one segre_forms runs with gamma_j = (-1)^j c_j,
+# gives sigma_k(a) omega^k: a scalar shadow of the form algebra.
 vals = [0.5, -1.0, 2.0]
-gammas = [sf.elem_sym(vals, j) for j in range(4)]
-sigmas = sf.newton_convert(gammas, 3)
-print("\nscalar shadow: gamma =", gammas, " sigma =", [f"{s:.3g}" for s in sigmas])
-
-# The same Newton recursion runs over the algebra of even-degree forms:
-# segre_forms is that recursion with gamma_j = (-1)^j c_j.
+powers = [sf.Form.constant(n)]
+for _ in range(n):
+    powers.append(sf.wedge(powers[-1], sf.Form.one_one(np.eye(n))))
+gammas = [float(sf.elem_sym(vals, j)) for j in range(n + 1)]
+sigmas = sf.newton_convert([g * p for g, p in zip(gammas, powers)], n)
+print("\nscalar shadow: gamma =", gammas,
+      " sigma =", [f"{(s.a[0, 0] / p.a[0, 0]).real:.3g}" for s, p in zip(sigmas, powers)])

@@ -14,20 +14,19 @@ import numpy as np
 import segreform as sf
 
 print("diagonal moments on C^2:")
-for mult in [(1, 0), (2, 0), (1, 1)]:
-    print(f"  E prod |v|^2m, m={mult}:", sf.moment_diagonal(2, mult))
+for lams in [(1,), (1, 1), (1, 2)]:
+    print(f"  E prod |v_l|^2, l={lams}:", sf.moment_wick(2, lams, lams))
 
-spec = sf.MomentSpec(2, (1, 2), (2, 1))
-print("\ncrossed indices E[v1 v2 conj(v2) conj(v1)] =", sf.moment_wick(spec))
-print("unbalanced E[v1 conj(v2)] =", sf.moment_wick(sf.MomentSpec(2, (1,), (2,))))
+print("\ncrossed indices E[v1 v2 conj(v2) conj(v1)] =", sf.moment_wick(2, (1, 2), (2, 1)))
+print("unbalanced E[v1 conj(v2)] =", sf.moment_wick(2, (1,), (2,)))
 
 # moment_mc reads a batch of moments of one r off one draw of directions;
-# each estimate is the one its spec would get alone with the same seed.
-batch = [spec, sf.MomentSpec(2, (1, 1), (1, 1)), sf.MomentSpec(2, (1,), (2,))]
+# each estimate is the one its (lambdas, mus) pair would get alone with the same seed.
+batch = [((1, 2), (2, 1)), ((1, 1), (1, 1)), ((1,), (2,))]
 print("\nMonte Carlo, one draw of 500k directions:")
-for s, (est, err) in zip(batch, sf.moment_mc(batch, samples=500_000, seed=1)):
-    exact = complex(sf.moment_wick(s))
-    print(f"  l={s.lambdas} m={s.mus}: {est.real:+.6f}{est.imag:+.6f}i +- {err:.6f}  "
+for (lams, mus), (est, err) in zip(batch, sf.moment_mc(2, batch, samples=500_000, seed=1)):
+    exact = complex(sf.moment_wick(2, lams, mus))
+    print(f"  l={lams} m={mus}: {est.real:+.6f}{est.imag:+.6f}i +- {err:.6f}  "
           f"(exact {exact.real:.6f}, {abs(est - exact) / err:.2f} stderr units)")
 
 # phi_k of a Hermitian matrix: sigma_k of its eigenvalues over binom(r-1+k, k),
@@ -35,10 +34,12 @@ for s, (est, err) in zip(batch, sf.moment_mc(batch, samples=500_000, seed=1)):
 rng = np.random.default_rng(7)
 a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 T = 0.5 * (a + a.conj().T)
-eigs = np.linalg.eigvalsh(T)
-sigma = sf.newton_convert([sf.elem_sym(eigs, j) for j in range(5)], 3)
+gammas = [sf.elem_sym(np.linalg.eigvalsh(T), j) for j in range(5)]
+sigma = [1.0]
+for m in range(1, 4):
+    sigma.append(sum((-1) ** (j + 1) * gammas[j] * sigma[m - j] for j in range(1, m + 1)))
 phi = [sigma[k] / math.comb(4 - 1 + k, k) for k in range(4)]
-vs = sf.sample_directions(4, 200_000, seed=2)
+vs = np.concatenate(list(sf.direction_chunks(4, 200_000, seed=2)))
 quad = np.einsum("si,ij,sj->s", vs.conj(), T, vs).real  # <T v, v> per direction
 print("\nphi_k(T) for a random Hermitian T on C^4:")
 for k in range(1, 4):

@@ -24,8 +24,8 @@ _EXPORTS = {  # home module -> its public names
     "exterior": ("Form", "one_one_power", "top_pairing", "wedge"),
     "inequalities": ("kl_classical", "kl_segre", "projective_flat_bound", "surface_compare"),
     "kahler": ("relative_eigenvalues",),
-    "moments": ("DIRECTION_CHUNK", "MomentSpec", "direction_chunks", "moment_diagonal",
-                "moment_mc", "moment_wick", "phi_k_tensor", "sample_directions"),
+    "moments": ("DIRECTION_CHUNK", "direction_chunks", "moment_mc", "moment_wick",
+                "phi_k_tensor"),
     "projective": ("gamma_profile", "identity_residuals", "pushforward_segre"),
     "symfun": ("elem_sym", "newton_convert"),
 }

@@ -30,15 +30,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .curvature import (MAX_DIM, Kaehler11, PreconditionError, TensorValidationError,
-                        _he_deviation, check_dims, chern_forms, is_hermite_einstein,
-                        load_tensor, project_to_he, projectively_flat_tensor,
-                        random_curvature, segre_forms, strong_flat_tensor,
-                        tensor_to_dict)
-from .report import Report, canonical_json
+from .curvature import (MAX_DIM, MAX_TOP_POWER, Kaehler11, PreconditionError,
+                        TensorValidationError, _he_deviation, check_dims, chern_forms,
+                        is_hermite_einstein, load_tensor, project_to_he,
+                        projectively_flat_tensor, random_curvature, segre_forms,
+                        strong_flat_tensor, tensor_to_dict)
+from .report import NonFiniteError, Report, canonical_json
 
 DEFAULT_TOL = 1e-9
 MAX_MOMENT_TERMS = 100_000  # diagonal moments summed by one verify moments report
+MAX_OMEGA_CONDITION = 1e12  # bound on the eigenvalue ratio of --omega: the eigensolves and
+                            # contractions against omega lose about log10(ratio) of 16 digits
 MC_MOMENT_PAIRS = (((1,), (1,)), ((1, 2), (2, 1)), ((1, 1), (1, 1)), ((1,), (2,)),
                    ((1, 2, 3), (3, 2, 1)))  # (lambdas, mus) of verify moments' MC rows
 
@@ -60,7 +62,9 @@ def parse_omega(spec, n):
     """Parse --omega: 'euclidean', inline JSON matrix, or @path to a JSON file.
 
     Matrix entries are numbers or [re, im] pairs; the result must be
-    Hermitian positive definite.
+    Hermitian positive definite, with max|g|^n <= MAX_TOP_POWER, a ratio of
+    largest to smallest eigenvalue <= MAX_OMEGA_CONDITION and a smallest
+    eigenvalue e with 1/e^n <= MAX_TOP_POWER.
     """
     if spec is None or spec == "euclidean":
         return Kaehler11.euclidean(n)
@@ -88,8 +92,19 @@ def parse_omega(spec, n):
         w = Kaehler11(mat)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if not w.is_positive_definite():
+    eigs = np.linalg.eigvalsh(w.g)
+    if not eigs[0] > 0:
         raise UsageError("omega must be positive definite")
+    big = float(np.abs(w.g).max())
+    if big > MAX_TOP_POWER ** (1 / n):
+        raise UsageError(f"largest omega entry modulus {big:.3e} exceeds "
+                         f"{MAX_TOP_POWER:.0e}^(1/{n}): omega^n would overflow")
+    if eigs[-1] > MAX_OMEGA_CONDITION * eigs[0]:
+        raise UsageError(f"omega eigenvalues span a ratio of {eigs[-1] / eigs[0]:.3e}, "
+                         f"more than {MAX_OMEGA_CONDITION:.0e}")
+    if eigs[0] < MAX_TOP_POWER ** (-1 / n):
+        raise UsageError(f"smallest omega eigenvalue {eigs[0]:.3e} is below "
+                         f"{MAX_TOP_POWER:.0e}^(-1/{n}): omega^n would underflow")
     return w
 
 
@@ -214,7 +229,7 @@ def _verify_identity9(args, report):
 def _verify_moments(args, report):
     from itertools import combinations_with_replacement
 
-    from .moments import MomentSpec, moment_diagonal, moment_mc, moment_wick
+    from .moments import moment_mc, moment_wick
     r = args.r or 3
     kmax = args.k if args.k is not None else 3
     terms = math.comb(r + kmax, kmax)  # sum over k <= kmax of C(r-1+k, k)
@@ -227,14 +242,14 @@ def _verify_moments(args, report):
         for combo in combinations_with_replacement(range(1, r + 1), k):
             mult = [combo.count(l) for l in range(1, r + 1)]
             weight = math.factorial(k) // math.prod(map(math.factorial, mult))
-            total += weight * moment_diagonal(r, mult)
+            total += weight * moment_wick(r, combo, combo)
         report.add(f"moment_norm_k{k}", float(abs(total - 1)), 0.0, total == 1)
     samples = _mc_samples(args.samples, 1_000_000)
-    specs = [MomentSpec(r, lam, mu) for lam, mu in MC_MOMENT_PAIRS if max(lam + mu) <= r]
-    for spec, (est, err) in zip(specs, moment_mc(specs, samples, args.seed)):
-        units = abs(est - complex(moment_wick(spec))) / (err + 1e-15)
-        name = f"moment_mc_l{''.join(map(str, spec.lambdas))}_m{''.join(map(str, spec.mus))}"
-        report.add(name, units, 4.0, units <= 4.0)
+    pairs = [(lam, mu) for lam, mu in MC_MOMENT_PAIRS if max(lam + mu) <= r]
+    for (lam, mu), (est, err) in zip(pairs, moment_mc(r, pairs, samples, args.seed)):
+        units = abs(est - complex(moment_wick(r, lam, mu))) / (err + 1e-15)
+        report.add(f"moment_mc_l{''.join(map(str, lam))}_m{''.join(map(str, mu))}",
+                   units, 4.0, units <= 4.0)
 
 
 def cmd_verify(args):
@@ -306,22 +321,25 @@ def cmd_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_moments(args):
-    from .moments import MomentSpec, moment_mc, moment_wick
+    from .moments import moment_mc, moment_wick
     samples = _mc_samples(args.samples)
-    lambdas = tuple(args.lambdas or ())
-    mus = tuple(args.mus) if args.mus is not None else lambdas
-    spec = MomentSpec(args.r, lambdas, mus)
+    lambdas = args.lambdas or []
+    mus = args.mus if args.mus is not None else lambdas
+    if len(lambdas) != len(mus):
+        raise UsageError("lambdas and mus must have equal length")
+    for i in lambdas + mus:
+        if not 1 <= i <= args.r:
+            raise UsageError(f"index {i} out of range [1, {args.r}]")
     report = Report("moments",
-                    {"r": args.r, "lambdas": list(spec.lambdas),
-                     "mus": list(spec.mus), "samples": args.samples,
-                     "seed": args.seed})
-    exact = moment_wick(spec)
+                    {"r": args.r, "lambdas": lambdas, "mus": mus,
+                     "samples": args.samples, "seed": args.seed})
+    exact = moment_wick(args.r, lambdas, mus)
     report.add("exact",
                {"value": float(exact),
                 "fraction": f"{exact.numerator}/{exact.denominator}"},
                0.0, True)
     if samples:
-        [(est, err)] = moment_mc([spec], samples, args.seed)
+        [(est, err)] = moment_mc(args.r, [(lambdas, mus)], samples, args.seed)
         units = abs(est - complex(exact)) / (err + 1e-15)
         report.add("mc_gap_stderr_units",
                    {"estimate_re": float(est.real), "estimate_im": float(est.imag),
@@ -409,6 +427,9 @@ def main(argv=None):
         return 2
     except PreconditionError as exc:
         _print_error("precondition", str(exc))
+        return 2
+    except NonFiniteError as exc:
+        _print_error("non_finite", str(exc))
         return 2
     except (FileNotFoundError, ValueError) as exc:
         _print_error("usage", str(exc))

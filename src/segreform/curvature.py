@@ -74,23 +74,14 @@ class Kaehler11:
             return True
         return bool(np.linalg.eigvalsh(self.g).min() > 0)
 
-    def to_form(self):
-        return Form.one_one(self.g)
-
     def __add__(self, other):
         return Kaehler11(self.g + other.g)
-
-    def __sub__(self, other):
-        return Kaehler11(self.g - other.g)
 
     def __mul__(self, scalar):
         s = float(scalar)
         return Kaehler11(s * self.g)
 
     __rmul__ = __mul__
-
-    def max_abs(self):
-        return float(np.abs(self.g).max()) if self.n else 0.0
 
     def __repr__(self):
         return f"Kaehler11(n={self.n})"
@@ -122,11 +113,11 @@ class CurvatureTensor:
         if validate:
             self.validate()
 
-    def validate(self, tol=1e-10):
-        """Check conj(c[j,k,lam,mu]) == c[k,j,mu,lam]; report the worst offender."""
+    def validate(self):
+        """Check conj(c[j,k,lam,mu]) == c[k,j,mu,lam] within 1e-10; report the worst offender."""
         dev = np.abs(self.c.conj() - self.c.transpose(1, 0, 3, 2))
         worst = float(dev.max())
-        if worst > tol:
+        if worst > 1e-10:
             j, k, lam, mu = np.unravel_index(int(dev.argmax()), dev.shape)
             raise TensorValidationError(
                 "hermitian symmetry conj(c[j,k,lam,mu]) = c[k,j,mu,lam] violated at "
@@ -239,10 +230,10 @@ def _he_deviation(t, w):
     return float(np.abs(T - lam * np.eye(t.r)).max()), lam
 
 
-def is_hermite_einstein(t, w, tol=DEFAULT_HE_TOL):
-    """Whether T == lambda * Id within tol; returns (flag, lambda = tr(T)/r)."""
+def is_hermite_einstein(t, w):
+    """Whether T == lambda * Id within DEFAULT_HE_TOL; returns (flag, lambda = tr(T)/r)."""
     dev, lam = _he_deviation(t, w)
-    return dev <= tol, lam
+    return dev <= DEFAULT_HE_TOL, lam
 
 
 def project_to_he(t, w, lam):

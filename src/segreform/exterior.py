@@ -6,7 +6,7 @@ factors.  Coefficients are raw complex numbers against that basis: no i or
 2*pi normalisations are folded in at this level (those belong to the modules
 that build geometric forms).  With this convention a (1,1)-form with
 Hermitian coefficient matrix g, i.e. sum_jk g_jk * (i dz_j ^ dzbar_k), has
-coefficient 1j*g_jk at ((j,), (k,)), and the reality predicate below reads
+coefficient 1j*g_jk at ((j,), (k,)), and a form is real when
 coeff(I, J) == conj(coeff(J, I)) * (-1)**(p*q).
 
 The sign of any reordering is the parity of the permutation sorting the
@@ -125,23 +125,8 @@ class Form:
     def coeff(self, I, J):
         return complex(self.a[self._position(I, J)])
 
-    def is_zero(self, tol=0.0):
-        return bool(np.all(np.abs(self.a) <= tol))
-
     def max_abs(self):
         return float(np.abs(self.a).max(initial=0.0))
-
-    def conjugate(self):
-        """Complex conjugate, a (q,p)-form: conj(c dz_I^dzbar_J) = (-1)^{pq} conj(c) dz_J^dzbar_I."""
-        sign = -1.0 if (self.p * self.q) % 2 else 1.0
-        return Form(self.m, self.q, self.p, sign * self.a.conj().T)
-
-    def is_real(self, tol=1e-10):
-        """Whether coeff(I,J) == conj(coeff(J,I)) * (-1)^{pq} up to tol."""
-        if self.p != self.q:
-            return self.is_zero(tol)
-        diff = self - self.conjugate()
-        return diff.max_abs() <= tol
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -168,10 +153,6 @@ class Form:
             return NotImplemented
         return ((self.m, self.p, self.q) == (other.m, other.p, other.q)
                 and np.array_equal(self.a, other.a))
-
-    def allclose(self, other, tol=1e-10):
-        self._check_compatible(other)
-        return (self - other).max_abs() <= tol
 
     def _check_compatible(self, other):
         if not isinstance(other, Form):

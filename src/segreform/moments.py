@@ -28,7 +28,6 @@ up to the sign (-1)^k and the binomial factor, the k-th Segre form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -40,88 +39,44 @@ from .exterior import Form, wedge
 DIRECTION_CHUNK = 8192  # directions per generator of a direction stream
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """Index data for a sphere moment in dimension r (1-based indices)."""
-
-    r: int
-    lambdas: tuple
-    mus: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(int(i) for i in self.lambdas))
-        object.__setattr__(self, "mus", tuple(int(i) for i in self.mus))
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if len(self.lambdas) != len(self.mus):
-            raise ValueError("lambdas and mus must have equal length")
-        for i in self.lambdas + self.mus:
-            if not 1 <= i <= self.r:
-                raise ValueError(f"index {i} out of range [1, {self.r}]")
-
-    @property
-    def k(self):
-        return len(self.lambdas)
-
-
-def moment_diagonal(r, multiplicities):
-    """Exact moment of prod_l |v_l|^(2 m_l): m_1!...m_r!(r-1)!/(r-1+k)!."""
-    mult = [int(m) for m in multiplicities]
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if len(mult) != r or any(m < 0 for m in mult):
-        raise ValueError("need r nonnegative multiplicities")
-    k = sum(mult)
-    num = math.factorial(r - 1)
-    for m in mult:
-        num *= math.factorial(m)
-    return Fraction(num, math.factorial(r - 1 + k))
-
-
-def moment_wick(spec):
-    """Exact moment perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b].
-
-    The permanent is m_1! ... m_r! when lambdas and mus agree as multisets,
-    so the moment is moment_diagonal of the multiplicities; otherwise it is
-    0, matching the phase-rotation symmetry of the sphere measure.
-    """
-    if sorted(spec.lambdas) != sorted(spec.mus):
+def moment_wick(r, lambdas, mus):
+    """Exact moment E[v_{l_1}...v_{l_k} conj(v_{m_1})...conj(v_{m_k})] on the sphere of C^r
+    for 1-based index sequences lambdas and mus of one length k: perm(M) (r-1)!/(r-1+k)!,
+    which is m_1!...m_r! (r-1)!/(r-1+k)! when they agree as multisets, else 0."""
+    if sorted(lambdas) != sorted(mus):
         return Fraction(0)
-    return moment_diagonal(spec.r, [spec.lambdas.count(l) for l in range(1, spec.r + 1)])
+    num = math.factorial(r - 1) * math.prod(math.factorial(lambdas.count(l)) for l in set(lambdas))
+    return Fraction(num, math.factorial(r - 1 + len(lambdas)))
 
 
-def moment_mc(specs, samples, seed):
-    """Monte Carlo estimates of sphere moments of one r; one (estimate, stderr) per spec.
+def moment_mc(r, pairs, samples, seed):
+    """Monte Carlo estimates of sphere moments in C^r; one (estimate, stderr)
+    per (lambdas, mus) pair of index sequences of one length.
 
-    All specs read the first `samples` directions of the seed's direction
+    All pairs read the first `samples` directions of the seed's direction
     stream, chunk by chunk, so each estimate is a deterministic function of
-    (spec, samples, seed), whatever the other specs of the batch and their
+    (pair, samples, seed), whatever the other pairs of the batch and their
     order, and memory does not grow with `samples`.
     """
-    specs = [] if isinstance(specs, MomentSpec) else list(specs)
-    if not specs:
-        raise ValueError("moment_mc needs a non-empty sequence of MomentSpec, e.g. [spec]")
-    r = specs[0].r
-    if any(spec.r != r for spec in specs):
-        raise ValueError("all specs of one moment_mc batch must share r")
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    acc = [0j] * len(specs)
-    acc_sq = [0.0] * len(specs)
-    live = [i for i, spec in enumerate(specs) if spec.k]
+    acc = [0j] * len(pairs)
+    acc_sq = [0.0] * len(pairs)
+    live = [i for i, (lambdas, _) in enumerate(pairs) if lambdas]
     for z in direction_chunks(r, samples if live else 0, seed):
         cols = z.T.copy()
         for i in live:  # np.multiply, as `*` may reuse a temporary right operand, swapping factors
-            vals = np.multiply(reduce(np.multiply, (cols[l - 1] for l in specs[i].lambdas)),
-                               reduce(np.multiply, (cols[m - 1].conj() for m in specs[i].mus)))
+            lambdas, mus = pairs[i]
+            vals = np.multiply(reduce(np.multiply, (cols[l - 1] for l in lambdas)),
+                               reduce(np.multiply, (cols[m - 1].conj() for m in mus)))
             acc[i] += vals.sum()
             acc_sq[i] += float((vals.real**2 + vals.imag**2).sum())
     results = []
-    for spec, total, total_sq in zip(specs, acc, acc_sq):
+    for (lambdas, _), total, total_sq in zip(pairs, acc, acc_sq):
         mean = total / samples
         var = max(total_sq - samples * abs(mean) ** 2, 0.0) / (samples - 1) if samples > 1 else 0.0
-        results.append((complex(mean), float(math.sqrt(var / samples))) if spec.k else (1 + 0j, 0.0))
+        results.append((complex(mean), float(math.sqrt(var / samples))) if lambdas else (1 + 0j, 0.0))
     return results
 
 
@@ -141,11 +96,6 @@ def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         for i in range(0, len(z), rows):
             yield z[i:i + rows]
-
-
-def sample_directions(r, count, seed):
-    """The first `count` directions of the seed's direction stream, rows of one array."""
-    return np.concatenate([np.empty((0, r), dtype=complex), *direction_chunks(r, count, seed)])
 
 
 def phi_k_tensor(t, k):

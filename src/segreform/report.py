@@ -10,43 +10,36 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from . import __version__
 
 
-@dataclass
-class ResultItem:
-    name: str
-    value: object
-    tolerance: float
-    passed: bool
-
-    def to_dict(self):
-        return {"name": self.name, "value": self.value,
-                "tolerance": float(self.tolerance), "pass": bool(self.passed)}
-
-
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    results: list = field(default_factory=list)
+    """One command's report: its name, its inputs and one result row per check."""
+
+    def __init__(self, command, inputs):
+        self.command = command
+        self.inputs = inputs
+        self.results = []
 
     def add(self, name, value, tolerance, passed):
-        self.results.append(ResultItem(name, value, tolerance, passed))
+        self.results.append({"name": name, "value": value,
+                             "tolerance": float(tolerance), "pass": bool(passed)})
 
     @property
     def all_passed(self):
-        return all(r.passed for r in self.results)
+        return all(row["pass"] for row in self.results)
 
     def to_dict(self):
         return {"command": self.command, "inputs": self.inputs,
-                "results": [r.to_dict() for r in self.results],
-                "version": __version__}
+                "results": self.results, "version": __version__}
 
     def dumps(self):
         return canonical_json(self.to_dict())
+
+
+class NonFiniteError(ValueError):
+    """A report value is nan or inf, which has no JSON form."""
 
 
 def _render(obj, out):
@@ -70,7 +63,7 @@ def _render(obj, out):
         out.append("true" if obj else "false")
     elif isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"{obj!r} has no JSON form: a report holds finite numbers only")
+            raise NonFiniteError(f"{obj!r} has no JSON form: a report holds finite numbers only")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, int):
         out.append(str(obj))
@@ -83,7 +76,7 @@ def _render(obj, out):
 
 
 def canonical_json(obj):
-    """Deterministic JSON: sorted keys, floats at 17 significant digits; nan and inf raise."""
+    """Deterministic JSON: sorted keys, 17-digit floats; nan and inf raise NonFiniteError."""
     out = []
     _render(obj, out)
     return "".join(out)

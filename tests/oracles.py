@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 Each one takes a slower, more literal route than the library code it checks:
-Ryser's permanent for the Wick moments, one draw per spec and fancy-indexed
+Ryser's permanent for the Wick moments, one draw per moment and fancy-indexed
 products for the Monte Carlo moments, enumeration of weakly increasing
-tuples for the complete homogeneous polynomials, moment sums over ordered
+tuples for the complete homogeneous polynomials, a loop over Python floats
+for the Newton-type recursion, moment sums over ordered
 index tuples weighted by those permanents for the phi_k averages (the library
 folds the balanced moments into one constant), the balanced walk over the
 lambdas in lexicographic order keeping every suffix sum, one Python-float
@@ -19,6 +20,10 @@ for the one omega contraction of the library, curvature.omega_ratio; the
 primitive decomposition c_1 = eta + f omega, the gamma_2 bounds, the
 End(E) tensor and the closed form of phi_k on a matrix check the
 inequalities and the moments from the eigenvalue side.
+
+The predicates on forms (is_zero, allclose, is_real), the symmetry
+deviation of a curvature tensor and the direction stream gathered into one
+array (sample_directions) serve the tests only, so they live here.
 """
 
 import math
@@ -32,14 +37,47 @@ from segreform.curvature import (DEFAULT_EQUALITY_TOL, CurvatureTensor, Kaehler1
 from segreform.exterior import Form, _basis, wedge
 from segreform.inequalities import _require_he, kl_classical
 from segreform.kahler import relative_eigenvalues
-from segreform.moments import MomentSpec, sample_directions
-from segreform.symfun import elem_sym, newton_convert
+from segreform.moments import direction_chunks
+from segreform.symfun import elem_sym
 
 # direct enumeration of sigma_k is exponential in k
 _COMPLETE_SYM_MAX_K = 6
 # directions per generator of a direction stream; moment_mc_loop must draw the same chunks
 _MC_CHUNK = 8192
 PRIMITIVITY_RTOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# form predicates, the curvature symmetry and the direction stream as one array
+# ---------------------------------------------------------------------------
+
+def is_zero(f, tol=0.0):
+    """Whether every coefficient of the form f is at most tol in modulus."""
+    return bool(np.all(np.abs(f.a) <= tol))
+
+
+def allclose(a, b, tol=1e-10):
+    """Whether two forms of one bidegree differ by at most tol in every coefficient."""
+    return (a - b).max_abs() <= tol
+
+
+def is_real(f, tol=1e-10):
+    """Whether f equals its complex conjugate up to tol: coeff(I,J) ==
+    conj(coeff(J,I)) * (-1)^{pq}, as conj(c dz_I^dzbar_J) = (-1)^{pq} conj(c) dz_J^dzbar_I."""
+    if f.p != f.q:
+        return is_zero(f, tol)
+    sign = -1.0 if (f.p * f.q) % 2 else 1.0
+    return float(np.abs(f.a - sign * f.a.conj().T).max(initial=0.0)) <= tol
+
+
+def hermitian_deviation(t):
+    """max |conj(c[j,k,lam,mu]) - c[k,j,mu,lam]| of a curvature tensor."""
+    return float(np.abs(t.c.conj() - t.c.transpose(1, 0, 3, 2)).max())
+
+
+def sample_directions(r, count, seed):
+    """The first `count` directions of the seed's direction stream, rows of one array."""
+    return np.concatenate([np.empty((0, r), dtype=complex), *direction_chunks(r, count, seed)])
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +119,8 @@ def mean_curvature_wedge(t, w):
     """Mean curvature T by one wedge against omega^(n-1)/(n-1)! and one
     top_ratio per entry Theta_hat[mu, lam]."""
     require_kaehler(w)
-    vol = factorial_power(w.to_form(), t.n)
-    wpow = factorial_power(w.to_form(), t.n - 1)
+    vol = factorial_power(Form.one_one(w.g), t.n)
+    wpow = factorial_power(Form.one_one(w.g), t.n - 1)
     T = np.empty((t.r, t.r), dtype=complex)
     for mu in range(t.r):
         for lam in range(t.r):
@@ -112,7 +150,7 @@ def primitive_split(c1, w):
     """
     require_kaehler(w)
     f = gamma_rel(c1, w, 1) / w.n
-    return c1 - f * w, f
+    return Kaehler11(c1.g - f * w.g), f
 
 
 def primitive_square_ratio(eta, w):
@@ -126,7 +164,7 @@ def primitive_square_ratio(eta, w):
         raise PreconditionError("primitive square ratio needs n >= 2")
     alphas = relative_eigenvalues(eta, w)
     g1 = float(elem_sym(alphas, 1))
-    if abs(g1) > PRIMITIVITY_RTOL * (1.0 + eta.max_abs()):
+    if abs(g1) > PRIMITIVITY_RTOL * (1.0 + float(np.abs(eta.g).max())):
         raise PreconditionError(f"input is not primitive: gamma_1 = {g1:.3e}")
     return float(elem_sym(alphas, 2))
 
@@ -145,7 +183,7 @@ def kl_segre_margin_primitive(t, w):
     n, r = t.n, t.r
     eta, f = primitive_split(Kaehler11(np.einsum("jkll->jk", t.c)), w)
     # eta ^ omega^{n-1} must vanish identically
-    eta_top = wedge(eta.to_form(), wedge_power(w.to_form(), n - 1))
+    eta_top = wedge(Form.one_one(eta.g), wedge_power(Form.one_one(w.g), n - 1))
     eta2 = 2.0 * primitive_square_ratio(eta, w) / (n * (n - 1))
     q = kl_classical(t, w)["q"]
     margin = -(r + 1) / (2 * r) * eta2 - q / (2 * r)
@@ -180,7 +218,7 @@ def gamma2_bound(t, w, v):
     lam = _require_he(t, w)
     theta = direction_form(t, v)
     bound = (t.n - 1) * lam * lam / (2 * t.n)
-    eq = (theta - (lam / t.n) * w).max_abs() <= DEFAULT_EQUALITY_TOL
+    eq = float(np.abs(theta.g - (lam / t.n) * w.g).max()) <= DEFAULT_EQUALITY_TOL
     return {"gamma2": gamma_rel(theta, w, 2), "bound": bound, "equality": eq}
 
 
@@ -203,8 +241,8 @@ def phi_k_scalar(T, k):
     """Sphere average of <T v, v>^k for Hermitian T, in closed form.
 
     Equals sigma_k(eigenvalues) / binom(r-1+k, k), sigma_k produced from the
-    elementary symmetric polynomials through the Newton-type recursion;
-    positive for positive definite T.
+    elementary symmetric polynomials through the Newton-type recursion over
+    real scalars (newton_scalar); positive for positive definite T.
     """
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -218,7 +256,22 @@ def phi_k_scalar(T, k):
     r = T.shape[0]
     eigs = np.linalg.eigvalsh(T)
     gammas = [1.0] + [elem_sym(eigs, j) for j in range(1, min(k, r) + 1)]
-    return float(newton_convert(gammas, k)[k]) / math.comb(r - 1 + k, k)
+    return float(newton_scalar(gammas, k)[k]) / math.comb(r - 1 + k, k)
+
+
+def newton_scalar(gammas, m_max):
+    """sigma_0..sigma_m_max of the Newton-type recursion over real scalars:
+    sigma_m = sum_{j=1}^{m} (-1)^(j+1) gamma_j sigma_{m-j}, gamma_0 = 1 and
+    gamma_j beyond the given sequence zero; symfun.newton_convert runs the
+    same recursion over forms."""
+    sigmas = [1.0]
+    for m in range(1, m_max + 1):
+        acc = 0.0
+        for j in range(1, min(m, len(gammas) - 1) + 1):
+            term = gammas[j] * sigmas[m - j]
+            acc = acc + (term if j % 2 else (-1.0) * term)
+        sigmas.append(acc)
+    return sigmas
 
 
 def permanent_int(rows):
@@ -248,17 +301,17 @@ def permanent_int(rows):
     return total
 
 
-def moment_permanent(spec):
-    """Sphere moment as perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b]."""
-    M = [[1 if la == mb else 0 for mb in spec.mus] for la in spec.lambdas]
-    return Fraction(permanent_int(M) * math.factorial(spec.r - 1),
-                    math.factorial(spec.r - 1 + spec.k))
+def moment_permanent(r, lambdas, mus):
+    """Sphere moment in C^r as perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b]."""
+    M = [[1 if la == mb else 0 for mb in mus] for la in lambdas]
+    return Fraction(permanent_int(M) * math.factorial(r - 1),
+                    math.factorial(r - 1 + len(lambdas)))
 
 
-def moment_mc_loop(spec, samples, seed):
-    """Monte Carlo estimate of one sphere moment; returns (estimate, stderr).
+def moment_mc_loop(r, lambdas, mus, samples, seed):
+    """Monte Carlo estimate of one sphere moment in C^r; returns (estimate, stderr).
 
-    One spec per draw: the per-chunk generators, seeded by (seed, chunk
+    One moment per draw: the per-chunk generators, seeded by (seed, chunk
     index), and the normalised complex Gaussian directions, real and
     imaginary parts interleaved per direction, are those of the library's
     direction stream; each direction is assembled here as re + 1j * im, and
@@ -268,10 +321,10 @@ def moment_mc_loop(spec, samples, seed):
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if spec.k == 0:
+    if not lambdas:
         return complex(1.0), 0.0
-    lam = np.array(spec.lambdas) - 1
-    mu = np.array(spec.mus) - 1
+    lam = np.array(lambdas) - 1
+    mu = np.array(mus) - 1
     acc = 0j
     acc_sq = 0.0
     done = 0
@@ -279,7 +332,7 @@ def moment_mc_loop(spec, samples, seed):
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), chunk_idx)))
-        x = rng.standard_normal((count, spec.r, 2))
+        x = rng.standard_normal((count, r, 2))
         z = x[..., 0] + 1j * x[..., 1]
         v = z / np.linalg.norm(z, axis=1, keepdims=True)
         vals = np.prod(v[:, lam], axis=1) * np.prod(v[:, mu].conj(), axis=1)
@@ -323,7 +376,7 @@ def phi_k_scalar_moments(T, k):
     acc = 0j
     for lams in product(range(1, r + 1), repeat=k):
         for mus in set(permutations(lams)):
-            w = moment_permanent(MomentSpec(r, lams, mus))
+            w = moment_permanent(r, lams, mus)
             acc += float(w) * math.prod(T[mu - 1, la - 1] for la, mu in zip(lams, mus))
     return float(acc.real)
 
@@ -338,7 +391,7 @@ def phi_k_tensor_naive(t, k):
     idx = range(1, t.r + 1)
     for lams in product(idx, repeat=k):
         for mus in product(idx, repeat=k):
-            mom = moment_permanent(MomentSpec(t.r, lams, mus))
+            mom = moment_permanent(t.r, lams, mus)
             if mom == 0:
                 continue
             term = t.entry(mus[0] - 1, lams[0] - 1)
@@ -394,7 +447,7 @@ def pushforward_mc_loop(t, k, samples, seed):
     the standard error taken two-pass from the stored per-direction terms.
     """
     factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)
-    terms = [factor * wedge_power(direction_form(t, v).to_form(), k)
+    terms = [factor * wedge_power(Form.one_one(direction_form(t, v).g), k)
              for v in sample_directions(t.r, samples, seed)]
     keys = set().union(*(f.coeffs for f in terms))
     x = {key: np.array([f.coeffs.get(key, 0j) for f in terms]) for key in keys}
@@ -560,8 +613,8 @@ def xi_at(t, v):
     e_last = np.zeros(t.r, dtype=complex)
     e_last[-1] = 1.0
     horizontal = direction_form(rotate_tensor(t, unitary_sending_last_to(v)), e_last)
-    return (block_embed(vertical.to_form(), t.n, m)
-            - block_embed(horizontal.to_form(), 0, m))
+    return (block_embed(Form.one_one(vertical.g), t.n, m)
+            - block_embed(Form.one_one(horizontal.g), 0, m))
 
 
 def top_form_residual(t, w, v, k, scalar=None):
@@ -576,7 +629,7 @@ def top_form_residual(t, w, v, k, scalar=None):
     if scalar is None:
         scalar = (-1.0) ** k * gamma_rel(direction_form(t, v), w, k)
     xi = xi_at(t, v)
-    omega_h = block_embed(w.to_form(), 0, t.n + t.r - 1)
+    omega_h = block_embed(Form.one_one(w.g), 0, t.n + t.r - 1)
     lhs = wedge(factorial_power(xi, t.r - 1 + k), factorial_power(omega_h, t.n - k))
     rhs = wedge(factorial_power(xi, t.r - 1), factorial_power(omega_h, t.n))
     return top_ratio(lhs, rhs), (lhs - scalar * rhs).max_abs()

@@ -16,7 +16,7 @@ import segreform as sf
 
 from conftest import validate_report
 from oracles import (dual_endomorphism_tensor, gamma2_constrained_gap,
-                     kl_segre_margin_primitive, phi_k_scalar)
+                     kl_segre_margin_primitive, phi_k_scalar, sample_directions)
 
 _timings = {}
 
@@ -68,7 +68,7 @@ def test_criterion_2_sphere_moments_exact_and_monte_carlo():
                     for m in mult:
                         num *= math.factorial(m)
                     closed = Fraction(num, math.factorial(r - 1 + k))
-                    exact_ok &= sf.moment_wick(sf.MomentSpec(r, combo, combo)) == closed
+                    exact_ok &= sf.moment_wick(r, combo, combo) == closed
 
         # 20 fixed balanced specs (diagonal and off-diagonal), 1e6 samples, 4 stderr
         balanced = [
@@ -83,17 +83,15 @@ def test_criterion_2_sphere_moments_exact_and_monte_carlo():
         assert len(balanced) == 20
         mc_ok = True
         for i, (r, lams, mus) in enumerate(balanced):
-            spec = sf.MomentSpec(r, lams, mus)
-            [(est, err)] = sf.moment_mc([spec], 10**6, seed=7_000 + i)
-            mc_ok &= abs(est - complex(sf.moment_wick(spec))) <= 4 * err
+            [(est, err)] = sf.moment_mc(r, [(lams, mus)], 10**6, seed=7_000 + i)
+            mc_ok &= abs(est - complex(sf.moment_wick(r, lams, mus))) <= 4 * err
 
         unbalanced = [(2, (1,), (2,)), (3, (1, 1), (1, 2)), (4, (1, 2), (3, 4)),
                       (3, (1, 2, 2), (2, 2, 3))]
         zero_ok = True
         for i, (r, lams, mus) in enumerate(unbalanced):
-            spec = sf.MomentSpec(r, lams, mus)
-            assert sf.moment_wick(spec) == 0
-            [(est, err)] = sf.moment_mc([spec], 10**6, seed=8_000 + i)
+            assert sf.moment_wick(r, lams, mus) == 0
+            [(est, err)] = sf.moment_mc(r, [(lams, mus)], 10**6, seed=8_000 + i)
             zero_ok &= abs(est) <= 4 * err
 
     _verdict(2, "sphere moments: exact closed form + MC within 4 stderr",
@@ -121,7 +119,7 @@ def test_criterion_3_phi_closed_forms_and_sign_convention():
             r = 3
             a = np.random.default_rng(seed).standard_normal((r, r))
             T = 0.5 * (a + a.T) + np.eye(r)  # positive-leaning for a clear signal
-            vs = sf.sample_directions(r, 60_000, seed=40 + seed)
+            vs = sample_directions(r, 60_000, seed=40 + seed)
             quad = np.array([np.vdot(v, T @ v).real for v in vs])
             for k in (1, 2, 3):
                 mc = float(np.mean(quad**k))
@@ -144,7 +142,7 @@ def test_criterion_4_top_form_identities():
             w = sf.Kaehler11(np.eye(n) + 0.3 * _hermitian(rng, n, spd=True))
             for i in range(count):
                 t = sf.random_curvature(n, r, seed=10_000 + 10 * n + r + i)
-                dirs = sf.sample_directions(r, 20, seed=20_000 + i)
+                dirs = sample_directions(r, 20, seed=20_000 + i)
                 for k in range(1, n + 1):
                     worst = max(worst, sf.identity_residuals(t, w, dirs, k)[1].max())
                 # Hermite-Einstein variant of the rank-degree identity

@@ -8,6 +8,7 @@ import pytest
 from segreform.cli import main
 
 from conftest import child_env, stderr_units, validate_report
+from oracles import hermitian_deviation
 
 
 def run_cli(capsys, *argv):
@@ -47,7 +48,7 @@ class TestGen:
         assert code == 0
         from segreform.curvature import load_tensor
 
-        load_tensor(str(path)).validate(tol=0.0)
+        assert hermitian_deviation(load_tensor(str(path))) == 0
 
     def test_conflicting_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -138,10 +139,10 @@ class TestVerify:
     def test_moments_norm_row_catches_a_wrong_diagonal_moment(self, capsys, monkeypatch):
         import segreform.moments as moments
 
-        exact = moments.moment_diagonal
+        exact = moments.moment_wick
         # the closed form without the factorial of the last multiplicity
-        monkeypatch.setattr(moments, "moment_diagonal",
-                            lambda r, mult: exact(r, mult) / math.factorial(mult[-1]))
+        monkeypatch.setattr(moments, "moment_wick", lambda r, lambdas, mus: exact(
+            r, lambdas, mus) / math.factorial(lambdas.count(r)))
         code, out = run_cli(capsys, "verify", "moments", "--r", "3", "--k", "3",
                             "--samples", "1000")
         assert code == 1
@@ -415,6 +416,31 @@ class TestCheck:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "usage"
 
+    def test_omega_out_of_scale_is_rejected_before_computing(self, tmp_path):
+        inst = str(tmp_path / "he22.json")
+        cli = [sys.executable, "-m", "segreform.cli"]
+        subprocess.run([*cli, "gen", "2", "2", "3", "--he", "1.0", "--out", inst],
+                       check=True, env=child_env())
+        for argv, omega, words in (
+                (["verify", "identity9", "--samples", "3"], "[[1e200,0],[0,1]]", "overflow"),
+                (["check", "he"], "[[1e-300,0],[0,1]]", "ratio"),
+                (["check", "kl"], "[[1e-200,0],[0,1e-200]]", "underflow")):
+            proc = subprocess.run([*cli, *argv, "--in", inst, "--omega", omega],
+                                  capture_output=True, text=True, env=child_env())
+            assert (proc.returncode, proc.stderr) == (2, "")
+            err = json.loads(proc.stdout)["error"]
+            assert err["type"] == "usage" and words in err["message"]
+
+    def test_non_finite_result_has_its_own_error_type(self, he_instance_path, capsys,
+                                                      monkeypatch):
+        from segreform import cli
+
+        monkeypatch.setattr(cli, "_he_deviation", lambda t, w: (math.nan, 1.0))
+        code, out = run_cli(capsys, "check", "he", "--in", he_instance_path)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "non_finite" and "nan" in err["message"]
+
     @pytest.mark.parametrize("kind, flags", [
         ("remark41", ["--flat", "--he", "1.0"]),
         ("kl", ["--strong-flat", "--he", "0.7"]),
@@ -468,6 +494,19 @@ class TestMomentsCommand:
         report = json.loads(out)
         row = {r["name"]: r for r in report["results"]}["mc_gap_stderr_units"]
         assert row["value"]["units"] <= 4
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambdas", "1", "3"], "index 3 out of range [1, 2]"),
+        (["--lambdas", "0"], "index 0 out of range [1, 2]"),
+        (["--lambdas", "1", "2", "--mus", "1"], "lambdas and mus must have equal length"),
+        (["--lambdas", "1", "--mus", "2", "3"], "lambdas and mus must have equal length"),
+        (["--lambdas", "1", "--mus", "5"], "index 5 out of range [1, 2]"),
+    ], ids=["lambda-high", "lambda-zero", "short-mus", "short-lambdas", "mu-high"])
+    def test_bad_indices_are_usage_errors(self, capsys, argv, message):
+        code, out = run_cli(capsys, "moments", "--r", "2", *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": {"type": "usage", "message": message}}
 
 
 class TestToleranceEnvVar:

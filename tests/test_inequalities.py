@@ -14,12 +14,11 @@ from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
 from segreform.inequalities import (kl_classical, kl_segre, projective_flat_bound,
                                     surface_compare)
 from segreform.kahler import relative_eigenvalues
-from segreform.moments import sample_directions
 from segreform.symfun import elem_sym
 
 from conftest import random_spd
 from oracles import (dual_endomorphism_tensor, gamma2_bound, gamma2_constrained_gap,
-                     kl_segre_margin_primitive, primitive_square_ratio)
+                     kl_segre_margin_primitive, primitive_square_ratio, sample_directions)
 
 
 def he_instance(n, r, seed, lam=0.7, w=None):

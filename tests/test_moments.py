@@ -4,35 +4,31 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segreform.curvature import chern_forms, random_curvature, segre_forms
-from segreform.moments import (DIRECTION_CHUNK, MomentSpec, direction_chunks,
-                               moment_diagonal, moment_mc, moment_wick, phi_k_tensor,
-                               sample_directions)
+from segreform.moments import (DIRECTION_CHUNK, direction_chunks, moment_mc, moment_wick,
+                               phi_k_tensor)
 from segreform.symfun import elem_sym
 
 from conftest import random_hermitian, traced_peak
-from oracles import (moment_mc_loop, moment_permanent, permanent_int, phi_k_scalar,
-                     phi_k_scalar_moments, phi_k_tensor_lex, phi_k_tensor_naive)
+from oracles import (is_real, is_zero, moment_mc_loop, moment_permanent, permanent_int,
+                     phi_k_scalar, phi_k_scalar_moments, phi_k_tensor_lex, phi_k_tensor_naive,
+                     sample_directions)
 
 
 class TestMomentDiagonal:
     def test_closed_form_fixtures(self):
-        assert moment_diagonal(2, (1, 0)) == Fraction(1, 2)
-        assert moment_diagonal(2, (2, 0)) == Fraction(1, 3)
-        assert moment_diagonal(2, (1, 1)) == Fraction(1, 6)
+        assert moment_wick(2, (1,), (1,)) == Fraction(1, 2)
+        assert moment_wick(2, (1, 1), (1, 1)) == Fraction(1, 3)
+        assert moment_wick(2, (1, 2), (1, 2)) == Fraction(1, 6)
 
     def test_formula_shape(self):
         # m1!...mr!(r-1)!/(r-1+k)!
-        assert moment_diagonal(3, (2, 1, 0)) == Fraction(
+        assert moment_wick(3, (1, 1, 2), (1, 1, 2)) == Fraction(
             math.factorial(2) * math.factorial(1) * math.factorial(2),
             math.factorial(5))
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            moment_diagonal(2, (1,))
-        with pytest.raises(ValueError):
-            moment_diagonal(2, (1, -1))
 
 
 class TestPermanent:
@@ -73,33 +69,39 @@ class TestDirectionStream:
         assert sample_directions(4, 0, seed=1).shape == (0, 4)
 
 
+def index_pairs(r, max_k):
+    """A strategy for (lambdas, mus): two index tuples in 1..r of one length k <= max_k."""
+    return st.integers(0, max_k).flatmap(
+        lambda k: st.tuples(*[st.tuples(*[st.integers(1, r)] * k)] * 2))
+
+
 class TestMomentWick:
     def test_off_diagonal_equals_diagonal_value(self):
         # |v1|^2 |v2|^2 written with crossed indices
-        assert moment_wick(MomentSpec(2, (1, 2), (2, 1))) == Fraction(1, 6)
+        assert moment_wick(2, (1, 2), (2, 1)) == Fraction(1, 6)
 
     def test_unbalanced_vanishes(self):
-        assert moment_wick(MomentSpec(2, (1,), (2,))) == 0
-        assert moment_wick(MomentSpec(3, (1, 1), (1, 2))) == 0
+        assert moment_wick(2, (1,), (2,)) == 0
+        assert moment_wick(3, (1, 1), (1, 2)) == 0
 
     def test_degree_zero(self):
-        assert moment_wick(MomentSpec(3, (), ())) == 1
+        assert moment_wick(3, (), ()) == 1
 
     def test_reduces_to_diagonal(self, rng):
         for _ in range(20):
             r = int(rng.integers(1, 5))
             k = int(rng.integers(0, 4))
             idx = tuple(int(i) for i in rng.integers(1, r + 1, size=k))
-            mult = [idx.count(l) for l in range(1, r + 1)]
-            assert moment_wick(MomentSpec(r, idx, idx)) == moment_diagonal(r, mult)
+            closed = Fraction(math.factorial(r - 1) * math.prod(
+                math.factorial(idx.count(l)) for l in range(1, r + 1)), math.factorial(r - 1 + k))
+            assert moment_wick(r, idx, idx) == closed
 
     def test_equal_multisets_any_order(self, rng):
         for _ in range(10):
             r, k = 3, 3
             idx = tuple(int(i) for i in rng.integers(1, r + 1, size=k))
-            perm = tuple(np.array(idx)[rng.permutation(k)])
-            mult = [idx.count(l) for l in range(1, r + 1)]
-            assert moment_wick(MomentSpec(r, idx, perm)) == moment_diagonal(r, mult)
+            perm = tuple(int(i) for i in np.array(idx)[rng.permutation(k)])
+            assert moment_wick(r, idx, perm) == moment_wick(r, idx, idx)
 
     def test_closed_form_matches_permanent_exhaustively(self):
         # every pair of index tuples, balanced or not, for r <= 3 and k <= 3
@@ -107,43 +109,44 @@ class TestMomentWick:
             for k in range(4):
                 for lams in itertools.product(range(1, r + 1), repeat=k):
                     for mus in itertools.product(range(1, r + 1), repeat=k):
-                        spec = MomentSpec(r, lams, mus)
-                        assert moment_wick(spec) == moment_permanent(spec)
+                        assert moment_wick(r, lams, mus) == moment_permanent(r, lams, mus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), index_pairs(r, 4))))
+    def test_matches_permanent_on_random_tuples(self, case):
+        r, (lams, mus) = case
+        assert moment_wick(r, lams, mus) == moment_permanent(r, lams, mus)
 
 
 class TestMomentMC:
     # a mixed r = 3 batch: degree 0, balanced, crossed, unbalanced, a repeated index
-    BATCH = [MomentSpec(3, (1, 2), (2, 1)), MomentSpec(3, (), ()),
-             MomentSpec(3, (1,), (2,)), MomentSpec(3, (1, 1, 3), (3, 1, 1)),
-             MomentSpec(3, (2, 2), (2, 3)), MomentSpec(3, (3,), (3,))]
+    BATCH = [((1, 2), (2, 1)), ((), ()), ((1,), (2,)), ((1, 1, 3), (3, 1, 1)),
+             ((2, 2), (2, 3)), ((3,), (3,))]
 
     def test_degree_zero_exact(self):
-        [(est, err)] = moment_mc([MomentSpec(3, (), ())], 10, seed=0)
+        [(est, err)] = moment_mc(3, [((), ())], 10, seed=0)
         assert est == 1 and err == 0
 
     def test_matches_closed_form(self):
-        spec = MomentSpec(2, (1,), (1,))
-        [(est, err)] = moment_mc([spec], 200_000, seed=3)
+        [(est, err)] = moment_mc(2, [((1,), (1,))], 200_000, seed=3)
         assert abs(est - 0.5) <= 3 * err
 
     def test_wick_cross_check_off_diagonal(self):
-        spec = MomentSpec(2, (1, 2), (2, 1))
-        [(est, err)] = moment_mc([spec], 200_000, seed=4)
+        [(est, err)] = moment_mc(2, [((1, 2), (2, 1))], 200_000, seed=4)
         assert abs(est - 1 / 6) <= 3 * err
 
     def test_unbalanced_estimates_zero(self):
-        [(est, err)] = moment_mc([MomentSpec(2, (1,), (2,))], 200_000, seed=5)
+        [(est, err)] = moment_mc(2, [((1,), (2,))], 200_000, seed=5)
         assert abs(est) <= 4 * err
 
     def test_deterministic(self):
-        spec = MomentSpec(3, (1, 2), (1, 2))
-        assert moment_mc([spec], 70_000, seed=9) == moment_mc([spec], 70_000, seed=9)
+        pairs = [((1, 2), (1, 2))]
+        assert moment_mc(3, pairs, 70_000, seed=9) == moment_mc(3, pairs, 70_000, seed=9)
 
     def test_chunk_boundary_consistency(self):
         # determinism must not depend on sample count crossing chunk edges
-        spec = MomentSpec(2, (1,), (1,))
-        [(e1, _)] = moment_mc([spec], (1 << 16) + 17, seed=2)
-        [(e2, _)] = moment_mc([spec], (1 << 16) + 17, seed=2)
+        [(e1, _)] = moment_mc(2, [((1,), (1,))], (1 << 16) + 17, seed=2)
+        [(e2, _)] = moment_mc(2, [((1,), (1,))], (1 << 16) + 17, seed=2)
         assert e1 == e2
 
     # no chunk of exactly one direction: np.prod over a one-row array takes numpy's
@@ -151,32 +154,32 @@ class TestMomentMC:
     # (1 << 16) + 17 ends in a chunk of 17
     @pytest.mark.parametrize("samples", [2, 1000, (1 << 16) + 17])
     def test_batch_matches_per_spec_loop_bitwise(self, samples):
-        results = moment_mc(self.BATCH, samples, seed=13)
-        assert results == [moment_mc_loop(spec, samples, seed=13) for spec in self.BATCH]
+        results = moment_mc(3, self.BATCH, samples, seed=13)
+        assert results == [moment_mc_loop(3, lams, mus, samples, seed=13)
+                           for lams, mus in self.BATCH]
 
     def test_estimate_independent_of_batch_company_and_order(self):
         samples = (1 << 16) + 17
-        alone = [moment_mc([spec], samples, seed=21)[0] for spec in self.BATCH]
-        assert moment_mc(self.BATCH[::-1], samples, seed=21) == alone[::-1]
-        assert moment_mc(self.BATCH[2:5], samples, seed=21) == alone[2:5]
-        assert moment_mc(self.BATCH + self.BATCH[:2], samples, seed=21) == alone + alone[:2]
+        alone = [moment_mc(3, [pair], samples, seed=21)[0] for pair in self.BATCH]
+        assert moment_mc(3, self.BATCH[::-1], samples, seed=21) == alone[::-1]
+        assert moment_mc(3, self.BATCH[2:5], samples, seed=21) == alone[2:5]
+        assert moment_mc(3, self.BATCH + self.BATCH[:2], samples, seed=21) == alone + alone[:2]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+               st.just(r), st.lists(index_pairs(r, 3), min_size=1, max_size=5))),
+           st.randoms(use_true_random=False), st.sampled_from([2, 777, DIRECTION_CHUNK + 5]))
+    def test_estimate_of_a_pair_ignores_its_company(self, case, shuffle, samples):
+        r, pairs = case
+        alone = [moment_mc(r, [pair], samples, seed=5)[0] for pair in pairs]
+        order = list(range(len(pairs)))
+        shuffle.shuffle(order)
+        assert moment_mc(r, [pairs[i] for i in order], samples, seed=5) == [alone[i] for i in order]
 
     def test_memory_flat_in_samples(self):
-        batch = [MomentSpec(3, (1, 2), (2, 1)), MomentSpec(3, (3,), (3,))]
-        peak = traced_peak(moment_mc, batch, 2 * DIRECTION_CHUNK, seed=6)
-        assert traced_peak(moment_mc, batch, 8 * DIRECTION_CHUNK, seed=6) <= 1.5 * peak
-
-    def test_empty_batch_is_rejected(self):
-        with pytest.raises(ValueError, match="non-empty sequence"):
-            moment_mc([], 100, seed=0)
-
-    def test_mixed_dimensions_are_rejected(self):
-        with pytest.raises(ValueError, match="share r"):
-            moment_mc([MomentSpec(2, (1,), (1,)), MomentSpec(3, (1,), (1,))], 100, seed=0)
-
-    def test_bare_spec_is_rejected(self):
-        with pytest.raises(ValueError, match=r"sequence of MomentSpec, e\.g\. \[spec\]"):
-            moment_mc(MomentSpec(3, (1,), (1,)), 100, seed=0)
+        batch = [((1, 2), (2, 1)), ((3,), (3,))]
+        peak = traced_peak(moment_mc, 3, batch, 2 * DIRECTION_CHUNK, seed=6)
+        assert traced_peak(moment_mc, 3, batch, 8 * DIRECTION_CHUNK, seed=6) <= 1.5 * peak
 
 
 class TestPhiScalar:
@@ -243,7 +246,7 @@ class TestPhiTensor:
 
     def test_beyond_dimension_is_zero(self):
         t = random_curvature(1, 3, seed=2)
-        assert phi_k_tensor(t, 2).is_zero()
+        assert is_zero(phi_k_tensor(t, 2))
 
     def test_headline_segre_identity(self):
         # (-1)^k C(r-1+k, k) phi_k = s_k
@@ -279,4 +282,4 @@ class TestPhiTensor:
     def test_result_is_real(self):
         t = random_curvature(3, 2, seed=7)
         for k in range(1, 4):
-            assert phi_k_tensor(t, k).is_real(1e-11)
+            assert is_real(phi_k_tensor(t, k), 1e-11)

@@ -92,6 +92,15 @@ class TestProcessEntry:
         assert self.run_cli_child("moments", "--r", "2", "--lambdas", "1", "--samples", "100",
                                   "--out", out)[1] == self.BASE | {"segreform.moments"}
 
+    def test_a_report_loads_neither_dataclasses_nor_copy(self, tmp_path):
+        probe = ("import atexit, runpy, sys\n"
+                 "atexit.register(lambda: print(*(m in sys.modules\n"
+                 "                                for m in ('dataclasses', 'copy'))))\n"
+                 "sys.argv[0] = 'segreform'\n"
+                 "runpy.run_module('segreform.cli', run_name='__main__')\n")
+        assert run_child(probe, "moments", "--r", "2", "--lambdas", "1", "--samples", "100",
+                         "--out", str(tmp_path / "out.json")) == ["False", "False"]
+
     def test_entry_freezes_the_import_heap(self, tmp_path):
         freeze_count, _ = self.run_cli_child("gen", "2", "2", "1", "--out",
                                              str(tmp_path / "t.json"))

@@ -7,7 +7,7 @@ from segreform.exterior import Form
 from segreform.symfun import elem_sym, newton_convert
 
 from conftest import random_spd, real_one_one
-from oracles import complete_sym, elem_sym_scalar, wedge_power
+from oracles import complete_sym, elem_sym_scalar, newton_scalar, wedge_power
 
 
 class TestElemSym:
@@ -60,21 +60,33 @@ class TestCompleteSym:
             complete_sym([1.0, 2.0], 7)
 
 
+# omega = sum_j i dz_j ^ dzbar_j on C^M: the forms g * omega^j multiply like
+# the scalars g, up to degree M, so the recursion over them runs over scalars
+M = 5
+OMEGA_POWERS = [wedge_power(Form.one_one(np.eye(M)), j) for j in range(M + 1)]
+
+
+def newton_scalars(gammas, m_max):
+    """newton_convert over the forms gamma_j * omega^j, read back as the scalars sigma_m."""
+    sig = newton_convert([g * OMEGA_POWERS[j] for j, g in enumerate(gammas)], m_max)
+    return [(s.a[0, 0] / OMEGA_POWERS[m].a[0, 0]).real for m, s in enumerate(sig)]
+
+
 class TestNewtonConvert:
     def test_power_series_oracle(self):
         # 1/(1+t)^2 = sum (-1)^k (k+1) t^k, so gamma = (1,2,1) gives sigma_k = k+1
-        sig = newton_convert([1.0, 2.0, 1.0], 5)
+        sig = newton_scalars([1.0, 2.0, 1.0], 5)
         assert [s for s in sig] == pytest.approx([1, 2, 3, 4, 5, 6])
 
     def test_zero_gammas(self):
-        sig = newton_convert([1.0], 4)
+        sig = newton_scalars([1.0], 4)
         assert list(sig)[1:] == [0.0] * 4
 
     def test_matches_direct_enumeration(self, rng):
         for _ in range(10):
             vals = rng.standard_normal(4)
             gam = [elem_sym(vals, j) for j in range(5)]
-            sig = newton_convert(gam, 4)
+            sig = newton_scalars(gam, 4)
             for k in range(1, 5):
                 assert sig[k] == pytest.approx(complete_sym(vals, k), abs=1e-10)
 
@@ -82,14 +94,16 @@ class TestNewtonConvert:
         for length in (2, 3, 5):
             vals = rng.standard_normal(length)
             gammas = [elem_sym(vals, j) if j <= length else 0.0 for j in range(6)]
-            sig = newton_convert(gammas, 5)
+            sig = newton_scalars(gammas, 5)
             for m in range(1, 6):
                 res = sum((-1) ** j * sig[j] * gammas[m - j] for j in range(m + 1))
                 assert abs(res) <= 1e-10
 
     def test_unit_entry_enforced(self):
         with pytest.raises(ValueError, match="unit"):
-            newton_convert([2.0, 1.0], 1)
+            newton_convert([Form.constant(2, 2.0), Form.zero(2, 1, 1)], 1)
+        with pytest.raises(ValueError, match="unit"):
+            newton_convert([1.0, 1.0], 1)  # scalars are not forms
 
     def test_runs_over_form_algebra(self, rng):
         # the subalgebra generated by a single (1,1)-form matches truncated
@@ -97,9 +111,8 @@ class TestNewtonConvert:
         m = 4
         omega = real_one_one(m, random_spd(m, rng))
         g = [1.0, 0.8, -0.3, 0.05]
-        gam_scalar = g
         gam_form = [Form.constant(m)] + [g[j] * wedge_power(omega, j) for j in range(1, 4)]
-        sig_scalar = newton_convert(gam_scalar, m)
+        sig_scalar = newton_scalar(g, m)
         sig_form = newton_convert(gam_form, m)
         for k in range(1, m + 1):
             expect = sig_scalar[k] * wedge_power(omega, k)

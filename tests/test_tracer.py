@@ -54,3 +54,27 @@ def test_tracer_counts_a_pipeline_and_uninstalls(tmp_path, capsys):
         assert after[owner].keys() == attrs.keys()
         for attr, obj in attrs.items():
             assert after[owner][attr] is obj, f"{owner}.{attr} left patched"
+
+
+def test_traced_counters_see_the_moment_fiber_and_wedge_work(tmp_path, capsys):
+    # the counters the benchmark's traced run reports; each names library functions
+    # and parameters, so a rename that drops one shows here as a zero
+    tracer_module = load_tracer()
+    for short in tracer_module.MODULES:
+        importlib.import_module(f"segreform.{short}")
+    inst = str(tmp_path / "he22.json")
+    assert cli.main(["gen", "2", "2", "1", "--he", "1.0", "--out", inst]) == 0
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "moments", "--r", "2", "--k", "1", "--samples", "100"]) == 0
+        assert cli.main(["verify", "pushforward", "--in", inst, "--k", "1",
+                         "--samples", "10"]) == 0
+        assert cli.main(["check", "lhe", "--in", inst, "--samples", "10"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counts = tracer.counts()
+    for counter in ("moments.wick_terms", "moments.mc_samples", "projective.directions",
+                    "exterior.coeffs_out"):
+        assert counts[counter] > 0, counter

@@ -54,5 +54,5 @@ print("\ndirectional bound: gamma_2", sf.elem_sym(sf.relative_eigenvalues(theta_
 print("\nsurface comparison:", sf.surface_compare(t, w))
 
 # rescaling omega rescales the slope inversely and changes no verdicts
-he2, slope2 = sf.is_hermite_einstein(t, 2.0 * w)
+he2, slope2 = sf.is_hermite_einstein(t, sf.Kaehler11(2.0 * w.g))
 print("\nslope under omega -> 2 omega:", round(slope2, 12))

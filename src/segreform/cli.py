@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .curvature import (MAX_DIM, MAX_TOP_POWER, Kaehler11, PreconditionError,
-                        TensorValidationError, _he_deviation, check_dims, chern_forms,
-                        is_hermite_einstein, load_tensor, project_to_he,
+                        TensorValidationError, _he_deviation, _is_number, check_dims,
+                        chern_forms, is_hermite_einstein, load_tensor, project_to_he,
                         projectively_flat_tensor, random_curvature, segre_forms,
                         strong_flat_tensor, tensor_to_dict)
 from .report import NonFiniteError, Report, canonical_json
@@ -90,11 +90,9 @@ def parse_omega(spec, n):
         raise UsageError(f"omega is {mat.shape[0]}x{mat.shape[1]}, tensor needs {n}x{n}")
     try:
         w = Kaehler11(mat)
-    except ValueError as exc:
+    except ValueError as exc:  # not Hermitian, or not positive definite
         raise UsageError(str(exc)) from exc
     eigs = np.linalg.eigvalsh(w.g)
-    if not eigs[0] > 0:
-        raise UsageError("omega must be positive definite")
     big = float(np.abs(w.g).max())
     if big > MAX_TOP_POWER ** (1 / n):
         raise UsageError(f"largest omega entry modulus {big:.3e} exceeds "
@@ -106,13 +104,6 @@ def parse_omega(spec, n):
         raise UsageError(f"smallest omega eigenvalue {eigs[0]:.3e} is below "
                          f"{MAX_TOP_POWER:.0e}^(-1/{n}): omega^n would underflow")
     return w
-
-
-def _is_number(x):
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _int_in(low, high=None):

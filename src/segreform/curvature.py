@@ -48,9 +48,9 @@ class TensorValidationError(ValueError):
 
 
 class Kaehler11:
-    """A real (1,1)-form alpha = sum_jk g[j,k] * (i dz_j ^ dzbar_k), g Hermitian.
-
-    Positive definite g makes this a Kaehler form value omega at the point.
+    """A Kaehler form omega = sum_jk g[j,k] * (i dz_j ^ dzbar_k) at the point:
+    g Hermitian positive definite, checked here once for every later use.
+    Other real (1,1)-forms are plain Hermitian coefficient matrices.
     """
 
     __slots__ = ("n", "g", "_powers")
@@ -63,43 +63,25 @@ class Kaehler11:
             raise ValueError("coefficient matrix must be Hermitian")
         self.n = g.shape[0]
         self.g = 0.5 * (g + g.conj().T)  # kill roundoff asymmetry
+        if not np.linalg.eigvalsh(self.g).min(initial=np.inf) > 0:
+            raise PreconditionError("omega must be positive definite")
         self._powers = {}  # k -> one_one_power(g, k) / k!, filled by omega_ratio
 
     @classmethod
     def euclidean(cls, n):
         return cls(np.eye(n))
 
-    def is_positive_definite(self):
-        if self.n == 0:
-            return True
-        return bool(np.linalg.eigvalsh(self.g).min() > 0)
-
-    def __add__(self, other):
-        return Kaehler11(self.g + other.g)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return Kaehler11(s * self.g)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"Kaehler11(n={self.n})"
 
 
-def require_kaehler(w):
-    if not isinstance(w, Kaehler11):
-        raise TypeError("expected a Kaehler11")
-    if not w.is_positive_definite():
-        raise PreconditionError("omega must be positive definite")
-
-
 class CurvatureTensor:
-    """Normalised curvature (i/2pi)*Theta(E,h) at a point, in a normal frame."""
+    """Normalised curvature (i/2pi)*Theta(E,h) at a point, in a normal frame;
+    its hermitian symmetry is checked here once for every later use."""
 
     __slots__ = ("n", "r", "c")
 
-    def __init__(self, n, r, c=None, validate=True):
+    def __init__(self, n, r, c=None):
         self.n = int(n)
         self.r = int(r)
         if self.n < 1 or self.r < 1:
@@ -109,39 +91,19 @@ class CurvatureTensor:
         c = np.asarray(c, dtype=complex)
         if c.shape != (self.n, self.n, self.r, self.r):
             raise ValueError(f"coefficient array has shape {c.shape}, expected {(self.n, self.n, self.r, self.r)}")
-        self.c = c
-        if validate:
-            self.validate()
-
-    def validate(self):
-        """Check conj(c[j,k,lam,mu]) == c[k,j,mu,lam] within 1e-10; report the worst offender."""
-        dev = np.abs(self.c.conj() - self.c.transpose(1, 0, 3, 2))
+        # conj(c[j,k,lam,mu]) == c[k,j,mu,lam] within 1e-10; report the worst offender
+        dev = np.abs(c.conj() - c.transpose(1, 0, 3, 2))
         worst = float(dev.max())
         if worst > 1e-10:
             j, k, lam, mu = np.unravel_index(int(dev.argmax()), dev.shape)
             raise TensorValidationError(
                 "hermitian symmetry conj(c[j,k,lam,mu]) = c[k,j,mu,lam] violated at "
                 f"(j,k,lambda,mu)=({j + 1},{k + 1},{lam + 1},{mu + 1}), deviation {worst:.3e}")
-
-    def symmetrized(self):
-        """The hermitian-symmetric part of the coefficient array."""
-        return CurvatureTensor(self.n, self.r,
-                               0.5 * (self.c + self.c.conj().transpose(1, 0, 3, 2)),
-                               validate=False)
+        self.c = c
 
     def entry(self, mu, lam):
         """The (1,1)-form Theta_hat[mu, lam] (0-based frame indices)."""
         return Form.one_one(self.c[:, :, lam, mu])
-
-    def __add__(self, other):
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("tensor shapes differ")
-        return CurvatureTensor(self.n, self.r, self.c + other.c, validate=False)
-
-    def __mul__(self, scalar):
-        return CurvatureTensor(self.n, self.r, float(scalar) * self.c, validate=False)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"CurvatureTensor(n={self.n}, r={self.r})"
@@ -194,7 +156,6 @@ def direction_matrices(t, V):
     nrm2 = np.einsum("il,il->i", V, V.conj()).real
     if not np.all(nrm2 > 0):
         raise ValueError("direction must be nonzero")
-    t.validate()  # the tensor's symmetry makes every G_v Hermitian up to roundoff
     G = np.einsum("jklm,il,im->ijk", t.c, V, V.conj()) / nrm2[:, None, None]
     return 0.5 * (G + G.conj().transpose(0, 2, 1))
 
@@ -206,7 +167,6 @@ def omega_ratio(a, w, k):
     Each ratio is the Laplace contraction (top_pairing) of a against the
     minors of omega; for a = alpha^k/k! it is gamma_k(alpha/omega).
     """
-    require_kaehler(w)
     n = w.n
     if not 0 <= k <= n or np.shape(a)[-2:] != (math.comb(n, k),) * 2:
         raise ValueError(f"expected ({k},{k})-form arrays on C^{n}, got shape {np.shape(a)}")
@@ -238,7 +198,6 @@ def is_hermite_einstein(t, w):
 
 def project_to_he(t, w, lam):
     """Shift t by (omega/n) tensor (lam*Id - T) so the result has T' = lam*Id."""
-    require_kaehler(w)
     T = mean_curvature(t, w)
     gap = float(lam) * np.eye(t.r) - T
     # added entry for Theta_hat[mu,lam] is (omega/n) * gap[mu,lam]
@@ -256,24 +215,25 @@ def random_curvature(n, r, seed):
 
 def strong_flat_tensor(n, r, w, lam):
     """The equality-case instance Theta_hat = (lam/n) * omega tensor Id."""
-    require_kaehler(w)
     c = np.einsum("jk,ml->jklm", (float(lam) / n) * w.g, np.eye(r))
     return CurvatureTensor(n, r, c)
 
 
 def projectively_flat_tensor(n, r, seed, w=None, lam=None):
-    """A random instance Theta_hat = beta tensor Id with beta a real (1,1)-form.
+    """A random instance Theta_hat = beta tensor Id with beta a Hermitian matrix,
+    the coefficients of a real (1,1)-form.
 
     If w and lam are given, beta is shifted by a multiple of omega so the
     mean curvature has trace r*lam (slope exactly lam).
     """
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    beta = Kaehler11(0.5 * (b + b.conj().T))
+    beta = 0.5 * (b + b.conj().T)
     if w is not None and lam is not None:
-        cur = float(omega_ratio(1j * beta.g, w, 1).real)
-        beta = beta + ((float(lam) - cur) / n) * w
-    c = np.einsum("jk,ml->jklm", beta.g, np.eye(r))
+        cur = float(omega_ratio(1j * beta, w, 1).real)
+        beta = beta + ((float(lam) - cur) / n) * w.g
+        beta = 0.5 * (beta + beta.conj().T)
+    c = np.einsum("jk,ml->jklm", beta, np.eye(r))
     return CurvatureTensor(n, r, c)
 
 
@@ -308,11 +268,20 @@ def check_dims(n, r):
             raise TensorValidationError(f"{name} must be an integer in [1, {MAX_DIM}], got {value!r}")
 
 
+def _is_number(x):
+    """Whether x is a finite JSON number: an int or a float, not a bool."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def tensor_from_dict(d, symmetrize=False):
     """Build a CurvatureTensor from its JSON dict.
 
-    Omitted entries are zero, and the largest modulus m must keep
-    m^(n+r-1) <= MAX_TOP_POWER.  The hermitian invariant is enforced unless
+    Omitted entries are zero, indices are JSON integers, re and im finite
+    JSON numbers, and the largest modulus m must keep m^(n+r-1) <=
+    MAX_TOP_POWER.  The hermitian invariant is enforced unless
     symmetrize=True, in which case the symmetric part is taken instead.
     """
     try:
@@ -321,29 +290,32 @@ def tensor_from_dict(d, symmetrize=False):
     except (KeyError, TypeError) as exc:
         raise TensorValidationError(f"malformed tensor payload: {exc}") from exc
     check_dims(n, r)
+    if not isinstance(entries, list):
+        raise TensorValidationError(f"malformed tensor payload: coeffs must be a list, got {entries!r}")
     c = np.zeros((n, n, r, r), dtype=complex)
     for e in entries:
         try:
-            j, k = int(e["j"]) - 1, int(e["k"]) - 1
-            lam, mu = int(e["lambda"]) - 1, int(e["mu"]) - 1
-            val = complex(float(e["re"]), float(e.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            idx = [e[key] for key in ("j", "k", "lambda", "mu")]
+            re, im = e["re"], e.get("im", 0.0)
+        except (KeyError, TypeError) as exc:
             raise TensorValidationError(f"malformed coefficient entry {e!r}: {exc}") from exc
-        if not np.isfinite(val):
+        if not all(type(x) is int for x in idx) or not all(type(x) in (int, float) for x in (re, im)):
+            raise TensorValidationError(f"malformed coefficient entry {e!r}: indices must be "
+                                        "JSON integers, re and im finite JSON numbers")
+        if not (_is_number(re) and _is_number(im)):
             raise TensorValidationError(f"coefficient entry {e!r} is not finite")
+        j, k, lam, mu = (i - 1 for i in idx)
         if not (0 <= j < n and 0 <= k < n and 0 <= lam < r and 0 <= mu < r):
             raise TensorValidationError(f"coefficient entry {e!r} out of range for n={n}, r={r}")
-        c[j, k, lam, mu] = val
+        c[j, k, lam, mu] = complex(re, im)
     big, top = float(np.abs(c).max()), n + r - 1
     if big > MAX_TOP_POWER ** (1 / top):
         raise TensorValidationError(
             f"largest coefficient modulus {big:.3e} exceeds {MAX_TOP_POWER:.0e}^(1/{top}): "
             f"products of degree n+r-1 = {top} would overflow")
-    t = CurvatureTensor(n, r, c, validate=False)
     if symmetrize:
-        return t.symmetrized()
-    t.validate()
-    return t
+        c = 0.5 * (c + c.conj().transpose(1, 0, 3, 2))
+    return CurvatureTensor(n, r, c)
 
 
 def load_tensor(path, symmetrize=False):

@@ -148,12 +148,6 @@ class Form:
     def __truediv__(self, scalar):
         return self * (1.0 / complex(scalar))
 
-    def __eq__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return ((self.m, self.p, self.q) == (other.m, other.p, other.q)
-                and np.array_equal(self.a, other.a))
-
     def _check_compatible(self, other):
         if not isinstance(other, Form):
             raise TypeError(f"expected Form, got {type(other).__name__}")

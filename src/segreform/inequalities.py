@@ -20,7 +20,7 @@ import numpy as np
 
 from .curvature import (DEFAULT_EQUALITY_TOL, DEFAULT_HE_TOL, PreconditionError,
                         _he_deviation, chern_forms, is_projectively_flat, omega_ratio,
-                        require_kaehler, segre_forms, strong_flat_tensor)
+                        segre_forms, strong_flat_tensor)
 from .exterior import Form, wedge
 
 DEFAULT_MARGIN_TOL = 1e-10
@@ -49,7 +49,6 @@ def kl_classical(t, w):
     q is the ratio against omega^n and the equality flag mirrors projective
     flatness.
     """
-    require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("classical check needs n >= 2")
     _require_he(t, w)
@@ -67,7 +66,6 @@ def kl_segre(t, w):
     Returns lhs, both rhs evaluations, margin = rhs - lhs, and the equality
     flag (fires exactly on the omega-proportional flat case).
     """
-    require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("Segre-form check needs n >= 2")
     lam = _require_he(t, w)
@@ -87,7 +85,6 @@ def kl_segre(t, w):
 def projective_flat_bound(t, w, margin_tol=DEFAULT_MARGIN_TOL):
     """For projectively flat Hermite-Einstein input:
     c_1^2 ^ omega^{n-2} <= (lambda r / n)^2 omega^n."""
-    require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("needs n >= 2")
     lam = _require_he(t, w)
@@ -109,7 +106,6 @@ def surface_compare(t, w):
     normalisation of omega is the caller's responsibility; outputs are
     pointwise analogues of the cohomological statement.
     """
-    require_kaehler(w)
     if t.n != 2:
         raise PreconditionError("surface comparison is defined for n = 2 only")
     if t.r < 2:

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import Kaehler11, require_kaehler
-
 
 def relative_eigenvalues(a, w):
     """Eigenvalues of alpha relative to omega, sorted ascending.
 
-    Solves A v = alpha G v with G positive definite by Cholesky reduction:
-    with G = L L^H, the eigenvalues are those of the Hermitian matrix
-    L^-1 A L^-H, hence real for Hermitian A.  a is a Kaehler11 or an
-    (..., n, n) stack of matrices A, whose eigenvalues fill the last axis.
+    Solves A v = alpha G v with G positive definite, as every Kaehler11 is, by
+    Cholesky reduction: with G = L L^H, the eigenvalues are those of the
+    Hermitian matrix L^-1 A L^-H, hence real for Hermitian A.  a is an
+    (..., n, n) stack of Hermitian matrices A, whose eigenvalues fill the last axis.
     """
-    require_kaehler(w)
-    A = a.g if isinstance(a, Kaehler11) else np.asarray(a)
+    A = np.asarray(a)
     if A.shape[-1] != w.n:
         raise ValueError("forms live on different dimensions")
     L_inv = np.linalg.inv(np.linalg.cholesky(w.g))

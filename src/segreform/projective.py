@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .curvature import direction_matrices, omega_ratio, require_kaehler
+from .curvature import direction_matrices, omega_ratio
 from .exterior import Form, one_one_power
 from .kahler import relative_eigenvalues
 from .moments import direction_chunks, phi_k_tensor
@@ -81,7 +81,6 @@ def identity_residuals(t, w, V, k, scalar=None):
     degrees k gives arrays with one row per degree, from one build of each
     block's directional matrices and eigenvalues.
     """
-    require_kaehler(w)
     ks = np.atleast_1d(k).tolist()
     for deg in ks:
         if not 1 <= deg <= t.n:
@@ -114,7 +113,6 @@ def gamma_profile(t, w, ell, samples=2000, seed=0):
     the pointwise l-Hermite-Einstein diagnostic (degree 1 recovers the
     Hermite-Einstein condition itself).
     """
-    require_kaehler(w)
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -15,15 +15,22 @@ permutation expansion of principal minors for the Chern forms, and the
 combined form Xi on C^(n+r-1), in a frame whose last vector is the fiber
 direction, for the top-form identities.
 
+Real (1,1)-forms that are not Kaehler forms (directional curvature, c_1,
+its primitive part, beta) are Hermitian coefficient matrices here, as in
+the library; only omega is a Kaehler11.
+
 The wedge path (wedge_power, factorial_power, top_ratio) is the reference
 for the one omega contraction of the library, curvature.omega_ratio; the
 primitive decomposition c_1 = eta + f omega, the gamma_2 bounds, the
 End(E) tensor and the closed form of phi_k on a matrix check the
 inequalities and the moments from the eigenvalue side.
 
-The predicates on forms (is_zero, allclose, is_real), the symmetry
-deviation of a curvature tensor and the direction stream gathered into one
-array (sample_directions) serve the tests only, so they live here.
+The predicates on forms (is_zero, allclose, is_real, forms_equal), the
+symmetry deviation of a curvature tensor and the direction stream gathered
+into one array (sample_directions) serve the tests only, so they live here,
+as does the projectively flat generator through real-form arithmetic, one
+symmetrization per sum or multiple (projectively_flat_tensor_forms), the
+reference for the bytes of the library's generator.
 """
 
 import math
@@ -32,8 +39,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 
-from segreform.curvature import (DEFAULT_EQUALITY_TOL, CurvatureTensor, Kaehler11,
-                                 PreconditionError, direction_matrices, require_kaehler)
+from segreform.curvature import (DEFAULT_EQUALITY_TOL, CurvatureTensor, PreconditionError,
+                                 direction_matrices, omega_ratio)
 from segreform.exterior import Form, _basis, wedge
 from segreform.inequalities import _require_he, kl_classical
 from segreform.kahler import relative_eigenvalues
@@ -118,7 +125,6 @@ def top_ratio(t, vol):
 def mean_curvature_wedge(t, w):
     """Mean curvature T by one wedge against omega^(n-1)/(n-1)! and one
     top_ratio per entry Theta_hat[mu, lam]."""
-    require_kaehler(w)
     vol = factorial_power(Form.one_one(w.g), t.n)
     wpow = factorial_power(Form.one_one(w.g), t.n - 1)
     T = np.empty((t.r, t.r), dtype=complex)
@@ -129,8 +135,9 @@ def mean_curvature_wedge(t, w):
 
 
 def direction_form(t, v):
-    """The real (1,1)-form (i/2pi)<Theta v, v>/|v|^2 of a fiber direction v."""
-    return Kaehler11(direction_matrices(t, np.reshape(v, (1, -1)))[0])
+    """The Hermitian matrix of the real (1,1)-form (i/2pi)<Theta v, v>/|v|^2
+    of a fiber direction v."""
+    return direction_matrices(t, np.reshape(v, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,8 @@ def direction_form(t, v):
 # ---------------------------------------------------------------------------
 
 def gamma_rel(a, w, k):
-    """gamma_k(alpha/omega): elementary symmetric polynomial of the relative eigenvalues."""
+    """gamma_k(alpha/omega) of a Hermitian matrix a: elementary symmetric
+    polynomial of the relative eigenvalues."""
     return float(elem_sym(relative_eigenvalues(a, w), k))
 
 
@@ -146,11 +154,10 @@ def primitive_split(c1, w):
     """Split c1 = eta + f*omega with eta omega-primitive (gamma_1(eta/omega) = 0).
 
     Returns (eta, f) with f = gamma_1(c1/omega)/n; eta then satisfies
-    eta ^ omega^{n-1} = 0.
+    eta ^ omega^{n-1} = 0.  c1 and eta are Hermitian matrices.
     """
-    require_kaehler(w)
     f = gamma_rel(c1, w, 1) / w.n
-    return Kaehler11(c1.g - f * w.g), f
+    return c1 - f * w.g, f
 
 
 def primitive_square_ratio(eta, w):
@@ -159,12 +166,11 @@ def primitive_square_ratio(eta, w):
     This is the coefficient governing eta^2 ^ omega^{n-2}; it is <= 0, with
     equality only for eta = 0.  Requires n >= 2 and gamma_1(eta/omega) ~ 0.
     """
-    require_kaehler(w)
     if w.n < 2:
         raise PreconditionError("primitive square ratio needs n >= 2")
     alphas = relative_eigenvalues(eta, w)
     g1 = float(elem_sym(alphas, 1))
-    if abs(g1) > PRIMITIVITY_RTOL * (1.0 + float(np.abs(eta.g).max())):
+    if abs(g1) > PRIMITIVITY_RTOL * (1.0 + float(np.abs(eta).max())):
         raise PreconditionError(f"input is not primitive: gamma_1 = {g1:.3e}")
     return float(elem_sym(alphas, 2))
 
@@ -176,14 +182,13 @@ def kl_segre_margin_primitive(t, w):
     with the eta^2 term evaluated through relative eigenvalues rather than
     wedge products.  Returns {"margin", "f", "eta_residual"}.
     """
-    require_kaehler(w)
     if t.n < 2:
         raise PreconditionError("primitive decomposition path needs n >= 2")
     _require_he(t, w)
     n, r = t.n, t.r
-    eta, f = primitive_split(Kaehler11(np.einsum("jkll->jk", t.c)), w)
+    eta, f = primitive_split(np.einsum("jkll->jk", t.c), w)
     # eta ^ omega^{n-1} must vanish identically
-    eta_top = wedge(Form.one_one(eta.g), wedge_power(Form.one_one(w.g), n - 1))
+    eta_top = wedge(Form.one_one(eta), wedge_power(Form.one_one(w.g), n - 1))
     eta2 = 2.0 * primitive_square_ratio(eta, w) / (n * (n - 1))
     q = kl_classical(t, w)["q"]
     margin = -(r + 1) / (2 * r) * eta2 - q / (2 * r)
@@ -218,7 +223,7 @@ def gamma2_bound(t, w, v):
     lam = _require_he(t, w)
     theta = direction_form(t, v)
     bound = (t.n - 1) * lam * lam / (2 * t.n)
-    eq = float(np.abs(theta.g - (lam / t.n) * w.g).max()) <= DEFAULT_EQUALITY_TOL
+    eq = float(np.abs(theta - (lam / t.n) * w.g).max()) <= DEFAULT_EQUALITY_TOL
     return {"gamma2": gamma_rel(theta, w, 2), "bound": bound, "equality": eq}
 
 
@@ -447,7 +452,7 @@ def pushforward_mc_loop(t, k, samples, seed):
     the standard error taken two-pass from the stored per-direction terms.
     """
     factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)
-    terms = [factor * wedge_power(Form.one_one(direction_form(t, v).g), k)
+    terms = [factor * wedge_power(Form.one_one(direction_form(t, v)), k)
              for v in sample_directions(t.r, samples, seed)]
     keys = set().union(*(f.coeffs for f in terms))
     x = {key: np.array([f.coeffs.get(key, 0j) for f in terms]) for key in keys}
@@ -609,12 +614,12 @@ def xi_at(t, v):
     if v.shape != (t.r,):
         raise ValueError(f"direction has length {v.size}, expected {t.r}")
     m = t.n + t.r - 1
-    vertical = Kaehler11(np.eye(t.r - 1) / (2.0 * math.pi))
+    vertical = np.eye(t.r - 1) / (2.0 * math.pi)
     e_last = np.zeros(t.r, dtype=complex)
     e_last[-1] = 1.0
     horizontal = direction_form(rotate_tensor(t, unitary_sending_last_to(v)), e_last)
-    return (block_embed(Form.one_one(vertical.g), t.n, m)
-            - block_embed(Form.one_one(horizontal.g), 0, m))
+    return (block_embed(Form.one_one(vertical), t.n, m)
+            - block_embed(Form.one_one(horizontal), 0, m))
 
 
 def top_form_residual(t, w, v, k, scalar=None):
@@ -625,7 +630,6 @@ def top_form_residual(t, w, v, k, scalar=None):
     first minus scalar times the second; scalar defaults to
     (-1)^k gamma_k(theta_v/omega) from one gamma_rel call.
     """
-    require_kaehler(w)
     if scalar is None:
         scalar = (-1.0) ** k * gamma_rel(direction_form(t, v), w, k)
     xi = xi_at(t, v)
@@ -633,3 +637,33 @@ def top_form_residual(t, w, v, k, scalar=None):
     lhs = wedge(factorial_power(xi, t.r - 1 + k), factorial_power(omega_h, t.n - k))
     rhs = wedge(factorial_power(xi, t.r - 1), factorial_power(omega_h, t.n))
     return top_ratio(lhs, rhs), (lhs - scalar * rhs).max_abs()
+
+
+# ---------------------------------------------------------------------------
+# generators through real (1,1)-form arithmetic
+# ---------------------------------------------------------------------------
+
+def _real_one_one(g):
+    """The coefficients of a real (1,1)-form: Hermitian within 1e-12, then
+    symmetrized, as every sum and multiple of such forms is."""
+    g = np.asarray(g, dtype=complex)
+    if np.abs(g - g.conj().T).max(initial=0.0) > 1e-12:
+        raise ValueError("coefficient matrix must be Hermitian")
+    return 0.5 * (g + g.conj().T)
+
+
+def projectively_flat_tensor_forms(n, r, seed, w=None, lam=None):
+    """curvature.projectively_flat_tensor with beta, s * omega and their sum
+    each rebuilt as a real (1,1)-form, one symmetrization per operation."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    beta = _real_one_one(0.5 * (b + b.conj().T))
+    if w is not None and lam is not None:
+        cur = float(omega_ratio(1j * beta, w, 1).real)
+        beta = _real_one_one(beta + _real_one_one(((float(lam) - cur) / n) * w.g))
+    return CurvatureTensor(n, r, np.einsum("jk,ml->jklm", beta, np.eye(r)))
+
+
+def forms_equal(a, b):
+    """Whether two forms have one bidegree and bitwise equal coefficient arrays."""
+    return (a.m, a.p, a.q) == (b.m, b.p, b.q) and np.array_equal(a.a, b.a)

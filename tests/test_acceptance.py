@@ -192,7 +192,7 @@ def test_criterion_5_classical_inequality():
             w = sf.Kaehler11.euclidean(n)
             base = sf.projectively_flat_tensor(n, r, seed=seed, w=w, lam=0.7)
             pert = sf.random_curvature(n, r, seed=500 + seed)
-            t = sf.project_to_he(base + 0.1 * pert, w, 0.7)
+            t = sf.project_to_he(sf.CurvatureTensor(n, r, base.c + 0.1 * pert.c), w, 0.7)
             strict_ok &= sf.kl_classical(t, w)["q"] < -1e-4
     _verdict(5, "classical inequality: nonpositive, equality detector, strictness",
              nonpos_ok and equality_ok and strict_ok)

@@ -478,6 +478,81 @@ class TestCheck:
         validate_report(json.loads(out))
 
 
+def run_child(cwd, *argv):
+    """(exit code, stdout, stderr) of one CLI child process run in cwd."""
+    proc = subprocess.run([sys.executable, "-m", "segreform.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, env=child_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+ASYMMETRIC = {"n": 2, "r": 2, "coeffs": [
+    {"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": 1.0},
+    {"j": 2, "k": 2, "lambda": 2, "mu": 2, "re": 1.0},
+    {"j": 1, "k": 2, "lambda": 1, "mu": 1, "re": 0.5}]}
+ASYMMETRIC_ERROR = ('{"error":{"message":"hermitian symmetry conj(c[j,k,lam,mu]) = c[k,j,mu,lam] '
+                    'violated at (j,k,lambda,mu)=(1,2,1,1), deviation 5.000e-01",'
+                    '"type":"validation"}}\n')
+
+
+class TestInvariantGuards:
+    # omega and the tensor are checked where they are built; each command
+    # still prints the same error, exit code 2 and nothing on stderr
+    ON_TENSOR = [["check", "kl", "--in", "t.json"],
+                 ["verify", "identity9", "--in", "t.json", "--samples", "3"],
+                 ["check", "lhe", "--in", "t.json", "--samples", "3"]]
+
+    @pytest.mark.parametrize("omega, message", [
+        ("[[1,0],[0,-1]]", "omega must be positive definite"),
+        ("[[1,0],[0,0]]", "omega must be positive definite"),
+        ("[[1,0.5],[0,1]]", "coefficient matrix must be Hermitian")],
+        ids=["indefinite", "singular", "non-hermitian"])
+    def test_bad_omega_is_the_same_usage_error_everywhere(self, tmp_path, omega, message):
+        gen = ["gen", "2", "2", "3", "--he", "1.0", "--out", "t.json"]
+        assert run_child(tmp_path, *gen)[0] == 0
+        for argv in [gen] + self.ON_TENSOR:
+            assert run_child(tmp_path, *argv, "--omega", omega) == (
+                2, '{"error":{"message":"%s","type":"usage"}}\n' % message, "")
+
+    def test_asymmetric_tensor_is_rejected_or_symmetrized(self, tmp_path):
+        # --symmetrize prints byte for byte the report on the Hermitian part
+        # written out by hand, in a directory of its own under the same name
+        sym = json.loads(json.dumps(ASYMMETRIC))
+        sym["coeffs"][2]["re"] = 0.25
+        sym["coeffs"].append({"j": 2, "k": 1, "lambda": 1, "mu": 1, "re": 0.25})
+        (tmp_path / "t.json").write_text(json.dumps(ASYMMETRIC))
+        (tmp_path / "sym").mkdir()
+        (tmp_path / "sym" / "t.json").write_text(json.dumps(sym))
+        outs = []
+        for argv in self.ON_TENSOR:
+            assert run_child(tmp_path, *argv) == (2, ASYMMETRIC_ERROR, "")
+            code, out, err = run_child(tmp_path, *argv, "--symmetrize")
+            assert (code, err) == (0, "")
+            assert out == run_child(tmp_path / "sym", *argv)[1]
+            outs.append(out)
+        assert outs[0] == (
+            '{"command":"check kl","inputs":{"ell":null,"in":"t.json","omega":"euclidean",'
+            '"samples":null,"seed":0,"tol":1.0000000000000001e-09},"results":[{"name":'
+            '"kl_nonpositive","pass":true,"tolerance":1.0000000000000001e-09,"value":'
+            '{"equality":false,"q":-1.0625}}],"version":"0.1.0"}\n')
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 2, "r": 2, "coeffs": 5},
+        {"n": 2, "r": 2, "coeffs": None},
+        {"n": 2, "r": 1, "coeffs": [{"j": 1.5, "k": 1, "lambda": 1, "mu": 1, "re": 1.0}]},
+        {"n": 2, "r": 1, "coeffs": [{"j": True, "k": 1, "lambda": 1, "mu": 1, "re": 1.0}]},
+        {"n": 2, "r": 1, "coeffs": [{"j": "2", "k": 2, "lambda": 1, "mu": 1, "re": 1.0}]},
+        {"n": 2, "r": 1, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": "0.5"}]},
+        {"n": 2, "r": 1, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": 1.0,
+                                     "im": 10 ** 400}]}],
+        ids=["coeffs-int", "coeffs-null", "index-float", "index-bool", "index-string",
+             "re-string", "im-huge-int"])
+    def test_malformed_payload_is_validation_error(self, tmp_path, payload):
+        (tmp_path / "t.json").write_text(json.dumps(payload))
+        code, out, err = run_child(tmp_path, "check", "he", "--in", "t.json")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"]["type"] == "validation"
+
+
 class TestMomentsCommand:
     def test_exact_fraction(self, capsys):
         code, out = run_cli(capsys, "moments", "--r", "2", "--lambdas", "1", "2",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from segreform.curvature import (MAX_TOP_POWER, CurvatureTensor, Kaehler11, PreconditionError,
                                  TensorValidationError, _he_deviation, chern_forms,
-                                 direction_matrices, is_hermite_einstein, is_projectively_flat,
+                                 is_hermite_einstein, is_projectively_flat,
                                  mean_curvature, omega_ratio, project_to_he,
                                  projectively_flat_tensor, random_curvature,
                                  segre_forms, strong_flat_tensor,
@@ -21,16 +21,17 @@ from segreform.report import canonical_json
 from conftest import random_form, random_hermitian, random_spd
 from oracles import (allclose, chern_forms_minors, direction_form, dual_endomorphism_tensor,
                      factorial_power, hermitian_deviation, is_real, is_zero,
-                     mean_curvature_wedge, rotate_tensor, top_ratio, wedge_power)
+                     mean_curvature_wedge, projectively_flat_tensor_forms, rotate_tensor,
+                     top_ratio, wedge_power)
 
 
-def tensor_from_diagonal(forms11, r=None):
-    """Theta_hat = diag(beta_1..beta_r) from Kaehler11 coefficient matrices."""
-    n = forms11[0].n
-    r = r or len(forms11)
+def tensor_from_diagonal(betas, r=None):
+    """Theta_hat = diag(beta_1..beta_r) from Hermitian coefficient matrices."""
+    n = len(betas[0])
+    r = r or len(betas)
     c = np.zeros((n, n, r, r), dtype=complex)
-    for i, beta in enumerate(forms11):
-        c[:, :, i, i] = beta.g
+    for i, beta in enumerate(betas):
+        c[:, :, i, i] = beta
     return CurvatureTensor(n, r, c)
 
 
@@ -50,11 +51,11 @@ class TestChernForms:
     def test_scalar_times_identity_binomial(self, rng):
         # Theta_hat = beta tensor Id_r: det(1 + t beta)^r gives c_k = C(r,k) beta^k
         for n, r in ((3, 3), (8, 8)):
-            beta = Kaehler11(random_hermitian(n, rng))
-            c = np.einsum("jk,ml->jklm", beta.g, np.eye(r))
+            beta = random_hermitian(n, rng)
+            c = np.einsum("jk,ml->jklm", beta, np.eye(r))
             t = CurvatureTensor(n, r, c)
             cs = chern_forms(t)
-            bf = Form.one_one(beta.g)
+            bf = Form.one_one(beta)
             for k in range(r + 1):
                 expect = math.comb(r, k) * wedge_power(bf, k)
                 assert (cs[k] - expect).max_abs() <= 1e-11 * (1 + expect.max_abs())
@@ -85,10 +86,10 @@ class TestChernForms:
         # diagonal curvature: c_k = gamma_k(betas) in the form algebra and
         # s_k = (-1)^k sigma_k(betas), with sigma from the Newton recursion
         n = 3
-        betas = [Kaehler11(random_hermitian(n, rng)) for _ in range(3)]
+        betas = [random_hermitian(n, rng) for _ in range(3)]
         t = tensor_from_diagonal(betas)
         cs = chern_forms(t)
-        forms = [Form.one_one(b.g) for b in betas]
+        forms = [Form.one_one(b) for b in betas]
         # gamma_2 = b1 b2 + b1 b3 + b2 b3 etc.
         g1 = forms[0] + forms[1] + forms[2]
         g2 = (wedge(forms[0], forms[1]) + wedge(forms[0], forms[2])
@@ -113,7 +114,8 @@ class TestChernFormProperties:
     @given(curvature_cases(), st.floats(-3.0, 3.0))
     def test_homogeneity(self, t, s):
         # c_k(s Theta) = s^k c_k(Theta)
-        for k, (got, ck) in enumerate(zip(chern_forms(s * t), chern_forms(t))):
+        scaled = CurvatureTensor(t.n, t.r, s * t.c)
+        for k, (got, ck) in enumerate(zip(chern_forms(scaled), chern_forms(t))):
             expect = s ** k * ck
             assert (got - expect).max_abs() <= 1e-10 * (1 + expect.max_abs())
 
@@ -132,7 +134,7 @@ class TestChernFormProperties:
         # Theta + beta tensor Id is the curvature of E tensor L with c_1(L) = beta:
         # c_k(E tensor L) = sum_i C(r-i, k-i) c_i(E) ^ beta^{k-i}
         beta = random_hermitian(t.n, np.random.default_rng(seed))
-        twisted = t + CurvatureTensor(t.n, t.r, np.einsum("jk,ml->jklm", beta, np.eye(t.r)))
+        twisted = CurvatureTensor(t.n, t.r, t.c + np.einsum("jk,ml->jklm", beta, np.eye(t.r)))
         cs, bf = chern_forms(t), Form.one_one(beta)
         for k, got in enumerate(chern_forms(twisted)):
             expect = Form.zero(t.n, k, k)
@@ -171,23 +173,23 @@ class TestSegreForms:
 class TestDirectionForm:
     def test_scalar_identity_curvature(self, rng):
         n, r = 2, 3
-        beta = Kaehler11(random_hermitian(n, rng))
-        t = CurvatureTensor(n, r, np.einsum("jk,ml->jklm", beta.g, np.eye(r)))
+        beta = random_hermitian(n, rng)
+        t = CurvatureTensor(n, r, np.einsum("jk,ml->jklm", beta, np.eye(r)))
         for _ in range(5):
             v = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            assert np.allclose(direction_form(t, v).g, beta.g)
+            assert np.allclose(direction_form(t, v), beta)
 
     def test_scale_invariance(self, rng):
         t = random_curvature(2, 3, seed=1)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert np.allclose(direction_form(t, 2 * v).g, direction_form(t, v).g)
+        assert np.allclose(direction_form(t, 2 * v), direction_form(t, v))
 
     def test_basis_direction_picks_diagonal(self, rng):
-        b1 = Kaehler11(random_hermitian(2, rng))
-        b2 = Kaehler11(random_hermitian(2, rng))
+        b1 = random_hermitian(2, rng)
+        b2 = random_hermitian(2, rng)
         t = tensor_from_diagonal([b1, b2])
-        assert np.allclose(direction_form(t, [1, 0]).g, b1.g)
-        assert np.allclose(direction_form(t, [0, 1]).g, b2.g)
+        assert np.allclose(direction_form(t, [1, 0]), b1)
+        assert np.allclose(direction_form(t, [0, 1]), b2)
 
     def test_zero_direction_raises(self):
         t = random_curvature(1, 2, seed=0)
@@ -195,12 +197,13 @@ class TestDirectionForm:
             direction_form(t, [0, 0])
 
     def test_asymmetric_tensor_is_rejected(self):
-        # an asymmetry of 1e-7 is below allclose's default rtol, not below validate()'s rule
+        # an asymmetry of 1e-7 is below allclose's default rtol, not below the
+        # constructor's rule, so no tensor direction_matrices sees carries it
         t = random_curvature(3, 3, seed=0)
         c = t.c.copy()
         c[0, 1, 0, 2] += 1e-7
         with pytest.raises(TensorValidationError, match="hermitian symmetry"):
-            direction_matrices(CurvatureTensor(3, 3, c, validate=False), np.eye(3))
+            CurvatureTensor(3, 3, c)
 
 
 class TestOmegaRatio:
@@ -243,8 +246,9 @@ class TestOmegaRatio:
             omega_ratio(np.zeros((0, 0)), w, 4)
 
     def test_not_pd_raises(self):
-        with pytest.raises(PreconditionError):
-            omega_ratio(np.eye(2), Kaehler11(np.diag([1.0, -1.0])), 1)
+        # no omega_ratio call can see an indefinite omega: building it raises
+        with pytest.raises(PreconditionError, match="positive definite"):
+            Kaehler11(np.diag([1.0, -1.0]))
 
 
 class TestMeanCurvature:
@@ -268,7 +272,7 @@ class TestMeanCurvature:
         w = Kaehler11(random_spd(2, rng))
         t1 = random_curvature(2, 2, seed=8)
         t2 = random_curvature(2, 2, seed=9)
-        lhs = mean_curvature(t1 + t2, w)
+        lhs = mean_curvature(CurvatureTensor(2, 2, t1.c + t2.c), w)
         assert np.allclose(lhs, mean_curvature(t1, w) + mean_curvature(t2, w), atol=1e-11)
 
     def test_trace_identity(self, rng):
@@ -292,9 +296,9 @@ class TestMeanCurvature:
         assert got == pytest.approx(lam * r / n, abs=1e-10)
 
     def test_not_pd_raises(self, rng):
-        t = random_curvature(2, 2, seed=1)
-        with pytest.raises(PreconditionError):
-            mean_curvature(t, Kaehler11(np.diag([1.0, -1.0])))
+        # no mean_curvature call can see a negative definite omega: building it raises
+        with pytest.raises(PreconditionError, match="positive definite"):
+            Kaehler11(-np.eye(2))
 
     def test_euclidean_equals_wedge_path_bitwise(self):
         # generated instances (gen --he, --flat) go through this rounding
@@ -385,6 +389,17 @@ class TestFlatness:
         t = projectively_flat_tensor(2, 3, seed=6)
         assert is_projectively_flat(t)
         assert not kl_segre(t, w)["equality"]  # beta tensor Id is Hermite-Einstein
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 2), (3, 3), (4, 2), (5, 3)])
+    def test_flat_generator_matches_form_arithmetic_bitwise(self, rng, n, r):
+        # gen --flat instances keep their bytes: one symmetrization of
+        # beta + s * omega gives the coefficients of the real-form sum
+        omegas = [Kaehler11.euclidean(n), Kaehler11(random_spd(n, rng))]
+        for seed in range(6):
+            for w, lam in [(None, None)] + [(w, lam) for w in omegas for lam in (1.0, -0.7)]:
+                got = projectively_flat_tensor(n, r, seed, w=w, lam=lam)
+                ref = projectively_flat_tensor_forms(n, r, seed, w=w, lam=lam)
+                assert np.array_equal(got.c, ref.c)
 
     def test_random_neither(self):
         w = Kaehler11.euclidean(2)

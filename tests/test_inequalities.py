@@ -192,9 +192,9 @@ class TestProjectiveFlatBound:
         # lhs - rhs = r^2 * gamma_2(eta/omega) for n = 2
         n, r, lam, a = 2, 3, 0.5, 0.8
         w = Kaehler11.euclidean(n)
-        eta = Kaehler11(np.diag([a, -a]))
-        beta = eta + (lam / n) * w
-        t = CurvatureTensor(n, r, np.einsum("jk,ml->jklm", beta.g, np.eye(r)))
+        eta = np.diag([a, -a])
+        beta = eta + (lam / n) * w.g
+        t = CurvatureTensor(n, r, np.einsum("jk,ml->jklm", beta, np.eye(r)))
         out = projective_flat_bound(t, w)
         assert out["lhs"] - out["rhs"] == pytest.approx(-r * r * a * a, abs=1e-10)
         assert primitive_square_ratio(eta, w) == pytest.approx(-a * a, abs=1e-12)
@@ -253,7 +253,7 @@ class TestScaling:
     def test_verdicts_invariant_under_omega_scaling(self):
         t, w = he_instance(2, 2, 14, lam=0.6)
         for scale in (0.5, 3.0):
-            w2 = scale * w
+            w2 = Kaehler11(scale * w.g)
             he_dev = kl_segre(t, w2)
             base = kl_segre(t, w)
             # slope scales by 1/t, booleans unchanged
@@ -267,7 +267,7 @@ class TestScaling:
 
         t, w = he_instance(2, 3, 15, lam=0.9)
         for scale in (2.0, 5.0):
-            he, lam = is_hermite_einstein(t, scale * w)
+            he, lam = is_hermite_einstein(t, Kaehler11(scale * w.g))
             assert he and lam == pytest.approx(0.9 / scale, abs=1e-10)
 
 

@@ -35,14 +35,14 @@ for k in range(1, n + 1):
 # For Theta_hat = diag(a_1, ..., a_r) tensor omega, omega = sum_j i dz_j ^ dzbar_j,
 # the Chern forms are c_k = gamma_k(a) omega^k and the Segre forms
 # s_k = (-1)^k sigma_k(a) omega^k, gamma and sigma the elementary and complete
-# homogeneous symmetric polynomials.  Newton's recursion over the forms
-# gamma_k(a) omega^k, the one segre_forms runs with gamma_j = (-1)^j c_j,
-# gives sigma_k(a) omega^k: a scalar shadow of the form algebra.
+# homogeneous symmetric polynomials: a scalar shadow of the form algebra.
 vals = [0.5, -1.0, 2.0]
-powers = [sf.Form.constant(n)]
+diag = sf.CurvatureTensor(n, r, np.einsum("jk,ml->jklm", np.eye(n), np.diag(vals)))
+cs, powers = sf.chern_forms(diag), [sf.Form.constant(n)]
 for _ in range(n):
     powers.append(sf.wedge(powers[-1], sf.Form.one_one(np.eye(n))))
-gammas = [float(sf.elem_sym(vals, j)) for j in range(n + 1)]
-sigmas = sf.newton_convert([g * p for g, p in zip(gammas, powers)], n)
-print("\nscalar shadow: gamma =", gammas,
-      " sigma =", [f"{(s.a[0, 0] / p.a[0, 0]).real:.3g}" for s, p in zip(sigmas, powers)])
+ss = sf.segre_forms(cs, n)
+print("\nscalar shadow: gamma =", [f"{(c.a[0, 0] / p.a[0, 0]).real:.3g}" for c, p in zip(cs, powers)],
+      " sigma =", [f"{((-1) ** k * s.a[0, 0] / p.a[0, 0]).real:.3g}"
+                   for k, (s, p) in enumerate(zip(ss, powers))])
+print("elem_sym agrees:", [f"{sf.elem_sym(vals, j):.3g}" for j in range(n + 1)])

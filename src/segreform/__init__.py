@@ -27,7 +27,7 @@ _EXPORTS = {  # home module -> its public names
     "moments": ("DIRECTION_CHUNK", "direction_chunks", "moment_mc", "moment_wick",
                 "phi_k_tensor"),
     "projective": ("gamma_profile", "identity_residuals", "pushforward_segre"),
-    "symfun": ("elem_sym", "newton_convert"),
+    "symfun": ("elem_sym",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

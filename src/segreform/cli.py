@@ -85,14 +85,14 @@ def parse_omega(spec, n):
             elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
                 mat[j, k] = complex(entry[0], entry[1])
             else:
-                raise UsageError(f"omega entry {entry!r} is not a finite number or a [re, im] pair")
+                raise UsageError(f"omega entry {json.dumps(entry)} is not a finite number or a [re, im] pair")
     if mat.shape != (n, n):
         raise UsageError(f"omega is {mat.shape[0]}x{mat.shape[1]}, tensor needs {n}x{n}")
     try:
         w = Kaehler11(mat)
     except ValueError as exc:  # not Hermitian, or not positive definite
         raise UsageError(str(exc)) from exc
-    eigs = np.linalg.eigvalsh(w.g)
+    eigs = w.eigenvalues
     big = float(np.abs(w.g).max())
     if big > MAX_TOP_POWER ** (1 / n):
         raise UsageError(f"largest omega entry modulus {big:.3e} exceeds "

@@ -30,7 +30,6 @@ import operator
 import numpy as np
 
 from .exterior import Form, one_one_power, top_pairing, wedge
-from .symfun import newton_convert
 
 DEFAULT_HE_TOL = 1e-9
 DEFAULT_EQUALITY_TOL = 1e-8
@@ -48,12 +47,11 @@ class TensorValidationError(ValueError):
 
 
 class Kaehler11:
-    """A Kaehler form omega = sum_jk g[j,k] * (i dz_j ^ dzbar_k) at the point:
-    g Hermitian positive definite, checked here once for every later use.
-    Other real (1,1)-forms are plain Hermitian coefficient matrices.
-    """
+    """A Kaehler form omega = sum_jk g[j,k] * (i dz_j ^ dzbar_k) at the point: g read-only,
+    Hermitian positive definite (checked here once for every later use) with ascending
+    eigenvalues; other real (1,1)-forms are plain Hermitian coefficient matrices."""
 
-    __slots__ = ("n", "g", "_powers")
+    __slots__ = ("n", "g", "eigenvalues", "_powers")
 
     def __init__(self, g):
         g = np.asarray(g, dtype=complex)
@@ -63,7 +61,9 @@ class Kaehler11:
             raise ValueError("coefficient matrix must be Hermitian")
         self.n = g.shape[0]
         self.g = 0.5 * (g + g.conj().T)  # kill roundoff asymmetry
-        if not np.linalg.eigvalsh(self.g).min(initial=np.inf) > 0:
+        self.g.flags.writeable = False  # the cached powers stay those of g
+        self.eigenvalues = np.linalg.eigvalsh(self.g)
+        if not self.eigenvalues.min(initial=np.inf) > 0:
             raise PreconditionError("omega must be positive definite")
         self._powers = {}  # k -> one_one_power(g, k) / k!, filled by omega_ratio
 
@@ -76,8 +76,8 @@ class Kaehler11:
 
 
 class CurvatureTensor:
-    """Normalised curvature (i/2pi)*Theta(E,h) at a point, in a normal frame;
-    its hermitian symmetry is checked here once for every later use."""
+    """Normalised curvature (i/2pi)*Theta(E,h) at a point, in a normal frame: c is a
+    read-only copy of the caller's array, its hermitian symmetry checked here once."""
 
     __slots__ = ("n", "r", "c")
 
@@ -88,7 +88,7 @@ class CurvatureTensor:
             raise ValueError("need n >= 1 and r >= 1")
         if c is None:
             c = np.zeros((self.n, self.n, self.r, self.r), dtype=complex)
-        c = np.asarray(c, dtype=complex)
+        c = np.array(c, dtype=complex)
         if c.shape != (self.n, self.n, self.r, self.r):
             raise ValueError(f"coefficient array has shape {c.shape}, expected {(self.n, self.n, self.r, self.r)}")
         # conj(c[j,k,lam,mu]) == c[k,j,mu,lam] within 1e-10; report the worst offender
@@ -99,6 +99,7 @@ class CurvatureTensor:
             raise TensorValidationError(
                 "hermitian symmetry conj(c[j,k,lam,mu]) = c[k,j,mu,lam] violated at "
                 f"(j,k,lambda,mu)=({j + 1},{k + 1},{lam + 1},{mu + 1}), deviation {worst:.3e}")
+        c.flags.writeable = False
         self.c = c
 
     def entry(self, mu, lam):
@@ -137,12 +138,19 @@ def _sum_forms(forms):
 
 
 def segre_forms(c, n):
-    """Segre forms [s_0, ..., s_n] inverting the total Chern form: sum_j c_j ^ s_{k-j} = 0.
-
-    This is the Newton-type recursion with gamma_j = (-1)^j c_j; c_0 must be
-    the constant-1 form.
-    """
-    return newton_convert([cj if j % 2 == 0 else -cj for j, cj in enumerate(c)], n)
+    """Segre forms [s_0, ..., s_n] inverting the total Chern form [c_0, c_1, ...], c_0 the
+    unit form: s_0 = c_0 and s_k = -sum_{j=1}^{k} c_j ^ s_{k-j}, c_j past the list zero."""
+    unit = c[0] if len(c) else None
+    if not (isinstance(unit, Form) and (unit.p, unit.q) == (0, 0)
+            and abs(unit.coeff((), ()) - 1.0) <= 1e-12):
+        raise ValueError(f"entry 0 must be the unit of the form algebra, got {unit!r}")
+    s = [unit]
+    for k in range(1, n + 1):
+        acc = Form.zero(unit.m, k, k)
+        for j in range(1, min(k, len(c) - 1) + 1):
+            acc = acc - wedge(c[j], s[k - j])
+        s.append(acc)
+    return s
 
 
 def direction_matrices(t, V):
@@ -291,22 +299,22 @@ def tensor_from_dict(d, symmetrize=False):
         raise TensorValidationError(f"malformed tensor payload: {exc}") from exc
     check_dims(n, r)
     if not isinstance(entries, list):
-        raise TensorValidationError(f"malformed tensor payload: coeffs must be a list, got {entries!r}")
+        raise TensorValidationError(f"malformed tensor payload: coeffs must be a list, got {json.dumps(entries)}")
     c = np.zeros((n, n, r, r), dtype=complex)
     for e in entries:
         try:
             idx = [e[key] for key in ("j", "k", "lambda", "mu")]
             re, im = e["re"], e.get("im", 0.0)
         except (KeyError, TypeError) as exc:
-            raise TensorValidationError(f"malformed coefficient entry {e!r}: {exc}") from exc
+            raise TensorValidationError(f"malformed coefficient entry {json.dumps(e)}: {exc}") from exc
         if not all(type(x) is int for x in idx) or not all(type(x) in (int, float) for x in (re, im)):
-            raise TensorValidationError(f"malformed coefficient entry {e!r}: indices must be "
+            raise TensorValidationError(f"malformed coefficient entry {json.dumps(e)}: indices must be "
                                         "JSON integers, re and im finite JSON numbers")
         if not (_is_number(re) and _is_number(im)):
-            raise TensorValidationError(f"coefficient entry {e!r} is not finite")
+            raise TensorValidationError(f"coefficient entry {json.dumps(e)} is not finite")
         j, k, lam, mu = (i - 1 for i in idx)
         if not (0 <= j < n and 0 <= k < n and 0 <= lam < r and 0 <= mu < r):
-            raise TensorValidationError(f"coefficient entry {e!r} out of range for n={n}, r={r}")
+            raise TensorValidationError(f"coefficient entry {json.dumps(e)} out of range for n={n}, r={r}")
         c[j, k, lam, mu] = complex(re, im)
     big, top = float(np.abs(c).max()), n + r - 1
     if big > MAX_TOP_POWER ** (1 / top):

@@ -267,8 +267,8 @@ def phi_k_scalar(T, k):
 def newton_scalar(gammas, m_max):
     """sigma_0..sigma_m_max of the Newton-type recursion over real scalars:
     sigma_m = sum_{j=1}^{m} (-1)^(j+1) gamma_j sigma_{m-j}, gamma_0 = 1 and
-    gamma_j beyond the given sequence zero; symfun.newton_convert runs the
-    same recursion over forms."""
+    gamma_j beyond the given sequence zero; curvature.segre_forms runs it over
+    forms, with gamma_j = (-1)^j c_j."""
     sigmas = [1.0]
     for m in range(1, m_max + 1):
         acc = 0.0
@@ -356,13 +356,13 @@ def complete_sym(values, k):
     """Complete homogeneous symmetric polynomial sigma_k, by enumeration.
 
     Sums the products over all weakly increasing k-tuples.  Only supported
-    for k <= 6; larger degrees go through newton_convert.
+    for k <= 6; larger degrees go through newton_scalar.
     """
     values = [float(v) for v in values]
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > _COMPLETE_SYM_MAX_K:
-        raise ValueError(f"direct enumeration supports k <= {_COMPLETE_SYM_MAX_K}; use newton_convert")
+        raise ValueError(f"direct enumeration supports k <= {_COMPLETE_SYM_MAX_K}; use newton_scalar")
     total = 0.0
     for tup in combinations_with_replacement(values, k):
         total += math.prod(tup)

@@ -403,18 +403,22 @@ class TestCheck:
         row = report["results"][0]
         assert row["value"]["slope"] == pytest.approx(0.5, abs=1e-9)
 
-    @pytest.mark.parametrize("omega", ["5", "[1, 2]", '[[1, 0], [0, "x"]]',
-                                       "[[1, 0], [0, null]]", "[[1, [0, 0, 1]], [0, 1]]",
-                                       "[[NaN, 0], [0, 1]]", "[[1" + "0" * 400 + ", 0], [0, 1]]",
-                                       "[[2, 1.000001], [1, 2]]"],
-                             ids=["scalar", "flat-list", "string-entry", "null-entry",
-                                  "triple-entry", "nan-entry", "huge-int-entry",
-                                  "relative-asymmetry"])
-    def test_malformed_omega_is_usage_error(self, he_instance_path, capsys, omega):
+    # each message quotes the bad entry as JSON text, the way the user wrote it
+    @pytest.mark.parametrize("omega, quoted", [
+        ("5", "a list of rows"), ("[1, 2]", "a list of rows"),
+        ('[[1, 0], [0, "x"]]', 'omega entry "x" is'), ("[[1, 0], [0, null]]", "omega entry null is"),
+        ("[[1, [0, 0, 1]], [0, 1]]", "omega entry [0, 0, 1] is"),
+        ("[[NaN, 0], [0, 1]]", "omega entry NaN is"),
+        ("[[1" + "0" * 400 + ", 0], [0, 1]]", "omega entry 1" + "0" * 400 + " is"),
+        ("[[2, 1.000001], [1, 2]]", "Hermitian")],
+        ids=["scalar", "flat-list", "string-entry", "null-entry", "triple-entry", "nan-entry",
+             "huge-int-entry", "relative-asymmetry"])
+    def test_malformed_omega_is_usage_error(self, he_instance_path, capsys, omega, quoted):
         code, out = run_cli(capsys, "check", "he", "--in", he_instance_path,
                             "--omega", omega)
         assert code == 2
-        assert json.loads(out)["error"]["type"] == "usage"
+        err = json.loads(out)["error"]
+        assert err["type"] == "usage" and quoted in err["message"]
 
     def test_omega_out_of_scale_is_rejected_before_computing(self, tmp_path):
         inst = str(tmp_path / "he22.json")
@@ -535,22 +539,28 @@ class TestInvariantGuards:
             '"kl_nonpositive","pass":true,"tolerance":1.0000000000000001e-09,"value":'
             '{"equality":false,"q":-1.0625}}],"version":"0.1.0"}\n')
 
-    @pytest.mark.parametrize("payload", [
-        {"n": 2, "r": 2, "coeffs": 5},
-        {"n": 2, "r": 2, "coeffs": None},
-        {"n": 2, "r": 1, "coeffs": [{"j": 1.5, "k": 1, "lambda": 1, "mu": 1, "re": 1.0}]},
-        {"n": 2, "r": 1, "coeffs": [{"j": True, "k": 1, "lambda": 1, "mu": 1, "re": 1.0}]},
-        {"n": 2, "r": 1, "coeffs": [{"j": "2", "k": 2, "lambda": 1, "mu": 1, "re": 1.0}]},
-        {"n": 2, "r": 1, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": "0.5"}]},
-        {"n": 2, "r": 1, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": 1.0,
-                                     "im": 10 ** 400}]}],
+    @pytest.mark.parametrize("payload, quoted", [
+        ({"n": 2, "r": 2, "coeffs": 5}, "got 5"),
+        ({"n": 2, "r": 2, "coeffs": None}, "got null"),
+        ({"n": 2, "r": 1, "coeffs": [{"j": 1.5, "k": 1, "lambda": 1, "mu": 1, "re": 1.0}]},
+         '{"j": 1.5, "k": 1, "lambda": 1, "mu": 1, "re": 1.0}'),
+        ({"n": 2, "r": 1, "coeffs": [{"j": True, "k": 1, "lambda": 1, "mu": 1, "re": 1.0}]},
+         '"j": true'),
+        ({"n": 2, "r": 1, "coeffs": [{"j": "2", "k": 2, "lambda": 1, "mu": 1, "re": 1.0}]},
+         '"j": "2"'),
+        ({"n": 2, "r": 1, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": "0.5"}]},
+         '"re": "0.5"'),
+        ({"n": 2, "r": 1, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": 1.0,
+                                      "im": 10 ** 400}]}, '"im": 1' + "0" * 400 + "}")],
         ids=["coeffs-int", "coeffs-null", "index-float", "index-bool", "index-string",
              "re-string", "im-huge-int"])
-    def test_malformed_payload_is_validation_error(self, tmp_path, payload):
+    def test_malformed_payload_is_validation_error(self, tmp_path, payload, quoted):
+        # the message quotes the entry or the coeffs value as JSON text, as the user wrote it
         (tmp_path / "t.json").write_text(json.dumps(payload))
         code, out, err = run_child(tmp_path, "check", "he", "--in", "t.json")
         assert (code, err) == (2, "")
-        assert json.loads(out)["error"]["type"] == "validation"
+        error = json.loads(out)["error"]
+        assert error["type"] == "validation" and quoted in error["message"]
 
 
 class TestMomentsCommand:

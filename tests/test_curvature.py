@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import operator
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from segreform.curvature import (MAX_TOP_POWER, CurvatureTensor, Kaehler11, Prec
                                  tensor_from_dict, tensor_to_dict)
 from segreform.exterior import Form, wedge
 from segreform.inequalities import kl_segre
-from segreform.symfun import newton_convert
 from segreform.report import canonical_json
 
 from conftest import random_form, random_hermitian, random_spd
@@ -84,7 +86,7 @@ class TestChernForms:
 
     def test_diagonal_matches_symmetric_polynomials(self, rng):
         # diagonal curvature: c_k = gamma_k(betas) in the form algebra and
-        # s_k = (-1)^k sigma_k(betas), with sigma from the Newton recursion
+        # s_k = (-1)^k sigma_k(betas), sigma_k the sum of the wedges over k-multisets
         n = 3
         betas = [random_hermitian(n, rng) for _ in range(3)]
         t = tensor_from_diagonal(betas)
@@ -97,10 +99,12 @@ class TestChernForms:
         g3 = wedge(forms[0], wedge(forms[1], forms[2]))
         for got, expect in ((cs[1], g1), (cs[2], g2), (cs[3], g3)):
             assert (got - expect).max_abs() <= 1e-10
-        sig = newton_convert([Form.constant(n), g1, g2, g3], n)
         ss = segre_forms(cs, n)
         for k in range(1, n + 1):
-            assert (ss[k] - (-1.0) ** k * sig[k]).max_abs() <= 1e-10
+            sigma_k = functools.reduce(operator.add, (
+                functools.reduce(wedge, (forms[i] for i in multiset))
+                for multiset in combinations_with_replacement(range(3), k)))
+            assert (ss[k] - (-1.0) ** k * sigma_k).max_abs() <= 1e-10
 
 
 @st.composite
@@ -154,20 +158,33 @@ class TestSegreForms:
         expect3 = -wedge(c1, wedge(c1, c1)) + 2 * wedge(c1, c2) - c3
         assert (ss[3] - expect3).max_abs() <= 1e-10
 
-    def test_inverts_chern(self):
-        t = random_curvature(3, 4, seed=5)
+    @settings(max_examples=30, deadline=None)
+    @given(curvature_cases())
+    def test_inverts_chern(self, t):
+        # sum_{j=0}^{k} c_j ^ s_{k-j} = 0 for 1 <= k <= n, c_j = 0 past rank r
         cs = chern_forms(t)
-        ss = segre_forms(cs, 3)
-        for k in range(1, 4):
-            acc = Form.zero(3, k, k)
-            for j in range(0, k + 1):
-                cj = cs[j] if j < len(cs) else Form.zero(3, j, j)
-                acc = acc + wedge(cj, ss[k - j])
-            assert acc.max_abs() <= 1e-12 * 100  # products of O(1) entries
+        ss = segre_forms(cs, t.n)
+        for k in range(1, t.n + 1):
+            terms = [wedge(cs[j], ss[k - j]) for j in range(min(k, t.r) + 1)]
+            scale = max(term.max_abs() for term in terms)
+            assert functools.reduce(operator.add, terms).max_abs() <= 1e-10 * scale
 
     def test_rejects_bad_leading_term(self):
         with pytest.raises(ValueError):
             segre_forms([Form.constant(2) * 2.0], 2)
+
+
+class TestValidatedArrays:
+    def test_tensor_and_omega_arrays_are_private_and_read_only(self, rng):
+        c = random_curvature(2, 2, seed=3).c.copy()
+        t, before = CurvatureTensor(2, 2, c), c.copy()
+        c[0, 1, 0, 0] += 1  # the caller's array breaks its hermitian symmetry; t.c keeps it
+        assert np.array_equal(t.c, before)
+        w = Kaehler11(random_spd(3, rng))
+        for array in (t.c, w.g):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 5.0
+        assert np.array_equal(w.eigenvalues, np.linalg.eigvalsh(w.g))  # ascending, computed once
 
 
 class TestDirectionForm:

@@ -76,8 +76,7 @@ class TestProcessEntry:
              "    m for m in sys.modules if m.split('.')[0] == 'segreform')))\n"
              "sys.argv[0] = 'segreform'\n"
              "runpy.run_module('segreform.cli', run_name='__main__')\n")
-    BASE = {"segreform", "segreform.curvature", "segreform.exterior", "segreform.report",
-            "segreform.symfun"}
+    BASE = {"segreform", "segreform.curvature", "segreform.exterior", "segreform.report"}
 
     def run_cli_child(self, *argv):
         freeze_count, *loaded = run_child(self.PROBE, *argv)
@@ -91,6 +90,9 @@ class TestProcessEntry:
             == self.BASE | {"segreform.inequalities"}
         assert self.run_cli_child("moments", "--r", "2", "--lambdas", "1", "--samples", "100",
                                   "--out", out)[1] == self.BASE | {"segreform.moments"}
+        # the fiber identities compare against gamma_k of eigenvalues
+        assert "segreform.symfun" in self.run_cli_child("verify", "pushforward", "--in", inst,
+                                                        "--out", out)[1]
 
     def test_a_report_loads_neither_dataclasses_nor_copy(self, tmp_path):
         probe = ("import atexit, runpy, sys\n"

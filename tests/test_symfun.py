@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from segreform.curvature import segre_forms
 from segreform.exterior import Form
-from segreform.symfun import elem_sym, newton_convert
+from segreform.symfun import elem_sym
 
 from conftest import random_spd, real_one_one
 from oracles import complete_sym, elem_sym_scalar, newton_scalar, wedge_power
@@ -56,7 +57,7 @@ class TestCompleteSym:
         assert complete_sym([1.5], 4) == pytest.approx(1.5**4)
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError, match="newton_convert"):
+        with pytest.raises(ValueError, match="newton_scalar"):
             complete_sym([1.0, 2.0], 7)
 
 
@@ -66,13 +67,21 @@ M = 5
 OMEGA_POWERS = [wedge_power(Form.one_one(np.eye(M)), j) for j in range(M + 1)]
 
 
+def sigmas_by_segre(gammas, m_max):
+    """sigma_0..sigma_m_max of the Newton-type recursion over forms, which is
+    segre_forms of the total Chern form c_j = (-1)^j gamma_j."""
+    return segre_forms([(-1) ** j * g for j, g in enumerate(gammas)], m_max)
+
+
 def newton_scalars(gammas, m_max):
-    """newton_convert over the forms gamma_j * omega^j, read back as the scalars sigma_m."""
-    sig = newton_convert([g * OMEGA_POWERS[j] for j, g in enumerate(gammas)], m_max)
+    """The recursion over the forms gamma_j * omega^j, read back as the scalars sigma_m."""
+    sig = sigmas_by_segre([g * OMEGA_POWERS[j] for j, g in enumerate(gammas)], m_max)
     return [(s.a[0, 0] / OMEGA_POWERS[m].a[0, 0]).real for m, s in enumerate(sig)]
 
 
 class TestNewtonConvert:
+    """sum_{j=0}^{m} (-1)^j sigma_j gamma_{m-j} = 0, the inversion of the total Chern form."""
+
     def test_power_series_oracle(self):
         # 1/(1+t)^2 = sum (-1)^k (k+1) t^k, so gamma = (1,2,1) gives sigma_k = k+1
         sig = newton_scalars([1.0, 2.0, 1.0], 5)
@@ -101,9 +110,11 @@ class TestNewtonConvert:
 
     def test_unit_entry_enforced(self):
         with pytest.raises(ValueError, match="unit"):
-            newton_convert([Form.constant(2, 2.0), Form.zero(2, 1, 1)], 1)
+            sigmas_by_segre([Form.constant(2, 2.0), Form.zero(2, 1, 1)], 1)
         with pytest.raises(ValueError, match="unit"):
-            newton_convert([1.0, 1.0], 1)  # scalars are not forms
+            sigmas_by_segre([1.0, 1.0], 1)  # scalars are not forms
+        with pytest.raises(ValueError, match="unit"):
+            sigmas_by_segre([], 1)
 
     def test_runs_over_form_algebra(self, rng):
         # the subalgebra generated by a single (1,1)-form matches truncated
@@ -113,7 +124,7 @@ class TestNewtonConvert:
         g = [1.0, 0.8, -0.3, 0.05]
         gam_form = [Form.constant(m)] + [g[j] * wedge_power(omega, j) for j in range(1, 4)]
         sig_scalar = newton_scalar(g, m)
-        sig_form = newton_convert(gam_form, m)
+        sig_form = sigmas_by_segre(gam_form, m)
         for k in range(1, m + 1):
             expect = sig_scalar[k] * wedge_power(omega, k)
             assert (sig_form[k] - expect).max_abs() <= 1e-10 * (1 + expect.max_abs())

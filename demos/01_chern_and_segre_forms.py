@@ -15,8 +15,8 @@ print(t)
 
 cs = sf.chern_forms(t)
 print("\nChern forms: bidegrees", [(c.p, c.q) for c in cs])
-print("c_1 nonzeros:", len(cs[1].coeffs), " c_2 nonzeros:", len(cs[2].coeffs))
-# a (k,k)-form is real when coeff(I, J) == (-1)^k conj(coeff(J, I))
+print("c_1 nonzeros:", np.count_nonzero(cs[1].a), " c_2 nonzeros:", np.count_nonzero(cs[2].a))
+# a (k,k)-form with coefficient array a is real when a == (-1)^k conj(a.T)
 print("all real:", all(np.abs(c.a - (-1) ** c.p * c.a.conj().T).max() <= 1e-11 for c in cs))
 
 ss = sf.segre_forms(cs, n)
@@ -27,7 +27,7 @@ print("and s_2 = c_1^2 - c_2:",
 
 # Inverting the total Chern form means sum_j c_j ^ s_{k-j} = 0 for k >= 1
 for k in range(1, n + 1):
-    acc = sf.Form.zero(n, k, k)
+    acc = sf.Form(n, k, k)
     for j in range(k + 1):
         acc = acc + sf.wedge(cs[j], ss[k - j])
     print(f"inversion residual at degree {k}: {acc.max_abs():.2e}")

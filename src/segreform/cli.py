@@ -31,10 +31,10 @@ import numpy as np
 
 from . import __version__
 from .curvature import (MAX_DIM, MAX_TOP_POWER, Kaehler11, PreconditionError,
-                        TensorValidationError, _he_deviation, _is_number, check_dims,
-                        chern_forms, is_hermite_einstein, load_tensor, project_to_he,
-                        projectively_flat_tensor, random_curvature, segre_forms,
-                        strong_flat_tensor, tensor_to_dict)
+                        TensorValidationError, _check_top_power, _he_deviation, _is_number,
+                        check_dims, chern_forms, is_hermite_einstein, load_tensor,
+                        project_to_he, projectively_flat_tensor, random_curvature,
+                        segre_forms, strong_flat_tensor, tensor_to_dict)
 from .report import NonFiniteError, Report, canonical_json
 
 DEFAULT_TOL = 1e-9
@@ -50,11 +50,11 @@ class UsageError(ValueError):
 
 
 def _tolerance(tol):
-    """The --tol value, else DEFAULT_TOL; it must be finite."""
+    """The --tol value, else DEFAULT_TOL; it must be finite and >= 0."""
     if tol is None:
         return DEFAULT_TOL
-    if not math.isfinite(tol):
-        raise UsageError(f"tolerance must be a finite number, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"tolerance must be a finite number >= 0, got {tol!r}")
     return tol
 
 
@@ -145,6 +145,8 @@ def _finish_report(report, out_path):
 
 def cmd_gen(args):
     check_dims(args.n, args.r)
+    if args.he is not None and not math.isfinite(args.he):
+        raise UsageError(f"--he must be a finite slope, got {args.he!r}")
     w = parse_omega(args.omega, args.n)
     if args.strong_flat:
         if args.he is None:
@@ -156,6 +158,7 @@ def cmd_gen(args):
         t = random_curvature(args.n, args.r, args.seed)
         if args.he is not None:
             t = project_to_he(t, w, args.he)
+    _check_top_power(t.c)  # the bound every reader of the instance applies
     _emit(canonical_json(tensor_to_dict(t)), args.out)
     return 0
 
@@ -288,7 +291,7 @@ def cmd_check(args):
                    args.tol, res["eq4_rhs"] - s2_ratio >= -args.tol)
     elif args.kind == "remark41":
         from .inequalities import projective_flat_bound
-        res = projective_flat_bound(t, w, margin_tol=args.tol)
+        res = projective_flat_bound(t, w, args.tol)
         report.add("remark41_bound", res, args.tol, res["holds"])
     elif args.kind == "lhe":
         from .projective import gamma_profile
@@ -422,7 +425,10 @@ def main(argv=None):
     except NonFiniteError as exc:
         _print_error("non_finite", str(exc))
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except RecursionError:  # only json recurses without bound: one frame per nesting level
+        _print_error("parse", "invalid JSON: nested too deeply")
+        return 2
+    except (OSError, ValueError) as exc:
         _print_error("usage", str(exc))
         return 2
 

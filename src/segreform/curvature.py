@@ -122,7 +122,7 @@ def chern_forms(t):
     power, sums, forms = theta, [None], [Form.constant(t.n)]
     for k in range(1, t.r + 1):
         if k > t.n:
-            forms.append(Form.zero(t.n, k, k))
+            forms.append(Form(t.n, k, k))
             continue
         if k > 1:
             power = [[_sum_forms(wedge(power[a][b], theta[b][d]) for b in range(t.r))
@@ -142,11 +142,11 @@ def segre_forms(c, n):
     unit form: s_0 = c_0 and s_k = -sum_{j=1}^{k} c_j ^ s_{k-j}, c_j past the list zero."""
     unit = c[0] if len(c) else None
     if not (isinstance(unit, Form) and (unit.p, unit.q) == (0, 0)
-            and abs(unit.coeff((), ()) - 1.0) <= 1e-12):
+            and abs(unit.a[0, 0] - 1.0) <= 1e-12):
         raise ValueError(f"entry 0 must be the unit of the form algebra, got {unit!r}")
     s = [unit]
     for k in range(1, n + 1):
-        acc = Form.zero(unit.m, k, k)
+        acc = Form(unit.m, k, k)
         for j in range(1, min(k, len(c) - 1) + 1):
             acc = acc - wedge(c[j], s[k - j])
         s.append(acc)
@@ -257,15 +257,9 @@ def is_projectively_flat(t):
 
 def tensor_to_dict(t):
     """JSON-ready dict {n, r, coeffs: [{j,k,lambda,mu,re,im}, ...]}, 1-based, zeros omitted."""
-    coeffs = []
-    for j in range(t.n):
-        for k in range(t.n):
-            for lam in range(t.r):
-                for mu in range(t.r):
-                    v = t.c[j, k, lam, mu]
-                    if v != 0:
-                        coeffs.append({"j": j + 1, "k": k + 1, "lambda": lam + 1, "mu": mu + 1,
-                                       "re": float(v.real), "im": float(v.imag)})
+    idx = np.nonzero(t.c)  # in C order: j, then k, lambda, mu
+    coeffs = [{"j": j + 1, "k": k + 1, "lambda": lam + 1, "mu": mu + 1, "re": v.real, "im": v.imag}
+              for j, k, lam, mu, v in zip(*(i.tolist() for i in idx), t.c[idx].tolist())]
     return {"n": t.n, "r": t.r, "coeffs": coeffs}
 
 
@@ -273,7 +267,18 @@ def check_dims(n, r):
     """Reject dimensions n, r of outside input unless integers in [1, MAX_DIM]."""
     for name, value in (("n", n), ("r", r)):
         if type(value) is not int or not 1 <= value <= MAX_DIM:
-            raise TensorValidationError(f"{name} must be an integer in [1, {MAX_DIM}], got {value!r}")
+            raise TensorValidationError(f"{name} must be an integer in [1, {MAX_DIM}], "
+                                        f"got {json.dumps(value, default=repr)}")
+
+
+def _check_top_power(c):
+    """Reject an (n, n, r, r) coefficient array whose largest modulus m has
+    m^(n+r-1) > MAX_TOP_POWER."""
+    big, top = float(np.abs(c).max()), c.shape[0] + c.shape[2] - 1
+    if big > MAX_TOP_POWER ** (1 / top):
+        raise TensorValidationError(
+            f"largest coefficient modulus {big:.3e} exceeds {MAX_TOP_POWER:.0e}^(1/{top}): "
+            f"products of degree n+r-1 = {top} would overflow")
 
 
 def _is_number(x):
@@ -316,11 +321,7 @@ def tensor_from_dict(d, symmetrize=False):
         if not (0 <= j < n and 0 <= k < n and 0 <= lam < r and 0 <= mu < r):
             raise TensorValidationError(f"coefficient entry {json.dumps(e)} out of range for n={n}, r={r}")
         c[j, k, lam, mu] = complex(re, im)
-    big, top = float(np.abs(c).max()), n + r - 1
-    if big > MAX_TOP_POWER ** (1 / top):
-        raise TensorValidationError(
-            f"largest coefficient modulus {big:.3e} exceeds {MAX_TOP_POWER:.0e}^(1/{top}): "
-            f"products of degree n+r-1 = {top} would overflow")
+    _check_top_power(c)
     if symmetrize:
         c = 0.5 * (c + c.conj().transpose(1, 0, 3, 2))
     return CurvatureTensor(n, r, c)

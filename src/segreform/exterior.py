@@ -6,8 +6,8 @@ factors.  Coefficients are raw complex numbers against that basis: no i or
 2*pi normalisations are folded in at this level (those belong to the modules
 that build geometric forms).  With this convention a (1,1)-form with
 Hermitian coefficient matrix g, i.e. sum_jk g_jk * (i dz_j ^ dzbar_k), has
-coefficient 1j*g_jk at ((j,), (k,)), and a form is real when
-coeff(I, J) == conj(coeff(J, I)) * (-1)**(p*q).
+coefficient 1j*g_jk at ((j,), (k,)), and a (p,p)-form with array a is real
+when a == (-1)**p * conj(a.T).
 
 The sign of any reordering is the parity of the permutation sorting the
 z-indices and the zbar-indices separately, plus one factor (-1)**(q1*p2)
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
 from itertools import combinations
 from types import MappingProxyType
 
@@ -64,11 +63,9 @@ class Form:
 
     a[s, t] is the coefficient of dz_I ^ dzbar_J for I the s-th p-subset and
     J the t-th q-subset of 1..m, both in lexicographic order, so a has shape
-    C(m,p) x C(m,q).  The constructor takes that array, or a mapping
-    {(I, J): c} from pairs of strictly increasing index tuples to
-    coefficients (missing keys are zero).  A bidegree with p > m or q > m has
-    an empty array, hence is identically zero.  Instances are treated as
-    immutable: all operations return new forms.
+    C(m,p) x C(m,q); omitting a gives the zero form.  A bidegree with p > m
+    or q > m has an empty array, hence is identically zero.  Instances are
+    treated as immutable: all operations return new forms.
     """
 
     __slots__ = ("m", "p", "q", "a")
@@ -76,39 +73,18 @@ class Form:
     def __init__(self, m, p, q, a=None):
         if m < 0 or p < 0 or q < 0:
             raise ValueError("m, p, q must be nonnegative")
-        self.m = int(m)
-        self.p = int(p)
-        self.q = int(q)
+        self.m, self.p, self.q = int(m), int(p), int(q)
         shape = (math.comb(self.m, self.p), math.comb(self.m, self.q))
-        if a is None or isinstance(a, Mapping):
-            arr = np.zeros(shape, dtype=complex)
-            for (I, J), c in (a or {}).items():
-                arr[self._position(I, J)] = complex(c)
-            a = arr
-        else:
-            a = np.asarray(a, dtype=complex)
-            if a.shape != shape:
-                raise ValueError(f"coefficient array has shape {a.shape}, expected {shape} "
-                                 f"for bidegree ({p}, {q}) on C^{m}")
+        a = np.zeros(shape, dtype=complex) if a is None else np.asarray(a, dtype=complex)
+        if a.shape != shape:
+            raise ValueError(f"coefficient array has shape {a.shape}, expected {shape} "
+                             f"for bidegree ({p}, {q}) on C^{m}")
         self.a = a
-
-    def _position(self, I, J):
-        """Row and column of dz_I ^ dzbar_J; ValueError unless I, J are strictly
-        increasing tuples of lengths p, q with entries in 1..m."""
-        try:
-            return _basis(self.m, self.p)[1][tuple(I)], _basis(self.m, self.q)[1][tuple(J)]
-        except KeyError:
-            raise ValueError(f"key ({tuple(I)}, {tuple(J)}) is not a pair of strictly increasing "
-                             f"index tuples of lengths ({self.p}, {self.q}) in 1..{self.m}") from None
 
     @classmethod
     def constant(cls, m, value=1.0):
         """The (0,0)-form with the given constant value."""
         return cls(m, 0, 0, [[value]])
-
-    @classmethod
-    def zero(cls, m, p, q):
-        return cls(m, p, q)
 
     @classmethod
     def one_one(cls, g):
@@ -122,9 +98,6 @@ class Form:
         return MappingProxyType({(rows[s], cols[t]): complex(self.a[s, t])
                                  for s, t in zip(*np.nonzero(self.a))})
 
-    def coeff(self, I, J):
-        return complex(self.a[self._position(I, J)])
-
     def max_abs(self):
         return float(np.abs(self.a).max(initial=0.0))
 
@@ -135,12 +108,7 @@ class Form:
     def __sub__(self, other):
         return self + (-1.0) * other
 
-    def __neg__(self):
-        return (-1.0) * self
-
     def __mul__(self, other):
-        if isinstance(other, Form):
-            return wedge(self, other)
         return Form(self.m, self.p, self.q, complex(other) * self.a)
 
     __rmul__ = __mul__

@@ -23,8 +23,6 @@ from .curvature import (DEFAULT_EQUALITY_TOL, DEFAULT_HE_TOL, PreconditionError,
                         segre_forms, strong_flat_tensor)
 from .exterior import Form, wedge
 
-DEFAULT_MARGIN_TOL = 1e-10
-
 
 def _ratio(form, w):
     """Real ratio of form ^ omega^(n-p) against omega^n, for a (p,p)-form."""
@@ -52,7 +50,7 @@ def kl_classical(t, w):
     if t.n < 2:
         raise PreconditionError("classical check needs n >= 2")
     _require_he(t, w)
-    c = chern_forms(t) + [Form.zero(t.n, 2, 2)]  # c_2 = 0 when r = 1
+    c = chern_forms(t) + [Form(t.n, 2, 2)]  # c_2 = 0 when r = 1
     combo = (t.r - 1) * wedge(c[1], c[1]) - (2 * t.r) * c[2]
     q = _ratio(combo, w)
     return {"q": q, "equality": abs(q) <= DEFAULT_EQUALITY_TOL and is_projectively_flat(t)}
@@ -82,9 +80,9 @@ def kl_segre(t, w):
             "margin": margin, "equality": equality}
 
 
-def projective_flat_bound(t, w, margin_tol=DEFAULT_MARGIN_TOL):
+def projective_flat_bound(t, w, tol):
     """For projectively flat Hermite-Einstein input:
-    c_1^2 ^ omega^{n-2} <= (lambda r / n)^2 omega^n."""
+    c_1^2 ^ omega^{n-2} <= (lambda r / n)^2 omega^n, within tol."""
     if t.n < 2:
         raise PreconditionError("needs n >= 2")
     lam = _require_he(t, w)
@@ -93,7 +91,7 @@ def projective_flat_bound(t, w, margin_tol=DEFAULT_MARGIN_TOL):
     c = chern_forms(t)
     lhs = _ratio(wedge(c[1], c[1]), w)
     rhs = (lam * t.r / t.n) ** 2
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + margin_tol}
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
 
 
 def surface_compare(t, w):

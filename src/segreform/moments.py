@@ -119,7 +119,7 @@ def phi_k_tensor(t, k):
     if k == 0:
         return Form.constant(t.n)
     if k > t.n:
-        return Form.zero(t.n, k, k)
+        return Form(t.n, k, k)
     theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
     suffix_sums = [{} for _ in range(k + 1)]  # [length]: sums by mus, for that suffix of lambda
 

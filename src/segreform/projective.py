@@ -56,7 +56,7 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     if k == 0:
-        return Form.constant(t.n), Form.zero(t.n, 0, 0)
+        return Form.constant(t.n), Form(t.n, 0, 0)
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -104,7 +104,7 @@ def identity_residuals(t, w, V, k, scalar=None):
     return (ratios, residuals) if np.ndim(k) else (ratios[0], residuals[0])
 
 
-def gamma_profile(t, w, ell, samples=2000, seed=0):
+def gamma_profile(t, w, ell, samples, seed):
     """Distributions of gamma_k(theta_v/omega), k = 1..ell, over sampled fiber directions.
 
     Returns one {"min", "max", "mean", "spread"} per degree k, all from the

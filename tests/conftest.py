@@ -1,5 +1,5 @@
-import itertools
 import json
+import math
 import os
 import tracemalloc
 from importlib import resources
@@ -36,12 +36,11 @@ def validate_report(report_dict):
 
 def random_form(m, p, q, rng, density=1.0):
     """Random (p,q)-form on C^m with complex standard-normal coefficients."""
-    coeffs = {}
-    for I in itertools.combinations(range(1, m + 1), p):
-        for J in itertools.combinations(range(1, m + 1), q):
-            if rng.uniform() <= density:
-                coeffs[(I, J)] = complex(rng.standard_normal(), rng.standard_normal())
-    return Form(m, p, q, coeffs)
+    a = np.zeros((math.comb(m, p), math.comb(m, q)), dtype=complex)
+    for s, t in np.ndindex(a.shape):  # I outer, J inner, each in lexicographic order
+        if rng.uniform() <= density:
+            a[s, t] = complex(rng.standard_normal(), rng.standard_normal())
+    return Form(m, p, q, a)
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -56,9 +55,7 @@ def random_spd(n, rng, shift=0.5):
 
 def real_one_one(m, g):
     """The real (1,1)-form sum g[j,k] i dz_j ^ dzbar_k as a raw Form."""
-    g = np.asarray(g, dtype=complex)
-    return Form(m, 1, 1, {((j + 1,), (k + 1,)): 1j * g[j, k]
-                          for j in range(m) for k in range(m)})
+    return Form(m, 1, 1, 1j * np.asarray(g, dtype=complex))
 
 
 def stderr_units(mean, err, target):

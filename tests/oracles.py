@@ -25,7 +25,8 @@ primitive decomposition c_1 = eta + f omega, the gamma_2 bounds, the
 End(E) tensor and the closed form of phi_k on a matrix check the
 inequalities and the moments from the eigenvalue side.
 
-The predicates on forms (is_zero, allclose, is_real, forms_equal), the
+A form built from a {(I, J): c} mapping (form_from_dict), the
+predicates on forms (is_zero, allclose, is_real, forms_equal), the
 symmetry deviation of a curvature tensor and the direction stream gathered
 into one array (sample_directions) serve the tests only, so they live here,
 as does the projectively flat generator through real-form arithmetic, one
@@ -58,6 +59,16 @@ PRIMITIVITY_RTOL = 1e-9
 # form predicates, the curvature symmetry and the direction stream as one array
 # ---------------------------------------------------------------------------
 
+def form_from_dict(m, p, q, coeffs):
+    """The Form(m, p, q) with coefficient c at dz_I ^ dzbar_J for each (I, J): c of a
+    mapping from pairs of strictly increasing index tuples, zero elsewhere."""
+    rows, cols = _basis(m, p)[1], _basis(m, q)[1]
+    a = np.zeros((math.comb(m, p), math.comb(m, q)), dtype=complex)
+    for (I, J), c in coeffs.items():
+        a[rows[I], cols[J]] = c
+    return Form(m, p, q, a)
+
+
 def is_zero(f, tol=0.0):
     """Whether every coefficient of the form f is at most tol in modulus."""
     return bool(np.all(np.abs(f.a) <= tol))
@@ -69,8 +80,8 @@ def allclose(a, b, tol=1e-10):
 
 
 def is_real(f, tol=1e-10):
-    """Whether f equals its complex conjugate up to tol: coeff(I,J) ==
-    conj(coeff(J,I)) * (-1)^{pq}, as conj(c dz_I^dzbar_J) = (-1)^{pq} conj(c) dz_J^dzbar_I."""
+    """Whether f equals its complex conjugate up to tol: the coefficient at (I, J) is
+    (-1)^{pq} conj of the one at (J, I), as conj(c dz_I^dzbar_J) = (-1)^{pq} conj(c) dz_J^dzbar_I."""
     if f.p != f.q:
         return is_zero(f, tol)
     sign = -1.0 if (f.p * f.q) % 2 else 1.0
@@ -391,8 +402,8 @@ def phi_k_tensor_naive(t, k):
     if k == 0:
         return Form.constant(t.n)
     if k > t.n:
-        return Form.zero(t.n, k, k)
-    acc = Form.zero(t.n, k, k)
+        return Form(t.n, k, k)
+    acc = Form(t.n, k, k)
     idx = range(1, t.r + 1)
     for lams in product(idx, repeat=k):
         for mus in product(idx, repeat=k):
@@ -412,7 +423,7 @@ def phi_k_tensor_lex(t, k):
     if k == 0:
         return Form.constant(t.n)
     if k > t.n:
-        return Form.zero(t.n, k, k)
+        return Form(t.n, k, k)
     theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
     suffix_sums = {}
 
@@ -456,8 +467,9 @@ def pushforward_mc_loop(t, k, samples, seed):
              for v in sample_directions(t.r, samples, seed)]
     keys = set().union(*(f.coeffs for f in terms))
     x = {key: np.array([f.coeffs.get(key, 0j) for f in terms]) for key in keys}
-    mean = Form(t.n, k, k, {key: v.mean() for key, v in x.items()})
-    err = Form(t.n, k, k, {key: np.std(v, ddof=1) / math.sqrt(samples) for key, v in x.items()})
+    mean = form_from_dict(t.n, k, k, {key: v.mean() for key, v in x.items()})
+    err = form_from_dict(t.n, k, k, {key: np.std(v, ddof=1) / math.sqrt(samples)
+                                     for key, v in x.items()})
     return mean, err
 
 
@@ -511,7 +523,7 @@ def wedge_sparse(a, b):
             if sJ == 0:
                 continue
             out[(I, J)] = out.get((I, J), 0j) + (swap * sI * sJ) * c1 * c2
-    return Form(a.m, p, q, out)
+    return form_from_dict(a.m, p, q, out)
 
 
 def _perm_sign(perm):
@@ -534,7 +546,7 @@ def _det_wedge(entries, subset):
     """Determinant of the subset x subset minor of a matrix of commuting forms."""
     m = entries[subset[0]][subset[0]].m
     k = len(subset)
-    acc = Form.zero(m, k, k)
+    acc = Form(m, k, k)
     for perm in permutations(range(k)):
         term = Form.constant(m)
         for a in range(k):
@@ -548,7 +560,7 @@ def chern_forms_minors(t):
     entries = [[t.entry(mu, lam) for lam in range(t.r)] for mu in range(t.r)]
     forms = [Form.constant(t.n)]
     for k in range(1, t.r + 1):
-        acc = Form.zero(t.n, k, k)
+        acc = Form(t.n, k, k)
         if k <= t.n:
             for subset in combinations(range(t.r), k):
                 acc = acc + _det_wedge(entries, subset)

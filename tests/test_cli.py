@@ -236,13 +236,15 @@ class TestVerify:
         assert code == 0
         assert all(row["pass"] for row in json.loads(out)["results"])
 
-    @pytest.mark.parametrize("field, value", [
-        ("n", "NaN"), ("n", "2.5"), ("n", '"2"'), ("n", "true"), ("n", "1e400"),
-        ("n", "1" + "0" * 400), ("n", "33"), ("n", "0"), ("r", "NaN"), ("r", "33")],
+    @pytest.mark.parametrize("field, value, quoted", [
+        ("n", "NaN", "NaN"), ("n", "2.5", "2.5"), ("n", '"2"', '"2"'), ("n", "true", "true"),
+        ("n", "1e400", "Infinity"), ("n", "1" + "0" * 400, "1" + "0" * 400), ("n", "33", "33"),
+        ("n", "0", "0"), ("r", "NaN", "NaN"), ("r", "33", "33")],
         ids=["n-nan", "n-fraction", "n-string", "n-bool", "n-float-overflow",
              "n-huge-int", "n-over-bound", "n-zero", "r-nan", "r-over-bound"])
     def test_malformed_or_oversized_dimension_is_validation_error(self, tmp_path, capsys,
-                                                                  field, value):
+                                                                  field, value, quoted):
+        # the message quotes the value as JSON text, as json.load read it
         dims = {"n": "2", "r": "2", field: value}
         bad = tmp_path / "dims.json"
         bad.write_text(f'{{"n": {dims["n"]}, "r": {dims["r"]}, "coeffs": []}}')
@@ -250,6 +252,7 @@ class TestVerify:
         assert code == 2
         err = json.loads(out)["error"]
         assert err["type"] == "validation" and f"{field} must be an integer" in err["message"]
+        assert err["message"].endswith(f"got {quoted}")
 
     def test_pushforward_mc_draws_exactly_the_requested_samples(self, he_instance_path,
                                                                 capsys):
@@ -562,6 +565,27 @@ class TestInvariantGuards:
         error = json.loads(out)["error"]
         assert error["type"] == "validation" and quoted in error["message"]
 
+    @pytest.mark.parametrize("argv, kind, words", [
+        (["check", "he", "--in", "."], "usage", "Is a directory"),
+        (["check", "he", "--in", "t.json", "--out", "."], "usage", "Is a directory"),
+        (["check", "he", "--in", "t.json", "--omega", "@."], "usage", "Is a directory"),
+        (["check", "he", "--in", "deep.json"], "parse", "nested too deeply"),
+        (["check", "he", "--in", "t.json", "--omega", "@deep.json"], "parse", "nested too deeply"),
+        (["gen", "2", "2", "1", "--he", "nan"], "usage", "--he must be a finite slope"),
+        (["gen", "2", "2", "1", "--strong-flat", "--he", "inf"], "usage",
+         "--he must be a finite slope"),
+        (["gen", "2", "2", "1", "--he", "1e60"], "validation", "would overflow")],
+        ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
+             "gen-strong-flat-he-inf", "gen-he-oversized"])
+    def test_bad_input_is_one_error_line(self, tmp_path, argv, kind, words):
+        # in a child process, so that a traceback or a warning on stderr would show
+        (tmp_path / "t.json").write_text('{"n": 2, "r": 1, "coeffs": []}')
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        code, out, err = run_child(tmp_path, *argv)
+        assert (code, err, out.count("\n")) == (2, "", 1)
+        error = json.loads(out)["error"]
+        assert error["type"] == kind and words in error["message"]
+
 
 class TestMomentsCommand:
     def test_exact_fraction(self, capsys):
@@ -605,7 +629,7 @@ class TestToleranceEnvVar:
 
     @pytest.mark.parametrize("argv", [["verify", "identity9", "--samples", "3"],
                                       ["check", "he"]], ids=["verify", "check"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_flag_non_finite_is_usage_error(self, he_instance_path, capsys, argv, value):
         code, out = run_cli(capsys, *argv, "--in", he_instance_path, "--tol", value)
         assert code == 2

@@ -183,7 +183,7 @@ class TestProjectiveFlatBound:
     def test_exact_multiple_of_omega(self, rng):
         w = Kaehler11(random_spd(2, rng))
         t = strong_flat_tensor(2, 2, w, 0.7)
-        out = projective_flat_bound(t, w)
+        out = projective_flat_bound(t, w, 1e-10)
         assert out["lhs"] == pytest.approx(out["rhs"], abs=1e-10)
         assert out["holds"]
 
@@ -195,7 +195,7 @@ class TestProjectiveFlatBound:
         eta = np.diag([a, -a])
         beta = eta + (lam / n) * w.g
         t = CurvatureTensor(n, r, np.einsum("jk,ml->jklm", beta, np.eye(r)))
-        out = projective_flat_bound(t, w)
+        out = projective_flat_bound(t, w, 1e-10)
         assert out["lhs"] - out["rhs"] == pytest.approx(-r * r * a * a, abs=1e-10)
         assert primitive_square_ratio(eta, w) == pytest.approx(-a * a, abs=1e-12)
         assert out["holds"]
@@ -204,13 +204,13 @@ class TestProjectiveFlatBound:
         w = Kaehler11.euclidean(3)
         for seed in (1, 2, 3):
             t = projectively_flat_tensor(3, 2, seed=seed, w=w, lam=1.0)
-            out = projective_flat_bound(t, w)
+            out = projective_flat_bound(t, w, 1e-10)
             assert out["lhs"] < out["rhs"]
 
     def test_rejects_non_flat(self):
         t, w = he_instance(2, 2, 10)
         with pytest.raises(PreconditionError, match="projectively flat"):
-            projective_flat_bound(t, w)
+            projective_flat_bound(t, w, 1e-10)
 
 
 class TestSurfaceCompare:
@@ -311,7 +311,7 @@ class TestOptionSurface:
         (kl_classical, ["t", "w"]),
         (kl_segre, ["t", "w"]),
         (surface_compare, ["t", "w"]),
-        (projective_flat_bound, ["t", "w", "margin_tol"]),
+        (projective_flat_bound, ["t", "w", "tol"]),
         (is_projectively_flat, ["t"]),
         (tensor_from_dict, ["d", "symmetrize"]),
     ], ids=lambda x: getattr(x, "__name__", ""))

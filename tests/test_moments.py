@@ -237,7 +237,7 @@ class TestPhiScalar:
 class TestPhiTensor:
     def test_degree_zero_is_one(self):
         t = random_curvature(2, 2, seed=0)
-        assert phi_k_tensor(t, 0).coeff((), ()) == 1
+        assert phi_k_tensor(t, 0).coeffs == {((), ()): 1}
 
     def test_degree_one_is_scaled_first_chern(self):
         t = random_curvature(2, 3, seed=1)

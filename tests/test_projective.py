@@ -67,7 +67,7 @@ class TestXi:
         xi = xi_at(t, [1, 0])
         assert xi.m == 2
         assert list(xi.coeffs) == [((2,), (2,))]
-        assert xi.coeff((2,), (2,)) == pytest.approx(1j / (2 * math.pi))
+        assert xi.coeffs[((2,), (2,))] == pytest.approx(1j / (2 * math.pi))
 
     def test_horizontal_block_is_minus_direction_form(self, rng):
         t = random_curvature(2, 3, seed=3)
@@ -76,7 +76,7 @@ class TestXi:
         theta = direction_form(t, v)
         for j in range(1, 3):
             for k in range(1, 3):
-                assert xi.coeff((j,), (k,)) == pytest.approx(
+                assert xi.coeffs[((j,), (k,))] == pytest.approx(
                     -1j * theta[j - 1, k - 1], abs=1e-12)
 
     def test_xi_is_real(self, rng):
@@ -101,9 +101,9 @@ class TestPushforward:
         for seed in range(3):
             t = random_curvature(2, 3, seed)
             exact = pushforward_segre(t, 0)
-            assert exact.coeff((), ()) == 1
+            assert exact.coeffs == {((), ()): 1}
             mc, err = pushforward_segre(t, 0, method="mc", samples=10, seed=1)
-            assert mc.coeff((), ()) == 1
+            assert mc.coeffs == {((), ()): 1}
             assert is_zero(err)
 
     def test_exact_matches_segre(self):
@@ -431,8 +431,8 @@ class TestGammaProfile:
     def test_memory_flat_in_samples(self):
         t = random_curvature(3, 3, seed=21)
         w = Kaehler11.euclidean(3)
-        peak = traced_peak(gamma_profile, t, w, 3, samples=2 * DIRECTION_CHUNK)
-        assert traced_peak(gamma_profile, t, w, 3, samples=8 * DIRECTION_CHUNK) <= 1.5 * peak
+        peak = traced_peak(gamma_profile, t, w, 3, samples=2 * DIRECTION_CHUNK, seed=0)
+        assert traced_peak(gamma_profile, t, w, 3, samples=8 * DIRECTION_CHUNK, seed=0) <= 1.5 * peak
 
     def test_rank_one_trivially_constant(self):
         w = Kaehler11.euclidean(2)

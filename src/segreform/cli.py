@@ -20,6 +20,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 
 # Every matrix here is at most MAX_DIM x MAX_DIM, too small for BLAS threads, so
@@ -43,6 +44,7 @@ MAX_OMEGA_CONDITION = 1e12  # bound on the eigenvalue ratio of --omega: the eige
                             # contractions against omega lose about log10(ratio) of 16 digits
 MC_MOMENT_PAIRS = (((1,), (1,)), ((1, 2), (2, 1)), ((1, 1), (1, 1)), ((1,), (2,)),
                    ((1, 2, 3), (3, 2, 1)))  # (lambdas, mus) of verify moments' MC rows
+NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 class UsageError(ValueError):
@@ -403,6 +405,8 @@ def build_parser():
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_moments)
+    for p in (g, v, c, m):  # argparse takes -1 and -.5 for numbers, but -1e1 or -inf for flags
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
@@ -414,33 +418,37 @@ def main(argv=None):
             args.tol = _tolerance(args.tol)
         return args.func(args)
     except json.JSONDecodeError as exc:
-        _print_error("parse", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-        return 2
+        return _print_error("parse", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except TensorValidationError as exc:
-        _print_error("validation", str(exc))
-        return 2
+        return _print_error("validation", str(exc))
     except PreconditionError as exc:
-        _print_error("precondition", str(exc))
-        return 2
+        return _print_error("precondition", str(exc))
     except NonFiniteError as exc:
-        _print_error("non_finite", str(exc))
-        return 2
+        return _print_error("non_finite", str(exc))
     except RecursionError:  # only json recurses without bound: one frame per nesting level
-        _print_error("parse", "invalid JSON: nested too deeply")
-        return 2
+        return _print_error("parse", "invalid JSON: nested too deeply")
+    except BrokenPipeError:  # stdout has no reader: nothing to print, run() exits
+        raise
     except (OSError, ValueError) as exc:
-        _print_error("usage", str(exc))
-        return 2
+        return _print_error("usage", str(exc))
 
 
 def _print_error(kind, message):
     print(canonical_json({"error": {"type": kind, "message": message}}))
+    return 2
 
 
 def run():
-    """Process entry: keep the import heap out of every collection, then exit with main's code."""
+    """Process entry: keep the import heap out of every collection, then exit with main's
+    code, or silently with 141 (128 + SIGPIPE) once stdout has lost its reader."""
     gc.freeze()
-    return sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the exit flushes stdout again: let that write go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    return sys.exit(code)
 
 
 if __name__ == "__main__":

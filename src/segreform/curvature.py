@@ -213,10 +213,54 @@ def project_to_he(t, w, lam):
     return CurvatureTensor(t.n, t.r, t.c + add)
 
 
+def _splitmix64(state, start, stop):
+    """Outputs start..stop-1 of SplitMix64 (Steele, Lea & Flood 2014) at a 64-bit state, as
+    uint64: output i mixes the Weyl sequence term state + (i + 1) * 0x9E3779B97F4A7C15."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(state)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= np.uint64(mult)
+    return z ^ (z >> 31)
+
+
+def _uniforms(state, start, stop):
+    """Uniforms start..stop-1 at a state: output z gives (2 floor(z / 2^11) + 1) / 2^53 - 1,
+    an odd multiple of 2^-53 in (-1, 1), as floor(z / 2^11) 2^-52 - (1 - 2^-53) exactly."""
+    return (_splitmix64(state, start, stop) >> 11) * 2.0**-52 - (1 - 2.0**-53)
+
+
+def _complex_normals(key, count):
+    """The first `count` complex normals, real and imaginary parts independent standard
+    normals, of the stream named by key, integers >= 0; a shorter count gives a prefix.
+    Its SplitMix64 state mixes in each word of the key in turn: per integer its number of
+    64-bit words, then those, lowest first.  Each pair (u, v) of uniforms 2j, 2j + 1 with
+    s = u^2 + v^2 < 1 gives the next normal (u + iv) sqrt(-2 ln s / s), and other pairs
+    none: Marsaglia and Bray's polar method."""
+    state = 0
+    for k in map(operator.index, key):
+        if k < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {json.dumps(k)}")
+        words = max(1, -(-k.bit_length() // 64))
+        for word in (words, *(k >> 64 * i & 0xFFFFFFFFFFFFFFFF for i in range(words))):
+            state = int(_splitmix64(state ^ word, 0, 1)[0])  # xor the word in, then mix
+    out, done, pair = np.empty(int(count), dtype=complex), 0, 0
+    while done < len(out):
+        pairs = min(8192, (len(out) - done) * 4 // 3 + 64)  # blocks of 128 KiB stay in cache
+        uv = _uniforms(state, 2 * pair, 2 * (pair + pairs))
+        u, v = uv[0::2], uv[1::2]
+        s = u * u + v * v
+        keep = np.flatnonzero(s < 1)[:len(out) - done]
+        f = np.sqrt(-2 * np.log(s[keep]) / s[keep])
+        out.real[done:done + len(keep)] = u[keep] * f
+        out.imag[done:done + len(keep)] = v[keep] * f
+        done, pair = done + len(keep), pair + pairs
+    return out
+
+
 def random_curvature(n, r, seed):
-    """Seeded random tensor: complex standard normals, hermitian-symmetrized."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n, r, r)) + 1j * rng.standard_normal((n, n, r, r))
+    """Seeded random tensor: the stream (seed,) of complex normals in C order, hermitian-symmetrized."""
+    a = _complex_normals((seed,), n * n * r * r).reshape(n, n, r, r)
     c = 0.5 * (a + a.conj().transpose(1, 0, 3, 2))
     return CurvatureTensor(n, r, c)
 
@@ -234,8 +278,7 @@ def projectively_flat_tensor(n, r, seed, w=None, lam=None):
     If w and lam are given, beta is shifted by a multiple of omega so the
     mean curvature has trace r*lam (slope exactly lam).
     """
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = _complex_normals((seed,), n * n).reshape(n, n)
     beta = 0.5 * (b + b.conj().T)
     if w is not None and lam is not None:
         cur = float(omega_ratio(1j * beta, w, 1).real)

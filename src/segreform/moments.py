@@ -34,9 +34,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .curvature import _complex_normals
 from .exterior import Form, wedge
 
-DIRECTION_CHUNK = 8192  # directions per generator of a direction stream
+DIRECTION_CHUNK = 8192  # directions per key (seed, chunk) of a direction stream
 
 
 def moment_wick(r, lambdas, mus):
@@ -83,16 +84,15 @@ def moment_mc(r, pairs, samples, seed):
 def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
     """The first `count` unit vectors in C^r of the seed's direction stream.
 
-    Chunk c of the stream, directions c * DIRECTION_CHUNK onwards, is drawn
-    by a generator seeded with SeedSequence((seed, c)) as complex Gaussians,
-    real and imaginary parts interleaved, and normalised in place.  Yields
-    the directions in order as (<= rows, r) views of one chunk at a time;
-    `rows` only splits the chunks, so the directions do not depend on it.
+    Chunk c of the stream, directions c * DIRECTION_CHUNK onwards, holds the
+    complex normals of the stream (seed, c) of curvature._complex_normals, r
+    per direction, normalised in place.  Yields the directions in order as
+    (<= rows, r) views of one chunk at a time; `rows` only splits the
+    chunks, so the directions do not depend on it.
     """
     count = int(count)
     for c, start in enumerate(range(0, count, DIRECTION_CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), c)))
-        z = rng.standard_normal((min(DIRECTION_CHUNK, count - start), r, 2)).view(complex)[..., 0]
+        z = _complex_normals((seed, c), min(DIRECTION_CHUNK, count - start) * r).reshape(-1, r)
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         for i in range(0, len(z), rows):
             yield z[i:i + rows]

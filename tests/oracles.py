@@ -41,7 +41,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import numpy as np
 
 from segreform.curvature import (DEFAULT_EQUALITY_TOL, CurvatureTensor, PreconditionError,
-                                 direction_matrices, omega_ratio)
+                                 _complex_normals, direction_matrices, omega_ratio)
 from segreform.exterior import Form, _basis, wedge
 from segreform.inequalities import _require_he, kl_classical
 from segreform.kahler import relative_eigenvalues
@@ -50,7 +50,7 @@ from segreform.symfun import elem_sym
 
 # direct enumeration of sigma_k is exponential in k
 _COMPLETE_SYM_MAX_K = 6
-# directions per generator of a direction stream; moment_mc_loop must draw the same chunks
+# directions per key (seed, chunk) of a direction stream; moment_mc_loop must draw the same chunks
 _MC_CHUNK = 8192
 PRIMITIVITY_RTOL = 1e-9
 
@@ -317,6 +317,50 @@ def permanent_int(rows):
     return total
 
 
+def splitmix64_loop(state):
+    """SplitMix64 (Steele, Lea & Flood 2014) at a 64-bit state, one Python integer per
+    output, without end."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        yield z ^ z >> 31
+
+
+def stream_state_loop(key):
+    """The SplitMix64 state of the stream named by a tuple of integers >= 0: from 0, for
+    each integer its number of 64-bit words and then those words, lowest first, each
+    xored into the state, which then becomes the first output at it."""
+    state = 0
+    for k in key:
+        if k < 0:
+            raise ValueError(f"negative key {k}")
+        words = [k >> 64 * i & (2**64 - 1) for i in range(max(1, math.ceil(k.bit_length() / 64)))]
+        for word in [len(words), *words]:
+            state = next(splitmix64_loop(state ^ word))
+    return state
+
+
+def uniforms_loop(state):
+    """The uniforms at a state: output z is (2 floor(z / 2^11) + 1 - 2^53) / 2^53, an exact
+    quotient of integers below 2^53 by a power of two."""
+    for z in splitmix64_loop(state):
+        yield (2 * (z >> 11) + 1 - 2**53) / 2**53
+
+
+def complex_normals_loop(key, count):
+    """The first `count` complex normals of the stream named by key, one pair of uniforms
+    at a time: (u + iv) sqrt(-2 ln s / s) for s = u^2 + v^2 < 1 (Marsaglia and Bray)."""
+    uniforms, out = uniforms_loop(stream_state_loop(key)), []
+    while len(out) < count:
+        u, v = next(uniforms), next(uniforms)
+        s = u * u + v * v
+        if s < 1:
+            f = math.sqrt(-2 * math.log(s) / s)
+            out.append(complex(u * f, v * f))
+    return out
+
+
 def moment_permanent(r, lambdas, mus):
     """Sphere moment in C^r as perm(M) * (r-1)!/(r-1+k)! with M_{ab} = [l_a == m_b]."""
     M = [[1 if la == mb else 0 for mb in mus] for la in lambdas]
@@ -327,12 +371,10 @@ def moment_permanent(r, lambdas, mus):
 def moment_mc_loop(r, lambdas, mus, samples, seed):
     """Monte Carlo estimate of one sphere moment in C^r; returns (estimate, stderr).
 
-    One moment per draw: the per-chunk generators, seeded by (seed, chunk
-    index), and the normalised complex Gaussian directions, real and
-    imaginary parts interleaved per direction, are those of the library's
-    direction stream; each direction is assembled here as re + 1j * im, and
-    the product over the lambda and conjugated mu columns is taken by
-    np.prod on fancy-indexed copies.
+    One moment per draw: chunk c holds the complex normals of the library's
+    stream (seed, c), r per direction, normalised here out of place, and the
+    product over the lambda and conjugated mu columns is taken by np.prod on
+    fancy-indexed copies.
     """
     samples = int(samples)
     if samples < 1:
@@ -347,9 +389,7 @@ def moment_mc_loop(r, lambdas, mus, samples, seed):
     chunk_idx = 0
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), chunk_idx)))
-        x = rng.standard_normal((count, r, 2))
-        z = x[..., 0] + 1j * x[..., 1]
+        z = _complex_normals((seed, chunk_idx), count * r).reshape(count, r)
         v = z / np.linalg.norm(z, axis=1, keepdims=True)
         vals = np.prod(v[:, lam], axis=1) * np.prod(v[:, mu].conj(), axis=1)
         acc += vals.sum()
@@ -667,8 +707,7 @@ def _real_one_one(g):
 def projectively_flat_tensor_forms(n, r, seed, w=None, lam=None):
     """curvature.projectively_flat_tensor with beta, s * omega and their sum
     each rebuilt as a real (1,1)-form, one symmetrization per operation."""
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = _complex_normals((seed,), n * n).reshape(n, n)
     beta = _real_one_one(0.5 * (b + b.conj().T))
     if w is not None and lam is not None:
         cur = float(omega_ratio(1j * beta, w, 1).real)

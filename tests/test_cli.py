@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -49,6 +50,23 @@ class TestGen:
         from segreform.curvature import load_tensor
 
         assert hermitian_deviation(load_tensor(str(path))) == 0
+
+    def test_seeds_past_64_bits_name_distinct_instances(self, capsys):
+        outs = []
+        for seed in (2**64, 2**64 + 1):
+            code, out = run_cli(capsys, "gen", "2", "2", str(seed))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] != outs[1]
+
+    @pytest.mark.parametrize("spelling", [["--he", "-1.5e1"], ["--he=-1.5e1"], ["--he", "-15"]],
+                             ids=["exponent", "joined", "integer"])
+    def test_negative_slope_in_every_spelling(self, tmp_path, capsys, spelling):
+        path = str(tmp_path / "t.json")
+        assert run_cli(capsys, "gen", "2", "2", "1", *spelling, "--out", path)[0] == 0
+        code, out = run_cli(capsys, "check", "he", "--in", path)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"]["slope"] == pytest.approx(-15, abs=1e-12)
 
     def test_conflicting_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -152,24 +170,22 @@ class TestVerify:
         assert rows["moment_norm_k2"]["value"] > 0
 
     def test_moments_draws_directions_once(self, capsys, monkeypatch):
-        import numpy as np
-
         import segreform.moments as moments
 
-        generators = []
+        keys = []
 
-        def counted(seed):
-            generators.append(seed)
-            return default_rng(seed)
+        def counted(key, count):
+            keys.append(key)
+            return complex_normals(key, count)
 
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(moments.np.random, "default_rng", counted)
+        complex_normals = moments._complex_normals
+        monkeypatch.setattr(moments, "_complex_normals", counted)
         code, out = run_cli(capsys, "verify", "moments", "--r", "3", "--k", "2",
                             "--samples", "70000")
         names = [r["name"] for r in json.loads(out)["results"]]
         assert sum(name.startswith("moment_mc_") for name in names) == 5
-        # one generator per chunk of the direction stream, shared by all five rows
-        assert len(generators) == math.ceil(70000 / moments.DIRECTION_CHUNK)
+        # one stream (seed, c) per chunk c of the direction stream, shared by all five rows
+        assert keys == [(0, c) for c in range(math.ceil(70000 / moments.DIRECTION_CHUNK))]
 
     def test_missing_input_is_usage_error(self, capsys):
         code, out = run_cli(capsys, "verify", "pushforward")
@@ -574,9 +590,24 @@ class TestInvariantGuards:
         (["gen", "2", "2", "1", "--he", "nan"], "usage", "--he must be a finite slope"),
         (["gen", "2", "2", "1", "--strong-flat", "--he", "inf"], "usage",
          "--he must be a finite slope"),
-        (["gen", "2", "2", "1", "--he", "1e60"], "validation", "would overflow")],
+        (["gen", "2", "2", "1", "--he", "1e60"], "validation", "would overflow"),
+        (["gen", "2", "2", "1", "--flat", "--he", "-inf"], "usage", "--he must be a finite slope"),
+        (["check", "he", "--in", "t.json", "--tol", "-1e-300"], "usage",
+         "tolerance must be a finite number >= 0, got -1e-300"),
+        (["gen", "2", "2", "--", "-1"], "usage", "seed must be a non-negative integer, got -1"),
+        (["gen", "2", "2", "-3", "--flat"], "usage", "seed must be a non-negative integer, got -3"),
+        (["verify", "identity9", "--in", "t.json", "--seed", "-5"], "usage",
+         "seed must be a non-negative integer, got -5"),
+        (["verify", "moments", "--r", "2", "--k", "1", "--samples", "10", "--seed", "-5"],
+         "usage", "seed must be a non-negative integer, got -5"),
+        (["check", "lhe", "--in", "t.json", "--seed", "-5"], "usage",
+         "seed must be a non-negative integer, got -5"),
+        (["moments", "--r", "2", "--lambdas", "1", "--samples", "10", "--seed", "-5"], "usage",
+         "seed must be a non-negative integer, got -5")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
-             "gen-strong-flat-he-inf", "gen-he-oversized"])
+             "gen-strong-flat-he-inf", "gen-he-oversized", "gen-he-minus-inf",
+             "check-tol-exponent", "gen-seed", "gen-flat-seed", "verify-identity9-seed",
+             "verify-moments-seed", "check-lhe-seed", "moments-seed"])
     def test_bad_input_is_one_error_line(self, tmp_path, argv, kind, words):
         # in a child process, so that a traceback or a warning on stderr would show
         (tmp_path / "t.json").write_text('{"n": 2, "r": 1, "coeffs": []}')
@@ -585,6 +616,22 @@ class TestInvariantGuards:
         assert (code, err, out.count("\n")) == (2, "", 1)
         error = json.loads(out)["error"]
         assert error["type"] == kind and words in error["message"]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["gen", "3", "3", "11"], ["gen", "6", "6", "11"],
+                                      ["gen", "2", "2", "--", "-1"]],
+                             ids=["report-in-buffer", "report-past-buffer", "error-line"])
+    def test_reader_gone_is_a_quiet_exit_141(self, argv):
+        # the read end closes before the child has imported numpy, so every write of the
+        # child finds no reader: in print, or in the flush at exit
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen([sys.executable, "-m", "segreform.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, env=child_env())
+        os.close(write_end)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
 
 
 class TestMomentsCommand:

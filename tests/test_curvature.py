@@ -2,7 +2,7 @@ import functools
 import json
 import math
 import operator
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segreform.curvature import (MAX_TOP_POWER, CurvatureTensor, Kaehler11, PreconditionError,
-                                 TensorValidationError, _he_deviation, chern_forms,
+                                 TensorValidationError, _complex_normals, _he_deviation,
+                                 _splitmix64, _uniforms, chern_forms,
                                  is_hermite_einstein, is_projectively_flat,
                                  mean_curvature, omega_ratio, project_to_he,
                                  projectively_flat_tensor, random_curvature,
@@ -21,10 +22,10 @@ from segreform.inequalities import kl_segre
 from segreform.report import canonical_json
 
 from conftest import random_form, random_hermitian, random_spd
-from oracles import (allclose, chern_forms_minors, direction_form, dual_endomorphism_tensor,
-                     factorial_power, hermitian_deviation, is_real, is_zero,
-                     mean_curvature_wedge, projectively_flat_tensor_forms, rotate_tensor,
-                     top_ratio, wedge_power)
+from oracles import (allclose, chern_forms_minors, complex_normals_loop, direction_form,
+                     dual_endomorphism_tensor, factorial_power, hermitian_deviation, is_real,
+                     is_zero, mean_curvature_wedge, projectively_flat_tensor_forms, rotate_tensor,
+                     splitmix64_loop, stream_state_loop, top_ratio, uniforms_loop, wedge_power)
 
 
 def tensor_from_diagonal(betas, r=None):
@@ -392,6 +393,61 @@ class TestRandomCurvature:
     def test_minimal_case_real(self):
         t = random_curvature(1, 1, seed=9)
         assert t.c[0, 0, 0, 0].imag == 0
+
+
+class TestNormalStream:
+    """The one random stream: SplitMix64 uniforms through the polar method."""
+
+    KEYS = [(0,), (11,), (11, 0), (11, 1), (0, 11), (2**64,), (2**64 + 1, 3), (2**200 + 5, 2**63)]
+
+    def test_splitmix64_reference_vector(self):
+        want = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                4593380528125082431, 16408922859458223821]
+        assert list(islice(splitmix64_loop(1234567), 5)) == want
+        assert _splitmix64(1234567, 0, 5).tolist() == want
+        assert _splitmix64(1234567, 2, 5).tolist() == want[2:]
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_uniforms_exact_and_normals_within_4_ulp_of_the_scalar_oracle(self, key):
+        state = stream_state_loop(key)
+        u = _uniforms(state, 0, 4000)
+        assert u.tolist() == list(islice(uniforms_loop(state), 4000))
+        assert np.all(np.abs(u) < 1) and np.all(u * 2.0**53 % 2 == 1)  # odd multiples of 2^-53
+        got, want = _complex_normals(key, 1500), np.array(complex_normals_loop(key, 1500))
+        for a, b in ((got.real, want.real), (got.imag, want.imag)):
+            assert np.all(np.abs(a - b) <= 4 * np.spacing(np.abs(b)))
+
+    def test_keys_name_distinct_streams(self):
+        heads = {_complex_normals(key, 4).tobytes() for key in self.KEYS + [(), (0, 1)]}
+        assert len(heads) == len(self.KEYS) + 2
+
+    @pytest.mark.parametrize("key", [(-1,), (3, -2)])
+    def test_negative_key_is_a_value_error_quoting_it(self, key):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {min(key)}$"):
+            _complex_normals(key, 3)
+
+    def test_prefix_stable_across_blocks(self):
+        full = _complex_normals((5, 1), 20_000)  # blocks of 8,192 pairs, about 6,430 normals each
+        for count in (0, 1, 3000, 6400, 6500, 13_000, 19_999):
+            assert np.array_equal(_complex_normals((5, 1), count), full[:count])
+
+    def test_standard_normal_at_a_fixed_seed(self):
+        z = _complex_normals((2024,), 100_000)
+        x = np.sort(np.concatenate([z.real, z.imag]))
+        n = len(x)
+        cdf = 0.5 * (1 + np.vectorize(math.erf)(x / math.sqrt(2)))
+        ks = math.sqrt(n) * max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks < 1.63  # the 1% point of Kolmogorov's distribution
+        # 4.5 standard errors: sd 1/sqrt(n), sqrt(2/n) and sqrt(96/n) for n = 2e5
+        assert abs(x.mean()) < 0.01 and abs(x.var() - 1) < 0.015 and abs((x**4).mean() - 3) < 0.1
+        assert abs(np.mean(z.real * z.imag)) < 0.015  # sd 1/sqrt(1e5) for independent parts
+
+    def test_neighbouring_chunk_keys_are_independent(self):
+        n = 50_000
+        a, b = _complex_normals((9, 0), n), _complex_normals((9, 1), n)
+        # E[a conj(b)] = 0 with sd 2/sqrt(n); E[|a|^2 |b|^2] = 4 with sd sqrt(48/n)
+        assert abs(np.vdot(b, a)) / n < 4.5 * 2 / math.sqrt(n)
+        assert abs(np.mean(np.abs(a) ** 2 * np.abs(b) ** 2) - 4) < 4.5 * math.sqrt(48 / n)
 
 
 class TestFlatness:

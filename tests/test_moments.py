@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segreform.cli import MC_MOMENT_PAIRS
 from segreform.curvature import chern_forms, random_curvature, segre_forms
 from segreform.moments import (DIRECTION_CHUNK, direction_chunks, moment_mc, moment_wick,
                                phi_k_tensor)
@@ -175,6 +176,14 @@ class TestMomentMC:
         order = list(range(len(pairs)))
         shuffle.shuffle(order)
         assert moment_mc(r, [pairs[i] for i in order], samples, seed=5) == [alone[i] for i in order]
+
+    def test_stderr_units_are_calibrated(self):
+        # verify moments' five MC rows over 400 seeds: |estimate - exact| / stderr has mean
+        # near E|N(0, 1)| = 0.80 (0.89 for a complex error), and 2,000 rows stay within 4
+        pairs = list(MC_MOMENT_PAIRS)
+        units = [abs(est - complex(moment_wick(3, lam, mu))) / err for seed in range(400)
+                 for (lam, mu), (est, err) in zip(pairs, moment_mc(3, pairs, 20_000, seed))]
+        assert 0.7 <= np.mean(units) <= 0.95 and max(units) <= 4
 
     def test_memory_flat_in_samples(self):
         batch = [((1, 2), (2, 1)), ((3,), (3,))]

@@ -103,6 +103,21 @@ class TestProcessEntry:
         assert run_child(probe, "moments", "--r", "2", "--lambdas", "1", "--samples", "100",
                          "--out", str(tmp_path / "out.json")) == ["False", "False"]
 
+    def test_sampling_loads_no_numpy_random(self, tmp_path):
+        # the one random stream is segreform's own: no numpy.random, nor its secrets and hashlib
+        probe = ("import atexit, runpy, sys\n"
+                 "atexit.register(lambda: print(*(m in sys.modules\n"
+                 "                                for m in ('numpy.random', 'secrets', 'hashlib'))))\n"
+                 "sys.argv[0] = 'segreform'\n"
+                 "runpy.run_module('segreform.cli', run_name='__main__')\n")
+        inst, out = str(tmp_path / "he33.json"), str(tmp_path / "out.json")
+        for argv in (["gen", "3", "3", "1", "--he", "1.0", "--out", inst],
+                     ["verify", "identity9", "--in", inst, "--samples", "30", "--out", out],
+                     ["verify", "moments", "--samples", "20000", "--out", out],
+                     ["check", "lhe", "--in", inst, "--samples", "100", "--out", out],
+                     ["moments", "--r", "2", "--lambdas", "1", "--samples", "100", "--out", out]):
+            assert run_child(probe, *argv) == ["False"] * 3, argv
+
     def test_entry_freezes_the_import_heap(self, tmp_path):
         freeze_count, _ = self.run_cli_child("gen", "2", "2", "1", "--out",
                                              str(tmp_path / "t.json"))

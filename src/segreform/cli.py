@@ -39,6 +39,7 @@ from .curvature import (MAX_DIM, MAX_TOP_POWER, Kaehler11, PreconditionError,
 from .report import NonFiniteError, Report, canonical_json
 
 DEFAULT_TOL = 1e-9
+MAX_SAMPLES = 10 ** 8  # --samples: 100 times the largest documented run, minutes at (2,2)
 MAX_MOMENT_TERMS = 100_000  # diagonal moments summed by one verify moments report
 MAX_OMEGA_CONDITION = 1e12  # bound on the eigenvalue ratio of --omega: the eigensolves and
                             # contractions against omega lose about log10(ratio) of 16 digits
@@ -51,30 +52,19 @@ class UsageError(ValueError):
     pass
 
 
-def _tolerance(tol):
-    """The --tol value, else DEFAULT_TOL; it must be finite and >= 0."""
-    if tol is None:
-        return DEFAULT_TOL
-    if not (math.isfinite(tol) and tol >= 0):
-        raise UsageError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
-
-
 def parse_omega(spec, n):
     """Parse --omega: 'euclidean', inline JSON matrix, or @path to a JSON file.
 
-    Matrix entries are numbers or [re, im] pairs; the result must be
-    Hermitian positive definite, with max|g|^n <= MAX_TOP_POWER, a ratio of
-    largest to smallest eigenvalue <= MAX_OMEGA_CONDITION and a smallest
-    eigenvalue e with 1/e^n <= MAX_TOP_POWER.
+    Matrix entries are numbers or [re, im] pairs; the result must be Hermitian positive
+    definite, with max|g|^n <= MAX_TOP_POWER, a ratio of largest to smallest eigenvalue
+    <= MAX_OMEGA_CONDITION and a smallest eigenvalue e with 1/e^n <= MAX_TOP_POWER.
     """
     if spec is None or spec == "euclidean":
         return Kaehler11.euclidean(n)
-    text = spec
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    rows = json.loads(text)
+            spec = fh.read()
+    rows = json.loads(spec)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise UsageError("omega must be a JSON matrix, a list of rows")
     mat = np.zeros((len(rows), len(rows)), dtype=complex)
@@ -90,35 +80,49 @@ def parse_omega(spec, n):
                 raise UsageError(f"omega entry {json.dumps(entry)} is not a finite number or a [re, im] pair")
     if mat.shape != (n, n):
         raise UsageError(f"omega is {mat.shape[0]}x{mat.shape[1]}, tensor needs {n}x{n}")
+    with np.errstate(over="ignore"):  # a modulus past the float range is past the bound too
+        big = float(np.abs(mat).max())
+    if big > MAX_TOP_POWER ** (1 / n):  # checked first: Kaehler11 would overflow
+        raise UsageError(f"largest omega entry modulus {big:.3e} exceeds "
+                         f"{MAX_TOP_POWER:.0e}^(1/{n}): omega^n would overflow")
     try:
         w = Kaehler11(mat)
     except ValueError as exc:  # not Hermitian, or not positive definite
         raise UsageError(str(exc)) from exc
     eigs = w.eigenvalues
-    big = float(np.abs(w.g).max())
-    if big > MAX_TOP_POWER ** (1 / n):
-        raise UsageError(f"largest omega entry modulus {big:.3e} exceeds "
-                         f"{MAX_TOP_POWER:.0e}^(1/{n}): omega^n would overflow")
-    if eigs[-1] > MAX_OMEGA_CONDITION * eigs[0]:
-        raise UsageError(f"omega eigenvalues span a ratio of {eigs[-1] / eigs[0]:.3e}, "
-                         f"more than {MAX_OMEGA_CONDITION:.0e}")
+    if eigs[-1] > MAX_OMEGA_CONDITION * eigs[0]:  # the ratio itself may overflow
+        raise UsageError(f"omega eigenvalues {eigs[0]:.3e} to {eigs[-1]:.3e} span a ratio "
+                         f"of more than {MAX_OMEGA_CONDITION:.0e}")
     if eigs[0] < MAX_TOP_POWER ** (-1 / n):
         raise UsageError(f"smallest omega eigenvalue {eigs[0]:.3e} is below "
                          f"{MAX_TOP_POWER:.0e}^(-1/{n}): omega^n would underflow")
     return w
 
 
-def _int_in(low, high=None):
-    """An argparse type: an integer, rejected (exit 2) below low or above high."""
+def _number(kind, low=-math.inf, high=math.inf):
+    """An argparse type: a finite int or float, by kind, from low to high."""
+    what = ("an integer" if kind is int else "a finite number") + (
+        f" in [{low}, {high}]" if high < math.inf else f" >= {low}" if low > -math.inf else "")
+
     def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        value = kind(text)  # no math.isfinite on an int: past the float range it overflows
+        if not (low <= value <= high and (kind is int or math.isfinite(value))):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
-    parse.__name__ = "int"  # argparse names the type in its messages
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose rejections are UsageErrors, one error JSON line in main, and which
+    reads -1e1 and -inf as numbers: argparse alone takes only -1 and -.5 for them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _emit(text, out_path):
@@ -147,8 +151,6 @@ def _finish_report(report, out_path):
 
 def cmd_gen(args):
     check_dims(args.n, args.r)
-    if args.he is not None and not math.isfinite(args.he):
-        raise UsageError(f"--he must be a finite slope, got {args.he!r}")
     w = parse_omega(args.omega, args.n)
     if args.strong_flat:
         if args.he is None:
@@ -349,18 +351,20 @@ def cmd_moments(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="segreform",
         description="Pointwise curvature toolkit: Chern/Segre forms, sphere moments, "
                     "fiber-integration identities, Kobayashi-Luebke checks.")
     parser.add_argument("--version", action="version", version=__version__)
+    seed, tol, dim, samples = (_number(int, 0), _number(float, 0), _number(int, 1, MAX_DIM),
+                               _number(int, 1, MAX_SAMPLES))
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a curvature tensor JSON instance")
     g.add_argument("n", type=int)
     g.add_argument("r", type=int)
-    g.add_argument("seed", type=int)
-    g.add_argument("--he", type=float, default=None, metavar="LAMBDA",
+    g.add_argument("seed", type=seed)
+    g.add_argument("--he", type=_number(float), default=None, metavar="LAMBDA",
                    help="project onto the Hermite-Einstein slice with this slope")
     flat = g.add_mutually_exclusive_group()
     flat.add_argument("--flat", action="store_true",
@@ -374,11 +378,11 @@ def build_parser():
     v = sub.add_parser("verify", help="verify an identity against its oracle")
     v.add_argument("kind", choices=["pushforward", "identity8", "identity9", "moments"])
     v.add_argument("--in", dest="infile", default=None)
-    v.add_argument("--k", type=_int_in(0), default=None)
-    v.add_argument("--r", type=_int_in(1, MAX_DIM), default=None, help="dimension for kind=moments")
-    v.add_argument("--samples", type=_int_in(1), default=None)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--k", type=_number(int, 0), default=None)
+    v.add_argument("--r", type=dim, default=None, help="dimension for kind=moments")
+    v.add_argument("--samples", type=samples, default=None)
+    v.add_argument("--seed", type=seed, default=0)
+    v.add_argument("--tol", type=tol, default=DEFAULT_TOL)
     v.add_argument("--omega", default=None)
     v.add_argument("--symmetrize", action="store_true",
                    help="symmetrize instead of rejecting non-hermitian input")
@@ -389,33 +393,29 @@ def build_parser():
     c.add_argument("kind", choices=["he", "kl", "thm12", "surface", "remark41", "lhe"])
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--omega", default=None)
-    c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--ell", type=_int_in(1), default=None, help="level for kind=lhe")
-    c.add_argument("--samples", type=_int_in(1), default=None)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--tol", type=tol, default=DEFAULT_TOL)
+    c.add_argument("--ell", type=_number(int, 1), default=None, help="level for kind=lhe")
+    c.add_argument("--samples", type=samples, default=None)
+    c.add_argument("--seed", type=seed, default=0)
     c.add_argument("--symmetrize", action="store_true")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_check)
 
     m = sub.add_parser("moments", help="evaluate one sphere moment")
-    m.add_argument("--r", type=_int_in(1, MAX_DIM), required=True)
+    m.add_argument("--r", type=dim, required=True)
     m.add_argument("--lambdas", type=int, nargs="*", default=None)
     m.add_argument("--mus", type=int, nargs="*", default=None)
-    m.add_argument("--samples", type=_int_in(1), default=None)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--samples", type=samples, default=None)
+    m.add_argument("--seed", type=seed, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_moments)
-    for p in (g, v, c, m):  # argparse takes -1 and -.5 for numbers, but -1e1 or -inf for flags
-        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; bad input is one error JSON line and 2. --help and --version exit 0."""
     try:
-        if hasattr(args, "tol"):
-            args.tol = _tolerance(args.tol)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         return _print_error("parse", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")

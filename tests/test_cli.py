@@ -1,10 +1,17 @@
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segreform.cli import main
 
@@ -68,10 +75,11 @@ class TestGen:
         assert code == 0
         assert json.loads(out)["results"][0]["value"]["slope"] == pytest.approx(-15, abs=1e-12)
 
-    def test_conflicting_flags_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "2", "2", "1", "--flat", "--strong-flat"])
-        assert exc.value.code == 2
+    def test_conflicting_flags_exit_2(self, capsys):
+        code, out = run_cli(capsys, "gen", "2", "2", "1", "--flat", "--strong-flat")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "usage", "message": "argument --strong-flat: not allowed with argument --flat"}
 
     @pytest.mark.parametrize("dims", [("33", "2"), ("2", "33"), ("0", "2")])
     def test_dimension_out_of_bound_is_validation_error(self, capsys, dims):
@@ -308,13 +316,15 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [["verify", "identity8"], ["verify", "moments"],
                                       ["check", "lhe"], ["moments", "--r", "2"]],
                              ids=["identity8", "verify-moments", "lhe", "moments"])
-    def test_samples_below_one_is_usage_error(self, he_instance_path, argv):
+    def test_samples_below_one_is_usage_error(self, he_instance_path, capsys, argv):
         if argv[0] != "moments" and argv[1] != "moments":
             argv = argv + ["--in", he_instance_path]
         for samples in ("0", "-3"):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + ["--samples", samples])
-            assert exc.value.code == 2
+            code, out = run_cli(capsys, *argv, "--samples", samples)
+            assert code == 2
+            assert json.loads(out) == {"error": {"type": "usage", "message":
+                                                 "argument --samples: must be an integer in "
+                                                 f"[1, 100000000], got {samples}"}}
 
     @pytest.mark.parametrize("argv", [["check", "lhe", "--ell", "-2"],
                                       ["check", "lhe", "--ell", "0"],
@@ -336,13 +346,9 @@ class TestVerify:
         # or for minutes (factorial(999999); 2.7 M or 100,128 diagonal moment terms)
         if argv[0] == "check":
             argv = argv + ["--in", he_instance_path]
-        try:
-            code = main(argv)  # a bound on --r and --k together is checked after parsing
-        except SystemExit as exc:
-            code = exc.code
-        else:
-            assert json.loads(capsys.readouterr().out)["error"]["type"] == "usage"
+        code, out = run_cli(capsys, *argv)  # the parser, or the --r by --k bound after it
         assert code == 2
+        assert json.loads(out)["error"]["type"] == "usage"
 
     def test_pushforward_at_five_five(self, tmp_path, capsys):
         path = tmp_path / "he55.json"
@@ -587,27 +593,50 @@ class TestInvariantGuards:
         (["check", "he", "--in", "t.json", "--omega", "@."], "usage", "Is a directory"),
         (["check", "he", "--in", "deep.json"], "parse", "nested too deeply"),
         (["check", "he", "--in", "t.json", "--omega", "@deep.json"], "parse", "nested too deeply"),
-        (["gen", "2", "2", "1", "--he", "nan"], "usage", "--he must be a finite slope"),
+        (["gen", "2", "2", "1", "--he", "nan"], "usage", "--he: must be a finite number, got nan"),
         (["gen", "2", "2", "1", "--strong-flat", "--he", "inf"], "usage",
-         "--he must be a finite slope"),
+         "--he: must be a finite number, got inf"),
         (["gen", "2", "2", "1", "--he", "1e60"], "validation", "would overflow"),
-        (["gen", "2", "2", "1", "--flat", "--he", "-inf"], "usage", "--he must be a finite slope"),
+        (["gen", "2", "2", "1", "--flat", "--he", "-inf"], "usage",
+         "--he: must be a finite number, got -inf"),
         (["check", "he", "--in", "t.json", "--tol", "-1e-300"], "usage",
-         "tolerance must be a finite number >= 0, got -1e-300"),
-        (["gen", "2", "2", "--", "-1"], "usage", "seed must be a non-negative integer, got -1"),
-        (["gen", "2", "2", "-3", "--flat"], "usage", "seed must be a non-negative integer, got -3"),
+         "--tol: must be a finite number >= 0, got -1e-300"),
+        (["gen", "2", "2", "--", "-1"], "usage", "seed: must be an integer >= 0, got -1"),
+        (["gen", "2", "2", "-3", "--flat"], "usage", "seed: must be an integer >= 0, got -3"),
+        (["gen", "2", "2", "--", "-1", "--strong-flat", "--he", "1"], "usage",
+         "seed: must be an integer >= 0, got -1"),
         (["verify", "identity9", "--in", "t.json", "--seed", "-5"], "usage",
-         "seed must be a non-negative integer, got -5"),
+         "--seed: must be an integer >= 0, got -5"),
+        (["verify", "pushforward", "--in", "t.json", "--seed", "-5"], "usage",
+         "--seed: must be an integer >= 0, got -5"),
         (["verify", "moments", "--r", "2", "--k", "1", "--samples", "10", "--seed", "-5"],
-         "usage", "seed must be a non-negative integer, got -5"),
+         "usage", "--seed: must be an integer >= 0, got -5"),
         (["check", "lhe", "--in", "t.json", "--seed", "-5"], "usage",
-         "seed must be a non-negative integer, got -5"),
+         "--seed: must be an integer >= 0, got -5"),
         (["moments", "--r", "2", "--lambdas", "1", "--samples", "10", "--seed", "-5"], "usage",
-         "seed must be a non-negative integer, got -5")],
+         "--seed: must be an integer >= 0, got -5"),
+        (["verify", "pushforward", "--in", "t.json", "--samples", "9" * 26], "usage",
+         "--samples: must be an integer in [1, 100000000], got " + "9" * 26),
+        (["check", "lhe", "--in", "t.json", "--samples", "0"], "usage",
+         "--samples: must be an integer in [1, 100000000], got 0"),
+        (["check", "he", "--in", "t.json", "--tol", "0x10"], "usage",
+         "argument --tol: invalid float value: '0x10'"),
+        (["check", "kl"], "usage", "the following arguments are required: --in"),
+        (["gen", "2", "2", "1", "--flat", "--strong-flat"], "usage",
+         "argument --strong-flat: not allowed with argument --flat"),
+        (["check", "he", "--in", "t.json", "--omega", "[[1,0],[0,1e-320]]"], "usage",
+         "omega eigenvalues 1.000e-320 to 1.000e+00 span a ratio of more than 1e+12"),
+        (["gen", "2", "2", "1", "--omega", "[[1,0],[0,5e-324]]"], "usage",
+         "omega eigenvalues 4.941e-324 to 1.000e+00 span a ratio of more than 1e+12"),
+        (["gen", "2", "2", "1", "--omega", "[[1e308,0],[0,1]]"], "usage",
+         "largest omega entry modulus 1.000e+308 exceeds 1e+150^(1/2)")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
              "gen-strong-flat-he-inf", "gen-he-oversized", "gen-he-minus-inf",
-             "check-tol-exponent", "gen-seed", "gen-flat-seed", "verify-identity9-seed",
-             "verify-moments-seed", "check-lhe-seed", "moments-seed"])
+             "check-tol-exponent", "gen-seed", "gen-flat-seed", "gen-strong-flat-seed",
+             "verify-identity9-seed", "verify-pushforward-seed", "verify-moments-seed",
+             "check-lhe-seed", "moments-seed", "samples-huge", "samples-zero", "tol-hex",
+             "missing-in", "gen-conflicting-flags", "omega-subnormal", "gen-omega-subnormal",
+             "gen-omega-near-float-max"])
     def test_bad_input_is_one_error_line(self, tmp_path, argv, kind, words):
         # in a child process, so that a traceback or a warning on stderr would show
         (tmp_path / "t.json").write_text('{"n": 2, "r": 1, "coeffs": []}')
@@ -680,8 +709,9 @@ class TestToleranceEnvVar:
     def test_flag_non_finite_is_usage_error(self, he_instance_path, capsys, argv, value):
         code, out = run_cli(capsys, *argv, "--in", he_instance_path, "--tol", value)
         assert code == 2
-        err = json.loads(out)["error"]
-        assert err["type"] == "usage" and "finite" in err["message"]
+        assert json.loads(out) == {"error": {"type": "usage", "message":
+                                             f"argument --tol: must be a finite number >= 0, "
+                                             f"got {value}"}}
 
 
 class TestConsoleScript:
@@ -701,3 +731,185 @@ class TestConsoleScript:
         t = load_tensor(str(p1))
         p2.write_text(canonical_json(tensor_to_dict(t)) + "\n")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# any argv: an exit code and one document on stdout, never an exception
+# ---------------------------------------------------------------------------
+
+ERROR_TYPES = {"parse", "validation", "precondition", "usage", "non_finite"}
+JUNK = [None, True, "1", "NaN", [], {}, [[[]]], 1.5, -1, 0, 2, 10 ** 400, 1e308, -1e308,
+        5e-324, -0.0, math.nan, math.inf]
+SCALES = [1e-320, 1e-160, 1e-40, 1e40, 1e150, 1e300]
+
+
+def mostly(valid, bad, odds=8):
+    """valid, else one time in `odds` bad."""
+    return st.integers(1, odds).flatmap(lambda i: bad if i == odds else valid)
+
+
+def required(flag, values):
+    """[flag, value], left out one time in 20."""
+    return mostly(st.tuples(st.just(flag), values).map(list), st.just([]), 20)
+
+
+WORDS = st.sampled_from(["", "abc", "-", "-x", " 1", "1.0.0", "\udcff", "0x10", "-1e1", "-inf",
+                         "nan", "1e400", "-1e-300", "9" * 30, "9" * 5000]) | st.text(max_size=4)
+BAD_INTS = (WORDS | st.floats().map(repr) | st.integers(-2 ** 70, -1).map(str)
+            | st.integers(10 ** 8 + 1, 2 ** 200).map(str))
+SMALL = mostly(st.integers(1, 3).map(str), BAD_INTS)  # n, r, --ell, indices: <= 3 to run fast
+SAMPLES = mostly(st.integers(1, 12).map(str), BAD_INTS)
+SEEDS = mostly(st.integers(0, 2 ** 70).map(str), BAD_INTS)
+SLOPES = mostly(st.floats(-2, 2).map(repr) | st.just("-1.5e1"), st.floats().map(repr) | WORDS)
+TOLS = mostly(st.floats(0, 1).map(repr) | st.sampled_from(["1e-9", "-0", "1e-300"]),
+              st.floats().map(repr) | WORDS)
+
+
+def _instance(n, r, seed, kind):
+    from segreform.curvature import (Kaehler11, project_to_he, projectively_flat_tensor,
+                                     random_curvature, strong_flat_tensor, tensor_to_dict)
+    w = Kaehler11.euclidean(n)
+    t = {"random": lambda: random_curvature(n, r, seed),
+         "he": lambda: project_to_he(random_curvature(n, r, seed), w, 0.5),
+         "flat": lambda: projectively_flat_tensor(n, r, seed, w=w, lam=0.7),
+         "strong-flat": lambda: strong_flat_tensor(n, r, w, 0.8)}[kind]()
+    return tensor_to_dict(t)
+
+
+def _omega(n, twisted):
+    rows = [[float(j + 1) if j == k else 0.0 for k in range(n)] for j in range(n)]
+    if twisted and n > 1:
+        rows[0][1], rows[1][0] = [0.25, 0.5], [0.25, -0.5]
+    return rows
+
+
+def _children(node):
+    """(key, child) of a JSON object or array, none of anything else."""
+    return list(node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+
+
+def _spots(node, path=()):
+    """The path of every value in a JSON tree, the root first."""
+    yield path
+    for key, child in _children(node):
+        yield from _spots(child, path + (key,))
+
+
+def _scaled(node, factor):
+    """node with every float in it multiplied by factor, in place."""
+    for key, child in _children(node):
+        node[key] = _scaled(child, factor)
+    return node * factor if type(node) is float else node
+
+
+@st.composite
+def json_bytes(draw, payload):
+    """payload, or one after a few mutations (wrong types, repeats, extreme or subnormal
+    scales), written as JSON, perhaps nested deeply, cut short or not UTF-8."""
+    root = [payload]
+    for _ in range(draw(mostly(st.just(0), st.integers(1, 3), odds=3))):
+        *path, key = draw(st.sampled_from(list(_spots(root))[1:]))
+        parent = root
+        for step in path:
+            parent = parent[step]
+        how = draw(st.sampled_from(["replace", "repeat", "scale"]))
+        if how == "scale":
+            parent[key] = _scaled(parent[key], draw(st.sampled_from(SCALES)))
+        elif how == "repeat" and isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    text = json.dumps(root[0])
+    cut = draw(st.integers(0, len(text)))
+    return draw(mostly(st.just(text.encode()), st.sampled_from([
+        text.replace('"n": ', '"n": 1, "n": ', 1).encode(),  # a repeated key: the last wins
+        ("[" * 100_000 + text + "]" * 100_000).encode(),
+        text.encode()[:cut] + b"\xff" + text.encode()[cut:],
+        text.encode("utf-16"),
+        text.encode()[:cut]])))
+
+
+@st.composite
+def argvs(draw, tmp):
+    """An argv of one of the four commands, each value valid or, less often, not, with
+    --in and --omega @ files that hold mutated tensor and omega payloads."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "he", "flat", "strong-flat"]))
+    (tmp / "t.json").write_bytes(draw(json_bytes(_instance(n, r, draw(st.integers(0, 3)), kind))))
+    (tmp / "w.json").write_bytes(draw(json_bytes(_omega(n, draw(st.booleans())))))
+    (tmp / "out.json").unlink(missing_ok=True)
+    paths = st.sampled_from([str(tmp / name) for name in ("t.json", "w.json", "missing.json",
+                                                          "dir", "dir/no/x.json", "\udcff")])
+    omega = mostly(st.sampled_from(["euclidean", "@" + str(tmp / "w.json"),
+                                    json.dumps(_omega(n, True))]),
+                   st.sampled_from(["@" + str(tmp / "dir"), "@" + str(tmp / "missing.json")])
+                   | json_bytes(_omega(n, True)).map(lambda b: b.decode("utf-8", "surrogateescape"))
+                   | WORDS)
+    infile = mostly(st.just(str(tmp / "t.json")), paths | WORDS)
+    out = mostly(st.just(str(tmp / "out.json")), paths)
+    command = draw(mostly(st.sampled_from(["gen", "verify", "check", "moments"]), st.just("x"), 20))
+    if command == "gen":
+        head = [draw(mostly(st.just(str(n)), SMALL)), draw(mostly(st.just(str(r)), SMALL)),
+                draw(SEEDS)][:draw(mostly(st.just(3), st.integers(0, 2), 10))]
+        flags = [("--he", SLOPES), ("--flat", None), ("--strong-flat", None), ("--omega", omega)]
+    elif command == "verify":
+        kind = draw(mostly(st.sampled_from(["pushforward", "identity8", "identity9", "moments"]),
+                           st.just("x"), 20))
+        # verify moments draws 10^6 directions unless --samples says fewer
+        head = [kind, *(["--samples", draw(SAMPLES)] if kind == "moments" else
+                         draw(required("--in", infile)))]
+        flags = [("--k", mostly(st.just("0"), SMALL, 4)), ("--r", SMALL), ("--seed", SEEDS),
+                 ("--tol", TOLS), ("--omega", omega), ("--symmetrize", None)]
+        flags += [] if kind == "moments" else [("--samples", SAMPLES)]
+    elif command == "check":
+        head = [draw(mostly(st.sampled_from(["he", "kl", "thm12", "surface", "remark41", "lhe"]),
+                            st.just("x"), 20)), *draw(required("--in", infile))]
+        flags = [("--omega", omega), ("--tol", TOLS), ("--ell", SMALL),
+                 ("--samples", SAMPLES), ("--seed", SEEDS), ("--symmetrize", None)]
+    else:
+        head = draw(required("--r", SMALL))
+        flags = [("--lambdas", st.lists(SMALL, max_size=3)),
+                 ("--mus", st.lists(SMALL, max_size=3)), ("--samples", SAMPLES),
+                 ("--seed", SEEDS)]
+    flags += [("--out", out)]
+    argv = [command, *head]
+    for flag, values in draw(st.permutations(flags)):
+        if draw(st.booleans()):
+            value = [] if values is None else draw(values)
+            argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    return argv + draw(mostly(st.just([]), st.sampled_from([["--bogus"], ["extra"]]), 20))
+
+
+class TestAnyArgv:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_argv_ends_in_an_exit_code(self, tmp_path_factory, data):
+        from segreform.curvature import tensor_from_dict
+
+        tmp = tmp_path_factory.getbasetemp() / "any-argv"
+        (tmp / "dir").mkdir(parents=True, exist_ok=True)
+        argv = data.draw(argvs(tmp), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert err == ""
+        if code == 2:
+            assert out.count("\n") == 1
+            error = json.loads(out)
+            assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]
+            assert error["error"]["type"] in ERROR_TYPES
+            assert isinstance(error["error"]["message"], str)
+            return
+        assert code in (0, 1)
+        if out == "":  # the report went to the last --out
+            out = Path([v for f, v in zip(argv, argv[1:]) if f == "--out"][-1]).read_text()
+        if argv[0] == "gen":
+            tensor_from_dict(json.loads(out))
+            assert code == 0
+        else:
+            report = json.loads(out)
+            validate_report(report)
+            assert code == (0 if all(row["pass"] for row in report["results"]) else 1)

@@ -9,13 +9,14 @@ moments    evaluate a single sphere moment exactly, optionally against Monte Car
 
 Every command emits a canonical-JSON report whose result rows carry explicit
 tolerances.  Exit codes: 0 when every reported result passes, 1 on a
-mathematical failure, 2 on usage, parse, or precondition errors.  The
-tolerance of verify/check is --tol, by default 1e-9.
+mathematical failure, 2 on usage, parse, or precondition errors.  Each
+verify/check kind takes only the flags it reads, and its report echoes them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -55,11 +56,11 @@ class UsageError(ValueError):
 def parse_omega(spec, n):
     """Parse --omega: 'euclidean', inline JSON matrix, or @path to a JSON file.
 
-    Matrix entries are numbers or [re, im] pairs; the result must be Hermitian positive
-    definite, with max|g|^n <= MAX_TOP_POWER, a ratio of largest to smallest eigenvalue
-    <= MAX_OMEGA_CONDITION and a smallest eigenvalue e with 1/e^n <= MAX_TOP_POWER.
+    Matrix entries are numbers or [re, im] pairs; the result must be a Kaehler11, with a
+    ratio of largest to smallest eigenvalue <= MAX_OMEGA_CONDITION and a smallest
+    eigenvalue e with 1/e^n <= MAX_TOP_POWER.
     """
-    if spec is None or spec == "euclidean":
+    if spec == "euclidean":
         return Kaehler11.euclidean(n)
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
@@ -80,14 +81,9 @@ def parse_omega(spec, n):
                 raise UsageError(f"omega entry {json.dumps(entry)} is not a finite number or a [re, im] pair")
     if mat.shape != (n, n):
         raise UsageError(f"omega is {mat.shape[0]}x{mat.shape[1]}, tensor needs {n}x{n}")
-    with np.errstate(over="ignore"):  # a modulus past the float range is past the bound too
-        big = float(np.abs(mat).max())
-    if big > MAX_TOP_POWER ** (1 / n):  # checked first: Kaehler11 would overflow
-        raise UsageError(f"largest omega entry modulus {big:.3e} exceeds "
-                         f"{MAX_TOP_POWER:.0e}^(1/{n}): omega^n would overflow")
     try:
         w = Kaehler11(mat)
-    except ValueError as exc:  # not Hermitian, or not positive definite
+    except ValueError as exc:  # too large, not Hermitian, or not positive definite
         raise UsageError(str(exc)) from exc
     eigs = w.eigenvalues
     if eigs[-1] > MAX_OMEGA_CONDITION * eigs[0]:  # the ratio itself may overflow
@@ -133,11 +129,11 @@ def _emit(text, out_path):
         print(text)
 
 
-def _mc_samples(samples, default=None):
-    """--samples of a Monte Carlo statistic, or the default: one direction has no spread."""
+def _mc_samples(samples):
+    """--samples of a Monte Carlo statistic: one direction has no spread."""
     if samples == 1:
         raise UsageError("--samples must be >= 2: a standard error or spread needs two directions")
-    return samples or default
+    return samples
 
 
 def _finish_report(report, out_path):
@@ -168,13 +164,22 @@ def cmd_gen(args):
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify and check
 # ---------------------------------------------------------------------------
 
+def cmd_report(run, args):
+    """A verify or check kind: run(args, report) fills a report whose inputs are the flags the
+    kind takes, with the values the run used, but for --out and --symmetrize: a report on
+    symmetrised input is byte for byte the one on the Hermitian part written out by hand."""
+    report = Report(f"{args.command} {args.kind}",
+                    {key: value for key, value in vars(args).items()
+                     if key not in ("command", "kind", "func", "out", "symmetrize")})
+    run(args, report)
+    return _finish_report(report, args.out)
+
+
 def _load_input(args):
-    if not args.infile:
-        raise UsageError("this command needs --in PATH")
-    return load_tensor(args.infile, symmetrize=args.symmetrize)
+    return load_tensor(getattr(args, "in"), symmetrize=args.symmetrize)
 
 
 def _verify_pushforward(args, report):
@@ -204,7 +209,7 @@ def _verify_identity8(args, report):
     w = parse_omega(args.omega, t.n)
     he, lam = is_hermite_einstein(t, w)
     worst = max(float(projective.identity_residuals(t, w, V, 1, -lam if he else None)[1].max())
-                for V in moments.direction_chunks(t.r, args.samples or 20, args.seed))
+                for V in moments.direction_chunks(t.r, args.samples, args.seed))
     if he:
         report.add("identity8_residual_max", {"residual": worst, "slope": lam},
                    args.tol, worst <= args.tol)
@@ -218,7 +223,7 @@ def _verify_identity9(args, report):
     w = parse_omega(args.omega, t.n)
     ks = [args.k] if args.k is not None else list(range(1, t.n + 1))
     worst = np.zeros(len(ks))
-    for V in moments.direction_chunks(t.r, args.samples or 20, args.seed):
+    for V in moments.direction_chunks(t.r, args.samples, args.seed):
         worst = np.maximum(worst, projective.identity_residuals(t, w, V, ks)[1].max(axis=1))
     for k, res in zip(ks, worst.tolist()):
         report.add(f"identity9_residual_max_k{k}", res, args.tol, res <= args.tol)
@@ -228,8 +233,7 @@ def _verify_moments(args, report):
     from itertools import combinations_with_replacement
 
     from .moments import moment_mc, moment_wick
-    r = args.r or 3
-    kmax = args.k if args.k is not None else 3
+    r, kmax = args.r, args.k
     terms = math.comb(r + kmax, kmax)  # sum over k <= kmax of C(r-1+k, k)
     if terms > MAX_MOMENT_TERMS:
         raise UsageError(f"--r {r} --k {kmax} asks for {terms} diagonal moments, "
@@ -242,7 +246,7 @@ def _verify_moments(args, report):
             weight = math.factorial(k) // math.prod(map(math.factorial, mult))
             total += weight * moment_wick(r, combo, combo)
         report.add(f"moment_norm_k{k}", float(abs(total - 1)), 0.0, total == 1)
-    samples = _mc_samples(args.samples, 1_000_000)
+    samples = _mc_samples(args.samples)
     pairs = [(lam, mu) for lam, mu in MC_MOMENT_PAIRS if max(lam + mu) <= r]
     for (lam, mu), (est, err) in zip(pairs, moment_mc(r, pairs, samples, args.seed)):
         units = abs(est - complex(moment_wick(r, lam, mu))) / (err + 1e-15)
@@ -250,29 +254,9 @@ def _verify_moments(args, report):
                    units, 4.0, units <= 4.0)
 
 
-def cmd_verify(args):
-    report = Report("verify " + args.kind,
-                    {"in": args.infile, "k": args.k, "samples": args.samples,
-                     "seed": args.seed, "tol": args.tol,
-                     "omega": args.omega or "euclidean", "r": args.r})
-    {"pushforward": _verify_pushforward,
-     "identity8": _verify_identity8,
-     "identity9": _verify_identity9,
-     "moments": _verify_moments}[args.kind](args, report)
-    return _finish_report(report, args.out)
-
-
-# ---------------------------------------------------------------------------
-# check
-# ---------------------------------------------------------------------------
-
-def cmd_check(args):
+def _check(args, report):
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
-    report = Report("check " + args.kind,
-                    {"in": args.infile, "tol": args.tol,
-                     "omega": args.omega or "euclidean", "ell": args.ell,
-                     "samples": args.samples, "seed": args.seed})
     if args.kind == "he":
         dev, lam = _he_deviation(t, w)
         report.add("hermite_einstein", {"deviation": dev, "slope": lam},
@@ -299,10 +283,9 @@ def cmd_check(args):
         report.add("remark41_bound", res, args.tol, res["holds"])
     elif args.kind == "lhe":
         from .projective import gamma_profile
-        ell = min(args.ell or 1, t.n)
+        ell = min(args.ell, t.n)
         level, ok = 0, True
-        profiles = gamma_profile(t, w, ell, samples=_mc_samples(args.samples, 2000),
-                                 seed=args.seed)
+        profiles = gamma_profile(t, w, ell, samples=_mc_samples(args.samples), seed=args.seed)
         for k, prof in enumerate(profiles, start=1):
             passed = prof["spread"] <= args.tol
             if ok and passed:
@@ -311,7 +294,6 @@ def cmd_check(args):
             report.add(f"gamma{k}_spread", prof, args.tol, passed)
         report.add("lhe_level", {"level": level, "requested": ell}, args.tol,
                    level >= ell)
-    return _finish_report(report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +338,30 @@ def build_parser():
         description="Pointwise curvature toolkit: Chern/Segre forms, sphere moments, "
                     "fiber-integration identities, Kobayashi-Luebke checks.")
     parser.add_argument("--version", action="version", version=__version__)
-    seed, tol, dim, samples = (_number(int, 0), _number(float, 0), _number(int, 1, MAX_DIM),
-                               _number(int, 1, MAX_SAMPLES))
+    seed = _number(int, 0)
+    flags = {"--in": dict(dest="in", required=True),
+             "--symmetrize": dict(action="store_true",
+                                  help="symmetrize instead of rejecting non-hermitian input"),
+             "--omega": dict(default="euclidean"),
+             "--tol": dict(type=_number(float, 0), default=DEFAULT_TOL),
+             "--k": dict(type=_number(int, 0)),
+             "--r": dict(type=_number(int, 1, MAX_DIM)),
+             "--ell": dict(type=_number(int, 1)),
+             "--samples": dict(type=_number(int, 1, MAX_SAMPLES)),
+             "--seed": dict(type=seed, default=0)}
+    tensor = ["--in", "--symmetrize", "--omega", "--tol"]
+    kinds = {  # command -> (kind, handler, the flags it reads, defaults other than the table's)
+        "verify": [("pushforward", _verify_pushforward,
+                    ["--in", "--symmetrize", "--tol", "--k", "--samples", "--seed"], {}),
+                   ("identity8", _verify_identity8, tensor + ["--samples", "--seed"],
+                    {"samples": 20}),
+                   ("identity9", _verify_identity9, tensor + ["--samples", "--seed", "--k"],
+                    {"samples": 20}),
+                   ("moments", _verify_moments, ["--r", "--k", "--samples", "--seed"],
+                    {"r": 3, "k": 3, "samples": 10 ** 6})],
+        "check": [(kind, _check, tensor, {})
+                  for kind in ("he", "kl", "thm12", "surface", "remark41")]
+        + [("lhe", _check, tensor + ["--ell", "--samples", "--seed"], {"ell": 1, "samples": 2000})]}
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a curvature tensor JSON instance")
@@ -371,42 +375,26 @@ def build_parser():
                       help="projectively flat instance (beta tensor Id)")
     flat.add_argument("--strong-flat", action="store_true",
                       help="omega-proportional flat instance (needs --he)")
-    g.add_argument("--omega", default=None)
+    g.add_argument("--omega", **flags["--omega"])
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_gen)
 
-    v = sub.add_parser("verify", help="verify an identity against its oracle")
-    v.add_argument("kind", choices=["pushforward", "identity8", "identity9", "moments"])
-    v.add_argument("--in", dest="infile", default=None)
-    v.add_argument("--k", type=_number(int, 0), default=None)
-    v.add_argument("--r", type=dim, default=None, help="dimension for kind=moments")
-    v.add_argument("--samples", type=samples, default=None)
-    v.add_argument("--seed", type=seed, default=0)
-    v.add_argument("--tol", type=tol, default=DEFAULT_TOL)
-    v.add_argument("--omega", default=None)
-    v.add_argument("--symmetrize", action="store_true",
-                   help="symmetrize instead of rejecting non-hermitian input")
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
-
-    c = sub.add_parser("check", help="run an inequality / metric check")
-    c.add_argument("kind", choices=["he", "kl", "thm12", "surface", "remark41", "lhe"])
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--omega", default=None)
-    c.add_argument("--tol", type=tol, default=DEFAULT_TOL)
-    c.add_argument("--ell", type=_number(int, 1), default=None, help="level for kind=lhe")
-    c.add_argument("--samples", type=samples, default=None)
-    c.add_argument("--seed", type=seed, default=0)
-    c.add_argument("--symmetrize", action="store_true")
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=cmd_check)
+    for command, what in (("verify", "verify an identity against its oracle"),
+                          ("check", "run an inequality / metric check")):
+        by_kind = sub.add_parser(command, help=what).add_subparsers(dest="kind", required=True)
+        for kind, run, names, defaults in kinds[command]:
+            p = by_kind.add_parser(kind)
+            for name in names:
+                p.add_argument(name, **flags[name])
+            p.add_argument("--out", default=None)
+            p.set_defaults(func=functools.partial(cmd_report, run), **defaults)
 
     m = sub.add_parser("moments", help="evaluate one sphere moment")
-    m.add_argument("--r", type=dim, required=True)
+    m.add_argument("--r", required=True, **flags["--r"])
     m.add_argument("--lambdas", type=int, nargs="*", default=None)
     m.add_argument("--mus", type=int, nargs="*", default=None)
-    m.add_argument("--samples", type=samples, default=None)
-    m.add_argument("--seed", type=seed, default=0)
+    m.add_argument("--samples", **flags["--samples"])
+    m.add_argument("--seed", **flags["--seed"])
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_moments)
     return parser

@@ -48,18 +48,27 @@ class TensorValidationError(ValueError):
 
 class Kaehler11:
     """A Kaehler form omega = sum_jk g[j,k] * (i dz_j ^ dzbar_k) at the point: g read-only,
-    Hermitian positive definite (checked here once for every later use) with ascending
-    eigenvalues; other real (1,1)-forms are plain Hermitian coefficient matrices."""
+    finite with max|g|^n <= MAX_TOP_POWER, Hermitian positive definite (checked here once
+    for every later use) with ascending eigenvalues; other real (1,1)-forms are plain
+    Hermitian coefficient matrices."""
 
     __slots__ = ("n", "g", "eigenvalues", "_powers")
 
     def __init__(self, g):
         g = np.asarray(g, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {g.shape}")
-        if np.abs(g - g.conj().T).max(initial=0.0) > 1e-12:  # absolute: no relative slack
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
+            raise ValueError(f"expected a nonempty square matrix, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("omega entries must be finite")
+        n = g.shape[0]
+        with np.errstate(over="ignore"):  # a modulus past the float range is past the bound too
+            big = float(np.abs(g).max())
+        if big > MAX_TOP_POWER ** (1 / n):  # checked first: the symmetrisation would overflow
+            raise ValueError(f"largest omega entry modulus {big:.3e} exceeds "
+                             f"{MAX_TOP_POWER:.0e}^(1/{n}): omega^n would overflow")
+        if np.abs(g - g.conj().T).max() > 1e-12:  # absolute: no relative slack
             raise ValueError("coefficient matrix must be Hermitian")
-        self.n = g.shape[0]
+        self.n = n
         self.g = 0.5 * (g + g.conj().T)  # kill roundoff asymmetry
         self.g.flags.writeable = False  # the cached powers stay those of g
         self.eigenvalues = np.linalg.eigvalsh(self.g)

@@ -1,8 +1,11 @@
+import argparse
 import copy
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segreform.cli import main
+from segreform.cli import build_parser, main
 
 from conftest import child_env, stderr_units, validate_report
 from oracles import hermitian_deviation
@@ -117,6 +120,19 @@ class TestVerify:
         report = json.loads(out)
         validate_report(report)
         assert len(report["results"]) == 2  # k = 1, 2
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (["verify", "moments", "--samples", "10"], {"k": 3, "r": 3, "samples": 10, "seed": 0}),
+        (["verify", "identity8"], {"omega": "euclidean", "samples": 20, "seed": 0, "tol": 1e-9}),
+        (["check", "lhe", "--samples", "30", "--symmetrize"],
+         {"ell": 1, "omega": "euclidean", "samples": 30, "seed": 0, "tol": 1e-9})],
+        ids=["verify-moments", "identity8", "lhe"])
+    def test_inputs_echo_the_values_the_run_used(self, he_instance_path, capsys, argv, inputs):
+        if argv[1] != "moments":
+            argv, inputs = argv + ["--in", he_instance_path], {**inputs, "in": he_instance_path}
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["inputs"] == inputs
 
     def test_identity9_builds_each_block_once(self, tmp_path, capsys, monkeypatch):
         import segreform.projective as projective
@@ -559,8 +575,8 @@ class TestInvariantGuards:
             assert out == run_child(tmp_path / "sym", *argv)[1]
             outs.append(out)
         assert outs[0] == (
-            '{"command":"check kl","inputs":{"ell":null,"in":"t.json","omega":"euclidean",'
-            '"samples":null,"seed":0,"tol":1.0000000000000001e-09},"results":[{"name":'
+            '{"command":"check kl","inputs":{"in":"t.json","omega":"euclidean",'
+            '"tol":1.0000000000000001e-09},"results":[{"name":'
             '"kl_nonpositive","pass":true,"tolerance":1.0000000000000001e-09,"value":'
             '{"equality":false,"q":-1.0625}}],"version":"0.1.0"}\n')
 
@@ -629,14 +645,24 @@ class TestInvariantGuards:
         (["gen", "2", "2", "1", "--omega", "[[1,0],[0,5e-324]]"], "usage",
          "omega eigenvalues 4.941e-324 to 1.000e+00 span a ratio of more than 1e+12"),
         (["gen", "2", "2", "1", "--omega", "[[1e308,0],[0,1]]"], "usage",
-         "largest omega entry modulus 1.000e+308 exceeds 1e+150^(1/2)")],
+         "largest omega entry modulus 1.000e+308 exceeds 1e+150^(1/2)"),
+        (["verify", "pushforward", "--in", "t.json", "--omega", "[[1,0],[0,-1]]", "--r", "7"],
+         "usage", "unrecognized arguments: --omega [[1,0],[0,-1]] --r 7"),
+        (["verify", "moments", "--tol", "5"], "usage", "unrecognized arguments: --tol 5"),
+        (["verify", "identity8", "--in", "t.json", "--k", "2"], "usage",
+         "unrecognized arguments: --k 2"),
+        (["check", "he", "--in", "t.json", "--ell", "5", "--samples", "7"], "usage",
+         "unrecognized arguments: --ell 5 --samples 7"),
+        (["verify", "moments", "--in", "nonexistent.json", "--omega", "bogus"], "usage",
+         "unrecognized arguments: --in nonexistent.json --omega bogus")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
              "gen-strong-flat-he-inf", "gen-he-oversized", "gen-he-minus-inf",
              "check-tol-exponent", "gen-seed", "gen-flat-seed", "gen-strong-flat-seed",
              "verify-identity9-seed", "verify-pushforward-seed", "verify-moments-seed",
              "check-lhe-seed", "moments-seed", "samples-huge", "samples-zero", "tol-hex",
              "missing-in", "gen-conflicting-flags", "omega-subnormal", "gen-omega-subnormal",
-             "gen-omega-near-float-max"])
+             "gen-omega-near-float-max", "pushforward-omega-r", "moments-tol", "identity8-k",
+             "he-ell-samples", "moments-in-omega"])
     def test_bad_input_is_one_error_line(self, tmp_path, argv, kind, words):
         # in a child process, so that a traceback or a warning on stderr would show
         (tmp_path / "t.json").write_text('{"n": 2, "r": 1, "coeffs": []}')
@@ -714,6 +740,46 @@ class TestToleranceEnvVar:
                                              f"got {value}"}}
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) of every parser below parser that has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+class TestFlagTable:
+    def test_readme_lists_exactly_each_commands_flags_and_defaults(self):
+        # a row: `command`, ... | `--flag`, `--flag default` or `--flag` (required), ...
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| command | flags |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            commands, flags = line.split("|")[1:3]
+            for command in re.findall(r"`([^`]+)`", commands):
+                table[tuple(word for word in command.split() if word.islower())] = {
+                    flag: (default or None, bool(required)) for flag, default, required in
+                    re.findall(r"`(--[\w-]+) ?([^`]*)`( \(required\))?", flags)}
+        parsers = dict(leaf_parsers(build_parser()))
+        assert sorted(table) == sorted(parsers)
+        for path, parser in parsers.items():
+            actions = {a.option_strings[0]: a for a in parser._actions
+                       if a.option_strings and a.dest != "help"}
+            assert sorted(table[path]) == sorted(actions), path
+            for flag, (default, required) in table[path].items():
+                action = actions[flag]
+                assert required == action.required, (path, flag)
+                if default is None:
+                    assert action.default in (None, False), (path, flag)
+                else:
+                    assert (action.type or str)(default) == action.default, (path, flag)
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "segreform.cli", "--version"],
@@ -738,6 +804,15 @@ class TestConsoleScript:
 # ---------------------------------------------------------------------------
 
 ERROR_TYPES = {"parse", "validation", "precondition", "usage", "non_finite"}
+TENSOR_FLAGS = {"--in", "--symmetrize", "--omega", "--tol", "--out"}
+KIND_FLAGS = {  # (command, kind) -> every flag it takes
+    ("verify", "pushforward"): {"--in", "--symmetrize", "--tol", "--k", "--samples", "--seed",
+                                "--out"},
+    ("verify", "identity8"): TENSOR_FLAGS | {"--samples", "--seed"},
+    ("verify", "identity9"): TENSOR_FLAGS | {"--samples", "--seed", "--k"},
+    ("verify", "moments"): {"--r", "--k", "--samples", "--seed", "--out"},
+    **{("check", kind): TENSOR_FLAGS for kind in ("he", "kl", "thm12", "surface", "remark41")},
+    ("check", "lhe"): TENSOR_FLAGS | {"--ell", "--samples", "--seed"}}
 JUNK = [None, True, "1", "NaN", [], {}, [[[]]], 1.5, -1, 0, 2, 10 ** 400, 1e308, -1e308,
         5e-324, -0.0, math.nan, math.inf]
 SCALES = [1e-320, 1e-160, 1e-40, 1e40, 1e150, 1e300]
@@ -853,20 +928,21 @@ def argvs(draw, tmp):
         head = [draw(mostly(st.just(str(n)), SMALL)), draw(mostly(st.just(str(r)), SMALL)),
                 draw(SEEDS)][:draw(mostly(st.just(3), st.integers(0, 2), 10))]
         flags = [("--he", SLOPES), ("--flat", None), ("--strong-flat", None), ("--omega", omega)]
-    elif command == "verify":
-        kind = draw(mostly(st.sampled_from(["pushforward", "identity8", "identity9", "moments"]),
+    elif command in ("verify", "check"):
+        kind = draw(mostly(st.sampled_from([k for c, k in KIND_FLAGS if c == command]),
                            st.just("x"), 20))
         # verify moments draws 10^6 directions unless --samples says fewer
         head = [kind, *(["--samples", draw(SAMPLES)] if kind == "moments" else
                          draw(required("--in", infile)))]
-        flags = [("--k", mostly(st.just("0"), SMALL, 4)), ("--r", SMALL), ("--seed", SEEDS),
-                 ("--tol", TOLS), ("--omega", omega), ("--symmetrize", None)]
-        flags += [] if kind == "moments" else [("--samples", SAMPLES)]
-    elif command == "check":
-        head = [draw(mostly(st.sampled_from(["he", "kl", "thm12", "surface", "remark41", "lhe"]),
-                            st.just("x"), 20)), *draw(required("--in", infile))]
-        flags = [("--omega", omega), ("--tol", TOLS), ("--ell", SMALL),
-                 ("--samples", SAMPLES), ("--seed", SEEDS), ("--symmetrize", None)]
+        values = {"--in": infile, "--k": mostly(st.just("0"), SMALL, 4), "--r": SMALL,
+                  "--seed": SEEDS, "--tol": TOLS, "--omega": omega, "--symmetrize": None,
+                  "--samples": SAMPLES, "--ell": SMALL}
+        # head holds --in, or leaves it out on purpose, and moments' --samples; the kind's
+        # other flags follow and, one time in three, one it does not take
+        takes = KIND_FLAGS.get((command, kind), TENSOR_FLAGS)
+        flags = [(flag, values[flag]) for flag in sorted(takes - {"--in", "--out"} - set(head))]
+        flags += draw(mostly(st.just([]), st.sampled_from(sorted(set(values) - takes)).map(
+            lambda flag: [(flag, values[flag])]), 3))
     else:
         head = draw(required("--r", SMALL))
         flags = [("--lambdas", st.lists(SMALL, max_size=3)),
@@ -896,6 +972,9 @@ class TestAnyArgv:
             code = main(argv)
         out, err = out.getvalue(), err.getvalue()
         assert err == ""
+        takes = KIND_FLAGS.get(tuple(argv[:2]))
+        if takes and {arg for arg in argv if arg.startswith("--")} - takes:
+            assert code == 2  # a flag its kind does not read
         if code == 2:
             assert out.count("\n") == 1
             error = json.loads(out)
@@ -913,3 +992,5 @@ class TestAnyArgv:
             report = json.loads(out)
             validate_report(report)
             assert code == (0 if all(row["pass"] for row in report["results"]) else 1)
+            if takes:
+                assert {"--" + key for key in report["inputs"]} == takes - {"--out", "--symmetrize"}

@@ -10,6 +10,7 @@ so there the test skips.  To re-record after a deliberate change of output:
 """
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -58,6 +59,16 @@ WORKLOADS = {
         ["verify", "identity9", "--in", "rand22.json", "--samples", "3", *MC],
     ],
 }
+
+
+def test_workloads_are_the_benchmarks_argv_lists():
+    # read perfbench/workloads.py from its path, so that the copy above cannot drift from it
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert {name: make(int(SEED), int(MC_SEED), str)  # file names as given
+            for name, make in bench.WORKLOADS.items()} == WORKLOADS
 
 
 def run_workloads():

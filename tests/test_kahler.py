@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,20 @@ class TestKaehler11:
     def test_non_hermitian_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match="must be Hermitian"):
             Kaehler11([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("g, message", [
+        (np.diag([1e308, 1.0]), "largest omega entry modulus 1.000e+308 exceeds 1e+150^(1/2)"),
+        ([[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]], "largest omega entry modulus inf"),
+        (np.diag([np.nan, 1.0]), "omega entries must be finite"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "omega entries must be finite")],
+        ids=["near-float-max", "modulus-past-float-max", "nan-diagonal", "nan-off-diagonal"])
+    def test_entries_out_of_bounds_are_rejected_before_any_arithmetic(self, g, message):
+        # checked before any arithmetic on g: NaN would pass the Hermitian test, and 1e308
+        # would overflow the symmetrisation, which warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Kaehler11(g)
 
     @settings(max_examples=60, deadline=None)
     @given(spectra())

@@ -13,7 +13,7 @@ n, r = 3, 3
 t = sf.random_curvature(n, r, seed=2024)
 print(t)
 
-cs = sf.chern_forms(t)
+cs = sf.chern_forms(t, t.r)
 print("\nChern forms: bidegrees", [(c.p, c.q) for c in cs])
 print("c_1 nonzeros:", np.count_nonzero(cs[1].a), " c_2 nonzeros:", np.count_nonzero(cs[2].a))
 # a (k,k)-form with coefficient array a is real when a == (-1)^k conj(a.T)
@@ -38,7 +38,7 @@ for k in range(1, n + 1):
 # homogeneous symmetric polynomials: a scalar shadow of the form algebra.
 vals = [0.5, -1.0, 2.0]
 diag = sf.CurvatureTensor(n, r, np.einsum("jk,ml->jklm", np.eye(n), np.diag(vals)))
-cs, powers = sf.chern_forms(diag), [sf.Form.constant(n)]
+cs, powers = sf.chern_forms(diag, diag.r), [sf.Form.constant(n)]
 for _ in range(n):
     powers.append(sf.wedge(powers[-1], sf.Form.one_one(np.eye(n))))
 ss = sf.segre_forms(cs, n)

@@ -50,7 +50,7 @@ print("phi_1(T) equals tr(T)/r:", np.isclose(phi[1], np.trace(T).real / 4))
 # The tensor-valued version averages the directional curvature form over
 # fiber directions; signed and rescaled it reproduces the Segre forms.
 t = sf.random_curvature(2, 3, seed=5)
-ss = sf.segre_forms(sf.chern_forms(t), 2)
+ss = sf.segre_forms(sf.chern_forms(t, 2), 2)
 for k in (1, 2):
     avg = sf.phi_k_tensor(t, k)
     gap = ((-1.0) ** k * math.comb(3 - 1 + k, k) * avg - ss[k]).max_abs()

@@ -50,12 +50,12 @@ for k in range(1, n + 1):
           f"from minors {ratio.real:+.6f}")
 
 # pushforward of powers: exact moment path vs the Segre recursion
-ss = sf.segre_forms(sf.chern_forms(t), n)
+ss = sf.segre_forms(sf.chern_forms(t, n), n)
 for k in range(n + 1):
-    exact = sf.pushforward_segre(t, k, method="exact")
+    exact = sf.pushforward_exact(t, k)
     print(f"k={k}: exact push vs s_k residual {(exact - ss[k]).max_abs():.2e}")
 
-mc, err = sf.pushforward_segre(t, 2, method="mc", samples=20_000, seed=3)
+mc, err = sf.pushforward_mc(t, 2, 20_000, 3)
 print("Monte Carlo push (20k dirs) vs s_2 max gap:",
       f"{(mc - ss[2]).max_abs():.3f} (stochastic; largest stderr {err.max_abs():.3f})")
 

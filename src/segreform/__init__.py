@@ -26,7 +26,8 @@ _EXPORTS = {  # home module -> its public names
     "kahler": ("relative_eigenvalues",),
     "moments": ("DIRECTION_CHUNK", "direction_chunks", "moment_mc", "moment_wick",
                 "phi_k_tensor"),
-    "projective": ("gamma_profile", "identity_residuals", "pushforward_segre"),
+    "projective": ("gamma_profile", "identity_residuals", "pushforward_exact",
+                   "pushforward_mc"),
     "symfun": ("elem_sym",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

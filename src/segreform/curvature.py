@@ -119,18 +119,19 @@ class CurvatureTensor:
         return f"CurvatureTensor(n={self.n}, r={self.r})"
 
 
-def chern_forms(t):
-    """Chern forms [c_0, ..., c_r] from the power sums p_i = tr Theta_hat^i.
+def chern_forms(t, top):
+    """Chern forms [c_0, ..., c_top] from the power sums p_i = tr Theta_hat^i.
 
     Newton's identities k c_k = sum_{i=1}^{k} (-1)^{i-1} c_{k-i} ^ p_i hold
     in the commutative algebra of even-degree forms.  c_k vanishes
-    identically once k exceeds n; those degrees are zero forms, not
-    computed.
+    identically once k exceeds n or r; those degrees are zero forms, not
+    computed.  The loop runs degree by degree, so a smaller top gives a
+    bitwise prefix.
     """
     theta = [[t.entry(mu, lam) for lam in range(t.r)] for mu in range(t.r)]
     power, sums, forms = theta, [None], [Form.constant(t.n)]
-    for k in range(1, t.r + 1):
-        if k > t.n:
+    for k in range(1, top + 1):
+        if k > min(t.n, t.r):
             forms.append(Form(t.n, k, k))
             continue
         if k > 1:

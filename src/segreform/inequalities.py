@@ -21,7 +21,7 @@ import numpy as np
 from .curvature import (DEFAULT_EQUALITY_TOL, DEFAULT_HE_TOL, PreconditionError,
                         _he_deviation, chern_forms, is_projectively_flat, omega_ratio,
                         segre_forms, strong_flat_tensor)
-from .exterior import Form, wedge
+from .exterior import wedge
 
 
 def _ratio(form, w):
@@ -50,7 +50,7 @@ def kl_classical(t, w):
     if t.n < 2:
         raise PreconditionError("classical check needs n >= 2")
     _require_he(t, w)
-    c = chern_forms(t) + [Form(t.n, 2, 2)]  # c_2 = 0 when r = 1
+    c = chern_forms(t, 2)
     combo = (t.r - 1) * wedge(c[1], c[1]) - (2 * t.r) * c[2]
     q = _ratio(combo, w)
     return {"q": q, "equality": abs(q) <= DEFAULT_EQUALITY_TOL and is_projectively_flat(t)}
@@ -68,7 +68,7 @@ def kl_segre(t, w):
         raise PreconditionError("Segre-form check needs n >= 2")
     lam = _require_he(t, w)
     n, r = t.n, t.r
-    c = chern_forms(t)
+    c = chern_forms(t, 2)
     s = segre_forms(c, 2)
     lhs = _ratio(s[2], w)
     rhs_chern = lam * (r + 1) / (2 * n) * _ratio(c[1], w)
@@ -88,7 +88,7 @@ def projective_flat_bound(t, w, tol):
     lam = _require_he(t, w)
     if not is_projectively_flat(t):
         raise PreconditionError("input is not projectively flat within tolerance")
-    c = chern_forms(t)
+    c = chern_forms(t, 1)
     lhs = _ratio(wedge(c[1], c[1]), w)
     rhs = (lam * t.r / t.n) ** 2
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
@@ -110,7 +110,7 @@ def surface_compare(t, w):
         raise PreconditionError("classical bound needs r >= 2 (division by r - 1)")
     lam = _require_he(t, w)
     r = t.r
-    c = chern_forms(t)
+    c = chern_forms(t, 2)
     c1_sq = _ratio(wedge(c[1], c[1]), w)
     c2 = _ratio(c[2], w)
     c1_dot_omega = _ratio(c[1], w)

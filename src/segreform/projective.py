@@ -5,8 +5,8 @@ bundle splits, on C^(n+r-1), into a vertical Fubini-Study block on the r-1
 fiber coordinates and minus the directional (1,1)-form theta_v on the n base
 coordinates, where omega lives.  The vertical block is normalised so its
 (r-1)-st power carries unit fiber mass; then the pushforward of the
-(r-1+k)-th power of Xi is the k-th Segre form, which pushforward_segre
-verifies: exactly through the moment expansion, or by Monte Carlo over the
+(r-1+k)-th power of Xi is the k-th Segre form: pushforward_exact integrates
+it through the moment expansion, pushforward_mc by Monte Carlo over the
 k x k minors of the matrix of theta_v, which fill the array of theta_v^k.
 
 Only that top vertical power survives in a top form, so the top-form
@@ -38,25 +38,21 @@ def _block_rows(n, k):
     return max(1, _BLOCK_BYTES // (16 * (math.comb(n, k) * k + n) ** 2))
 
 
-def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
-    """Fiber integration of the (r-1+k)-th power of the combined form.
-
-    Returns (-1)^k * binom(r-1+k, k) * E[theta_v ^ ... ^ theta_v] over fiber
-    directions v, the k-th Segre form: exactly through the moment expansion
-    (method="exact"), or (method="mc") as the (mean, stderr) pair of forms of
-    the minors giving theta_v^k over the first N directions of the seed's
-    stream, whose stderr is sqrt(sum |x - mean|^2 / (N-1) / N) per
-    coefficient (0 for N = 1).
-    """
+def pushforward_exact(t, k):
+    """Fiber integral of the (r-1+k)-th power of the combined form, the k-th Segre form:
+    (-1)^k * binom(r-1+k, k) * E[theta_v ^ ... ^ theta_v] over fiber directions v,
+    through the moment expansion."""
     if not 0 <= k <= t.n:
         raise ValueError(f"k={k} out of range [0, {t.n}]")
-    factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)
-    if method == "exact":
-        return factor * phi_k_tensor(t, k)
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    if k == 0:
-        return Form.constant(t.n), Form(t.n, 0, 0)
+    return (-1.0) ** k * math.comb(t.r - 1 + k, k) * phi_k_tensor(t, k)
+
+
+def pushforward_mc(t, k, samples, seed):
+    """Monte Carlo pushforward_exact(t, k) for k >= 1: the (mean, stderr) pair of forms of the
+    minors giving theta_v^k over the first N = samples directions of the seed's stream, whose
+    stderr is sqrt(sum |x - mean|^2 / (N-1) / N) per coefficient (0 for N = 1)."""
+    if not 1 <= k <= t.n:
+        raise ValueError(f"k={k} out of range [1, {t.n}]")
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -67,6 +63,7 @@ def pushforward_segre(t, k, method="exact", samples=100_000, seed=0):
         total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=0)
     mean, mean_sq = total / samples, total_sq / samples
     var = np.maximum(mean_sq - (mean.real**2 + mean.imag**2), 0.0) * samples / max(samples - 1, 1)
+    factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)
     return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * np.sqrt(var / samples))
 
 

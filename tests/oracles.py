@@ -499,7 +499,7 @@ def elem_sym_scalar(values, k):
 def pushforward_mc_loop(t, k, samples, seed):
     """Monte Carlo pushforward with one sparse wedge power per sampled direction.
 
-    Returns (mean, stderr) as (k,k)-forms like pushforward_segre(method="mc"),
+    Returns (mean, stderr) as (k,k)-forms like projective.pushforward_mc,
     the standard error taken two-pass from the stored per-direction terms.
     """
     factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)

@@ -297,7 +297,7 @@ class TestVerify:
     def test_pushforward_mc_draws_exactly_the_requested_samples(self, he_instance_path,
                                                                 capsys):
         from segreform.curvature import chern_forms, load_tensor, segre_forms
-        from segreform.projective import pushforward_segre
+        from segreform.projective import pushforward_mc
 
         code, out = run_cli(capsys, "verify", "pushforward", "--in", he_instance_path,
                             "--k", "1", "--samples", "3", "--seed", "5")
@@ -305,8 +305,8 @@ class TestVerify:
         validate_report(report)
         row = {r["name"]: r for r in report["results"]}["pushforward_mc_k1_stderr_units"]
         t = load_tensor(he_instance_path)
-        mean, err = pushforward_segre(t, 1, method="mc", samples=3, seed=5)
-        assert row["value"] == stderr_units(mean, err, segre_forms(chern_forms(t), 2)[1])
+        mean, err = pushforward_mc(t, 1, 3, 5)
+        assert row["value"] == stderr_units(mean, err, segre_forms(chern_forms(t, t.r), 2)[1])
         assert code == (0 if row["pass"] else 1)
 
     def test_pushforward_single_sample_is_usage_error(self, he_instance_path, capsys):
@@ -654,7 +654,13 @@ class TestInvariantGuards:
         (["check", "he", "--in", "t.json", "--ell", "5", "--samples", "7"], "usage",
          "unrecognized arguments: --ell 5 --samples 7"),
         (["verify", "moments", "--in", "nonexistent.json", "--omega", "bogus"], "usage",
-         "unrecognized arguments: --in nonexistent.json --omega bogus")],
+         "unrecognized arguments: --in nonexistent.json --omega bogus"),
+        (["check", "lhe", "--in", "t.json", "--ell", "5", "--samples", "10"], "usage",
+         "ell=5 out of range [1, 2]"),
+        (["verify", "identity9", "--in", "t.json", "--k", "7"], "usage",
+         "k=7 out of range [1, 2]"),
+        (["verify", "pushforward", "--in", "t.json", "--k", "10000000000"], "usage",
+         "k=10000000000 out of range [0, 2]")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
              "gen-strong-flat-he-inf", "gen-he-oversized", "gen-he-minus-inf",
              "check-tol-exponent", "gen-seed", "gen-flat-seed", "gen-strong-flat-seed",
@@ -662,7 +668,8 @@ class TestInvariantGuards:
              "check-lhe-seed", "moments-seed", "samples-huge", "samples-zero", "tol-hex",
              "missing-in", "gen-conflicting-flags", "omega-subnormal", "gen-omega-subnormal",
              "gen-omega-near-float-max", "pushforward-omega-r", "moments-tol", "identity8-k",
-             "he-ell-samples", "moments-in-omega"])
+             "he-ell-samples", "moments-in-omega", "lhe-ell-past-n", "identity9-k-past-n",
+             "pushforward-k-past-n"])
     def test_bad_input_is_one_error_line(self, tmp_path, argv, kind, words):
         # in a child process, so that a traceback or a warning on stderr would show
         (tmp_path / "t.json").write_text('{"n": 2, "r": 1, "coeffs": []}')

@@ -41,14 +41,14 @@ def tensor_from_diagonal(betas, r=None):
 class TestChernForms:
     def test_zero_tensor(self):
         t = CurvatureTensor(2, 3)
-        cs = chern_forms(t)
+        cs = chern_forms(t, t.r)
         assert cs[0].coeffs == {((), ()): 1}
         assert all(is_zero(cs[k]) for k in range(1, 4))
 
     def test_rank_one_is_entry(self, rng):
         g = random_hermitian(2, rng)
         t = CurvatureTensor(2, 1, g.reshape(2, 2, 1, 1))
-        cs = chern_forms(t)
+        cs = chern_forms(t, t.r)
         assert allclose(cs[1], t.entry(0, 0), 1e-14)
 
     def test_scalar_times_identity_binomial(self, rng):
@@ -57,7 +57,7 @@ class TestChernForms:
             beta = random_hermitian(n, rng)
             c = np.einsum("jk,ml->jklm", beta, np.eye(r))
             t = CurvatureTensor(n, r, c)
-            cs = chern_forms(t)
+            cs = chern_forms(t, t.r)
             bf = Form.one_one(beta)
             for k in range(r + 1):
                 expect = math.comb(r, k) * wedge_power(bf, k)
@@ -66,12 +66,12 @@ class TestChernForms:
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 3), (4, 4), (3, 5)])
     def test_power_sums_match_principal_minors(self, n, r):
         t = random_curvature(n, r, seed=10 * n + r)
-        self._assert_agree(chern_forms(t), chern_forms_minors(t))
+        self._assert_agree(chern_forms(t, t.r), chern_forms_minors(t))
 
     def test_power_sums_match_minors_for_endomorphism_bundle(self):
         dual = dual_endomorphism_tensor(random_curvature(2, 3, seed=6))
         assert dual.r == 9
-        self._assert_agree(chern_forms(dual), chern_forms_minors(dual))
+        self._assert_agree(chern_forms(dual, dual.r), chern_forms_minors(dual))
 
     @staticmethod
     def _assert_agree(got, ref):
@@ -82,7 +82,7 @@ class TestChernForms:
 
     def test_chern_forms_are_real(self, rng):
         t = random_curvature(2, 3, seed=4)
-        for ck in chern_forms(t):
+        for ck in chern_forms(t, t.r):
             assert is_real(ck, 1e-11)
 
     def test_diagonal_matches_symmetric_polynomials(self, rng):
@@ -91,7 +91,7 @@ class TestChernForms:
         n = 3
         betas = [random_hermitian(n, rng) for _ in range(3)]
         t = tensor_from_diagonal(betas)
-        cs = chern_forms(t)
+        cs = chern_forms(t, t.r)
         forms = [Form.one_one(b) for b in betas]
         # gamma_2 = b1 b2 + b1 b3 + b2 b3 etc.
         g1 = forms[0] + forms[1] + forms[2]
@@ -120,7 +120,7 @@ class TestChernFormProperties:
     def test_homogeneity(self, t, s):
         # c_k(s Theta) = s^k c_k(Theta)
         scaled = CurvatureTensor(t.n, t.r, s * t.c)
-        for k, (got, ck) in enumerate(zip(chern_forms(scaled), chern_forms(t))):
+        for k, (got, ck) in enumerate(zip(chern_forms(scaled, scaled.r), chern_forms(t, t.r))):
             expect = s ** k * ck
             assert (got - expect).max_abs() <= 1e-10 * (1 + expect.max_abs())
 
@@ -130,7 +130,7 @@ class TestChernFormProperties:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((t.r, t.r)) + 1j * rng.standard_normal((t.r, t.r))
         U, _ = np.linalg.qr(z)
-        for got, ck in zip(chern_forms(rotate_tensor(t, U)), chern_forms(t)):
+        for got, ck in zip(chern_forms(rotate_tensor(t, U), t.r), chern_forms(t, t.r)):
             assert (got - ck).max_abs() <= 1e-10 * (1 + ck.max_abs())
 
     @settings(max_examples=30, deadline=None)
@@ -140,18 +140,37 @@ class TestChernFormProperties:
         # c_k(E tensor L) = sum_i C(r-i, k-i) c_i(E) ^ beta^{k-i}
         beta = random_hermitian(t.n, np.random.default_rng(seed))
         twisted = CurvatureTensor(t.n, t.r, t.c + np.einsum("jk,ml->jklm", beta, np.eye(t.r)))
-        cs, bf = chern_forms(t), Form.one_one(beta)
-        for k, got in enumerate(chern_forms(twisted)):
+        cs, bf = chern_forms(t, t.r), Form.one_one(beta)
+        for k, got in enumerate(chern_forms(twisted, twisted.r)):
             expect = Form(t.n, k, k)
             for i in range(k + 1):
                 expect = expect + math.comb(t.r - i, k - i) * wedge(cs[i], wedge_power(bf, k - i))
             assert (got - expect).max_abs() <= 1e-10 * (1 + expect.max_abs())
 
+    @settings(max_examples=30, deadline=None)
+    @given(curvature_cases())
+    def test_top_degree_gives_a_bitwise_prefix(self, t):
+        # a command builds c and s only to the degree it reads, with the bytes of the full build
+        full = chern_forms(t, t.n + t.r)
+        segre_full, segre_rank = segre_forms(full, t.n + t.r), segre_forms(chern_forms(t, t.r), t.n)
+        for top in range(t.n + t.r + 1):
+            cs = chern_forms(t, top)
+            assert len(cs) == top + 1
+            for k, (got, ref) in enumerate(zip(cs, full)):
+                assert (got.p, got.q) == (k, k)
+                assert got.a.tobytes() == ref.a.tobytes()
+                if k > min(t.n, t.r):
+                    assert not got.a.any()
+            s_top = segre_forms(cs, top)[top]
+            assert s_top.a.tobytes() == segre_full[top].a.tobytes()
+            if top <= t.n:
+                assert s_top.a.tobytes() == segre_rank[top].a.tobytes()
+
 
 class TestSegreForms:
     def test_first_three(self, rng):
         t = random_curvature(3, 3, seed=11)
-        cs = chern_forms(t)
+        cs = chern_forms(t, t.r)
         ss = segre_forms(cs, 3)
         c1, c2, c3 = cs[1], cs[2], cs[3]
         assert (ss[1] + c1).max_abs() <= 1e-12
@@ -163,7 +182,7 @@ class TestSegreForms:
     @given(curvature_cases())
     def test_inverts_chern(self, t):
         # sum_{j=0}^{k} c_j ^ s_{k-j} = 0 for 1 <= k <= n, c_j = 0 past rank r
-        cs = chern_forms(t)
+        cs = chern_forms(t, t.r)
         ss = segre_forms(cs, t.n)
         for k in range(1, t.n + 1):
             terms = [wedge(cs[j], ss[k - j]) for j in range(min(k, t.r) + 1)]
@@ -298,7 +317,7 @@ class TestMeanCurvature:
         w = Kaehler11(random_spd(3, rng))
         t = random_curvature(3, 3, seed=21)
         T = mean_curvature(t, w)
-        cs = chern_forms(t)
+        cs = chern_forms(t, t.r)
         lhs = top_ratio(wedge(cs[1], factorial_power(Form.one_one(w.g), 2)),
                         factorial_power(Form.one_one(w.g), 3))
         assert lhs == pytest.approx(np.trace(T).real, abs=1e-10)
@@ -308,7 +327,7 @@ class TestMeanCurvature:
         n, r, lam = 2, 3, 0.9
         w = Kaehler11(random_spd(n, rng))
         t = project_to_he(random_curvature(n, r, seed=2), w, lam)
-        cs = chern_forms(t)
+        cs = chern_forms(t, t.r)
         got = top_ratio(wedge(cs[1], wedge_power(Form.one_one(w.g), n - 1)),
                         wedge_power(Form.one_one(w.g), n))
         assert got == pytest.approx(lam * r / n, abs=1e-10)

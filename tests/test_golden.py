@@ -1,5 +1,6 @@
-"""Report bytes pinned: the benchmark's three workload pipelines, run in child
-processes at instance seed 11 and MC seed 1011, against a committed table.
+"""Report bytes pinned: the benchmark's three workload pipelines, and the checks
+that run in about a second at the north-star size (8,8), run in child processes
+at instance seed 11 and MC seed 1011, against a committed table.
 
 Each row is one invocation: its argv, exit code, stdout, and the sha256 of
 every file it wrote with --out.  The table records the numpy version it was
@@ -60,6 +61,17 @@ WORKLOADS = {
     ],
 }
 
+# the north-star size, kept apart from WORKLOADS: no benchmark workload runs it
+NORTH_STAR = {
+    "north-star": [
+        ["gen", "8", "8", SEED, "--he", "1.0", "--out", "he88.json"],
+        ["check", "thm12", "--in", "he88.json"],
+        ["check", "kl", "--in", "he88.json"],
+        ["verify", "pushforward", "--in", "he88.json", "--k", "2"],
+        ["verify", "identity9", "--in", "he88.json", "--k", "8", "--samples", "20", *MC],
+    ],
+}
+
 
 def test_workloads_are_the_benchmarks_argv_lists():
     # read perfbench/workloads.py from its path, so that the copy above cannot drift from it
@@ -71,10 +83,10 @@ def test_workloads_are_the_benchmarks_argv_lists():
             for name, make in bench.WORKLOADS.items()} == WORKLOADS
 
 
-def run_workloads():
+def run_workloads(workloads):
     """One table row per invocation, each workload in a fresh working directory."""
     rows = []
-    for workload, invocations in WORKLOADS.items():
+    for workload, invocations in workloads.items():
         with tempfile.TemporaryDirectory() as cwd:
             for argv in invocations:
                 proc = subprocess.run([sys.executable, "-m", "segreform.cli", *argv], cwd=cwd,
@@ -87,18 +99,28 @@ def run_workloads():
     return rows
 
 
-def test_workload_reports_match_the_table():
+def assert_rows_match(section, workloads):
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     if table["numpy"] != np.__version__:
         pytest.skip(f"table made with numpy {table['numpy']}, running numpy {np.__version__}")
-    rows = run_workloads()
-    assert [row["argv"] for row in rows] == [row["argv"] for row in table["rows"]]
+    rows = run_workloads(workloads)
+    assert [row["argv"] for row in rows] == [row["argv"] for row in table[section]]
     differing = [f"{want['workload']} {' '.join(want['argv'])}\n  want {want}\n  got  {got}"
-                 for want, got in zip(table["rows"], rows) if want != got]
+                 for want, got in zip(table[section], rows) if want != got]
     assert not differing, "rows differ from the table:\n" + "\n".join(differing)
+
+
+def test_workload_reports_match_the_table():
+    assert_rows_match("rows", WORKLOADS)
+
+
+def test_north_star_reports_match_the_table():
+    assert_rows_match("north_star", NORTH_STAR)
 
 
 if __name__ == "__main__":
     TABLE.parent.mkdir(exist_ok=True)
-    rows = ",\n".join(json.dumps(row) for row in run_workloads())  # one line per row
-    TABLE.write_text(f'{{"numpy": "{np.__version__}", "rows": [\n{rows}\n]}}\n', encoding="utf-8")
+    sections = ", ".join(f'"{section}": [\n' + ",\n".join(json.dumps(row) for row in rows) + "\n]"
+                         for section, rows in (("rows", run_workloads(WORKLOADS)),
+                                               ("north_star", run_workloads(NORTH_STAR))))
+    TABLE.write_text(f'{{"numpy": "{np.__version__}", {sections}}}\n', encoding="utf-8")  # a row a line

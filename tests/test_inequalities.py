@@ -47,9 +47,9 @@ class TestKLClassical:
         for (n, r, seed) in ((2, 2, 0), (2, 3, 1), (3, 2, 2)):
             t, w = he_instance(n, r, seed)
             dual = dual_endomorphism_tensor(t)
-            cd = chern_forms(dual)
+            cd = chern_forms(dual, dual.r)
             assert cd[1].max_abs() <= 1e-10
-            c = chern_forms(t)
+            c = chern_forms(t, t.r)
             from segreform.exterior import wedge as wdg
             expect_c2 = 2 * r * c[2] - (r - 1) * wdg(c[1], c[1])
             assert (cd[2] - expect_c2).max_abs() <= 1e-9

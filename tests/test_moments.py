@@ -250,7 +250,7 @@ class TestPhiTensor:
 
     def test_degree_one_is_scaled_first_chern(self):
         t = random_curvature(2, 3, seed=1)
-        c1 = chern_forms(t)[1]
+        c1 = chern_forms(t, 1)[1]
         assert (phi_k_tensor(t, 1) - c1 / 3).max_abs() <= 1e-12
 
     def test_beyond_dimension_is_zero(self):
@@ -261,7 +261,7 @@ class TestPhiTensor:
         # (-1)^k C(r-1+k, k) phi_k = s_k
         for (n, r, seed) in ((2, 2, 3), (2, 3, 4), (3, 2, 5)):
             t = random_curvature(n, r, seed)
-            ss = segre_forms(chern_forms(t), n)
+            ss = segre_forms(chern_forms(t, t.r), n)
             for k in range(n + 1):
                 got = (-1.0) ** k * math.comb(r - 1 + k, k) * phi_k_tensor(t, k)
                 assert (got - ss[k]).max_abs() <= 1e-10

@@ -17,7 +17,8 @@ from segreform.kahler import relative_eigenvalues
 from segreform.moments import DIRECTION_CHUNK
 from segreform.report import canonical_json
 from segreform.symfun import elem_sym
-from segreform.projective import gamma_profile, identity_residuals, pushforward_segre
+from segreform.projective import (gamma_profile, identity_residuals, pushforward_exact,
+                                  pushforward_mc)
 
 from conftest import random_spd, stderr_units, traced_peak
 from oracles import (block_embed, direction_form, factorial_power, gamma_profile_loop,
@@ -100,41 +101,38 @@ class TestPushforward:
     def test_fiber_mass_normalisation(self):
         for seed in range(3):
             t = random_curvature(2, 3, seed)
-            exact = pushforward_segre(t, 0)
+            exact = pushforward_exact(t, 0)
             assert exact.coeffs == {((), ()): 1}
-            mc, err = pushforward_segre(t, 0, method="mc", samples=10, seed=1)
-            assert mc.coeffs == {((), ()): 1}
-            assert is_zero(err)
 
     def test_exact_matches_segre(self):
         for (n, r, seed) in ((1, 2, 0), (2, 2, 1), (2, 4, 2), (3, 3, 3)):
             t = random_curvature(n, r, seed)
-            ss = segre_forms(chern_forms(t), n)
+            ss = segre_forms(chern_forms(t, t.r), n)
             for k in range(n + 1):
-                assert (pushforward_segre(t, k) - ss[k]).max_abs() <= 1e-9
+                assert (pushforward_exact(t, k) - ss[k]).max_abs() <= 1e-9
 
     def test_first_pushforward_is_minus_c1(self):
         t = random_curvature(2, 3, seed=9)
-        c1 = chern_forms(t)[1]
-        assert (pushforward_segre(t, 1) + c1).max_abs() <= 1e-12
+        c1 = chern_forms(t, 1)[1]
+        assert (pushforward_exact(t, 1) + c1).max_abs() <= 1e-12
 
     def test_mc_path_agrees_within_stderr(self):
         t = random_curvature(2, 3, seed=5)
-        ss = segre_forms(chern_forms(t), 2)
-        mean, err = pushforward_segre(t, 2, method="mc", samples=32000, seed=100)
+        ss = segre_forms(chern_forms(t, t.r), 2)
+        mean, err = pushforward_mc(t, 2, 32000, 100)
         assert stderr_units(mean, err, ss[2]) <= 4.0
 
     def test_mc_rejects_segre_form_of_perturbed_tensor(self):
         t = random_curvature(2, 3, seed=5)
-        mean, err = pushforward_segre(t, 2, method="mc", samples=32000, seed=100)
+        mean, err = pushforward_mc(t, 2, 32000, 100)
         t_off = CurvatureTensor(2, 3, t.c + 0.2 * random_curvature(2, 3, seed=55).c)
-        assert stderr_units(mean, err, segre_forms(chern_forms(t_off), 2)[2]) > 4.0
+        assert stderr_units(mean, err, segre_forms(chern_forms(t_off, t_off.r), 2)[2]) > 4.0
 
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 3)])
     def test_mc_matches_per_direction_loop(self, n, r):
         t = random_curvature(n, r, seed=n + r)
-        for k in range(n + 1):
-            mean, err = pushforward_segre(t, k, method="mc", samples=300, seed=k)
+        for k in range(1, n + 1):
+            mean, err = pushforward_mc(t, k, 300, k)
             ref_mean, ref_err = pushforward_mc_loop(t, k, 300, k)
             scale = 1.0 + ref_mean.max_abs()
             assert (mean - ref_mean).max_abs() <= 1e-13 * scale
@@ -142,21 +140,20 @@ class TestPushforward:
 
     def test_mc_chunked_reduction_matches_one_chunk(self, monkeypatch):
         t = random_curvature(3, 3, seed=8)
-        whole = pushforward_segre(t, 2, method="mc", samples=100, seed=3)
+        whole = pushforward_mc(t, 2, 100, 3)
         monkeypatch.setattr(projective, "_BLOCK_BYTES", 7 * 16 * (3 * 2 + 3) ** 2)  # 7 rows
-        chunked = pushforward_segre(t, 2, method="mc", samples=100, seed=3)
+        chunked = pushforward_mc(t, 2, 100, 3)
         for a, b in zip(whole, chunked):
             assert (a - b).max_abs() <= 1e-12 * (1.0 + a.max_abs())
 
     def test_mc_memory_flat_in_samples(self):
         t = random_curvature(3, 3, seed=8)
-        peak = traced_peak(pushforward_segre, t, 2, method="mc", samples=2 * DIRECTION_CHUNK)
-        assert traced_peak(pushforward_segre, t, 2, method="mc",
-                           samples=8 * DIRECTION_CHUNK) <= 1.5 * peak
+        peak = traced_peak(pushforward_mc, t, 2, 2 * DIRECTION_CHUNK, 0)
+        assert traced_peak(pushforward_mc, t, 2, 8 * DIRECTION_CHUNK, 0) <= 1.5 * peak
 
     def test_mc_single_sample_has_zero_stderr(self):
         t = random_curvature(2, 2, seed=4)
-        mean, err = pushforward_segre(t, 1, method="mc", samples=1, seed=0)
+        mean, err = pushforward_mc(t, 1, 1, 0)
         theta = Form.one_one(direction_form(t, sample_directions(2, 1, 0)[0]))
         assert (mean + 2 * theta).max_abs() <= 1e-14
         assert is_zero(err)
@@ -167,15 +164,18 @@ class TestPushforward:
         U, _ = np.linalg.qr(z)
         t_rot = rotate_tensor(t, U)
         for k in range(3):
-            gap = (pushforward_segre(t, k) - pushforward_segre(t_rot, k)).max_abs()
+            gap = (pushforward_exact(t, k) - pushforward_exact(t_rot, k)).max_abs()
             assert gap <= 1e-10
 
     def test_k_out_of_range(self):
         t = random_curvature(2, 2, seed=7)
         with pytest.raises(ValueError):
-            pushforward_segre(t, 3)
+            pushforward_exact(t, 3)
         with pytest.raises(ValueError):
-            pushforward_segre(t, -1)
+            pushforward_exact(t, -1)
+        for k in (0, 3, -1):  # degree 0 is the unit form, exactly: Monte Carlo starts at k = 1
+            with pytest.raises(ValueError, match=f"k={k} out of range"):
+                pushforward_mc(t, k, 10, 1)
 
 
 class TestPushforwardProperties:
@@ -187,9 +187,9 @@ class TestPushforwardProperties:
         s = 10.0**log_s
         t = random_curvature(n, r, seed)
         for k in range(n + 1):
-            ref = s**k * pushforward_segre(t, k)
+            ref = s**k * pushforward_exact(t, k)
             scaled = CurvatureTensor(n, r, s * t.c)
-            assert (pushforward_segre(scaled, k) - ref).max_abs() <= 1e-12 * ref.max_abs()
+            assert (pushforward_exact(scaled, k) - ref).max_abs() <= 1e-12 * ref.max_abs()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -204,7 +204,7 @@ class TestPushforwardProperties:
         for k in range(n + 1):
             alphas = rng.standard_normal((n - k, n)) + 1j * rng.standard_normal((n - k, n))
             top = functools.reduce(wedge, [Form.one_one(np.outer(a, a.conj())) for a in alphas],
-                                   (-1) ** k * pushforward_segre(t, k))
+                                   (-1) ** k * pushforward_exact(t, k))
             ratio = complex(top.a[0, 0] / vol.a[0, 0])
             assert ratio.real > 0
             assert abs(ratio.imag) <= 1e-12 * ratio.real

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 import segreform as sf
+from segreform.report import stderr_units
 
 print("diagonal moments on C^2:")
 for lams in [(1,), (1, 1), (1, 2)]:
@@ -22,12 +23,13 @@ print("unbalanced E[v1 conj(v2)] =", sf.moment_wick(2, (1,), (2,)))
 
 # moment_mc reads a batch of moments of one r off one draw of directions;
 # each estimate is the one its (lambdas, mus) pair would get alone with the same seed.
+# stderr_units is the gap in standard errors that the CLI's Monte Carlo rows report.
 batch = [((1, 2), (2, 1)), ((1, 1), (1, 1)), ((1,), (2,))]
 print("\nMonte Carlo, one draw of 500k directions:")
 for (lams, mus), (est, err) in zip(batch, sf.moment_mc(2, batch, samples=500_000, seed=1)):
     exact = complex(sf.moment_wick(2, lams, mus))
     print(f"  l={lams} m={mus}: {est.real:+.6f}{est.imag:+.6f}i +- {err:.6f}  "
-          f"(exact {exact.real:.6f}, {abs(est - exact) / err:.2f} stderr units)")
+          f"(exact {exact.real:.6f}, {stderr_units(est, exact, err):.2f} stderr units)")
 
 # phi_k of a Hermitian matrix: sigma_k of its eigenvalues over binom(r-1+k, k),
 # sigma_k from the elementary symmetric ones by the Newton-type recursion

@@ -43,7 +43,7 @@ print("  classical:", sf.kl_classical(flat, w))         # equality fires
 print("  Segre-form margin:", round(sf.kl_segre(flat, w)["margin"], 6), "(strict)")
 print("  projectively flat:", sf.is_projectively_flat(flat),
       " strong-flat (Segre-form equality):", sf.kl_segre(flat, w)["equality"])
-print("  bound for flat instances:", sf.projective_flat_bound(flat, w, 1e-9))
+print("  bound for flat instances:", sf.projective_flat_bound(flat, w))
 
 # directional bound behind the proof: gamma_2(theta_v/omega) <= (n-1) lambda^2/(2n)
 theta_v = sf.direction_matrices(t, [[1.0, 1.0j]])[0]

@@ -37,7 +37,7 @@ from .curvature import (MAX_DIM, MAX_TOP_POWER, Kaehler11, PreconditionError,
                         check_dims, chern_forms, is_hermite_einstein, load_tensor,
                         project_to_he, projectively_flat_tensor, random_curvature,
                         segre_forms, strong_flat_tensor, tensor_to_dict)
-from .report import NonFiniteError, Report, canonical_json
+from .report import MC_UNITS, NonFiniteError, Report, canonical_json, stderr_units
 
 DEFAULT_TOL = 1e-9
 MAX_SAMPLES = 10 ** 8  # --samples: 100 times the largest documented run, minutes at (2,2)
@@ -186,19 +186,16 @@ def _verify_pushforward(args, report):
     from .projective import pushforward_exact, pushforward_mc
     samples = _mc_samples(args.samples)
     t = _load_input(args)
-    tol = args.tol
     ks = [args.k] if args.k is not None else list(range(0, t.n + 1))
     exact = {k: pushforward_exact(t, k) for k in ks}  # k past n raises here, before the Chern build
     segre = segre_forms(chern_forms(t, ks[-1]), ks[-1])
     for k, got in exact.items():
-        res = (got - segre[k]).max_abs()
-        report.add(f"pushforward_vs_segre_k{k}", res, tol, res <= tol)
-    # Monte Carlo from degree 1 (degree 0 is the unit form): the worst coefficient deviation
-    # from the Segre form in stderr units
+        report.add(f"pushforward_vs_segre_k{k}", (got - segre[k]).max_abs(), args.tol)
+    # Monte Carlo from degree 1 (degree 0 is the unit form), against the Segre form
     for k in [k for k in ks if k > 0] if samples else []:
         mean, err = pushforward_mc(t, k, samples, args.seed)
-        worst = float((np.abs((mean - segre[k]).a) / (np.abs(err.a) + 1e-12)).max())
-        report.add(f"pushforward_mc_k{k}_stderr_units", worst, 4.0, worst <= 4.0)
+        report.add(f"pushforward_mc_k{k}_stderr_units",
+                   stderr_units(mean.a, segre[k].a, err.a), MC_UNITS)
 
 
 def _verify_identity8(args, report):
@@ -209,10 +206,9 @@ def _verify_identity8(args, report):
     worst = max(float(projective.identity_residuals(t, w, V, 1, -lam if he else None)[1].max())
                 for V in moments.direction_chunks(t.r, args.samples, args.seed))
     if he:
-        report.add("identity8_residual_max", {"residual": worst, "slope": lam},
-                   args.tol, worst <= args.tol)
+        report.add("identity8_residual_max", {"residual": worst, "slope": lam}, args.tol, worst)
     else:
-        report.add("identity8_general_residual_max", worst, args.tol, worst <= args.tol)
+        report.add("identity8_general_residual_max", worst, args.tol)
 
 
 def _verify_identity9(args, report):
@@ -224,7 +220,7 @@ def _verify_identity9(args, report):
     for V in moments.direction_chunks(t.r, args.samples, args.seed):
         worst = np.maximum(worst, projective.identity_residuals(t, w, V, ks)[1].max(axis=1))
     for k, res in zip(ks, worst.tolist()):
-        report.add(f"identity9_residual_max_k{k}", res, args.tol, res <= args.tol)
+        report.add(f"identity9_residual_max_k{k}", res, args.tol)
 
 
 def _verify_moments(args, report):
@@ -243,13 +239,12 @@ def _verify_moments(args, report):
             mult = [combo.count(l) for l in range(1, r + 1)]
             weight = math.factorial(k) // math.prod(map(math.factorial, mult))
             total += weight * moment_wick(r, combo, combo)
-        report.add(f"moment_norm_k{k}", float(abs(total - 1)), 0.0, total == 1)
+        report.add(f"moment_norm_k{k}", float(abs(total - 1)), 0.0, abs(total - 1))
     samples = _mc_samples(args.samples)
     pairs = [(lam, mu) for lam, mu in MC_MOMENT_PAIRS if max(lam + mu) <= r]
     for (lam, mu), (est, err) in zip(pairs, moment_mc(r, pairs, samples, args.seed)):
-        units = abs(est - complex(moment_wick(r, lam, mu))) / (err + 1e-15)
         report.add(f"moment_mc_l{''.join(map(str, lam))}_m{''.join(map(str, mu))}",
-                   units, 4.0, units <= 4.0)
+                   stderr_units(est, complex(moment_wick(r, lam, mu)), err), MC_UNITS)
 
 
 def _check(args, report):
@@ -257,42 +252,30 @@ def _check(args, report):
     w = parse_omega(args.omega, t.n)
     if args.kind == "he":
         dev, lam = _he_deviation(t, w)
-        report.add("hermite_einstein", {"deviation": dev, "slope": lam},
-                   args.tol, dev <= args.tol)
-    elif args.kind == "kl":
-        from .inequalities import kl_classical
-        res = kl_classical(t, w)
-        report.add("kl_nonpositive", res, args.tol, res["q"] <= args.tol)
-    elif args.kind == "thm12":
-        from .inequalities import kl_segre
-        res = kl_segre(t, w)
-        report.add("thm12_margin", res, args.tol, res["margin"] >= -args.tol)
-        gap = abs(res["rhs"] - res["rhs_chern"])
-        report.add("thm12_rhs_agreement", gap, 1e-10, gap <= 1e-10)
-    elif args.kind == "surface":
-        from .inequalities import surface_compare
-        res = surface_compare(t, w)
-        s2_ratio = res["c1_sq"] - res["c2"]
-        report.add("surface_eq4_margin", res,
-                   args.tol, res["eq4_rhs"] - s2_ratio >= -args.tol)
-    elif args.kind == "remark41":
-        from .inequalities import projective_flat_bound
-        res = projective_flat_bound(t, w, args.tol)
-        report.add("remark41_bound", res, args.tol, res["holds"])
+        report.add("hermite_einstein", {"deviation": dev, "slope": lam}, args.tol, dev)
     elif args.kind == "lhe":
         from .projective import gamma_profile
         if args.ell > t.n:
             raise UsageError(f"ell={args.ell} out of range [1, {t.n}]")
-        level, ok = 0, True
         profiles = gamma_profile(t, w, args.ell, samples=_mc_samples(args.samples), seed=args.seed)
-        for k, prof in enumerate(profiles, start=1):
-            passed = prof["spread"] <= args.tol
-            if ok and passed:
-                level = k
-            ok = ok and passed
-            report.add(f"gamma{k}_spread", prof, args.tol, passed)
-        report.add("lhe_level", {"level": level, "requested": args.ell}, args.tol,
-                   level >= args.ell)
+        passed = [report.add(f"gamma{k}_spread", prof, args.tol, prof["spread"])
+                  for k, prof in enumerate(profiles, start=1)]
+        # level: the leading passing degrees, all ell of them iff the largest spread passes
+        report.add("lhe_level", {"level": (passed + [False]).index(False), "requested": args.ell},
+                   args.tol, max(prof["spread"] for prof in profiles))
+    else:
+        from . import inequalities as iq
+        check, name, measured = {  # kind -> its check, its row, the row's measured number
+            "kl": (iq.kl_classical, "kl_nonpositive", lambda res: res["q"]),
+            "thm12": (iq.kl_segre, "thm12_margin", lambda res: -res["margin"]),
+            "surface": (iq.surface_compare, "surface_eq4_margin",
+                        lambda res: (res["c1_sq"] - res["c2"]) - res["eq4_rhs"]),
+            "remark41": (iq.projective_flat_bound, "remark41_bound",
+                         lambda res: res["lhs"] - res["rhs"])}[args.kind]
+        res = check(t, w)
+        report.add(name, res, args.tol, measured(res))
+        if args.kind == "thm12":
+            report.add("thm12_rhs_agreement", abs(res["rhs"] - res["rhs_chern"]), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +296,14 @@ def cmd_moments(args):
                     {"r": args.r, "lambdas": lambdas, "mus": mus,
                      "samples": args.samples, "seed": args.seed})
     exact = moment_wick(args.r, lambdas, mus)
-    report.add("exact",
-               {"value": float(exact),
-                "fraction": f"{exact.numerator}/{exact.denominator}"},
-               0.0, True)
+    report.add("exact", {"value": float(exact),
+                         "fraction": f"{exact.numerator}/{exact.denominator}"}, 0.0, 0)
     if samples:
         [(est, err)] = moment_mc(args.r, [(lambdas, mus)], samples, args.seed)
-        units = abs(est - complex(exact)) / (err + 1e-15)
+        units = stderr_units(est, complex(exact), err)
         report.add("mc_gap_stderr_units",
                    {"estimate_re": float(est.real), "estimate_im": float(est.imag),
-                    "stderr": err, "units": units},
-                   4.0, units <= 4.0)
+                    "stderr": err, "units": units}, MC_UNITS, units)
     return _finish_report(report, args.out)
 
 

@@ -80,9 +80,9 @@ def kl_segre(t, w):
             "margin": margin, "equality": equality}
 
 
-def projective_flat_bound(t, w, tol):
-    """For projectively flat Hermite-Einstein input:
-    c_1^2 ^ omega^{n-2} <= (lambda r / n)^2 omega^n, within tol."""
+def projective_flat_bound(t, w):
+    """For projectively flat Hermite-Einstein input, both sides of
+    c_1^2 ^ omega^{n-2} <= (lambda r / n)^2 omega^n, as ratios against omega^n."""
     if t.n < 2:
         raise PreconditionError("needs n >= 2")
     lam = _require_he(t, w)
@@ -91,7 +91,7 @@ def projective_flat_bound(t, w, tol):
     c = chern_forms(t, 1)
     lhs = _ratio(wedge(c[1], c[1]), w)
     rhs = (lam * t.r / t.n) ** 2
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol}
+    return {"lhs": lhs, "rhs": rhs}
 
 
 def surface_compare(t, w):

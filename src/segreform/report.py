@@ -1,7 +1,10 @@
 """Machine-readable verification reports and canonical JSON output.
 
 Reports list one entry per checked quantity, each with an explicit tolerance
-and pass flag, so downstream tooling never has to re-derive the verdict.
+and pass flag, so downstream tooling never has to re-derive the verdict.  One
+rule, in Report.add only, decides every flag: a row passes when its measured
+number (its value, or the number the caller reads off a dict value) is at most
+its tolerance; Monte Carlo rows measure stderr_units against MC_UNITS.
 Serialisation is canonical: sorted keys and 17-significant-digit floats,
 which makes repeated runs byte-identical.
 """
@@ -11,7 +14,16 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from . import __version__
+
+MC_UNITS = 4.0  # the tolerance of every Monte Carlo row, in standard errors
+
+
+def stderr_units(estimate, exact, stderr):
+    """Largest |estimate - exact| / (|stderr| + 1e-12) over the entries, in standard errors."""
+    return float(np.max(np.abs(np.subtract(estimate, exact)) / (np.abs(stderr) + 1e-12)))
 
 
 class Report:
@@ -22,9 +34,14 @@ class Report:
         self.inputs = inputs
         self.results = []
 
-    def add(self, name, value, tolerance, passed):
+    def add(self, name, value, tolerance, measured=None):
+        """Append a row passing iff measured (by default value) <= tolerance; return that."""
+        if measured is None and isinstance(value, dict):
+            raise TypeError(f"row {name}: a dict value needs its measured number")
+        passed = bool((value if measured is None else measured) <= tolerance)
         self.results.append({"name": name, "value": value,
-                             "tolerance": float(tolerance), "pass": bool(passed)})
+                             "tolerance": float(tolerance), "pass": passed})
+        return passed
 
     @property
     def all_passed(self):

@@ -59,8 +59,10 @@ def real_one_one(m, g):
 
 
 def stderr_units(mean, err, target):
-    """Worst coefficient gap |mean - target| in standard errors, as the CLI reports it."""
-    return float((np.abs((mean - target).a) / (np.abs(err.a) + 1e-12)).max())
+    """Worst gap |mean - target| in standard errors, as the CLI reports it, over the
+    coefficients of Forms or the entries of arrays and scalars."""
+    mean, err, target = (np.asarray(getattr(x, "a", x)) for x in (mean, err, target))
+    return float((np.abs(mean - target) / (np.abs(err) + 1e-12)).max())
 
 
 def traced_peak(fn, *args, **kwargs):

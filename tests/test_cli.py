@@ -211,6 +211,20 @@ class TestVerify:
         # one stream (seed, c) per chunk c of the direction stream, shared by all five rows
         assert keys == [(0, c) for c in range(math.ceil(70000 / moments.DIRECTION_CHUNK))]
 
+    def test_moment_mc_rows_are_stderr_units_of_moment_mc(self, capsys):
+        from segreform.cli import MC_MOMENT_PAIRS
+        from segreform.moments import moment_mc, moment_wick
+
+        _, out = run_cli(capsys, "verify", "moments", "--r", "3", "--k", "1",
+                         "--samples", "3000", "--seed", "4")
+        rows = {r["name"]: r["value"] for r in json.loads(out)["results"]
+                if r["name"].startswith("moment_mc_")}
+        pairs = list(MC_MOMENT_PAIRS)
+        assert rows == {
+            f"moment_mc_l{''.join(map(str, lam))}_m{''.join(map(str, mu))}":
+                stderr_units(est, err, complex(moment_wick(3, lam, mu)))
+            for (lam, mu), (est, err) in zip(pairs, moment_mc(3, pairs, 3000, 4))}
+
     def test_missing_input_is_usage_error(self, capsys):
         code, out = run_cli(capsys, "verify", "pushforward")
         assert code == 2
@@ -431,6 +445,31 @@ class TestCheck:
         names = [r["name"] for r in json.loads(out)["results"]]
         assert names == ["gamma1_spread", "gamma2_spread", "gamma3_spread", "lhe_level"]
         assert calls == [300]
+
+    @pytest.mark.parametrize("n, r, flags", [(3, 3, ["--flat"]), (3, 3, []), (4, 2, ["--flat"]),
+                                             (4, 2, [])], ids=["flat33", "he33", "flat42", "he42"])
+    def test_lhe_level_counts_the_leading_passing_degrees(self, tmp_path, capsys, n, r, flags):
+        from segreform.curvature import Kaehler11, load_tensor
+        from segreform.projective import gamma_profile
+
+        path = str(tmp_path / "t.json")
+        run_cli(capsys, "gen", str(n), str(r), "5", *flags, "--he", "1.0", "--out", path)
+        profiles = gamma_profile(load_tensor(path), Kaehler11.euclidean(n), n, 40, 3)
+        spreads = sorted(prof["spread"] for prof in profiles)
+        # --tol below, between and above the spreads, which are not monotone in k
+        tols = [spreads[0] / 2, *((a + b) / 2 for a, b in zip(spreads, spreads[1:])),
+                2 * spreads[-1]]
+        for ell, tol in itertools.product(range(1, n + 1), tols):
+            code, out = run_cli(capsys, "check", "lhe", "--in", path, "--ell", str(ell),
+                                "--tol", repr(tol), "--samples", "40", "--seed", "3")
+            *gammas, level = json.loads(out)["results"]
+            assert [row["name"] for row in gammas] == [f"gamma{k}_spread" for k in range(1, ell + 1)]
+            assert [row["value"] for row in gammas] == profiles[:ell]
+            assert level["name"] == "lhe_level" and level["value"]["requested"] == ell
+            leading = [row["pass"] for row in gammas] + [False]
+            assert level["value"]["level"] == leading.index(False)
+            assert level["pass"] == (level["value"]["level"] == ell)
+            assert code == (0 if level["pass"] else 1)
 
     def test_he_check_with_omega_matrix(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -706,12 +745,16 @@ class TestMomentsCommand:
         assert report["results"][0]["value"]["fraction"] == "1/6"
 
     def test_mc_comparison(self, capsys):
+        from segreform.moments import moment_mc, moment_wick
+
         code, out = run_cli(capsys, "moments", "--r", "3", "--lambdas", "1",
                             "--samples", "50000")
         assert code == 0
         report = json.loads(out)
         row = {r["name"]: r for r in report["results"]}["mc_gap_stderr_units"]
         assert row["value"]["units"] <= 4
+        [(est, err)] = moment_mc(3, [([1], [1])], 50000, 0)
+        assert row["value"]["units"] == stderr_units(est, err, complex(moment_wick(3, [1], [1])))
 
 
     @pytest.mark.parametrize("argv, message", [
@@ -725,6 +768,75 @@ class TestMomentsCommand:
         code, out = run_cli(capsys, "moments", "--r", "2", *argv)
         assert code == 2
         assert json.loads(out) == {"error": {"type": "usage", "message": message}}
+
+
+# row name -> its measured number, read from its value (lhe_level: from the gamma rows)
+MEASURED = {
+    r"pushforward_vs_segre_k\d+|pushforward_mc_k\d+_stderr_units|identity8_general_residual_max"
+    r"|identity9_residual_max_k\d+|moment_norm_k\d+|moment_mc_l\d+_m\d+|thm12_rhs_agreement":
+        lambda value, rows: value,
+    "identity8_residual_max": lambda value, rows: value["residual"],
+    "hermite_einstein": lambda value, rows: value["deviation"],
+    "kl_nonpositive": lambda value, rows: value["q"],
+    "thm12_margin": lambda value, rows: -value["margin"],
+    "surface_eq4_margin": lambda value, rows: (value["c1_sq"] - value["c2"]) - value["eq4_rhs"],
+    "remark41_bound": lambda value, rows: value["lhs"] - value["rhs"],
+    r"gamma\d+_spread": lambda value, rows: value["spread"],
+    "lhe_level": lambda value, rows: max(row["value"]["spread"] for row in rows
+                                         if re.fullmatch(r"gamma\d+_spread", row["name"])),
+    "exact": lambda value, rows: 0,
+    "mc_gap_stderr_units": lambda value, rows: value["units"],
+}
+
+
+class TestOneRule:
+    def test_every_row_passes_iff_measured_is_within_tolerance(self, tmp_path, capsys):
+        paths = {}
+        for name, gen in (("he22", ["2", "2", "42", "--he", "1.0"]), ("rand22", ["2", "2", "3"]),
+                          ("flat22", ["2", "2", "9", "--flat", "--he", "0.7"]),
+                          ("strong22", ["2", "2", "0", "--strong-flat", "--he", "0.8"])):
+            paths[name] = str(tmp_path / f"{name}.json")
+            assert run_cli(capsys, "gen", *gen, "--out", paths[name])[0] == 0
+        runs = [["verify", "pushforward", "--in", "he22", "--samples", "500"],
+                ["verify", "pushforward", "--in", "rand22", "--tol", "0", "--samples", "20"],
+                ["verify", "identity8", "--in", "he22", "--samples", "5"],
+                ["verify", "identity8", "--in", "rand22", "--tol", "0", "--samples", "5"],
+                ["verify", "identity9", "--in", "he22", "--samples", "5"],
+                ["verify", "identity9", "--in", "rand22", "--tol", "0", "--samples", "5"],
+                ["verify", "moments", "--r", "2", "--k", "2", "--samples", "500"],
+                ["verify", "moments", "--r", "1", "--k", "1", "--samples", "50"],
+                ["check", "he", "--in", "he22"], ["check", "he", "--in", "rand22"],
+                ["check", "kl", "--in", "he22"], ["check", "kl", "--in", "flat22", "--tol", "0"],
+                ["check", "thm12", "--in", "he22"], ["check", "thm12", "--in", "strong22", "--tol", "0"],
+                ["check", "surface", "--in", "strong22"], ["check", "surface", "--in", "he22", "--tol", "0"],
+                ["check", "remark41", "--in", "flat22"], ["check", "remark41", "--in", "flat22", "--tol", "0"],
+                ["check", "lhe", "--in", "he22", "--samples", "50"],
+                ["check", "lhe", "--in", "he22", "--samples", "50", "--tol", "0"],
+                ["check", "lhe", "--in", "he22", "--samples", "50", "--ell", "2"],
+                ["moments", "--r", "2", "--lambdas", "1", "2", "--mus", "2", "1", "--samples", "500"],
+                ["moments", "--r", "3", "--lambdas", "1", "3"]]
+        verdicts = set()
+        for argv in runs:
+            code, out = run_cli(capsys, *[paths.get(arg, arg) for arg in argv])
+            assert code in (0, 1), (argv, out)
+            rows = json.loads(out)["results"]
+            for row in rows:
+                [read] = [read for pattern, read in MEASURED.items()
+                          if re.fullmatch(pattern, row["name"])]
+                assert row["pass"] == (read(row["value"], rows) <= row["tolerance"]), (argv, row)
+                verdicts.add(row["pass"])
+            assert code == (0 if all(row["pass"] for row in rows) else 1), argv
+        assert verdicts == {True, False}
+
+    def test_a_row_returns_its_flag_and_a_dict_value_needs_its_measured_number(self):
+        from segreform.report import Report
+
+        report = Report("check x", {})
+        assert report.add("a", 1.0, 1.0) is True and report.add("b", 2.0, 1.0) is False
+        assert report.add("c", {"q": 0.5}, 1.0, 2.0) is False
+        with pytest.raises(TypeError, match="row d"):
+            report.add("d", {"q": 0.5}, 1.0)
+        assert [row["pass"] for row in report.results] == [True, False, False]
 
 
 class TestToleranceEnvVar:

@@ -14,6 +14,7 @@ from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
 from segreform.inequalities import (kl_classical, kl_segre, projective_flat_bound,
                                     surface_compare)
 from segreform.kahler import relative_eigenvalues
+from segreform.report import Report
 from segreform.symfun import elem_sym
 
 from conftest import random_spd
@@ -183,9 +184,9 @@ class TestProjectiveFlatBound:
     def test_exact_multiple_of_omega(self, rng):
         w = Kaehler11(random_spd(2, rng))
         t = strong_flat_tensor(2, 2, w, 0.7)
-        out = projective_flat_bound(t, w, 1e-10)
+        out = projective_flat_bound(t, w)
         assert out["lhs"] == pytest.approx(out["rhs"], abs=1e-10)
-        assert out["holds"]
+        assert out["lhs"] <= out["rhs"] + 1e-10
 
     def test_gap_is_primitive_square(self):
         # Theta = beta tensor Id with beta = eta + (lam/n) omega:
@@ -195,22 +196,22 @@ class TestProjectiveFlatBound:
         eta = np.diag([a, -a])
         beta = eta + (lam / n) * w.g
         t = CurvatureTensor(n, r, np.einsum("jk,ml->jklm", beta, np.eye(r)))
-        out = projective_flat_bound(t, w, 1e-10)
+        out = projective_flat_bound(t, w)
         assert out["lhs"] - out["rhs"] == pytest.approx(-r * r * a * a, abs=1e-10)
         assert primitive_square_ratio(eta, w) == pytest.approx(-a * a, abs=1e-12)
-        assert out["holds"]
+        assert out["lhs"] <= out["rhs"] + 1e-10
 
     def test_random_projectively_flat_strict(self):
         w = Kaehler11.euclidean(3)
         for seed in (1, 2, 3):
             t = projectively_flat_tensor(3, 2, seed=seed, w=w, lam=1.0)
-            out = projective_flat_bound(t, w, 1e-10)
+            out = projective_flat_bound(t, w)
             assert out["lhs"] < out["rhs"]
 
     def test_rejects_non_flat(self):
         t, w = he_instance(2, 2, 10)
         with pytest.raises(PreconditionError, match="projectively flat"):
-            projective_flat_bound(t, w, 1e-10)
+            projective_flat_bound(t, w)
 
 
 class TestSurfaceCompare:
@@ -311,9 +312,10 @@ class TestOptionSurface:
         (kl_classical, ["t", "w"]),
         (kl_segre, ["t", "w"]),
         (surface_compare, ["t", "w"]),
-        (projective_flat_bound, ["t", "w", "tol"]),
+        (projective_flat_bound, ["t", "w"]),
         (is_projectively_flat, ["t"]),
         (tensor_from_dict, ["d", "symmetrize"]),
+        (Report.add, ["self", "name", "value", "tolerance", "measured"]),
     ], ids=lambda x: getattr(x, "__name__", ""))
     def test_parameters(self, fn, params):
         assert list(inspect.signature(fn).parameters) == params

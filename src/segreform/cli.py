@@ -203,8 +203,9 @@ def _verify_identity8(args, report):
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
     he, lam = is_hermite_einstein(t, w)
-    worst = max(float(projective.identity_residuals(t, w, V, 1, -lam if he else None)[1].max())
-                for V in moments.direction_chunks(t.r, args.samples, args.seed))
+    worst = float(moments._sample_stats(
+        lambda V: projective.identity_residuals(t, w, V, 1, -lam if he else None)[1],
+        t.r, args.samples, args.seed)[3])
     if he:
         report.add("identity8_residual_max", {"residual": worst, "slope": lam}, args.tol, worst)
     else:
@@ -216,9 +217,8 @@ def _verify_identity9(args, report):
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
     ks = [args.k] if args.k is not None else list(range(1, t.n + 1))
-    worst = np.zeros(len(ks))
-    for V in moments.direction_chunks(t.r, args.samples, args.seed):
-        worst = np.maximum(worst, projective.identity_residuals(t, w, V, ks)[1].max(axis=1))
+    worst = moments._sample_stats(lambda V: projective.identity_residuals(t, w, V, ks)[1],
+                                  t.r, args.samples, args.seed)[3]
     for k, res in zip(ks, worst.tolist()):
         report.add(f"identity9_residual_max_k{k}", res, args.tol)
 

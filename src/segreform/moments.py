@@ -16,8 +16,9 @@ appear at form assembly and in the Monte Carlo estimator.
 
 Every sampler of the package, that estimator included, reads a seed's
 direction stream (direction_chunks), which is fixed per seed and
-prefix-stable: N samples are its first N directions.  Consumers keep running
-sums, minima and maxima, so their memory does not grow with the sample count.
+prefix-stable: N samples are its first N directions.  They all read it
+through one reduction, _sample_stats, which keeps running sums, sums of
+squares, minima and maxima, so memory does not grow with the sample count.
 
 phi_k averages <T v, v>^k over the sphere.  For a Hermitian matrix this is
 sigma_k(eigenvalues)/binom(r-1+k, k) (sigma_k complete homogeneous); for a
@@ -51,34 +52,43 @@ def moment_wick(r, lambdas, mus):
 
 
 def moment_mc(r, pairs, samples, seed):
-    """Monte Carlo estimates of sphere moments in C^r; one (estimate, stderr)
-    per (lambdas, mus) pair of index sequences of one length.
+    """Monte Carlo estimates of sphere moments in C^r; one (estimate, stderr) per (lambdas, mus)
+    pair of index sequences of one length.  All pairs read the first `samples` directions of the
+    seed's stream, so each estimate depends only on (pair, samples, seed), not on the batch."""
+    live = [pair for pair in pairs if pair[0]]  # degree 0 is E[1] = 1
+    if not live and int(samples) >= 1:  # nothing to draw; _sample_stats rejects bad samples
+        return [(1 + 0j, 0.0)] * len(pairs)
 
-    All pairs read the first `samples` directions of the seed's direction
-    stream, chunk by chunk, so each estimate is a deterministic function of
-    (pair, samples, seed), whatever the other pairs of the batch and their
-    order, and memory does not grow with `samples`.
-    """
+    def values(z):  # np.multiply, as `*` may reuse a temporary right operand, swapping factors
+        cols = z.T.copy()
+        return np.array([np.multiply(reduce(np.multiply, (cols[l - 1] for l in lambdas)),
+                                     reduce(np.multiply, (cols[m - 1].conj() for m in mus)))
+                         for lambdas, mus in live])
+    mean, err, _, _ = _sample_stats(values, r, samples, seed)
+    stats = iter(zip(mean.tolist(), err.tolist()))
+    return [next(stats) if lambdas else (1 + 0j, 0.0) for lambdas, _ in pairs]
+
+
+def _sample_stats(values, r, samples, seed, rows=DIRECTION_CHUNK):
+    """Per-entry (mean, stderr, low, high) of values(V), one entry per direction of V along its
+    last axis, over the first N = samples directions of the seed's stream, in blocks V of at
+    most `rows`: stderr = sqrt(max(sum |x|^2 - N |mean|^2, 0) / (N-1) / N), 0 for N = 1, and
+    low and high, the least and greatest entries, None for complex values."""
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    acc = [0j] * len(pairs)
-    acc_sq = [0.0] * len(pairs)
-    live = [i for i, (lambdas, _) in enumerate(pairs) if lambdas]
-    for z in direction_chunks(r, samples if live else 0, seed):
-        cols = z.T.copy()
-        for i in live:  # np.multiply, as `*` may reuse a temporary right operand, swapping factors
-            lambdas, mus = pairs[i]
-            vals = np.multiply(reduce(np.multiply, (cols[l - 1] for l in lambdas)),
-                               reduce(np.multiply, (cols[m - 1].conj() for m in mus)))
-            acc[i] += vals.sum()
-            acc_sq[i] += float((vals.real**2 + vals.imag**2).sum())
-    results = []
-    for (lambdas, _), total, total_sq in zip(pairs, acc, acc_sq):
-        mean = total / samples
-        var = max(total_sq - samples * abs(mean) ** 2, 0.0) / (samples - 1) if samples > 1 else 0.0
-        results.append((complex(mean), float(math.sqrt(var / samples))) if lambdas else (1 + 0j, 0.0))
-    return results
+    total, total_sq, low, high = 0.0, 0.0, np.inf, -np.inf
+    for V in direction_chunks(r, samples, seed, rows):
+        x = values(V)
+        total = total + x.sum(axis=-1)
+        total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=-1)
+        if not np.iscomplexobj(x):
+            low, high = np.minimum(low, x.min(axis=-1)), np.maximum(high, x.max(axis=-1))
+    mean = total / samples
+    var = np.maximum(total_sq - samples * np.abs(mean) ** 2, 0.0) / max(samples - 1, 1)
+    if np.iscomplexobj(mean):
+        low = high = None
+    return mean, np.sqrt(var / samples) * (samples > 1), low, high
 
 
 def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):

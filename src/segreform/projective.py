@@ -13,8 +13,8 @@ Only that top vertical power survives in a top form, so the top-form
 identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: a Laplace
 contraction of the minors of -theta_v against the complementary minors of
 omega (curvature.omega_ratio), batched over directions and compared with gamma_k(theta_v/omega) from
-a batched eigensolve.  Every sampler reads the seed's direction stream in
-blocks whose per-direction arrays stay within _BLOCK_BYTES.
+a batched eigensolve.  Every sampler reads the seed's direction stream through
+moments._sample_stats, in blocks whose per-direction arrays stay within _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .curvature import direction_matrices, omega_ratio
 from .exterior import Form, one_one_power
 from .kahler import relative_eigenvalues
-from .moments import direction_chunks, phi_k_tensor
+from .moments import _sample_stats, phi_k_tensor
 from .symfun import elem_sym
 
 TWO_PI = 2.0 * math.pi
@@ -49,22 +49,15 @@ def pushforward_exact(t, k):
 
 def pushforward_mc(t, k, samples, seed):
     """Monte Carlo pushforward_exact(t, k) for k >= 1: the (mean, stderr) pair of forms of the
-    minors giving theta_v^k over the first N = samples directions of the seed's stream, whose
-    stderr is sqrt(sum |x - mean|^2 / (N-1) / N) per coefficient (0 for N = 1)."""
+    minors giving theta_v^k over the first `samples` directions of the seed's stream, with the
+    stderr of moments._sample_stats per coefficient."""
     if not 1 <= k <= t.n:
         raise ValueError(f"k={k} out of range [1, {t.n}]")
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    total = total_sq = 0.0
-    for V in direction_chunks(t.r, samples, seed, _block_rows(t.n, k)):
-        x = one_one_power(direction_matrices(t, V), k)
-        total = total + x.sum(axis=0)
-        total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=0)
-    mean, mean_sq = total / samples, total_sq / samples
-    var = np.maximum(mean_sq - (mean.real**2 + mean.imag**2), 0.0) * samples / max(samples - 1, 1)
+    mean, err, _, _ = _sample_stats(
+        lambda V: np.moveaxis(one_one_power(direction_matrices(t, V), k), 0, -1),
+        t.r, samples, seed, _block_rows(t.n, k))
     factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)
-    return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * np.sqrt(var / samples))
+    return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * err)
 
 
 def identity_residuals(t, w, V, k, scalar=None):
@@ -83,7 +76,7 @@ def identity_residuals(t, w, V, k, scalar=None):
         if not 1 <= deg <= t.n:
             raise ValueError(f"k={deg} out of range [1, {t.n}]")
     V = np.asarray(V)
-    vol = np.linalg.det(w.g).real  # |omega^n/n!|; the top vertical power has modulus (2pi)^(1-r)
+    vol = np.prod(w.eigenvalues)  # |omega^n/n!|; the top vertical power has modulus (2pi)^(1-r)
     rows = min(_block_rows(t.n, deg) for deg in ks)
     ratios, residuals = [], []
     for start in range(0, max(len(V), 1), rows):
@@ -110,15 +103,9 @@ def gamma_profile(t, w, ell, samples, seed):
     the pointwise l-Hermite-Einstein diagnostic (degree 1 recovers the
     Hermite-Einstein condition itself).
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    low, high, total = np.inf, -np.inf, 0.0
-    for V in direction_chunks(t.r, samples, seed, _block_rows(t.n, 1)):
+    def values(V):
         eigs = relative_eigenvalues(direction_matrices(t, V), w)
-        vals = np.array([elem_sym(eigs, k) for k in range(1, ell + 1)])
-        low = np.minimum(low, vals.min(axis=1))
-        high = np.maximum(high, vals.max(axis=1))
-        total = total + vals.sum(axis=1)
-    return [{"min": float(lo), "max": float(hi), "mean": float(s / samples),
-             "spread": float(hi - lo)} for lo, hi, s in zip(low, high, total)]
+        return np.array([elem_sym(eigs, k) for k in range(1, ell + 1)])
+    mean, _, low, high = _sample_stats(values, t.r, samples, seed, _block_rows(t.n, 1))
+    return [{"min": float(lo), "max": float(hi), "mean": float(m), "spread": float(hi - lo)}
+            for lo, hi, m in zip(low, high, mean)]

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segreform import moments
 from segreform.cli import MC_MOMENT_PAIRS
 from segreform.curvature import chern_forms, random_curvature, segre_forms
-from segreform.moments import (DIRECTION_CHUNK, direction_chunks, moment_mc, moment_wick,
-                               phi_k_tensor)
+from segreform.moments import (DIRECTION_CHUNK, _sample_stats, direction_chunks, moment_mc,
+                               moment_wick, phi_k_tensor)
 from segreform.symfun import elem_sym
 
 from conftest import random_hermitian, traced_peak
@@ -70,6 +71,37 @@ class TestDirectionStream:
         assert sample_directions(4, 0, seed=1).shape == (0, 4)
 
 
+class TestSampleStats:
+    """The one reduction every sampler reads the stream through, against numpy statistics
+    taken all at once over the concatenated directions."""
+
+    @staticmethod
+    def real_values(V):  # a nonzero and a zero mean
+        return np.stack([np.abs(V[:, 0]) ** 2, V[:, 1].real])
+
+    @staticmethod
+    def complex_values(V):
+        return np.stack([[V[:, 0] * V[:, 1].conj(), V[:, 2] ** 2]] * 2)  # entries of shape (2, 2)
+
+    @pytest.mark.parametrize("samples", [1, 2, DIRECTION_CHUNK - 1, DIRECTION_CHUNK,
+                                         DIRECTION_CHUNK + 1, 3 * DIRECTION_CHUNK + 5])
+    @pytest.mark.parametrize("rows", [1, 7, DIRECTION_CHUNK])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_all_at_once_statistics(self, kind, rows, samples):
+        values = getattr(self, f"{kind}_values")
+        mean, err, low, high = _sample_stats(values, 3, samples, seed=8, rows=rows)
+        x = values(sample_directions(3, samples, seed=8))
+        ref_err = (np.std(x, axis=-1, ddof=1) / math.sqrt(samples) if samples > 1
+                   else np.zeros(x.shape[:-1]))
+        assert mean.shape == err.shape == x.shape[:-1]
+        np.testing.assert_allclose(mean, x.mean(axis=-1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(err, ref_err, rtol=1e-12, atol=0)
+        if kind == "real":
+            assert np.array_equal(low, x.min(axis=-1)) and np.array_equal(high, x.max(axis=-1))
+        else:
+            assert low is None and high is None
+
+
 def index_pairs(r, max_k):
     """A strategy for (lambdas, mus): two index tuples in 1..r of one length k <= max_k."""
     return st.integers(0, max_k).flatmap(
@@ -127,6 +159,26 @@ class TestMomentMC:
     def test_degree_zero_exact(self):
         [(est, err)] = moment_mc(3, [((), ())], 10, seed=0)
         assert est == 1 and err == 0
+
+    def test_degree_zero_batch_draws_nothing(self, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return complex_normals(*args)
+
+        complex_normals = moments._complex_normals
+        monkeypatch.setattr(moments, "_complex_normals", counted)
+        assert moment_mc(3, [((), ())] * 3, 10, seed=0) == [(1, 0)] * 3
+        assert draws == []
+        moment_mc(3, [((), ()), ((1,), (1,))], 10, seed=0)  # the counter sees a draw
+        assert len(draws) == 1
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("batch", [[((1,), (1,))], [((), ())], []])
+    def test_rejects_samples_below_one(self, batch, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            moment_mc(3, batch, samples, seed=0)
 
     def test_matches_closed_form(self):
         [(est, err)] = moment_mc(2, [((1,), (1,))], 200_000, seed=3)

@@ -1,5 +1,6 @@
 """The lazy package namespace, and the CLI process's BLAS threads, imports and
-garbage-collector freeze, checked in child processes."""
+garbage-collector freeze, checked in child processes; and the one reader of the
+direction stream, checked in the sources."""
 
 import ast
 import gc
@@ -86,6 +87,7 @@ class TestProcessEntry:
         inst, out = str(tmp_path / "he22.json"), str(tmp_path / "out.json")
         assert self.run_cli_child("gen", "2", "2", "1", "--he", "1.0", "--out", inst)[1] \
             == self.BASE
+        assert self.run_cli_child("check", "he", "--in", inst, "--out", out)[1] == self.BASE
         assert self.run_cli_child("check", "kl", "--in", inst, "--out", out)[1] \
             == self.BASE | {"segreform.inequalities"}
         assert self.run_cli_child("moments", "--r", "2", "--lambdas", "1", "--samples", "100",
@@ -142,3 +144,16 @@ class TestProcessEntry:
         [block] = [node for node in tree.body if isinstance(node, ast.If)
                    and ast.unparse(node.test) == "__name__ == '__main__'"]
         assert ast.unparse(block).splitlines()[1:] == [f"    {name}()"]
+
+
+class TestOneReduction:
+    def test_only_sample_stats_reads_the_direction_stream(self):
+        # every sampler and sampled check averages through moments._sample_stats, so no
+        # function of the package may name direction_chunks and fork the estimator again
+        readers = set()
+        for path in sorted(Path(moments.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                if any(getattr(node, "id", getattr(node, "attr", None)) == "direction_chunks"
+                       for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', type(top).__name__)}")
+        assert readers == {"moments._sample_stats"}

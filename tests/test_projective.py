@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segreform import curvature, projective
-from segreform.cli import main
+from segreform.cli import main, parse_omega
 from segreform.curvature import (CurvatureTensor, Kaehler11, chern_forms,
                                  is_hermite_einstein, project_to_he, random_curvature,
                                  segre_forms, strong_flat_tensor, tensor_to_dict)
@@ -157,6 +157,11 @@ class TestPushforward:
         theta = Form.one_one(direction_form(t, sample_directions(2, 1, 0)[0]))
         assert (mean + 2 * theta).max_abs() <= 1e-14
         assert is_zero(err)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_mc_rejects_samples_below_one(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            pushforward_mc(random_curvature(2, 2, seed=7), 1, samples, 1)
 
     def test_frame_invariance(self, rng):
         t = random_curvature(2, 3, seed=6)
@@ -337,6 +342,16 @@ class TestBatchedIdentities:
         identity_residuals(t, Kaehler11.euclidean(3), sample_directions(3, 50, seed=2), [1, 2, 3])
         assert calls == {"direction_matrices": 50, "relative_eigenvalues": 50}
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_volume_is_det_of_omega(self, rng, n):
+        # residuals are |ratio - scalar| |omega^n/n!| (2pi)^(1-r), with |omega^n/n!| = det g
+        t = random_curvature(n, 2, seed=n)
+        w = Kaehler11(random_spd(n, rng))
+        ratios, residuals = identity_residuals(t, w, sample_directions(2, 4, seed=n), 1, 0.25)
+        vol = np.linalg.det(w.g).real
+        np.testing.assert_allclose(residuals, np.abs(ratios - 0.25) * vol / (2 * math.pi),
+                                   rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (3, 4)])
     def test_wrong_scalar_residual_matches_xi_oracle(self, rng, n, r):
         t = random_curvature(n, r, seed=41 + n + r)
@@ -347,6 +362,46 @@ class TestBatchedIdentities:
                 _, ref_res = top_form_residual(t, w, v, k, scalar=0.25)
                 assert res == pytest.approx(ref_res, rel=1e-12)
                 assert res > 1e-6 * abs(ratio - 0.25)
+
+
+class TestSampledIdentityMaxima:
+    """verify identity8 and identity9 report the largest residual over the sampled directions:
+    a maximum does not depend on the order of its terms, so it equals the largest of the
+    per-direction residuals bit for bit."""
+
+    @pytest.fixture(params=["euclidean", "random"])
+    def omega(self, request, rng):
+        if request.param == "euclidean":
+            return "euclidean"
+        return json.dumps([[[z.real, z.imag] for z in row] for row in random_spd(3, rng)])
+
+    @staticmethod
+    def run(tmp_path, capsys, t, omega, argv):
+        """The result rows of `verify argv` on t, and the tensor, omega and directions it read."""
+        path = tmp_path / "t.json"
+        path.write_text(canonical_json(tensor_to_dict(t)))
+        assert main(["verify", *argv, "--in", str(path), "--omega", omega,
+                     "--samples", "25", "--seed", "6"]) == 0
+        t = curvature.load_tensor(path)
+        return (json.loads(capsys.readouterr().out)["results"], t, parse_omega(omega, t.n),
+                sample_directions(t.r, 25, 6))
+
+    @pytest.mark.parametrize("he", [False, True])
+    def test_identity8(self, tmp_path, capsys, omega, he):
+        t = random_curvature(3, 2, seed=12)
+        if he:
+            t = project_to_he(t, parse_omega(omega, 3), 0.7)
+        [row], t, w, V = self.run(tmp_path, capsys, t, omega, ["identity8"])
+        is_he, lam = is_hermite_einstein(t, w)
+        assert is_he == he
+        worst = max(float(identity_residuals(t, w, [v], 1, -lam if he else None)[1][0]) for v in V)
+        assert (row["value"]["residual"] if he else row["value"]) == worst
+
+    def test_identity9(self, tmp_path, capsys, omega):
+        rows, t, w, V = self.run(tmp_path, capsys, random_curvature(3, 2, seed=13), omega,
+                                 ["identity9"])
+        per_direction = np.array([identity_residuals(t, w, [v], [1, 2, 3])[1][:, 0] for v in V])
+        assert [row["value"] for row in rows] == np.max(per_direction, axis=0).tolist()
 
 
 class TestPowerIdentity:
@@ -404,16 +459,23 @@ class TestGammaProfile:
         assert p2["spread"] > 1e-3  # generic instance is not 2-HE
 
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (4, 3)])
-    def test_matches_per_direction_gamma_rel(self, rng, n, r):
+    def test_matches_per_direction_gamma_rel(self, monkeypatch, rng, n, r):
+        # min and max do not depend on the order of their terms: equal bit for bit
         t = random_curvature(n, r, seed=20 + n)
         w = Kaehler11(random_spd(n, rng))
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 7 * 16 * (n + n) ** 2)  # 7 directions
         profiles = gamma_profile(t, w, n, samples=150, seed=9)
         for k, prof in enumerate(profiles, start=1):
             vals = gamma_profile_loop(t, w, k, 150, 9)
             scale = 1.0 + np.abs(vals).max()
-            assert prof["min"] == pytest.approx(vals.min(), abs=1e-12 * scale)
-            assert prof["max"] == pytest.approx(vals.max(), abs=1e-12 * scale)
+            assert (prof["min"], prof["max"]) == (np.min(vals), np.max(vals))
             assert prof["mean"] == pytest.approx(vals.mean(), abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_samples_below_one(self, samples):
+        w = Kaehler11.euclidean(2)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            gamma_profile(random_curvature(2, 2, seed=7), w, 1, samples=samples, seed=0)
 
     def test_chunked_reduction_matches_one_chunk(self, monkeypatch):
         t = random_curvature(2, 3, seed=19)

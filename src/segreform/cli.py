@@ -32,18 +32,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .curvature import (MAX_DIM, MAX_TOP_POWER, Kaehler11, PreconditionError,
-                        TensorValidationError, _check_top_power, _he_deviation, _is_number,
-                        check_dims, chern_forms, is_hermite_einstein, load_tensor,
-                        project_to_he, projectively_flat_tensor, random_curvature,
+from .curvature import (MAX_DIM, Kaehler11, PreconditionError, TensorValidationError,
+                        _he_deviation, _is_number, check_dims, chern_forms, is_hermite_einstein,
+                        load_tensor, project_to_he, projectively_flat_tensor, random_curvature,
                         segre_forms, strong_flat_tensor, tensor_to_dict)
 from .report import MC_UNITS, NonFiniteError, Report, canonical_json, stderr_units
 
 DEFAULT_TOL = 1e-9
 MAX_SAMPLES = 10 ** 8  # --samples: 100 times the largest documented run, minutes at (2,2)
 MAX_MOMENT_TERMS = 100_000  # diagonal moments summed by one verify moments report
-MAX_OMEGA_CONDITION = 1e12  # bound on the eigenvalue ratio of --omega: the eigensolves and
-                            # contractions against omega lose about log10(ratio) of 16 digits
 MC_MOMENT_PAIRS = (((1,), (1,)), ((1, 2), (2, 1)), ((1, 1), (1, 1)), ((1,), (2,)),
                    ((1, 2, 3), (3, 2, 1)))  # (lambdas, mus) of verify moments' MC rows
 NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
@@ -54,12 +51,8 @@ class UsageError(ValueError):
 
 
 def parse_omega(spec, n):
-    """Parse --omega: 'euclidean', inline JSON matrix, or @path to a JSON file.
-
-    Matrix entries are numbers or [re, im] pairs; the result must be a Kaehler11, with a
-    ratio of largest to smallest eigenvalue <= MAX_OMEGA_CONDITION and a smallest
-    eigenvalue e with 1/e^n <= MAX_TOP_POWER.
-    """
+    """Parse --omega: 'euclidean', an inline JSON matrix of numbers or [re, im] pairs, or
+    @path to a JSON file of one; Kaehler11 checks the matrix, its errors usage errors."""
     if spec == "euclidean":
         return Kaehler11.euclidean(n)
     if spec.startswith("@"):
@@ -82,17 +75,9 @@ def parse_omega(spec, n):
     if mat.shape != (n, n):
         raise UsageError(f"omega is {mat.shape[0]}x{mat.shape[1]}, tensor needs {n}x{n}")
     try:
-        w = Kaehler11(mat)
-    except ValueError as exc:  # too large, not Hermitian, or not positive definite
+        return Kaehler11(mat)
+    except ValueError as exc:  # out of bounds, not Hermitian, or not positive definite
         raise UsageError(str(exc)) from exc
-    eigs = w.eigenvalues
-    if eigs[-1] > MAX_OMEGA_CONDITION * eigs[0]:  # the ratio itself may overflow
-        raise UsageError(f"omega eigenvalues {eigs[0]:.3e} to {eigs[-1]:.3e} span a ratio "
-                         f"of more than {MAX_OMEGA_CONDITION:.0e}")
-    if eigs[0] < MAX_TOP_POWER ** (-1 / n):
-        raise UsageError(f"smallest omega eigenvalue {eigs[0]:.3e} is below "
-                         f"{MAX_TOP_POWER:.0e}^(-1/{n}): omega^n would underflow")
-    return w
 
 
 def _number(kind, low=-math.inf, high=math.inf):
@@ -158,7 +143,6 @@ def cmd_gen(args):
         t = random_curvature(args.n, args.r, args.seed)
         if args.he is not None:
             t = project_to_he(t, w, args.he)
-    _check_top_power(t.c)  # the bound every reader of the instance applies
     _emit(canonical_json(tensor_to_dict(t)), args.out)
     return 0
 
@@ -255,8 +239,6 @@ def _check(args, report):
         report.add("hermite_einstein", {"deviation": dev, "slope": lam}, args.tol, dev)
     elif args.kind == "lhe":
         from .projective import gamma_profile
-        if args.ell > t.n:
-            raise UsageError(f"ell={args.ell} out of range [1, {t.n}]")
         profiles = gamma_profile(t, w, args.ell, samples=_mc_samples(args.samples), seed=args.seed)
         passed = [report.add(f"gamma{k}_spread", prof, args.tol, prof["spread"])
                   for k, prof in enumerate(profiles, start=1)]
@@ -287,11 +269,6 @@ def cmd_moments(args):
     samples = _mc_samples(args.samples)
     lambdas = args.lambdas or []
     mus = args.mus if args.mus is not None else lambdas
-    if len(lambdas) != len(mus):
-        raise UsageError("lambdas and mus must have equal length")
-    for i in lambdas + mus:
-        if not 1 <= i <= args.r:
-            raise UsageError(f"index {i} out of range [1, {args.r}]")
     report = Report("moments",
                     {"r": args.r, "lambdas": lambdas, "mus": mus,
                      "samples": args.samples, "seed": args.seed})

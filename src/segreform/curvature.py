@@ -34,8 +34,10 @@ from .exterior import Form, one_one_power, top_pairing, wedge
 DEFAULT_HE_TOL = 1e-9
 DEFAULT_EQUALITY_TOL = 1e-8
 MAX_DIM = 32  # bound on n and r of outside input: an (n, n, r, r) array <= 16 MiB
-MAX_TOP_POWER = 1e150  # bound on max|c|^(n+r-1) of outside input: the top-degree products,
-                       # their squares and sums stay inside the float range (1.8e308)
+MAX_TOP_POWER = 1e150  # bound on max|c|^(n+r-1) of a tensor, max|g|^n of omega: the top-degree
+                       # products, their squares and sums stay inside the float range (1.8e308)
+MAX_OMEGA_CONDITION = 1e12  # bound on the eigenvalue ratio of omega: the eigensolves and
+                            # contractions against omega lose about log10(ratio) of 16 digits
 
 
 class PreconditionError(ValueError):
@@ -48,9 +50,9 @@ class TensorValidationError(ValueError):
 
 class Kaehler11:
     """A Kaehler form omega = sum_jk g[j,k] * (i dz_j ^ dzbar_k) at the point: g read-only,
-    finite with max|g|^n <= MAX_TOP_POWER, Hermitian positive definite (checked here once
-    for every later use) with ascending eigenvalues; other real (1,1)-forms are plain
-    Hermitian coefficient matrices."""
+    finite with max|g|^n <= MAX_TOP_POWER, Hermitian positive definite, with ascending
+    eigenvalues e of ratio <= MAX_OMEGA_CONDITION and e[0]^n >= 1/MAX_TOP_POWER (checked here
+    once for every later use); other real (1,1)-forms are plain Hermitian coefficient matrices."""
 
     __slots__ = ("n", "g", "eigenvalues", "_powers")
 
@@ -71,9 +73,15 @@ class Kaehler11:
         self.n = n
         self.g = 0.5 * (g + g.conj().T)  # kill roundoff asymmetry
         self.g.flags.writeable = False  # the cached powers stay those of g
-        self.eigenvalues = np.linalg.eigvalsh(self.g)
-        if not self.eigenvalues.min(initial=np.inf) > 0:
+        self.eigenvalues = eigs = np.linalg.eigvalsh(self.g)
+        if not eigs[0] > 0:
             raise PreconditionError("omega must be positive definite")
+        if eigs[-1] > MAX_OMEGA_CONDITION * eigs[0]:  # the ratio itself may overflow
+            raise ValueError(f"omega eigenvalues {eigs[0]:.3e} to {eigs[-1]:.3e} span a ratio "
+                             f"of more than {MAX_OMEGA_CONDITION:.0e}")
+        if eigs[0] < MAX_TOP_POWER ** (-1 / n):
+            raise ValueError(f"smallest omega eigenvalue {eigs[0]:.3e} is below "
+                             f"{MAX_TOP_POWER:.0e}^(-1/{n}): omega^n would underflow")
         self._powers = {}  # k -> one_one_power(g, k) / k!, filled by omega_ratio
 
     @classmethod
@@ -86,7 +94,8 @@ class Kaehler11:
 
 class CurvatureTensor:
     """Normalised curvature (i/2pi)*Theta(E,h) at a point, in a normal frame: c is a
-    read-only copy of the caller's array, its hermitian symmetry checked here once."""
+    read-only copy of the caller's array, checked here once for every later use: its
+    shape, max|c|^(n+r-1) <= MAX_TOP_POWER, then finite entries and hermitian symmetry."""
 
     __slots__ = ("n", "r", "c")
 
@@ -95,11 +104,19 @@ class CurvatureTensor:
         self.r = int(r)
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 and r >= 1")
-        if c is None:
-            c = np.zeros((self.n, self.n, self.r, self.r), dtype=complex)
-        c = np.array(c, dtype=complex)
-        if c.shape != (self.n, self.n, self.r, self.r):
-            raise ValueError(f"coefficient array has shape {c.shape}, expected {(self.n, self.n, self.r, self.r)}")
+        shape = (self.n, self.n, self.r, self.r)
+        c = np.zeros(shape, dtype=complex) if c is None else np.array(c, dtype=complex)
+        if c.shape != shape:
+            raise ValueError(f"coefficient array has shape {c.shape}, expected {shape}")
+        top = self.n + self.r - 1
+        with np.errstate(over="ignore"):  # a modulus past the float range is past the bound too
+            big = float(np.fmax.reduce(np.abs(c), axis=None))  # skips NaN: the next check names it
+        if big > MAX_TOP_POWER ** (1 / top):
+            raise TensorValidationError(
+                f"largest coefficient modulus {big:.3e} exceeds {MAX_TOP_POWER:.0e}^(1/{top}): "
+                f"products of degree n+r-1 = {top} would overflow")
+        if not np.isfinite(c).all():
+            raise TensorValidationError("coefficients must be finite")
         # conj(c[j,k,lam,mu]) == c[k,j,mu,lam] within 1e-10; report the worst offender
         dev = np.abs(c.conj() - c.transpose(1, 0, 3, 2))
         worst = float(dev.max())
@@ -324,16 +341,6 @@ def check_dims(n, r):
                                         f"got {json.dumps(value, default=repr)}")
 
 
-def _check_top_power(c):
-    """Reject an (n, n, r, r) coefficient array whose largest modulus m has
-    m^(n+r-1) > MAX_TOP_POWER."""
-    big, top = float(np.abs(c).max()), c.shape[0] + c.shape[2] - 1
-    if big > MAX_TOP_POWER ** (1 / top):
-        raise TensorValidationError(
-            f"largest coefficient modulus {big:.3e} exceeds {MAX_TOP_POWER:.0e}^(1/{top}): "
-            f"products of degree n+r-1 = {top} would overflow")
-
-
 def _is_number(x):
     """Whether x is a finite JSON number: an int or a float, not a bool."""
     try:
@@ -346,9 +353,9 @@ def tensor_from_dict(d, symmetrize=False):
     """Build a CurvatureTensor from its JSON dict.
 
     Omitted entries are zero, indices are JSON integers, re and im finite
-    JSON numbers, and the largest modulus m must keep m^(n+r-1) <=
-    MAX_TOP_POWER.  The hermitian invariant is enforced unless
-    symmetrize=True, in which case the symmetric part is taken instead.
+    JSON numbers.  symmetrize=True takes the hermitian part, where an entry
+    may overflow to infinity; CurvatureTensor then checks the bound and the
+    hermitian invariant.
     """
     try:
         n, r = d["n"], d["r"]
@@ -374,9 +381,9 @@ def tensor_from_dict(d, symmetrize=False):
         if not (0 <= j < n and 0 <= k < n and 0 <= lam < r and 0 <= mu < r):
             raise TensorValidationError(f"coefficient entry {json.dumps(e)} out of range for n={n}, r={r}")
         c[j, k, lam, mu] = complex(re, im)
-    _check_top_power(c)
     if symmetrize:
-        c = 0.5 * (c + c.conj().transpose(1, 0, 3, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is past the bound
+            c = 0.5 * (c + c.conj().transpose(1, 0, 3, 2))
     return CurvatureTensor(n, r, c)
 
 

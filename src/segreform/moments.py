@@ -45,16 +45,28 @@ def moment_wick(r, lambdas, mus):
     """Exact moment E[v_{l_1}...v_{l_k} conj(v_{m_1})...conj(v_{m_k})] on the sphere of C^r
     for 1-based index sequences lambdas and mus of one length k: perm(M) (r-1)!/(r-1+k)!,
     which is m_1!...m_r! (r-1)!/(r-1+k)! when they agree as multisets, else 0."""
+    _check_indices(r, lambdas, mus)
     if sorted(lambdas) != sorted(mus):
         return Fraction(0)
     num = math.factorial(r - 1) * math.prod(math.factorial(lambdas.count(l)) for l in set(lambdas))
     return Fraction(num, math.factorial(r - 1 + len(lambdas)))
 
 
+def _check_indices(r, lambdas, mus):
+    """Reject index sequences of unequal length or with an index outside 1..r."""
+    if len(lambdas) != len(mus):
+        raise ValueError("lambdas and mus must have equal length")
+    for i in [*lambdas, *mus]:
+        if not 1 <= i <= r:
+            raise ValueError(f"index {i} out of range [1, {r}]")
+
+
 def moment_mc(r, pairs, samples, seed):
     """Monte Carlo estimates of sphere moments in C^r; one (estimate, stderr) per (lambdas, mus)
     pair of index sequences of one length.  All pairs read the first `samples` directions of the
     seed's stream, so each estimate depends only on (pair, samples, seed), not on the batch."""
+    for lambdas, mus in pairs:
+        _check_indices(r, lambdas, mus)
     live = [pair for pair in pairs if pair[0]]  # degree 0 is E[1] = 1
     if not live and int(samples) >= 1:  # nothing to draw; _sample_stats rejects bad samples
         return [(1 + 0j, 0.0)] * len(pairs)

@@ -103,6 +103,9 @@ def gamma_profile(t, w, ell, samples, seed):
     the pointwise l-Hermite-Einstein diagnostic (degree 1 recovers the
     Hermite-Einstein condition itself).
     """
+    if not 1 <= ell <= t.n:
+        raise ValueError(f"ell={ell} out of range [1, {t.n}]")
+
     def values(V):
         eigs = relative_eigenvalues(direction_matrices(t, V), w)
         return np.array([elem_sym(eigs, k) for k in range(1, ell + 1)])

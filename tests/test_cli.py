@@ -652,6 +652,8 @@ class TestInvariantGuards:
         (["gen", "2", "2", "1", "--strong-flat", "--he", "inf"], "usage",
          "--he: must be a finite number, got inf"),
         (["gen", "2", "2", "1", "--he", "1e60"], "validation", "would overflow"),
+        (["gen", "2", "2", "1", "--strong-flat", "--he", "1e200"], "validation", "would overflow"),
+        (["gen", "3", "3", "1", "--flat", "--he", "1e300"], "validation", "would overflow"),
         (["gen", "2", "2", "1", "--flat", "--he", "-inf"], "usage",
          "--he: must be a finite number, got -inf"),
         (["check", "he", "--in", "t.json", "--tol", "-1e-300"], "usage",
@@ -701,7 +703,8 @@ class TestInvariantGuards:
         (["verify", "pushforward", "--in", "t.json", "--k", "10000000000"], "usage",
          "k=10000000000 out of range [0, 2]")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
-             "gen-strong-flat-he-inf", "gen-he-oversized", "gen-he-minus-inf",
+             "gen-strong-flat-he-inf", "gen-he-oversized", "gen-strong-flat-he-oversized",
+             "gen-flat-he-oversized", "gen-he-minus-inf",
              "check-tol-exponent", "gen-seed", "gen-flat-seed", "gen-strong-flat-seed",
              "verify-identity9-seed", "verify-pushforward-seed", "verify-moments-seed",
              "check-lhe-seed", "moments-seed", "samples-huge", "samples-zero", "tol-hex",

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import operator
+import re
 from itertools import combinations_with_replacement, islice
 
 import numpy as np
@@ -205,6 +206,37 @@ class TestValidatedArrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 5.0
         assert np.array_equal(w.eigenvalues, np.linalg.eigvalsh(w.g))  # ascending, computed once
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, message", [
+        (np.nan, "coefficients must be finite"),
+        ((np.nan, np.inf), "largest coefficient modulus inf exceeds 1e+150^(1/3)"),
+        (np.inf, "largest coefficient modulus inf exceeds 1e+150^(1/3)"),
+        (-np.inf, "largest coefficient modulus inf exceeds 1e+150^(1/3)"),
+        (1.5e308 + 1.5e308j, "largest coefficient modulus inf exceeds 1e+150^(1/3)"),
+        (MAX_TOP_POWER ** (1 / 3) * (1 + 1e-12),
+         "largest coefficient modulus 1.000e+50 exceeds 1e+150^(1/3): products of degree "
+         "n+r-1 = 3 would overflow")],
+        ids=["nan", "inf-beside-nan", "inf", "minus-inf", "modulus-past-float-max", "past-bound"])
+    def test_tensor_entries_out_of_bounds_are_rejected(self, values, message):
+        # entries with their hermitian partners, so only the bound or finiteness can fail: NaN
+        # passes the hermitian test, and inf - inf in it would warn; an overflow that left
+        # inf and inf * 0 = NaN is past the bound
+        c = random_curvature(2, 2, seed=3).c.copy()
+        for (j, k, lam, mu), value in zip([(0, 1, 0, 1), (0, 1, 1, 0)], np.atleast_1d(values)):
+            c[j, k, lam, mu], c[k, j, mu, lam] = value, np.conj(value)
+        with pytest.raises(TensorValidationError, match=re.escape(message)):
+            CurvatureTensor(2, 2, c)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [
+        lambda w: project_to_he(random_curvature(2, 2, seed=1), w, 1e60),
+        lambda w: strong_flat_tensor(2, 2, w, 1e200),
+        lambda w: projectively_flat_tensor(2, 2, 1, w=w, lam=1e200)],
+        ids=["project-to-he", "strong-flat", "projectively-flat"])
+    def test_factories_refuse_an_oversized_instance(self, build):
+        with pytest.raises(TensorValidationError, match="would overflow"):
+            build(Kaehler11.euclidean(2))
 
 
 class TestDirectionForm:
@@ -516,6 +548,7 @@ class TestJsonInterchange:
         with pytest.raises(ValueError, match="no JSON form"):
             canonical_json({"rows": [{"v": 1.0}, {"v": value}]})
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (8, 8)])
     def test_coefficient_bound_is_max_top_power_at_degree_n_plus_r_minus_1(self, n, r):
         bound = MAX_TOP_POWER ** (1 / (n + r - 1))
@@ -529,8 +562,9 @@ class TestJsonInterchange:
         for value in (bound * (1 + 1e-12), -bound * 2):
             with pytest.raises(TensorValidationError, match=f"degree n\\+r-1 = {n + r - 1}"):
                 tensor_from_dict(payload(value))
-        with pytest.raises(TensorValidationError, match="would overflow"):
-            tensor_from_dict(payload(bound * 2), symmetrize=True)
+        for value in (bound * 2, 1.7e308):  # the hermitian part of 1.7e308 overflows
+            with pytest.raises(TensorValidationError, match="would overflow"):
+                tensor_from_dict(payload(value), symmetrize=True)
 
     def test_numpy_dimension_is_rejected_and_printed(self):
         # not a JSON integer, so rejected; the message still prints it

@@ -42,6 +42,19 @@ class TestKaehler11:
             with pytest.raises(ValueError, match=re.escape(message)):
                 Kaehler11(g)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g, message", [
+        (np.diag([1.0, 1e-13]),
+         "omega eigenvalues 1.000e-13 to 1.000e+00 span a ratio of more than 1e+12"),
+        (1e-60 * np.eye(3),
+         "smallest omega eigenvalue 1.000e-60 is below 1e+150^(-1/3): omega^n would underflow")],
+        ids=["ill-conditioned", "underflowing"])
+    def test_conditioning_and_scale_are_bounded(self, g, message):
+        # the messages --omega prints: a ValueError but not a PreconditionError
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            Kaehler11(g)
+        assert not isinstance(info.value, PreconditionError)
+
     @settings(max_examples=60, deadline=None)
     @given(spectra())
     def test_constructed_exactly_when_positive_definite(self, case):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,14 @@ def index_pairs(r, max_k):
         lambda k: st.tuples(*[st.tuples(*[st.integers(1, r)] * k)] * 2))
 
 
+# (lambdas, mus) at r = 2 and the error either moment function raises on them
+BAD_INDICES = [pytest.param((0,), (0,), "index 0 out of range [1, 2]", id="zero"),
+               pytest.param((1, 3), (1, 2), "index 3 out of range [1, 2]", id="lambda-past-r"),
+               pytest.param((1,), (3,), "index 3 out of range [1, 2]", id="mu-past-r"),
+               pytest.param((1,), (1, 2), "lambdas and mus must have equal length", id="short"),
+               pytest.param((), (1,), "lambdas and mus must have equal length", id="empty")]
+
+
 class TestMomentWick:
     def test_off_diagonal_equals_diagonal_value(self):
         # |v1|^2 |v2|^2 written with crossed indices
@@ -119,6 +128,11 @@ class TestMomentWick:
 
     def test_degree_zero(self):
         assert moment_wick(3, (), ()) == 1
+
+    @pytest.mark.parametrize("lambdas, mus, message", BAD_INDICES)
+    def test_rejects_bad_indices(self, lambdas, mus, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            moment_wick(2, lambdas, mus)
 
     def test_reduces_to_diagonal(self, rng):
         for _ in range(20):
@@ -179,6 +193,12 @@ class TestMomentMC:
     def test_rejects_samples_below_one(self, batch, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             moment_mc(3, batch, samples, seed=0)
+
+    @pytest.mark.parametrize("lambdas, mus, message", BAD_INDICES)
+    def test_rejects_bad_indices_before_drawing(self, monkeypatch, lambdas, mus, message):
+        monkeypatch.setattr(moments, "_complex_normals", None)  # a draw would be a TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            moment_mc(2, [((1,), (1,)), (lambdas, mus)], 10, seed=0)
 
     def test_matches_closed_form(self):
         [(est, err)] = moment_mc(2, [((1,), (1,))], 200_000, seed=3)

@@ -1,6 +1,6 @@
 """The lazy package namespace, and the CLI process's BLAS threads, imports and
 garbage-collector freeze, checked in child processes; and the one reader of the
-direction stream, checked in the sources."""
+direction stream and the one home of each input bound, checked in the sources."""
 
 import ast
 import gc
@@ -157,3 +157,22 @@ class TestOneReduction:
                        for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))):
                     readers.add(f"{path.stem}.{getattr(top, 'name', type(top).__name__)}")
         assert readers == {"moments._sample_stats"}
+
+
+class TestOneHomePerBound:
+    def test_only_the_checked_types_read_the_input_bounds(self):
+        # a bound on the tensor or on omega is checked where the input is built, so no other
+        # function may apply it again, differently, or in place of the type
+        bounds = ("MAX_TOP_POWER", "MAX_OMEGA_CONDITION")
+        readers = {bound: set() for bound in bounds}
+        for path in sorted(Path(curvature.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                            else node.attr if isinstance(node, ast.Attribute)
+                            else node.name if isinstance(node, ast.alias) else None)
+                    if name in bounds:
+                        readers[name].add(f"{path.stem}.{getattr(top, 'name', type(top).__name__)}")
+        assert readers == {"MAX_TOP_POWER": {"curvature.Kaehler11", "curvature.CurvatureTensor"},
+                           "MAX_OMEGA_CONDITION": {"curvature.Kaehler11"}}
+        assert not any(bound in Path(cli.__file__).read_text(encoding="utf-8") for bound in bounds)

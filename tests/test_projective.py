@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -476,6 +477,12 @@ class TestGammaProfile:
         w = Kaehler11.euclidean(2)
         with pytest.raises(ValueError, match="samples must be >= 1"):
             gamma_profile(random_curvature(2, 2, seed=7), w, 1, samples=samples, seed=0)
+
+    @pytest.mark.parametrize("ell", [0, 3])
+    def test_rejects_ell_out_of_range(self, ell):
+        w = Kaehler11.euclidean(2)
+        with pytest.raises(ValueError, match=re.escape(f"ell={ell} out of range [1, 2]")):
+            gamma_profile(random_curvature(2, 2, seed=7), w, ell, samples=10, seed=0)
 
     def test_chunked_reduction_matches_one_chunk(self, monkeypatch):
         t = random_curvature(2, 3, seed=19)

@@ -114,13 +114,6 @@ def _emit(text, out_path):
         print(text)
 
 
-def _mc_samples(samples):
-    """--samples of a Monte Carlo statistic: one direction has no spread."""
-    if samples == 1:
-        raise UsageError("--samples must be >= 2: a standard error or spread needs two directions")
-    return samples
-
-
 def _finish_report(report, out_path):
     _emit(report.dumps(), out_path)
     return 0 if report.all_passed else 1
@@ -168,7 +161,6 @@ def _load_input(args):
 
 def _verify_pushforward(args, report):
     from .projective import pushforward_exact, pushforward_mc
-    samples = _mc_samples(args.samples)
     t = _load_input(args)
     ks = [args.k] if args.k is not None else list(range(0, t.n + 1))
     exact = {k: pushforward_exact(t, k) for k in ks}  # k past n raises here, before the Chern build
@@ -176,8 +168,8 @@ def _verify_pushforward(args, report):
     for k, got in exact.items():
         report.add(f"pushforward_vs_segre_k{k}", (got - segre[k]).max_abs(), args.tol)
     # Monte Carlo from degree 1 (degree 0 is the unit form), against the Segre form
-    for k in [k for k in ks if k > 0] if samples else []:
-        mean, err = pushforward_mc(t, k, samples, args.seed)
+    for k in [k for k in ks if k > 0] if args.samples else []:
+        mean, err = pushforward_mc(t, k, args.samples, args.seed)
         report.add(f"pushforward_mc_k{k}_stderr_units",
                    stderr_units(mean.a, segre[k].a, err.a), MC_UNITS)
 
@@ -224,9 +216,8 @@ def _verify_moments(args, report):
             weight = math.factorial(k) // math.prod(map(math.factorial, mult))
             total += weight * moment_wick(r, combo, combo)
         report.add(f"moment_norm_k{k}", float(abs(total - 1)), 0.0, abs(total - 1))
-    samples = _mc_samples(args.samples)
     pairs = [(lam, mu) for lam, mu in MC_MOMENT_PAIRS if max(lam + mu) <= r]
-    for (lam, mu), (est, err) in zip(pairs, moment_mc(r, pairs, samples, args.seed)):
+    for (lam, mu), (est, err) in zip(pairs, moment_mc(r, pairs, args.samples, args.seed)):
         report.add(f"moment_mc_l{''.join(map(str, lam))}_m{''.join(map(str, mu))}",
                    stderr_units(est, complex(moment_wick(r, lam, mu)), err), MC_UNITS)
 
@@ -239,7 +230,7 @@ def _check(args, report):
         report.add("hermite_einstein", {"deviation": dev, "slope": lam}, args.tol, dev)
     elif args.kind == "lhe":
         from .projective import gamma_profile
-        profiles = gamma_profile(t, w, args.ell, samples=_mc_samples(args.samples), seed=args.seed)
+        profiles = gamma_profile(t, w, args.ell, samples=args.samples, seed=args.seed)
         passed = [report.add(f"gamma{k}_spread", prof, args.tol, prof["spread"])
                   for k, prof in enumerate(profiles, start=1)]
         # level: the leading passing degrees, all ell of them iff the largest spread passes
@@ -266,7 +257,6 @@ def _check(args, report):
 
 def cmd_moments(args):
     from .moments import moment_mc, moment_wick
-    samples = _mc_samples(args.samples)
     lambdas = args.lambdas or []
     mus = args.mus if args.mus is not None else lambdas
     report = Report("moments",
@@ -275,8 +265,8 @@ def cmd_moments(args):
     exact = moment_wick(args.r, lambdas, mus)
     report.add("exact", {"value": float(exact),
                          "fraction": f"{exact.numerator}/{exact.denominator}"}, 0.0, 0)
-    if samples:
-        [(est, err)] = moment_mc(args.r, [(lambdas, mus)], samples, args.seed)
+    if args.samples:
+        [(est, err)] = moment_mc(args.r, [(lambdas, mus)], args.samples, args.seed)
         units = stderr_units(est, complex(exact), err)
         report.add("mc_gap_stderr_units",
                    {"estimate_re": float(est.real), "estimate_im": float(est.imag),
@@ -303,7 +293,7 @@ def build_parser():
              "--k": dict(type=_number(int, 0)),
              "--r": dict(type=_number(int, 1, MAX_DIM)),
              "--ell": dict(type=_number(int, 1)),
-             "--samples": dict(type=_number(int, 1, MAX_SAMPLES)),
+             "--samples": dict(type=_number(int, 2, MAX_SAMPLES)),
              "--seed": dict(type=seed, default=0)}
     tensor = ["--in", "--symmetrize", "--omega", "--tol"]
     kinds = {  # command -> (kind, handler, the flags it reads, defaults other than the table's)

@@ -294,7 +294,8 @@ def random_curvature(n, r, seed):
 
 def strong_flat_tensor(n, r, w, lam):
     """The equality-case instance Theta_hat = (lam/n) * omega tensor Id."""
-    c = np.einsum("jk,ml->jklm", (float(lam) / n) * w.g, np.eye(r))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is past the bound
+        c = np.einsum("jk,ml->jklm", (float(lam) / n) * w.g, np.eye(r))
     return CurvatureTensor(n, r, c)
 
 
@@ -307,11 +308,12 @@ def projectively_flat_tensor(n, r, seed, w=None, lam=None):
     """
     b = _complex_normals((seed,), n * n).reshape(n, n)
     beta = 0.5 * (b + b.conj().T)
-    if w is not None and lam is not None:
-        cur = float(omega_ratio(1j * beta, w, 1).real)
-        beta = beta + ((float(lam) - cur) / n) * w.g
-        beta = 0.5 * (beta + beta.conj().T)
-    c = np.einsum("jk,ml->jklm", beta, np.eye(r))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is past the bound
+        if w is not None and lam is not None:
+            cur = float(omega_ratio(1j * beta, w, 1).real)
+            beta = beta + ((float(lam) - cur) / n) * w.g
+            beta = 0.5 * (beta + beta.conj().T)
+        c = np.einsum("jk,ml->jklm", beta, np.eye(r))
     return CurvatureTensor(n, r, c)
 
 

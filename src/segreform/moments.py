@@ -19,6 +19,7 @@ direction stream (direction_chunks), which is fixed per seed and
 prefix-stable: N samples are its first N directions.  They all read it
 through one reduction, _sample_stats, which keeps running sums, sums of
 squares, minima and maxima, so memory does not grow with the sample count.
+It takes N >= 2, since one direction has no standard error and no spread.
 
 phi_k averages <T v, v>^k over the sphere.  For a Hermitian matrix this is
 sigma_k(eigenvalues)/binom(r-1+k, k) (sigma_k complete homogeneous); for a
@@ -68,7 +69,7 @@ def moment_mc(r, pairs, samples, seed):
     for lambdas, mus in pairs:
         _check_indices(r, lambdas, mus)
     live = [pair for pair in pairs if pair[0]]  # degree 0 is E[1] = 1
-    if not live and int(samples) >= 1:  # nothing to draw; _sample_stats rejects bad samples
+    if not live and int(samples) >= 2:  # nothing to draw; _sample_stats rejects bad samples
         return [(1 + 0j, 0.0)] * len(pairs)
 
     def values(z):  # np.multiply, as `*` may reuse a temporary right operand, swapping factors
@@ -83,12 +84,12 @@ def moment_mc(r, pairs, samples, seed):
 
 def _sample_stats(values, r, samples, seed, rows=DIRECTION_CHUNK):
     """Per-entry (mean, stderr, low, high) of values(V), one entry per direction of V along its
-    last axis, over the first N = samples directions of the seed's stream, in blocks V of at
-    most `rows`: stderr = sqrt(max(sum |x|^2 - N |mean|^2, 0) / (N-1) / N), 0 for N = 1, and
-    low and high, the least and greatest entries, None for complex values."""
+    last axis, over the first N = samples >= 2 directions of the seed's stream, in blocks V of
+    at most `rows`: stderr = sqrt(max(sum |x|^2 - N |mean|^2, 0) / (N-1) / N), and low and
+    high, the least and greatest entries, None for complex values."""
     samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 2:
+        raise ValueError("samples must be >= 2: a standard error or spread needs two directions")
     total, total_sq, low, high = 0.0, 0.0, np.inf, -np.inf
     for V in direction_chunks(r, samples, seed, rows):
         x = values(V)
@@ -97,10 +98,10 @@ def _sample_stats(values, r, samples, seed, rows=DIRECTION_CHUNK):
         if not np.iscomplexobj(x):
             low, high = np.minimum(low, x.min(axis=-1)), np.maximum(high, x.max(axis=-1))
     mean = total / samples
-    var = np.maximum(total_sq - samples * np.abs(mean) ** 2, 0.0) / max(samples - 1, 1)
+    var = np.maximum(total_sq - samples * np.abs(mean) ** 2, 0.0) / (samples - 1)
     if np.iscomplexobj(mean):
         low = high = None
-    return mean, np.sqrt(var / samples) * (samples > 1), low, high
+    return mean, np.sqrt(var / samples), low, high
 
 
 def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):

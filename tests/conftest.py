@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import segreform
+from segreform import moments
 from segreform.exterior import Form
 
 
@@ -78,3 +79,17 @@ def traced_peak(fn, *args, **kwargs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The keys of the direction-stream draws made while the test runs, in order."""
+    keys = []
+
+    def counted(key, count):
+        keys.append(key)
+        return complex_normals(key, count)
+
+    complex_normals = moments._complex_normals
+    monkeypatch.setattr(moments, "_complex_normals", counted)
+    return keys

@@ -377,8 +377,8 @@ def moment_mc_loop(r, lambdas, mus, samples, seed):
     fancy-indexed copies.
     """
     samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     if not lambdas:
         return complex(1.0), 0.0
     lam = np.array(lambdas) - 1
@@ -397,8 +397,6 @@ def moment_mc_loop(r, lambdas, mus, samples, seed):
         done += count
         chunk_idx += 1
     mean = acc / samples
-    if samples == 1:
-        return complex(mean), 0.0
     var = max(acc_sq - samples * abs(mean) ** 2, 0.0) / (samples - 1)
     return complex(mean), float(math.sqrt(var / samples))
 

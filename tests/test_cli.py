@@ -21,6 +21,7 @@ from segreform.cli import build_parser, main
 from conftest import child_env, stderr_units, validate_report
 from oracles import hermitian_deviation
 
+SINGLE_SAMPLE = "argument --samples: must be an integer in [2, 100000000], got 1"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -193,23 +194,15 @@ class TestVerify:
         assert [rows[f"moment_norm_k{k}"]["pass"] for k in range(4)] == [True, True, False, False]
         assert rows["moment_norm_k2"]["value"] > 0
 
-    def test_moments_draws_directions_once(self, capsys, monkeypatch):
-        import segreform.moments as moments
+    def test_moments_draws_directions_once(self, capsys, draws):
+        from segreform.moments import DIRECTION_CHUNK
 
-        keys = []
-
-        def counted(key, count):
-            keys.append(key)
-            return complex_normals(key, count)
-
-        complex_normals = moments._complex_normals
-        monkeypatch.setattr(moments, "_complex_normals", counted)
         code, out = run_cli(capsys, "verify", "moments", "--r", "3", "--k", "2",
                             "--samples", "70000")
         names = [r["name"] for r in json.loads(out)["results"]]
         assert sum(name.startswith("moment_mc_") for name in names) == 5
         # one stream (seed, c) per chunk c of the direction stream, shared by all five rows
-        assert keys == [(0, c) for c in range(math.ceil(70000 / moments.DIRECTION_CHUNK))]
+        assert draws == [(0, c) for c in range(math.ceil(70000 / DIRECTION_CHUNK))]
 
     def test_moment_mc_rows_are_stderr_units_of_moment_mc(self, capsys):
         from segreform.cli import MC_MOMENT_PAIRS
@@ -323,25 +316,25 @@ class TestVerify:
         assert row["value"] == stderr_units(mean, err, segre_forms(chern_forms(t, t.r), 2)[1])
         assert code == (0 if row["pass"] else 1)
 
-    def test_pushforward_single_sample_is_usage_error(self, he_instance_path, capsys):
-        code, out = run_cli(capsys, "verify", "pushforward", "--in", he_instance_path,
-                            "--samples", "1")
+    def test_pushforward_single_sample_is_usage_error(self, tmp_path, capsys):
+        # the parser refuses the value before the (missing) input is read
+        code, out = run_cli(capsys, "verify", "pushforward", "--in",
+                            str(tmp_path / "missing.json"), "--samples", "1")
         assert code == 2
-        err = json.loads(out)["error"]
-        assert err["type"] == "usage" and "--samples" in err["message"]
+        assert json.loads(out) == {"error": {"type": "usage", "message": SINGLE_SAMPLE}}
 
     @pytest.mark.parametrize("argv", [["verify", "moments", "--r", "2", "--k", "1"],
                                       ["moments", "--r", "2", "--lambdas", "1"],
-                                      ["check", "lhe"]],
-                             ids=["verify-moments", "moments", "lhe"])
+                                      ["check", "lhe"], ["verify", "identity8"],
+                                      ["verify", "identity9"]],
+                             ids=["verify-moments", "moments", "lhe", "identity8", "identity9"])
     def test_single_sample_is_usage_error(self, he_instance_path, capsys, argv):
-        # one direction has no standard error and no spread
-        if argv[0] == "check":
+        # one direction has no standard error and no spread, nor a maximum worth the name
+        if argv[0] != "moments" and argv[1] != "moments":
             argv = argv + ["--in", he_instance_path]
         code, out = run_cli(capsys, *argv, "--samples", "1")
         assert code == 2
-        err = json.loads(out)["error"]
-        assert err["type"] == "usage" and "--samples" in err["message"]
+        assert json.loads(out) == {"error": {"type": "usage", "message": SINGLE_SAMPLE}}
 
     @pytest.mark.parametrize("argv", [["verify", "identity8"], ["verify", "moments"],
                                       ["check", "lhe"], ["moments", "--r", "2"]],
@@ -354,7 +347,7 @@ class TestVerify:
             assert code == 2
             assert json.loads(out) == {"error": {"type": "usage", "message":
                                                  "argument --samples: must be an integer in "
-                                                 f"[1, 100000000], got {samples}"}}
+                                                 f"[2, 100000000], got {samples}"}}
 
     @pytest.mark.parametrize("argv", [["check", "lhe", "--ell", "-2"],
                                       ["check", "lhe", "--ell", "0"],
@@ -654,6 +647,10 @@ class TestInvariantGuards:
         (["gen", "2", "2", "1", "--he", "1e60"], "validation", "would overflow"),
         (["gen", "2", "2", "1", "--strong-flat", "--he", "1e200"], "validation", "would overflow"),
         (["gen", "3", "3", "1", "--flat", "--he", "1e300"], "validation", "would overflow"),
+        (["gen", "2", "2", "1", "--strong-flat", "--he", "1e300", "--omega",
+          "[[1e70,0],[0,1e70]]"], "validation", "would overflow"),
+        (["gen", "2", "2", "1", "--flat", "--he", "1e300", "--omega", "[[1e70,0],[0,1e70]]"],
+         "validation", "coefficients must be finite"),
         (["gen", "2", "2", "1", "--flat", "--he", "-inf"], "usage",
          "--he: must be a finite number, got -inf"),
         (["check", "he", "--in", "t.json", "--tol", "-1e-300"], "usage",
@@ -673,9 +670,9 @@ class TestInvariantGuards:
         (["moments", "--r", "2", "--lambdas", "1", "--samples", "10", "--seed", "-5"], "usage",
          "--seed: must be an integer >= 0, got -5"),
         (["verify", "pushforward", "--in", "t.json", "--samples", "9" * 26], "usage",
-         "--samples: must be an integer in [1, 100000000], got " + "9" * 26),
+         "--samples: must be an integer in [2, 100000000], got " + "9" * 26),
         (["check", "lhe", "--in", "t.json", "--samples", "0"], "usage",
-         "--samples: must be an integer in [1, 100000000], got 0"),
+         "--samples: must be an integer in [2, 100000000], got 0"),
         (["check", "he", "--in", "t.json", "--tol", "0x10"], "usage",
          "argument --tol: invalid float value: '0x10'"),
         (["check", "kl"], "usage", "the following arguments are required: --in"),
@@ -704,7 +701,8 @@ class TestInvariantGuards:
          "k=10000000000 out of range [0, 2]")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
              "gen-strong-flat-he-inf", "gen-he-oversized", "gen-strong-flat-he-oversized",
-             "gen-flat-he-oversized", "gen-he-minus-inf",
+             "gen-flat-he-oversized", "gen-strong-flat-omega-overflow",
+             "gen-flat-omega-overflow", "gen-he-minus-inf",
              "check-tol-exponent", "gen-seed", "gen-flat-seed", "gen-strong-flat-seed",
              "verify-identity9-seed", "verify-pushforward-seed", "verify-moments-seed",
              "check-lhe-seed", "moments-seed", "samples-huge", "samples-zero", "tol-hex",

@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 
 from segreform import moments
 from segreform.cli import MC_MOMENT_PAIRS
-from segreform.curvature import chern_forms, random_curvature, segre_forms
+from segreform.curvature import Kaehler11, chern_forms, random_curvature, segre_forms
 from segreform.moments import (DIRECTION_CHUNK, _sample_stats, direction_chunks, moment_mc,
                                moment_wick, phi_k_tensor)
+from segreform.projective import gamma_profile, pushforward_mc
 from segreform.symfun import elem_sym
 
 from conftest import random_hermitian, traced_peak
 from oracles import (forms_equal, is_real, is_zero, moment_mc_loop, moment_permanent, permanent_int,
                      phi_k_scalar, phi_k_scalar_moments, phi_k_tensor_lex, phi_k_tensor_naive,
                      sample_directions)
+
+ONE_DIRECTION = "samples must be >= 2: a standard error or spread needs two directions"
 
 
 class TestMomentDiagonal:
@@ -90,10 +93,13 @@ class TestSampleStats:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_matches_all_at_once_statistics(self, kind, rows, samples):
         values = getattr(self, f"{kind}_values")
+        if samples == 1:  # one direction has no standard error and no spread
+            with pytest.raises(ValueError, match=re.escape(ONE_DIRECTION)):
+                _sample_stats(values, 3, samples, seed=8, rows=rows)
+            return
         mean, err, low, high = _sample_stats(values, 3, samples, seed=8, rows=rows)
         x = values(sample_directions(3, samples, seed=8))
-        ref_err = (np.std(x, axis=-1, ddof=1) / math.sqrt(samples) if samples > 1
-                   else np.zeros(x.shape[:-1]))
+        ref_err = np.std(x, axis=-1, ddof=1) / math.sqrt(samples)
         assert mean.shape == err.shape == x.shape[:-1]
         np.testing.assert_allclose(mean, x.mean(axis=-1), rtol=1e-12, atol=0)
         np.testing.assert_allclose(err, ref_err, rtol=1e-12, atol=0)
@@ -101,6 +107,16 @@ class TestSampleStats:
             assert np.array_equal(low, x.min(axis=-1)) and np.array_equal(high, x.max(axis=-1))
         else:
             assert low is None and high is None
+
+    @pytest.mark.parametrize("sampler", [
+        lambda: moment_mc(3, [((1,), (1,))], 1, seed=0),
+        lambda: pushforward_mc(random_curvature(2, 2, seed=7), 1, 1, 0),
+        lambda: gamma_profile(random_curvature(2, 2, seed=7), Kaehler11.euclidean(2), 2, 1, 0)],
+        ids=["moment_mc", "pushforward_mc", "gamma_profile"])
+    def test_one_direction_raises_before_drawing(self, draws, sampler):
+        with pytest.raises(ValueError, match=re.escape(ONE_DIRECTION)):
+            sampler()
+        assert draws == []
 
 
 def index_pairs(r, max_k):
@@ -174,15 +190,7 @@ class TestMomentMC:
         [(est, err)] = moment_mc(3, [((), ())], 10, seed=0)
         assert est == 1 and err == 0
 
-    def test_degree_zero_batch_draws_nothing(self, monkeypatch):
-        draws = []
-
-        def counted(*args):
-            draws.append(args)
-            return complex_normals(*args)
-
-        complex_normals = moments._complex_normals
-        monkeypatch.setattr(moments, "_complex_normals", counted)
+    def test_degree_zero_batch_draws_nothing(self, draws):
         assert moment_mc(3, [((), ())] * 3, 10, seed=0) == [(1, 0)] * 3
         assert draws == []
         moment_mc(3, [((), ()), ((1,), (1,))], 10, seed=0)  # the counter sees a draw
@@ -191,7 +199,7 @@ class TestMomentMC:
     @pytest.mark.parametrize("samples", [0, -1])
     @pytest.mark.parametrize("batch", [[((1,), (1,))], [((), ())], []])
     def test_rejects_samples_below_one(self, batch, samples):
-        with pytest.raises(ValueError, match="samples must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape(ONE_DIRECTION)):
             moment_mc(3, batch, samples, seed=0)
 
     @pytest.mark.parametrize("lambdas, mus, message", BAD_INDICES)

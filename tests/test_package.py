@@ -1,6 +1,7 @@
 """The lazy package namespace, and the CLI process's BLAS threads, imports and
 garbage-collector freeze, checked in child processes; and the one reader of the
-direction stream and the one home of each input bound, checked in the sources."""
+direction stream and the one home of each input bound and of the sample-count rule,
+checked in the sources."""
 
 import ast
 import gc
@@ -176,3 +177,13 @@ class TestOneHomePerBound:
         assert readers == {"MAX_TOP_POWER": {"curvature.Kaehler11", "curvature.CurvatureTensor"},
                            "MAX_OMEGA_CONDITION": {"curvature.Kaehler11"}}
         assert not any(bound in Path(cli.__file__).read_text(encoding="utf-8") for bound in bounds)
+
+    def test_only_sample_stats_refuses_a_sample_count(self):
+        # every sampled statistic needs two directions, a rule that moments._sample_stats
+        # alone raises on: the samplers inherit it, and the CLI's parser bounds --samples
+        raisers = [f"{path.stem}.{getattr(top, 'name', type(top).__name__)}"
+                   for path in sorted(Path(moments.__file__).parent.glob("*.py"))
+                   for top in ast.parse(path.read_text(encoding="utf-8")).body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Raise) and "samples" in ast.unparse(node)]
+        assert raisers == ["moments._sample_stats"]

@@ -23,7 +23,7 @@ from segreform.projective import (gamma_profile, identity_residuals, pushforward
 
 from conftest import random_spd, stderr_units, traced_peak
 from oracles import (block_embed, direction_form, factorial_power, gamma_profile_loop,
-                     gamma_rel, hermitian_deviation, is_real, is_zero, pushforward_mc_loop,
+                     gamma_rel, hermitian_deviation, is_real, pushforward_mc_loop,
                      rotate_tensor, sample_directions, top_form_residual,
                      unitary_sending_last_to, xi_at)
 
@@ -152,16 +152,9 @@ class TestPushforward:
         peak = traced_peak(pushforward_mc, t, 2, 2 * DIRECTION_CHUNK, 0)
         assert traced_peak(pushforward_mc, t, 2, 8 * DIRECTION_CHUNK, 0) <= 1.5 * peak
 
-    def test_mc_single_sample_has_zero_stderr(self):
-        t = random_curvature(2, 2, seed=4)
-        mean, err = pushforward_mc(t, 1, 1, 0)
-        theta = Form.one_one(direction_form(t, sample_directions(2, 1, 0)[0]))
-        assert (mean + 2 * theta).max_abs() <= 1e-14
-        assert is_zero(err)
-
     @pytest.mark.parametrize("samples", [0, -1])
     def test_mc_rejects_samples_below_one(self, samples):
-        with pytest.raises(ValueError, match="samples must be >= 1"):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
             pushforward_mc(random_curvature(2, 2, seed=7), 1, samples, 1)
 
     def test_frame_invariance(self, rng):
@@ -475,7 +468,7 @@ class TestGammaProfile:
     @pytest.mark.parametrize("samples", [0, -1])
     def test_rejects_samples_below_one(self, samples):
         w = Kaehler11.euclidean(2)
-        with pytest.raises(ValueError, match="samples must be >= 1"):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
             gamma_profile(random_curvature(2, 2, seed=7), w, 1, samples=samples, seed=0)
 
     @pytest.mark.parametrize("ell", [0, 3])

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import (MAX_DIM, Kaehler11, PreconditionError, TensorValidationError,
-                        _he_deviation, _is_number, check_dims, chern_forms, is_hermite_einstein,
+                        _he_deviation, _is_number, _require_he, check_dims, chern_forms,
                         load_tensor, project_to_he, projectively_flat_tensor, random_curvature,
                         segre_forms, strong_flat_tensor, tensor_to_dict)
 from .report import MC_UNITS, NonFiniteError, Report, canonical_json, stderr_units
@@ -175,27 +175,20 @@ def _verify_pushforward(args, report):
 
 
 def _verify_identity8(args, report):
-    from . import moments, projective
+    from .projective import identity_max
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
-    he, lam = is_hermite_einstein(t, w)
-    worst = float(moments._sample_stats(
-        lambda V: projective.identity_residuals(t, w, V, 1, -lam if he else None)[1],
-        t.r, args.samples, args.seed)[3])
-    if he:
-        report.add("identity8_residual_max", {"residual": worst, "slope": lam}, args.tol, worst)
-    else:
-        report.add("identity8_general_residual_max", worst, args.tol)
+    lam = _require_he(t, w)  # the paper states identity (8) for Hermite-Einstein input only
+    worst = float(identity_max(t, w, [1], args.samples, args.seed, -lam)[0])
+    report.add("identity8_residual_max", {"residual": worst, "slope": lam}, args.tol, worst)
 
 
 def _verify_identity9(args, report):
-    from . import moments, projective
+    from .projective import identity_max
     t = _load_input(args)
     w = parse_omega(args.omega, t.n)
     ks = [args.k] if args.k is not None else list(range(1, t.n + 1))
-    worst = moments._sample_stats(lambda V: projective.identity_residuals(t, w, V, ks)[1],
-                                  t.r, args.samples, args.seed)[3]
-    for k, res in zip(ks, worst.tolist()):
+    for k, res in zip(ks, identity_max(t, w, ks, args.samples, args.seed).tolist()):
         report.add(f"identity9_residual_max_k{k}", res, args.tol)
 
 
@@ -290,7 +283,7 @@ def build_parser():
                                   help="symmetrize instead of rejecting non-hermitian input"),
              "--omega": dict(default="euclidean"),
              "--tol": dict(type=_number(float, 0), default=DEFAULT_TOL),
-             "--k": dict(type=_number(int, 0)),
+             "--k": dict(type=_number(int, 0, MAX_DIM)),
              "--r": dict(type=_number(int, 1, MAX_DIM)),
              "--ell": dict(type=_number(int, 1)),
              "--samples": dict(type=_number(int, 2, MAX_SAMPLES)),

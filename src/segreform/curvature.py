@@ -225,6 +225,15 @@ def _he_deviation(t, w):
     return float(np.abs(T - lam * np.eye(t.r)).max()), lam
 
 
+def _require_he(t, w):
+    """The slope lambda of Hermite-Einstein input; a PreconditionError for any other."""
+    dev, lam = _he_deviation(t, w)
+    if dev > DEFAULT_HE_TOL:
+        raise PreconditionError(
+            f"tensor is not Hermite-Einstein within {DEFAULT_HE_TOL:g} (deviation {dev:.3e})")
+    return lam
+
+
 def is_hermite_einstein(t, w):
     """Whether T == lambda * Id within DEFAULT_HE_TOL; returns (flag, lambda = tr(T)/r)."""
     dev, lam = _he_deviation(t, w)

@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from .curvature import (DEFAULT_EQUALITY_TOL, DEFAULT_HE_TOL, PreconditionError,
-                        _he_deviation, chern_forms, is_projectively_flat, omega_ratio,
-                        segre_forms, strong_flat_tensor)
+from .curvature import (DEFAULT_EQUALITY_TOL, PreconditionError, _require_he, chern_forms,
+                        is_projectively_flat, omega_ratio, segre_forms, strong_flat_tensor)
 from .exterior import wedge
 
 
@@ -30,14 +29,6 @@ def _ratio(form, w):
     if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
         raise ArithmeticError(f"expected a real ratio, got {val}")
     return float(val.real)
-
-
-def _require_he(t, w):
-    dev, lam = _he_deviation(t, w)
-    if dev > DEFAULT_HE_TOL:
-        raise PreconditionError(
-            f"tensor is not Hermite-Einstein within {DEFAULT_HE_TOL:g} (deviation {dev:.3e})")
-    return lam
 
 
 def kl_classical(t, w):

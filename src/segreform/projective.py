@@ -12,9 +12,11 @@ k x k minors of the matrix of theta_v, which fill the array of theta_v^k.
 Only that top vertical power survives in a top form, so the top-form
 identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: a Laplace
 contraction of the minors of -theta_v against the complementary minors of
-omega (curvature.omega_ratio), batched over directions and compared with gamma_k(theta_v/omega) from
-a batched eigensolve.  Every sampler reads the seed's direction stream through
-moments._sample_stats, in blocks whose per-direction arrays stay within _BLOCK_BYTES.
+omega (curvature.omega_ratio), batched over directions and compared with
+gamma_k(theta_v/omega) from a batched eigensolve.  identity_residuals takes
+the directions it is given at once; the samplers, identity_max among them,
+read the seed's direction stream through moments._sample_stats, in blocks
+whose per-direction arrays stay within _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -68,30 +70,30 @@ def identity_residuals(t, w, V, k, scalar=None):
     of that difference of top forms on C^(n+r-1).  scalar defaults to
     (-1)^k gamma_k(theta_v/omega) per direction; a number, such as -lambda
     for the Hermite-Einstein form at k = 1, applies to all.  A sequence of
-    degrees k gives arrays with one row per degree, from one build of each
-    block's directional matrices and eigenvalues.
+    degrees k gives arrays with one row per degree, from one build of the
+    directional matrices and eigenvalues of V; identity_max blocks V.
     """
     ks = np.atleast_1d(k).tolist()
     for deg in ks:
         if not 1 <= deg <= t.n:
             raise ValueError(f"k={deg} out of range [1, {t.n}]")
-    V = np.asarray(V)
     vol = np.prod(w.eigenvalues)  # |omega^n/n!|; the top vertical power has modulus (2pi)^(1-r)
-    rows = min(_block_rows(t.n, deg) for deg in ks)
-    ratios, residuals = [], []
-    for start in range(0, max(len(V), 1), rows):
-        G = direction_matrices(t, V[start:start + rows])
-        ratio = np.array([omega_ratio(one_one_power(-G, deg) / math.factorial(deg), w, deg)
-                          for deg in ks])
-        if scalar is None:
-            eigs = relative_eigenvalues(G, w)
-            s = np.array([(-1.0) ** deg * elem_sym(eigs, deg) for deg in ks])
-        else:
-            s = scalar
-        ratios.append(ratio)
-        residuals.append(np.abs(ratio - s) * vol / TWO_PI ** (t.r - 1))
-    ratios, residuals = np.concatenate(ratios, axis=1), np.concatenate(residuals, axis=1)
-    return (ratios, residuals) if np.ndim(k) else (ratios[0], residuals[0])
+    G = direction_matrices(t, V)
+    ratio = np.array([omega_ratio(one_one_power(-G, deg) / math.factorial(deg), w, deg)
+                      for deg in ks])
+    if scalar is None:
+        eigs = relative_eigenvalues(G, w)
+        scalar = np.array([(-1.0) ** deg * elem_sym(eigs, deg) for deg in ks])
+    residual = np.abs(ratio - scalar) * vol / TWO_PI ** (t.r - 1)
+    return (ratio, residual) if np.ndim(k) else (ratio[0], residual[0])
+
+
+def identity_max(t, w, ks, samples, seed, scalar=None):
+    """Largest residual of identity_residuals(t, w, V, ks, scalar) over the first `samples`
+    directions of the seed's stream, one per degree of the sequence ks, in blocks of
+    directions whose arrays for every degree stay within _BLOCK_BYTES."""
+    return _sample_stats(lambda V: identity_residuals(t, w, V, ks, scalar)[1], t.r, samples,
+                         seed, min(_block_rows(t.n, k) for k in ks))[3]
 
 
 def gamma_profile(t, w, ell, samples, seed):

@@ -41,9 +41,9 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import numpy as np
 
 from segreform.curvature import (DEFAULT_EQUALITY_TOL, CurvatureTensor, PreconditionError,
-                                 _complex_normals, direction_matrices, omega_ratio)
+                                 _complex_normals, _require_he, direction_matrices, omega_ratio)
 from segreform.exterior import Form, _basis, wedge
-from segreform.inequalities import _require_he, kl_classical
+from segreform.inequalities import kl_classical
 from segreform.kahler import relative_eigenvalues
 from segreform.moments import direction_chunks
 from segreform.symfun import elem_sym

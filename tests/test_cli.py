@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -358,19 +359,24 @@ class TestVerify:
                                       ["moments", "--r", "33", "--lambdas", "1"],
                                       ["moments", "--r", "1000000", "--lambdas", "1"],
                                       ["verify", "moments", "--r", "32", "--k", "6"],
-                                      ["verify", "moments", "--r", "2", "--k", "446"]],
+                                      ["verify", "moments", "--r", "2", "--k", "446"],
+                                      ["verify", "moments", "--r", "1", "--k", "99999"]],
                              ids=["ell-negative", "ell-zero", "moments-r-zero",
                                   "moments-k-negative", "moments-r-above-max",
                                   "moment-r-above-max", "moment-r-huge",
-                                  "moments-grid-r32-k6", "moments-grid-r2-k446"])
+                                  "moments-grid-r32-k6", "moments-grid-r2-k446",
+                                  "moments-r1-k-huge"])
     def test_integer_option_out_of_range_is_usage_error(self, he_instance_path, capsys,
                                                         argv):
         # each of these used to run with a substituted value, no check at all,
-        # or for minutes (factorial(999999); 2.7 M or 100,128 diagonal moment terms)
+        # or for minutes to hours (factorial(999999); 2.7 M or 100,128 diagonal moment
+        # terms; norm rows whose big-integer factorials grow as k^3)
         if argv[0] == "check":
             argv = argv + ["--in", he_instance_path]
+        start = time.perf_counter()
         code, out = run_cli(capsys, *argv)  # the parser, or the --r by --k bound after it
-        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert (code, out.count("\n")) == (2, 1)
         assert json.loads(out)["error"]["type"] == "usage"
 
     def test_pushforward_at_five_five(self, tmp_path, capsys):
@@ -697,8 +703,10 @@ class TestInvariantGuards:
          "ell=5 out of range [1, 2]"),
         (["verify", "identity9", "--in", "t.json", "--k", "7"], "usage",
          "k=7 out of range [1, 2]"),
-        (["verify", "pushforward", "--in", "t.json", "--k", "10000000000"], "usage",
-         "k=10000000000 out of range [0, 2]")],
+        (["verify", "pushforward", "--in", "t.json", "--k", "3"], "usage",
+         "k=3 out of range [0, 2]"),
+        (["verify", "identity8", "--in", "raw.json"], "precondition",
+         "tensor is not Hermite-Einstein within 1e-09 (deviation 5.000e-01)")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
              "gen-strong-flat-he-inf", "gen-he-oversized", "gen-strong-flat-he-oversized",
              "gen-flat-he-oversized", "gen-strong-flat-omega-overflow",
@@ -709,10 +717,12 @@ class TestInvariantGuards:
              "missing-in", "gen-conflicting-flags", "omega-subnormal", "gen-omega-subnormal",
              "gen-omega-near-float-max", "pushforward-omega-r", "moments-tol", "identity8-k",
              "he-ell-samples", "moments-in-omega", "lhe-ell-past-n", "identity9-k-past-n",
-             "pushforward-k-past-n"])
+             "pushforward-k-past-n", "identity8-non-he"])
     def test_bad_input_is_one_error_line(self, tmp_path, argv, kind, words):
         # in a child process, so that a traceback or a warning on stderr would show
         (tmp_path / "t.json").write_text('{"n": 2, "r": 1, "coeffs": []}')
+        (tmp_path / "raw.json").write_text(  # mean curvature diag(1, 0): not Hermite-Einstein
+            '{"n": 1, "r": 2, "coeffs": [{"j": 1, "k": 1, "lambda": 1, "mu": 1, "re": 1, "im": 0}]}')
         (tmp_path / "deep.json").write_text("[" * 100_000)
         code, out, err = run_child(tmp_path, *argv)
         assert (code, err, out.count("\n")) == (2, "", 1)
@@ -773,8 +783,8 @@ class TestMomentsCommand:
 
 # row name -> its measured number, read from its value (lhe_level: from the gamma rows)
 MEASURED = {
-    r"pushforward_vs_segre_k\d+|pushforward_mc_k\d+_stderr_units|identity8_general_residual_max"
-    r"|identity9_residual_max_k\d+|moment_norm_k\d+|moment_mc_l\d+_m\d+|thm12_rhs_agreement":
+    r"pushforward_vs_segre_k\d+|pushforward_mc_k\d+_stderr_units|identity9_residual_max_k\d+"
+    r"|moment_norm_k\d+|moment_mc_l\d+_m\d+|thm12_rhs_agreement":
         lambda value, rows: value,
     "identity8_residual_max": lambda value, rows: value["residual"],
     "hermite_einstein": lambda value, rows: value["deviation"],
@@ -801,7 +811,6 @@ class TestOneRule:
         runs = [["verify", "pushforward", "--in", "he22", "--samples", "500"],
                 ["verify", "pushforward", "--in", "rand22", "--tol", "0", "--samples", "20"],
                 ["verify", "identity8", "--in", "he22", "--samples", "5"],
-                ["verify", "identity8", "--in", "rand22", "--tol", "0", "--samples", "5"],
                 ["verify", "identity9", "--in", "he22", "--samples", "5"],
                 ["verify", "identity9", "--in", "rand22", "--tol", "0", "--samples", "5"],
                 ["verify", "moments", "--r", "2", "--k", "2", "--samples", "500"],
@@ -828,6 +837,10 @@ class TestOneRule:
                 verdicts.add(row["pass"])
             assert code == (0 if all(row["pass"] for row in rows) else 1), argv
         assert verdicts == {True, False}
+        # identity (8) needs Hermite-Einstein input: on any other there is no row to judge
+        code, out = run_cli(capsys, "verify", "identity8", "--in", paths["rand22"], "--tol", "0",
+                            "--samples", "5")
+        assert (code, json.loads(out)["error"]["type"]) == (2, "precondition")
 
     def test_a_row_returns_its_flag_and_a_dict_value_needs_its_measured_number(self):
         from segreform.report import Report

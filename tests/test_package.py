@@ -1,7 +1,7 @@
 """The lazy package namespace, and the CLI process's BLAS threads, imports and
 garbage-collector freeze, checked in child processes; and the one reader of the
-direction stream and the one home of each input bound and of the sample-count rule,
-checked in the sources."""
+direction stream, its callers, the one home of each input bound and of the
+sample-count rule, and the use of every imported name, checked in the sources."""
 
 import ast
 import gc
@@ -158,6 +158,29 @@ class TestOneReduction:
                        for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))):
                     readers.add(f"{path.stem}.{getattr(top, 'name', type(top).__name__)}")
         assert readers == {"moments._sample_stats"}
+
+    def test_only_the_library_samplers_call_sample_stats(self):
+        # the samplers of moments and projective block their directions for _sample_stats:
+        # any other caller, the CLI among them, calls a sampler
+        callers = {path.stem for path in Path(moments.__file__).parent.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_sample_stats"}
+        assert callers == {"moments", "projective"}
+
+
+class TestImports:
+    def test_every_imported_name_is_read(self):
+        # no linter runs on the package: a name an import binds and the module never reads
+        # is a dependency the code does not have
+        for path in sorted(Path(moments.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            bound = {(alias.asname or alias.name).partition(".")[0]
+                     for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and getattr(node, "module", None) != "__future__" for alias in node.names}
+            assert bound <= read, (path.name, sorted(bound - read))
 
 
 class TestOneHomePerBound:

@@ -18,8 +18,8 @@ from segreform.kahler import relative_eigenvalues
 from segreform.moments import DIRECTION_CHUNK
 from segreform.report import canonical_json
 from segreform.symfun import elem_sym
-from segreform.projective import (gamma_profile, identity_residuals, pushforward_exact,
-                                  pushforward_mc)
+from segreform.projective import (gamma_profile, identity_max, identity_residuals,
+                                  pushforward_exact, pushforward_mc)
 
 from conftest import random_spd, stderr_units, traced_peak
 from oracles import (block_embed, direction_form, factorial_power, gamma_profile_loop,
@@ -241,15 +241,19 @@ class TestSlopeIdentity:
         assert slope_residuals(t, w, V).max() <= 1e-12
 
     def test_non_he_directed_to_general(self, tmp_path, capsys):
-        # without a constant slope, verify identity8 checks the general degree-1 identity
+        # identity (8) needs a constant slope: without one, verify identity8 is a precondition
+        # error, and the general degree-1 identity is verify identity9 --k 1
         w = Kaehler11.euclidean(2)
         t = random_curvature(2, 2, seed=11)
         assert not is_hermite_einstein(t, w)[0]
         path = tmp_path / "t.json"
         path.write_text(canonical_json(tensor_to_dict(t)))
-        assert main(["verify", "identity8", "--in", str(path), "--samples", "5"]) == 0
+        assert main(["verify", "identity8", "--in", str(path), "--samples", "5"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "precondition"
+        assert main(["verify", "identity9", "--in", str(path), "--samples", "5", "--k", "1"]) == 0
         [row] = json.loads(capsys.readouterr().out)["results"]
-        assert row["name"] == "identity8_general_residual_max"
+        # the value verify identity8 reported for this input as identity8_general_residual_max
+        assert row["name"] == "identity9_residual_max_k1" and row["value"] == 5.3009244691058611e-17
 
 
 class TestBatchedIdentities:
@@ -285,11 +289,9 @@ class TestBatchedIdentities:
     def test_blocks_do_not_change_values(self, monkeypatch):
         t = random_curvature(3, 2, seed=40)
         w = Kaehler11.euclidean(3)
-        V = sample_directions(2, 50, seed=2)
-        whole = identity_residuals(t, w, V, 2)
+        whole = identity_max(t, w, [2], 50, 2)
         monkeypatch.setattr(projective, "_BLOCK_BYTES", 1)
-        for a, b in zip(whole, identity_residuals(t, w, V, 2)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(whole, identity_max(t, w, [2], 50, 2))
 
     def test_omega_minors_built_once_per_degree(self, monkeypatch):
         calls = []
@@ -301,8 +303,7 @@ class TestBatchedIdentities:
         one_one_power = curvature.one_one_power
         monkeypatch.setattr(curvature, "one_one_power", counted)
         monkeypatch.setattr(projective, "_BLOCK_BYTES", 1)  # one direction per block
-        t = random_curvature(3, 2, seed=40)
-        identity_residuals(t, Kaehler11.euclidean(3), sample_directions(2, 50, seed=2), 2)
+        identity_max(random_curvature(3, 2, seed=40), Kaehler11.euclidean(3), [2], 50, 2)
         assert sorted(calls) == [1, 3]  # omega^(n-k) and omega^n, once each
 
     @pytest.mark.parametrize("scalar", [None, -0.7])
@@ -310,13 +311,16 @@ class TestBatchedIdentities:
         t = random_curvature(4, 3, seed=42)
         w = Kaehler11.euclidean(4)
         V = sample_directions(3, 300, seed=5)
-        monkeypatch.setattr(projective, "_BLOCK_BYTES", 1 << 16)  # blocks differ by degree
         ratios, residuals = identity_residuals(t, w, V, [1, 2, 3, 4], scalar)
         assert ratios.shape == residuals.shape == (4, 300)
         for k in range(1, 5):
             one = identity_residuals(t, w, V, k, scalar)
             assert np.array_equal(ratios[k - 1], one[0])
             assert np.array_equal(residuals[k - 1], one[1])
+        worst = identity_max(t, w, [1, 2, 3, 4], 300, 5, scalar)
+        monkeypatch.setattr(projective, "_BLOCK_BYTES", 1 << 16)  # blocks differ by degree
+        assert worst.shape == (4,)
+        assert worst.tolist() == [identity_max(t, w, [k], 300, 5, scalar)[0] for k in range(1, 5)]
 
     def test_directions_built_once_for_all_degrees(self, monkeypatch):
         calls = {"direction_matrices": 0, "relative_eigenvalues": 0}
@@ -332,8 +336,7 @@ class TestBatchedIdentities:
         for name in calls:
             monkeypatch.setattr(projective, name, counted(name))
         monkeypatch.setattr(projective, "_BLOCK_BYTES", 1)  # one direction per block
-        t = random_curvature(3, 3, seed=40)
-        identity_residuals(t, Kaehler11.euclidean(3), sample_directions(3, 50, seed=2), [1, 2, 3])
+        identity_max(random_curvature(3, 3, seed=40), Kaehler11.euclidean(3), [1, 2, 3], 50, 2)
         assert calls == {"direction_matrices": 50, "relative_eigenvalues": 50}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -370,30 +373,36 @@ class TestSampledIdentityMaxima:
         return json.dumps([[[z.real, z.imag] for z in row] for row in random_spd(3, rng)])
 
     @staticmethod
-    def run(tmp_path, capsys, t, omega, argv):
-        """The result rows of `verify argv` on t, and the tensor, omega and directions it read."""
+    def run(tmp_path, capsys, t, omega, argv, code=0):
+        """The output of `verify argv` on t, and the tensor, omega and directions it read."""
         path = tmp_path / "t.json"
         path.write_text(canonical_json(tensor_to_dict(t)))
         assert main(["verify", *argv, "--in", str(path), "--omega", omega,
-                     "--samples", "25", "--seed", "6"]) == 0
+                     "--samples", "25", "--seed", "6"]) == code
         t = curvature.load_tensor(path)
-        return (json.loads(capsys.readouterr().out)["results"], t, parse_omega(omega, t.n),
+        return (json.loads(capsys.readouterr().out), t, parse_omega(omega, t.n),
                 sample_directions(t.r, 25, 6))
 
     @pytest.mark.parametrize("he", [False, True])
     def test_identity8(self, tmp_path, capsys, omega, he):
+        # identity (8) holds for Hermite-Einstein input; any other is a precondition error
         t = random_curvature(3, 2, seed=12)
         if he:
             t = project_to_he(t, parse_omega(omega, 3), 0.7)
-        [row], t, w, V = self.run(tmp_path, capsys, t, omega, ["identity8"])
+        out, t, w, V = self.run(tmp_path, capsys, t, omega, ["identity8"], 0 if he else 2)
         is_he, lam = is_hermite_einstein(t, w)
         assert is_he == he
-        worst = max(float(identity_residuals(t, w, [v], 1, -lam if he else None)[1][0]) for v in V)
-        assert (row["value"]["residual"] if he else row["value"]) == worst
+        if not he:
+            assert out["error"]["type"] == "precondition"
+            return
+        worst = max(float(identity_residuals(t, w, [v], 1, -lam)[1][0]) for v in V)
+        [row] = out["results"]
+        assert row["value"]["residual"] == worst
 
     def test_identity9(self, tmp_path, capsys, omega):
-        rows, t, w, V = self.run(tmp_path, capsys, random_curvature(3, 2, seed=13), omega,
-                                 ["identity9"])
+        out, t, w, V = self.run(tmp_path, capsys, random_curvature(3, 2, seed=13), omega,
+                                ["identity9"])
+        rows = out["results"]
         per_direction = np.array([identity_residuals(t, w, [v], [1, 2, 3])[1][:, 0] for v in V])
         assert [row["value"] for row in rows] == np.max(per_direction, axis=0).tolist()
 

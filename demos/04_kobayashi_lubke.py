@@ -37,7 +37,7 @@ print("\nomega-proportional instance:", sf.kl_segre(strong, w))
 print("projectively flat:", sf.is_projectively_flat(strong),
       " strong-flat (Segre-form equality):", sf.kl_segre(strong, w)["equality"])
 
-flat = sf.projectively_flat_tensor(n, r, seed=5, w=w, lam=lam)
+flat = sf.project_to_he(sf.projectively_flat_tensor(n, r, seed=5), w, lam)
 print("\nbeta-tensor-identity instance:")
 print("  classical:", sf.kl_classical(flat, w))         # equality fires
 print("  Segre-form margin:", round(sf.kl_segre(flat, w)["margin"], 6), "(strict)")

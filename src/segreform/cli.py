@@ -130,10 +130,9 @@ def cmd_gen(args):
         if args.he is None:
             raise UsageError("--strong-flat needs --he LAMBDA to fix the slope")
         t = strong_flat_tensor(args.n, args.r, w, args.he)
-    elif args.flat:
-        t = projectively_flat_tensor(args.n, args.r, args.seed, w=w, lam=args.he)
     else:
-        t = random_curvature(args.n, args.r, args.seed)
+        make = projectively_flat_tensor if args.flat else random_curvature
+        t = make(args.n, args.r, args.seed)
         if args.he is not None:
             t = project_to_he(t, w, args.he)
     _emit(canonical_json(tensor_to_dict(t)), args.out)

@@ -17,7 +17,8 @@ curvature matrix by Newton's identities, Segre forms from inverting the
 total Chern form degree by degree.  Every ratio of a top form against
 omega^n/n!, the mean curvature among them, is one Laplace contraction of
 minors (omega_ratio), which each Kaehler11 builds once per degree.
-Projective flatness reads only c; tolerances are module constants.
+Projective flatness reads only c; tolerances are module constants; project_to_he
+is the one Hermite-Einstein shift, of a random or of a projectively flat base.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class Kaehler11:
 
 
 class CurvatureTensor:
-    """Normalised curvature (i/2pi)*Theta(E,h) at a point, in a normal frame: c is a
-    read-only copy of the caller's array, checked here once for every later use: its
-    shape, max|c|^(n+r-1) <= MAX_TOP_POWER, then finite entries and hermitian symmetry."""
+    """Normalised curvature (i/2pi)*Theta(E,h) at a point, in a normal frame: c is the
+    read-only Hermitian part of the caller's array, checked here once for every later use:
+    its shape, max|c|^(n+r-1) <= MAX_TOP_POWER, then finite entries and hermitian symmetry."""
 
     __slots__ = ("n", "r", "c")
 
@@ -105,7 +106,7 @@ class CurvatureTensor:
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 and r >= 1")
         shape = (self.n, self.n, self.r, self.r)
-        c = np.zeros(shape, dtype=complex) if c is None else np.array(c, dtype=complex)
+        c = np.zeros(shape, dtype=complex) if c is None else np.asarray(c, dtype=complex)
         if c.shape != shape:
             raise ValueError(f"coefficient array has shape {c.shape}, expected {shape}")
         top = self.n + self.r - 1
@@ -125,8 +126,8 @@ class CurvatureTensor:
             raise TensorValidationError(
                 "hermitian symmetry conj(c[j,k,lam,mu]) = c[k,j,mu,lam] violated at "
                 f"(j,k,lambda,mu)=({j + 1},{k + 1},{lam + 1},{mu + 1}), deviation {worst:.3e}")
-        c.flags.writeable = False
-        self.c = c
+        self.c = 0.5 * (c + c.conj().transpose(1, 0, 3, 2))  # kill roundoff asymmetry
+        self.c.flags.writeable = False
 
     def entry(self, mu, lam):
         """The (1,1)-form Theta_hat[mu, lam] (0-based frame indices)."""
@@ -151,8 +152,9 @@ def chern_forms(t, top):
         if k > min(t.n, t.r):
             forms.append(Form(t.n, k, k))
             continue
-        if k > 1:
+        if k > 1:  # the last degree computed needs only the diagonal, for the trace
             power = [[_sum_forms(wedge(power[a][b], theta[b][d]) for b in range(t.r))
+                      if k < min(top, t.n, t.r) or d == a else None
                       for d in range(t.r)] for a in range(t.r)]
         sums.append(_sum_forms(power[a][a] for a in range(t.r)))
         forms.append(_sum_forms((-1.0) ** (i - 1) * wedge(forms[k - i], sums[i])
@@ -241,12 +243,11 @@ def is_hermite_einstein(t, w):
 
 
 def project_to_he(t, w, lam):
-    """Shift t by (omega/n) tensor (lam*Id - T) so the result has T' = lam*Id."""
-    T = mean_curvature(t, w)
-    gap = float(lam) * np.eye(t.r) - T
+    """Shift t by (omega/n) tensor (lam*Id - T) so that T' = lam*Id.  On a projectively
+    flat base beta tensor Id, T is exactly a multiple of Id, so the image is beta' tensor Id."""
+    gap = float(lam) * np.eye(t.r) - mean_curvature(t, w)
     # added entry for Theta_hat[mu,lam] is (omega/n) * gap[mu,lam]
-    add = np.einsum("jk,ml->jklm", w.g / t.n, gap)
-    return CurvatureTensor(t.n, t.r, t.c + add)
+    return CurvatureTensor(t.n, t.r, t.c + np.einsum("jk,ml->jklm", w.g / t.n, gap))
 
 
 def _splitmix64(state, start, stop):
@@ -308,22 +309,11 @@ def strong_flat_tensor(n, r, w, lam):
     return CurvatureTensor(n, r, c)
 
 
-def projectively_flat_tensor(n, r, seed, w=None, lam=None):
+def projectively_flat_tensor(n, r, seed):
     """A random instance Theta_hat = beta tensor Id with beta a Hermitian matrix,
-    the coefficients of a real (1,1)-form.
-
-    If w and lam are given, beta is shifted by a multiple of omega so the
-    mean curvature has trace r*lam (slope exactly lam).
-    """
+    the coefficients of a real (1,1)-form; project_to_he fixes its slope."""
     b = _complex_normals((seed,), n * n).reshape(n, n)
-    beta = 0.5 * (b + b.conj().T)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is past the bound
-        if w is not None and lam is not None:
-            cur = float(omega_ratio(1j * beta, w, 1).real)
-            beta = beta + ((float(lam) - cur) / n) * w.g
-            beta = 0.5 * (beta + beta.conj().T)
-        c = np.einsum("jk,ml->jklm", beta, np.eye(r))
-    return CurvatureTensor(n, r, c)
+    return CurvatureTensor(n, r, np.einsum("jk,ml->jklm", 0.5 * (b + b.conj().T), np.eye(r)))
 
 
 def is_projectively_flat(t):

@@ -11,7 +11,9 @@ lambdas in lexicographic order keeping every suffix sum, one Python-float
 loop for gamma_k, one wedge power or one eigensolve per sampled fiber
 direction for the Monte Carlo pushforward and the gamma_k profile, a merge
 of sorted index tuples per pair of nonzero coefficients for the wedge, the
-permutation expansion of principal minors for the Chern forms, and the
+permutation expansion of principal minors and the full matrix power
+Theta_hat^k at every degree (the library builds only the diagonal of the last
+one, for its trace) for the Chern forms, and the
 combined form Xi on C^(n+r-1), in a frame whose last vector is the fiber
 direction, for the top-form identities.
 
@@ -29,12 +31,14 @@ A form built from a {(I, J): c} mapping (form_from_dict), the
 predicates on forms (is_zero, allclose, is_real, forms_equal), the
 symmetry deviation of a curvature tensor and the direction stream gathered
 into one array (sample_directions) serve the tests only, so they live here,
-as does the projectively flat generator through real-form arithmetic, one
-symmetrization per sum or multiple (projectively_flat_tensor_forms), the
-reference for the bytes of the library's generator.
+as does the projectively flat generator of a given slope through real-form
+arithmetic, one symmetrization per sum or multiple
+(projectively_flat_tensor_forms), the reference for project_to_he on a flat base.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -606,6 +610,24 @@ def chern_forms_minors(t):
     return forms
 
 
+def chern_forms_full_power(t, top):
+    """curvature.chern_forms with every matrix power Theta_hat^k built in full."""
+    theta = [[t.entry(mu, lam) for lam in range(t.r)] for mu in range(t.r)]
+    add = functools.partial(functools.reduce, operator.add)
+    power, sums, forms = theta, [None], [Form.constant(t.n)]
+    for k in range(1, top + 1):
+        if k > min(t.n, t.r):
+            forms.append(Form(t.n, k, k))
+            continue
+        if k > 1:
+            power = [[add(wedge(power[a][b], theta[b][d]) for b in range(t.r))
+                      for d in range(t.r)] for a in range(t.r)]
+        sums.append(add(power[a][a] for a in range(t.r)))
+        forms.append(add((-1.0) ** (i - 1) * wedge(forms[k - i], sums[i])
+                         for i in range(1, k + 1)) / k)
+    return forms
+
+
 def unitary_sending_last_to(v):
     """A unitary matrix whose last column is v/|v| (deterministic in v)."""
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -703,8 +725,9 @@ def _real_one_one(g):
 
 
 def projectively_flat_tensor_forms(n, r, seed, w=None, lam=None):
-    """curvature.projectively_flat_tensor with beta, s * omega and their sum
-    each rebuilt as a real (1,1)-form, one symmetrization per operation."""
+    """curvature.projectively_flat_tensor, and given w and lam its slope fixed by adding
+    s * omega to beta, with beta, s * omega and their sum each rebuilt as a real
+    (1,1)-form, one symmetrization per operation."""
     b = _complex_normals((seed,), n * n).reshape(n, n)
     beta = _real_one_one(0.5 * (b + b.conj().T))
     if w is not None and lam is not None:

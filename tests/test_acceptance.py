@@ -182,7 +182,7 @@ def test_criterion_5_classical_inequality():
         for seed in (0, 1, 2, 3):
             n, r = (2, 2) if seed % 2 else (3, 2)
             w = sf.Kaehler11.euclidean(n)
-            t = sf.projectively_flat_tensor(n, r, seed=seed, w=w, lam=0.9)
+            t = sf.project_to_he(sf.projectively_flat_tensor(n, r, seed=seed), w, 0.9)
             out = sf.kl_classical(t, w)
             equality_ok &= abs(out["q"]) <= 1e-10 and out["equality"]
 
@@ -190,7 +190,7 @@ def test_criterion_5_classical_inequality():
         for seed in range(10):
             n, r = (2, 2) if seed % 2 == 0 else (3, 3)
             w = sf.Kaehler11.euclidean(n)
-            base = sf.projectively_flat_tensor(n, r, seed=seed, w=w, lam=0.7)
+            base = sf.project_to_he(sf.projectively_flat_tensor(n, r, seed=seed), w, 0.7)
             pert = sf.random_curvature(n, r, seed=500 + seed)
             t = sf.project_to_he(sf.CurvatureTensor(n, r, base.c + 0.1 * pert.c), w, 0.7)
             strict_ok &= sf.kl_classical(t, w)["q"] < -1e-4

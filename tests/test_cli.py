@@ -618,6 +618,17 @@ class TestInvariantGuards:
             '"kl_nonpositive","pass":true,"tolerance":1.0000000000000001e-09,"value":'
             '{"equality":false,"q":-1.0625}}],"version":"0.1.0"}\n')
 
+    @pytest.mark.parametrize("kind", ["thm12", "surface"])
+    def test_admitted_asymmetry_is_one_report(self, tmp_path, kind):
+        # imaginary diagonal parts of 4.9e-11 pass the 1e-10 hermitian check; the tensor is
+        # read as its Hermitian part, so no imaginary ratio reaches the report
+        coeffs = [{"j": j, "k": j, "lambda": l, "mu": l, "re": 0.001, "im": 4.9e-11}
+                  for j in (1, 2) for l in range(1, 33)]
+        (tmp_path / "t.json").write_text(json.dumps({"n": 2, "r": 32, "coeffs": coeffs}))
+        code, out, err = run_child(tmp_path, "check", kind, "--in", "t.json")
+        assert (code, err, out.count("\n")) == (0, "", 1)
+        validate_report(json.loads(out))
+
     @pytest.mark.parametrize("payload, quoted", [
         ({"n": 2, "r": 2, "coeffs": 5}, "got 5"),
         ({"n": 2, "r": 2, "coeffs": None}, "got null"),
@@ -656,7 +667,7 @@ class TestInvariantGuards:
         (["gen", "2", "2", "1", "--strong-flat", "--he", "1e300", "--omega",
           "[[1e70,0],[0,1e70]]"], "validation", "would overflow"),
         (["gen", "2", "2", "1", "--flat", "--he", "1e300", "--omega", "[[1e70,0],[0,1e70]]"],
-         "validation", "coefficients must be finite"),
+         "validation", "largest coefficient modulus inf exceeds 1e+150^(1/3)"),
         (["gen", "2", "2", "1", "--flat", "--he", "-inf"], "usage",
          "--he: must be a finite number, got -inf"),
         (["check", "he", "--in", "t.json", "--tol", "-1e-300"], "usage",
@@ -979,7 +990,7 @@ def _instance(n, r, seed, kind):
     w = Kaehler11.euclidean(n)
     t = {"random": lambda: random_curvature(n, r, seed),
          "he": lambda: project_to_he(random_curvature(n, r, seed), w, 0.5),
-         "flat": lambda: projectively_flat_tensor(n, r, seed, w=w, lam=0.7),
+         "flat": lambda: project_to_he(projectively_flat_tensor(n, r, seed), w, 0.7),
          "strong-flat": lambda: strong_flat_tensor(n, r, w, 0.8)}[kind]()
     return tensor_to_dict(t)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segreform import curvature
 from segreform.curvature import (MAX_TOP_POWER, CurvatureTensor, Kaehler11, PreconditionError,
                                  TensorValidationError, _complex_normals, _he_deviation,
                                  _splitmix64, _uniforms, chern_forms,
@@ -23,10 +24,11 @@ from segreform.inequalities import kl_segre
 from segreform.report import canonical_json
 
 from conftest import random_form, random_hermitian, random_spd
-from oracles import (allclose, chern_forms_minors, complex_normals_loop, direction_form,
-                     dual_endomorphism_tensor, factorial_power, hermitian_deviation, is_real,
-                     is_zero, mean_curvature_wedge, projectively_flat_tensor_forms, rotate_tensor,
-                     splitmix64_loop, stream_state_loop, top_ratio, uniforms_loop, wedge_power)
+from oracles import (allclose, chern_forms_full_power, chern_forms_minors, complex_normals_loop,
+                     direction_form, dual_endomorphism_tensor, factorial_power, forms_equal,
+                     hermitian_deviation, is_real, is_zero, mean_curvature_wedge,
+                     projectively_flat_tensor_forms, rotate_tensor, splitmix64_loop,
+                     stream_state_loop, top_ratio, uniforms_loop, wedge_power)
 
 
 def tensor_from_diagonal(betas, r=None):
@@ -73,6 +75,24 @@ class TestChernForms:
         dual = dual_endomorphism_tensor(random_curvature(2, 3, seed=6))
         assert dual.r == 9
         self._assert_agree(chern_forms(dual, dual.r), chern_forms_minors(dual))
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (2, 4), (4, 4)])
+    def test_top_degree_trace_matches_the_full_power_bitwise(self, n, r):
+        t = random_curvature(n, r, seed=10 * n + r)
+        for top in range(1, min(n, r) + 2):
+            got, ref = chern_forms(t, top), chern_forms_full_power(t, top)
+            assert len(got) == len(ref) and all(map(forms_equal, got, ref))
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 4])
+    def test_top_degree_builds_only_the_diagonal(self, monkeypatch, top):
+        # r^3 wedges for each full power below the top degree, r^2 for the diagonal at it,
+        # and k for Newton's identity at each degree k
+        n = r = 4
+        calls = []
+        monkeypatch.setattr(curvature, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
+        chern_forms(random_curvature(n, r, seed=3), top)
+        power = max(top - 2, 0) * r ** 3 + (r ** 2 if top > 1 else 0)
+        assert len(calls) == power + top * (top + 1) // 2
 
     @staticmethod
     def _assert_agree(got, ref):
@@ -207,6 +227,15 @@ class TestValidatedArrays:
                 array[(0,) * array.ndim] = 5.0
         assert np.array_equal(w.eigenvalues, np.linalg.eigvalsh(w.g))  # ascending, computed once
 
+    def test_tensor_is_stored_as_its_hermitian_part(self):
+        c = random_curvature(2, 3, seed=4).c
+        assert np.array_equal(CurvatureTensor(2, 3, c).c, c)  # already Hermitian: the same bits
+        near = c.copy()
+        near[0, 1, 2, 0] += 4e-11 + 3e-11j  # within the 1e-10 admitted
+        got = CurvatureTensor(2, 3, near).c
+        assert np.array_equal(got.conj(), got.transpose(1, 0, 3, 2))
+        assert abs(got[0, 1, 2, 0] - (c[0, 1, 2, 0] + 2e-11 + 1.5e-11j)) <= 1e-16
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("values, message", [
         (np.nan, "coefficients must be finite"),
@@ -232,7 +261,7 @@ class TestValidatedArrays:
     @pytest.mark.parametrize("build", [
         lambda w: project_to_he(random_curvature(2, 2, seed=1), w, 1e60),
         lambda w: strong_flat_tensor(2, 2, w, 1e200),
-        lambda w: projectively_flat_tensor(2, 2, 1, w=w, lam=1e200)],
+        lambda w: project_to_he(projectively_flat_tensor(2, 2, 1), w, 1e200)],
         ids=["project-to-he", "strong-flat", "projectively-flat"])
     def test_factories_refuse_an_oversized_instance(self, build):
         with pytest.raises(TensorValidationError, match="would overflow"):
@@ -515,15 +544,22 @@ class TestFlatness:
         assert not kl_segre(t, w)["equality"]  # beta tensor Id is Hermite-Einstein
 
     @pytest.mark.parametrize("n, r", [(1, 1), (2, 2), (3, 3), (4, 2), (5, 3)])
-    def test_flat_generator_matches_form_arithmetic_bitwise(self, rng, n, r):
-        # gen --flat instances keep their bytes: one symmetrization of
-        # beta + s * omega gives the coefficients of the real-form sum
+    def test_projecting_a_flat_base_keeps_it_flat(self, rng, n, r):
+        # T of beta tensor Id is exactly t * Id: the shift adds one multiple of omega to every
+        # fiber-diagonal block and exactly 0 to the others, as adding to beta does
         omegas = [Kaehler11.euclidean(n), Kaehler11(random_spd(n, rng))]
+        off = ~np.eye(r, dtype=bool)
         for seed in range(6):
-            for w, lam in [(None, None)] + [(w, lam) for w in omegas for lam in (1.0, -0.7)]:
-                got = projectively_flat_tensor(n, r, seed, w=w, lam=lam)
-                ref = projectively_flat_tensor_forms(n, r, seed, w=w, lam=lam)
-                assert np.array_equal(got.c, ref.c)
+            base = projectively_flat_tensor(n, r, seed)
+            assert np.array_equal(base.c, projectively_flat_tensor_forms(n, r, seed).c)
+            for w in omegas:
+                for lam in (1.0, -0.7):
+                    t = project_to_he(base, w, lam)
+                    assert all(np.array_equal(t.c[:, :, l, l], t.c[:, :, 0, 0]) for l in range(r))
+                    assert not t.c[:, :, off].any()
+                    assert _he_deviation(t, w)[0] <= 1e-12
+                    ref = projectively_flat_tensor_forms(n, r, seed, w=w, lam=lam).c
+                    assert np.abs(t.c - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_random_neither(self):
         w = Kaehler11.euclidean(2)

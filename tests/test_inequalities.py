@@ -30,7 +30,7 @@ def he_instance(n, r, seed, lam=0.7, w=None):
 class TestKLClassical:
     def test_projectively_flat_equality(self):
         w = Kaehler11.euclidean(2)
-        t = projectively_flat_tensor(2, 2, seed=1, w=w, lam=0.9)
+        t = project_to_he(projectively_flat_tensor(2, 2, seed=1), w, 0.9)
         out = kl_classical(t, w)
         assert abs(out["q"]) <= 1e-10
         assert out["equality"]
@@ -116,7 +116,7 @@ class TestThm12:
     def test_classical_equality_without_strong(self):
         # the beta-tensor-identity family: classical equality, strict here
         w = Kaehler11.euclidean(2)
-        t = projectively_flat_tensor(2, 2, seed=7, w=w, lam=0.8)
+        t = project_to_he(projectively_flat_tensor(2, 2, seed=7), w, 0.8)
         assert kl_classical(t, w)["equality"]
         out = kl_segre(t, w)
         assert out["margin"] > 1e-6 and not out["equality"]
@@ -204,7 +204,7 @@ class TestProjectiveFlatBound:
     def test_random_projectively_flat_strict(self):
         w = Kaehler11.euclidean(3)
         for seed in (1, 2, 3):
-            t = projectively_flat_tensor(3, 2, seed=seed, w=w, lam=1.0)
+            t = project_to_he(projectively_flat_tensor(3, 2, seed=seed), w, 1.0)
             out = projective_flat_bound(t, w)
             assert out["lhs"] < out["rhs"]
 

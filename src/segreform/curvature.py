@@ -171,7 +171,7 @@ def segre_forms(c, n):
     unit form: s_0 = c_0 and s_k = -sum_{j=1}^{k} c_j ^ s_{k-j}, c_j past the list zero."""
     unit = c[0] if len(c) else None
     if not (isinstance(unit, Form) and (unit.p, unit.q) == (0, 0)
-            and abs(unit.a[0, 0] - 1.0) <= 1e-12):
+            and unit.a[0, 0] == 1):
         raise ValueError(f"entry 0 must be the unit of the form algebra, got {unit!r}")
     s = [unit]
     for k in range(1, n + 1):

@@ -214,6 +214,13 @@ class TestSegreForms:
         with pytest.raises(ValueError):
             segre_forms([Form.constant(2) * 2.0], 2)
 
+    def test_the_unit_is_exact(self):
+        # chern_forms supplies an exact 1, so a unit off by any rounding is a wrong argument
+        with pytest.raises(ValueError, match="unit of the form algebra"):
+            segre_forms([Form.constant(2) * (1 + 1e-13)], 2)
+        s = segre_forms([Form.constant(2)], 2)
+        assert s[0].a[0, 0] == 1 and s[1].max_abs() == s[2].max_abs() == 0
+
 
 class TestValidatedArrays:
     def test_tensor_and_omega_arrays_are_private_and_read_only(self, rng):

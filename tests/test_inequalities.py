@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -102,16 +103,26 @@ class TestThm12:
             assert not out["equality"]
 
     def test_rhs_two_evaluations_agree(self):
-        for seed in range(5):
-            t, w = he_instance(2, 3, seed, lam=-0.3)
-            out = kl_segre(t, w)
-            assert abs(out["rhs"] - out["rhs_chern"]) <= 1e-10
+        # lambda (r+1)/(2n) c_1 ^ omega^{n-1} and lambda^2 r(r+1)/(2n^2) are one trace of
+        # T = lambda Id: they differ by rounding, relative to their size at every slope
+        for lam, (n, r, seed) in itertools.product(
+                (-0.3, 1.0, 1e4), ((2, 3, 0), (2, 3, 1), (3, 3, 11), (4, 2, 2))):
+            out = kl_segre(*he_instance(n, r, seed, lam=lam))
+            assert abs(out["rhs"] - out["rhs_chern"]) <= 1e-12 * abs(out["rhs"]), (lam, n, r)
 
     def test_equality_implies_classical_equality(self, rng):
         w = Kaehler11(random_spd(2, rng))
         t = strong_flat_tensor(2, 2, w, 0.6)
         assert kl_segre(t, w)["equality"]
         assert kl_classical(t, w)["equality"]
+
+    def test_equality_flags_are_structural_at_large_slope(self):
+        # on exact equality instances at lambda = 1e4 the margin and q are rounding of size
+        # 1e-8 (c is of size 1e4, the ratios of size 1e8): the structural tests alone hold
+        w = Kaehler11(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        assert kl_segre(strong_flat_tensor(2, 2, w, 1e4), w)["equality"]
+        w3 = Kaehler11.euclidean(3)
+        assert kl_classical(project_to_he(projectively_flat_tensor(3, 3, 3), w3, 1e4), w3)["equality"]
 
     def test_classical_equality_without_strong(self):
         # the beta-tensor-identity family: classical equality, strict here
@@ -131,6 +142,58 @@ class TestPrimitivePath:
             assert abs(direct - alt["margin"]) <= 1e-9
             assert alt["eta_residual"] <= 1e-10
             assert alt["f"] == pytest.approx(0.4 * r / n, abs=1e-10)
+
+
+class TestMarginAsMeanGap:
+    """Theorem 1.2 by the paper's own proof.  On HE input identity (8) gives
+    gamma_1(theta_v/omega) = lambda at every fiber direction v; the pushforward trace at
+    k = 2 and Maclaurin's inequality in Newton's form then give
+
+        margin = r(r+1)/(2 n^2 (n-1)) * E_v[sum_{i<j} (x_i(v) - x_j(v))^2],
+
+    x(v) the eigenvalues of theta_v relative to omega.  The mean is sampled from
+    eigensolves of the direction matrices, apart from the wedge path of kl_segre."""
+
+    OMEGA3 = np.array([[2.0, 0.3 + 0.4j, 0.1j], [0.3 - 0.4j, 1.5, -0.2 + 0.1j],
+                       [-0.1j, -0.2 - 0.1j, 1.0]])
+
+    @staticmethod
+    def gaps(t, w, lam, count=10**4, seed=1):
+        """sum_{i<j} (x_i(v) - x_j(v))^2 at the first `count` directions of the seed's stream."""
+        x = relative_eigenvalues(direction_matrices(t, sample_directions(t.r, count, seed)), w)
+        assert np.abs(x.sum(axis=1) - lam).max() <= 1e-12 * max(1.0, abs(lam))  # identity (8)
+        return ((x[:, :, None] - x[:, None, :]) ** 2).sum(axis=(1, 2)) / 2
+
+    @staticmethod
+    def units(margin, t, gaps):
+        """|margin - the scaled mean gap| in standard errors of that mean."""
+        scaled = t.r * (t.r + 1) / (2 * t.n ** 2 * (t.n - 1)) * gaps
+        return abs(margin - scaled.mean()) / (scaled.std(ddof=1) / math.sqrt(gaps.size) + 1e-12)
+
+    @pytest.mark.parametrize("n, r, lam, omega", [(8, 8, 1.0, None), (3, 3, 0.7, OMEGA3)],
+                             ids=["8x8-euclidean", "3x3-complex-omega"])
+    def test_margin_is_the_mean_gap(self, n, r, lam, omega):
+        w = Kaehler11(omega) if omega is not None else None
+        t, w = he_instance(n, r, 11, lam=lam, w=w)
+        assert self.units(kl_segre(t, w)["margin"], t, self.gaps(t, w, lam)) <= 4
+
+    def test_strong_flat_has_no_gap(self):
+        w = Kaehler11(self.OMEGA3)
+        for lam in (0.7, -2.0, 1e4):
+            t = strong_flat_tensor(3, 3, w, lam)
+            assert self.gaps(t, w, lam, count=2000).max() <= 1e-12 * lam * lam
+            assert kl_segre(t, w)["equality"]
+
+    def test_a_wrong_right_hand_side_is_caught(self):
+        # near the equality case the mean gap is small and sharp: the mutant r(r+2) for
+        # r(r+1) in the right-hand side moves the margin by lambda^2 r/(2n^2), far outside it
+        n, r, lam = 3, 3, 0.7
+        w = Kaehler11(self.OMEGA3)
+        base = strong_flat_tensor(n, r, w, lam).c + 0.05 * random_curvature(n, r, 5).c
+        t = project_to_he(CurvatureTensor(n, r, base), w, lam)
+        gaps, margin = self.gaps(t, w, lam), kl_segre(t, w)["margin"]
+        assert self.units(margin, t, gaps) <= 4
+        assert self.units(margin + lam * lam * r / (2 * n * n), t, gaps) > 100
 
 
 class TestConstrainedGap:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import segreform
-from segreform import cli, curvature, exterior, inequalities, kahler, moments, projective, symfun
+from segreform import (cli, curvature, exterior, inequalities, kahler, moments, projective, report,
+                       symfun)
 
 from conftest import child_env
 
@@ -167,6 +168,25 @@ class TestOneReduction:
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_sample_stats"}
         assert callers == {"moments", "projective"}
+
+
+class TestRaisedTypes:
+    def test_every_raise_is_a_type_the_cli_maps_or_library_misuse(self):
+        # cli.main turns ValueError and its subclasses into one error line, and argparse its
+        # own type errors; TypeError and AttributeError mark calls that argv cannot make.  Any
+        # other class raised in the package would reach the user as a traceback
+        allowed = {"ValueError", "UsageError", "PreconditionError", "TensorValidationError",
+                   "NonFiniteError", "argparse.ArgumentTypeError", "TypeError", "AttributeError"}
+        raised = {}
+        for path in sorted(Path(moments.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.setdefault(ast.unparse(exc), set()).add(path.name)
+        assert {name: files for name, files in raised.items() if name not in allowed} == {}
+        assert all(issubclass(cls, ValueError) for cls in (
+            cli.UsageError, curvature.PreconditionError, curvature.TensorValidationError,
+            report.NonFiniteError))
 
 
 class TestImports:

@@ -21,7 +21,7 @@ _EXPORTS = {  # home module -> its public names
                   "mean_curvature", "project_to_he", "projectively_flat_tensor",
                   "random_curvature", "segre_forms", "strong_flat_tensor",
                   "tensor_from_dict", "tensor_to_dict"),
-    "exterior": ("Form", "one_one_power", "top_pairing", "wedge"),
+    "exterior": ("Form", "one_one_power", "wedge"),
     "inequalities": ("kl_classical", "kl_segre", "projective_flat_bound", "surface_compare"),
     "kahler": ("relative_eigenvalues",),
     "moments": ("DIRECTION_CHUNK", "direction_chunks", "moment_mc", "moment_wick",

@@ -15,8 +15,9 @@ forces conj(c[j,k,lam,mu]) == c[k,j,mu,lam].
 Chern forms come from the power sums tr Theta_hat^k of the form-valued
 curvature matrix by Newton's identities, Segre forms from inverting the
 total Chern form degree by degree.  Every ratio of a top form against
-omega^n/n!, the mean curvature among them, is one Laplace contraction of
-minors (omega_ratio), which each Kaehler11 builds once per degree.
+omega^n/n!, the mean curvature among them, pairs the form with the k x k
+minors of omega^-1 (omega_ratio, by Jacobi's complementary-minor theorem),
+which each Kaehler11 caches once per degree k.
 Projective flatness reads only c; tolerances are module constants; project_to_he
 is the one Hermite-Einstein shift, of a random or of a projectively flat base.
 """
@@ -30,7 +31,7 @@ import operator
 
 import numpy as np
 
-from .exterior import Form, one_one_power, top_pairing, wedge
+from .exterior import Form, one_one_power, wedge
 
 DEFAULT_HE_TOL = 1e-9
 DEFAULT_EQUALITY_TOL = 1e-8
@@ -83,7 +84,7 @@ class Kaehler11:
         if eigs[0] < MAX_TOP_POWER ** (-1 / n):
             raise ValueError(f"smallest omega eigenvalue {eigs[0]:.3e} is below "
                              f"{MAX_TOP_POWER:.0e}^(-1/{n}): omega^n would underflow")
-        self._powers = {}  # k -> one_one_power(g, k) / k!, filled by omega_ratio
+        self._powers = {}  # k -> (-1)^k (omega^-1)^k/k! transposed, filled by omega_ratio
 
     @classmethod
     def euclidean(cls, n):
@@ -201,16 +202,17 @@ def omega_ratio(a, w, k):
     """a ^ omega^(n-k)/(n-k)! over omega^n/n!, for a stack a[..., :, :] of
     (k,k)-form arrays on C^n: the one contraction behind every top ratio.
 
-    Each ratio is the Laplace contraction (top_pairing) of a against the
-    minors of omega; for a = alpha^k/k! it is gamma_k(alpha/omega).
+    By Jacobi's complementary-minor theorem it is (-1)^k sum_{I,J} a[I,J]
+    (omega^-1)^k/k![J,I], omega^-1 by LU: the sides of identity (9) must not share
+    relative_eigenvalues' Cholesky factor.  For a = alpha^k/k! it is gamma_k(alpha/omega).
     """
     n = w.n
     if not 0 <= k <= n or np.shape(a)[-2:] != (math.comb(n, k),) * 2:
         raise ValueError(f"expected ({k},{k})-form arrays on C^{n}, got shape {np.shape(a)}")
-    for p in (n - k, n):
-        if p not in w._powers:
-            w._powers[p] = one_one_power(w.g, p) / math.factorial(p)
-    return top_pairing(a, w._powers[n - k], n, k) / w._powers[n][0, 0]
+    if k not in w._powers:  # C-contiguous: einsum sums a stack in the order of one array
+        w._powers[k] = np.ascontiguousarray(
+            (-1) ** k * one_one_power(np.linalg.inv(w.g), k).T / math.factorial(k))
+    return np.einsum("...st,st->...", a, w._powers[k])
 
 
 def mean_curvature(t, w):

@@ -172,17 +172,3 @@ def one_one_power(G, k):
     minors = G[..., idx[:, None, :, None], idx[None, :, None, :]]
     scale = math.factorial(k) * 1j**k * (-1) ** (k * (k - 1) // 2)
     return scale * np.linalg.det(minors)
-
-
-def top_pairing(a, b, m, k):
-    """Top coefficients of the wedges of a stack a[..., :, :] of (k,k)-form
-    arrays with one (m-k,m-k)-form array b on C^m, shaped like a's stack.
-
-    The Laplace expansion sum_{I,J} eps_I eps_J a[..., I, J] b[I^c, J^c],
-    eps_I the sign of the shuffle (I, I^c), times the sign (-1)^(k(m-k)) of
-    moving the dz block of b past the dzbar block of a, as in wedge.
-    """
-    # the one union of the table is 1..m, so its splits I run over the k-subsets in order
-    _, complement, sign = _wedge_table(m, k, m - k)
-    swap = -1.0 if (k * (m - k)) % 2 else 1.0
-    return np.einsum("...st,st->...", a, swap * np.outer(sign, sign) * b[np.ix_(complement, complement)])

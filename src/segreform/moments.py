@@ -116,7 +116,7 @@ def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
     count = int(count)
     for c, start in enumerate(range(0, count, DIRECTION_CHUNK)):
         z = _complex_normals((seed, c), min(DIRECTION_CHUNK, count - start) * r).reshape(-1, r)
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z *= 1 / np.linalg.norm(z, axis=1, keepdims=True)
         for i in range(0, len(z), rows):
             yield z[i:i + rows]
 

@@ -10,9 +10,9 @@ it through the moment expansion, pushforward_mc by Monte Carlo over the
 k x k minors of the matrix of theta_v, which fill the array of theta_v^k.
 
 Only that top vertical power survives in a top form, so the top-form
-identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: a Laplace
-contraction of the minors of -theta_v against the complementary minors of
-omega (curvature.omega_ratio), batched over directions and compared with
+identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: the k x k
+minors of -theta_v paired with those of omega^-1, cached per degree by
+curvature.omega_ratio, batched over directions and compared with
 gamma_k(theta_v/omega) from a batched eigensolve.  identity_residuals takes
 the directions it is given at once; the samplers, identity_max among them,
 read the seed's direction stream through moments._sample_stats, in blocks

@@ -582,6 +582,28 @@ class TestCheck:
         assert code == 0
         validate_report(json.loads(out))
 
+    @pytest.mark.parametrize("eps, flat", [(0.9e-8, True), (1.1e-8, False)])
+    def test_flatness_tolerance_boundary(self, tmp_path, capsys, eps, flat):
+        # eps on an entry off the fiber diagonal, and on its Hermitian partner, moves the
+        # flatness deviation by eps (DEFAULT_EQUALITY_TOL = 1e-8) and leaves T = 1.0 * Id
+        from segreform.curvature import (CurvatureTensor, Kaehler11, project_to_he,
+                                         projectively_flat_tensor, tensor_to_dict)
+
+        base = project_to_he(projectively_flat_tensor(3, 3, 5), Kaehler11.euclidean(3), 1.0)
+        c = base.c.copy()
+        c[0, 1, 0, 1] += eps
+        c[1, 0, 1, 0] += eps
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tensor_to_dict(CurvatureTensor(3, 3, c))))
+        code, out = run_cli(capsys, "check", "remark41", "--in", str(path))
+        assert code == (0 if flat else 2)
+        if not flat:
+            assert json.loads(out)["error"] == {
+                "message": "input is not projectively flat within tolerance", "type": "precondition"}
+        code, out = run_cli(capsys, "check", "kl", "--in", str(path))
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"]["equality"] is flat
+
 
 def run_child(cwd, *argv):
     """(exit code, stdout, stderr) of one CLI child process run in cwd."""
@@ -763,24 +785,43 @@ class TestInvariantGuards:
         assert error["type"] == kind and words in error["message"]
 
 
+def run_limited(cwd, *argv):
+    """(exit code, stdout, stderr) of one CLI child run in cwd under a 2 GiB address-space
+    limit, set on the child alone: an allocation past it fails at once."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "segreform.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, env=child_env(), preexec_fn=limit,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 class TestOutOfMemory:
-    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
     @pytest.mark.parametrize("argv", [["--k", "16"], ["--k", "3", "--samples", "2"]],
                              ids=["exact-k16", "mc-k3"])
     def test_an_allocation_failure_is_one_error_line(self, tmp_path, argv):
-        # at n = 32 the Chern wedges need arrays of more than 3 GiB; the child alone runs
-        # under a 2 GiB address-space limit, so the allocation fails at once
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+        # at n = 32 the Chern wedges need arrays of more than 3 GiB
         assert run_child(tmp_path, "gen", "32", "2", "1", "--out", "t.json")[0] == 0
-        proc = subprocess.run([sys.executable, "-m", "segreform.cli", "verify", "pushforward",
-                               "--in", "t.json", *argv], cwd=tmp_path, capture_output=True,
-                              text=True, env=child_env(), preexec_fn=limit, timeout=120)
-        assert (proc.returncode, proc.stderr, proc.stdout.count("\n")) == (2, "", 1)
-        assert json.loads(proc.stdout)["error"]["type"] == "memory"
+        code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json", *argv)
+        assert (code, err, out.count("\n")) == (2, "", 1)
+        assert json.loads(out)["error"]["type"] == "memory"
+
+    @pytest.mark.parametrize("argv", [["check", "thm12"], ["check", "kl"],
+                                      ["verify", "identity9", "--k", "2", "--samples", "2"]],
+                             ids=["thm12", "kl", "identity9-k2"])
+    def test_degree_two_ratios_fit_at_n32(self, tmp_path, argv):
+        # the ratios against omega^30 pair with the 2 x 2 minors of omega^-1, 496^2 of them;
+        # the 496^2 complementary minors of omega, of size 30, would take 3.3 GiB
+        assert run_child(tmp_path, "gen", "32", "2", "1", "--he", "1.0", "--out", "t.json")[0] == 0
+        start = time.perf_counter()
+        code, out, err = run_limited(tmp_path, *argv, "--in", "t.json")
+        assert (code, err, out.count("\n")) == (0, "", 1)
+        assert len(json.loads(out)["results"]) == 1
+        assert time.perf_counter() - start < 30
 
 
 class TestClosedStdout:

@@ -312,14 +312,14 @@ class TestDirectionForm:
 
 
 class TestOmegaRatio:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_wedge_path(self, rng, n):
         # a ^ omega^(n-k)/(n-k)! over omega^n/n!, wedged out in full
         for _ in range(3):
             w = Kaehler11(random_spd(n, rng))
             wf = Form.one_one(w.g)
             vol = factorial_power(wf, n)
-            for k in range(1, n + 1):
+            for k in range(n + 1):
                 f = random_form(n, k, k, rng)
                 ref = top_ratio(wedge(f, factorial_power(wf, n - k)), vol)
                 got = omega_ratio(f.a, w, k)

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segreform.exterior import Form, one_one_power, top_pairing, wedge
+from segreform.exterior import Form, one_one_power, wedge
 
 from conftest import random_form, random_hermitian, random_spd, real_one_one
 from oracles import (allclose, block_embed, factorial_power, form_from_dict, is_real, is_zero,
@@ -120,21 +120,6 @@ class TestOneOnePower:
             assert C.shape == (5, math.comb(3, k), math.comb(3, k))
             for g, c in zip(stack, C):
                 assert np.array_equal(one_one_power(g, k), c)
-
-
-class TestTopPairing:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_matches_top_coefficient_of_wedge(self, rng, m):
-        # k(m-k) odd (m = 3, k = 1) exercises the sign of moving dz past dzbar
-        for k in range(m + 1):
-            stack = [random_form(m, k, k, rng) for _ in range(3)]
-            b = random_form(m, m - k, m - k, rng)
-            got = top_pairing(np.array([f.a for f in stack]), b.a, m, k)
-            assert got.shape == (3,)
-            full = tuple(range(1, m + 1))
-            for f, top in zip(stack, got):
-                ref = wedge(f, b).coeffs.get((full, full), 0j)
-                assert abs(top - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 class TestTopRatio:

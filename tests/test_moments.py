@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from segreform import moments
 from segreform.cli import MC_MOMENT_PAIRS
-from segreform.curvature import Kaehler11, chern_forms, random_curvature, segre_forms
+from segreform.curvature import (Kaehler11, _complex_normals, chern_forms, random_curvature,
+                                 segre_forms)
 from segreform.moments import (DIRECTION_CHUNK, _sample_stats, direction_chunks, moment_mc,
                                moment_wick, phi_k_tensor)
 from segreform.projective import gamma_profile, pushforward_mc
@@ -66,6 +67,14 @@ class TestDirectionStream:
         blocks = list(direction_chunks(2, self.SAMPLES, seed=4, rows=1000))
         assert max(len(b) for b in blocks) == 1000
         assert np.array_equal(np.concatenate(blocks), full)
+
+    @pytest.mark.parametrize("r", [1, 3, 8, 9, 32])
+    def test_scaled_by_reciprocal_norm_as_if_divided(self, r):
+        # numpy divides by d + 0j as a product with 1/d, so the stream keeps its bits
+        z = _complex_normals((6, 0), DIRECTION_CHUNK * r).reshape(-1, r)
+        divided = z / np.linalg.norm(z, axis=1, keepdims=True)
+        (got,) = direction_chunks(r, DIRECTION_CHUNK, seed=6)
+        assert got.tobytes() == divided.tobytes()
 
     def test_unit_vectors_fixed_per_seed(self):
         v = sample_directions(4, 100, seed=1)

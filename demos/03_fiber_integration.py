@@ -42,17 +42,17 @@ print("combined form on C^{n+r-1}:", xi)
 omega = np.zeros((m, m), dtype=complex)
 omega[:n, :n] = w.g
 omega = sf.Form.one_one(omega)
-for k in range(1, n + 1):
+ratios, _ = sf.identity_residuals(t, w, [v], range(1, n + 1))
+for k, [ratio] in zip(range(1, n + 1), ratios):
     lhs = sf.wedge(power(xi, r - 1 + k), power(omega, n - k))
     vol = sf.wedge(power(xi, r - 1), power(omega, n))
-    [ratio], _ = sf.identity_residuals(t, w, [v], k)
     print(f"k={k}: top ratio on C^{m} {(lhs.a[0, 0] / vol.a[0, 0]).real:+.6f}, "
           f"from minors {ratio.real:+.6f}")
 
-# pushforward of powers: exact moment path vs the Segre recursion
+# pushforward of powers: exact moment path, every degree from one walk, vs
+# the Segre recursion
 ss = sf.segre_forms(sf.chern_forms(t, n), n)
-for k in range(n + 1):
-    exact = sf.pushforward_exact(t, k)
+for k, exact in enumerate(sf.pushforward_exact(t, range(n + 1))):
     print(f"k={k}: exact push vs s_k residual {(exact - ss[k]).max_abs():.2e}")
 
 mc, err = sf.pushforward_mc(t, 2, 20_000, 3)
@@ -61,16 +61,17 @@ print("Monte Carlo push (20k dirs) vs s_2 max gap:",
 
 # top-form identities at sampled fiber points, all directions in one call
 print("\nidentity residuals over 10 random directions:")
-for k in range(1, n + 1):
-    _, residuals = sf.identity_residuals(t, w, next(sf.direction_chunks(r, 10, seed=4)), k)
-    print(f"  degree k={k}: {residuals.max():.2e}")
+_, residuals = sf.identity_residuals(t, w, next(sf.direction_chunks(r, 10, seed=4)),
+                                    range(1, n + 1))
+for k, row in zip(range(1, n + 1), residuals):
+    print(f"  degree k={k}: {row.max():.2e}")
 
 # the rank-degree identity with a constant slope needs Hermite-Einstein input:
 # gamma_1(theta_v/omega) is then the slope lambda at every direction
 t_he = sf.project_to_he(t, w, 0.6)
 he, slope = sf.is_hermite_einstein(t_he, w)
 V = next(sf.direction_chunks(r, 10, seed=5))
-_, residuals = sf.identity_residuals(t_he, w, V, 1, -slope)
+_, residuals = sf.identity_residuals(t_he, w, V, [1], -slope)
 print(f"Hermite-Einstein form of the identity (slope {slope:.6f}): {residuals.max():.2e}")
 
 # gamma_k profiles over the fiber: degree 1 is constant exactly when the

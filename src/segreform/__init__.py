@@ -24,8 +24,7 @@ _EXPORTS = {  # home module -> its public names
     "exterior": ("Form", "one_one_power", "wedge"),
     "inequalities": ("kl_classical", "kl_segre", "projective_flat_bound", "surface_compare"),
     "kahler": ("relative_eigenvalues",),
-    "moments": ("DIRECTION_CHUNK", "direction_chunks", "moment_mc", "moment_wick",
-                "phi_k_tensor"),
+    "moments": ("DIRECTION_CHUNK", "direction_chunks", "moment_mc", "moment_wick"),
     "projective": ("gamma_profile", "identity_max", "identity_residuals",
                    "pushforward_exact", "pushforward_mc"),
     "symfun": ("elem_sym",),

@@ -162,9 +162,9 @@ def _verify_pushforward(args, report):
     from .projective import pushforward_exact, pushforward_mc
     t = _load_input(args)
     ks = [args.k] if args.k is not None else list(range(0, t.n + 1))
-    exact = {k: pushforward_exact(t, k) for k in ks}  # k past n raises here, before the Chern build
+    exact = pushforward_exact(t, ks)  # k past n raises here, before the Chern build
     segre = segre_forms(chern_forms(t, ks[-1]), ks[-1])
-    for k, got in exact.items():
+    for k, got in zip(ks, exact):
         report.add(f"pushforward_vs_segre_k{k}", (got - segre[k]).max_abs(), args.tol)
     # Monte Carlo from degree 1 (degree 0 is the unit form), against the Segre form
     for k in [k for k in ks if k > 0] if args.samples else []:

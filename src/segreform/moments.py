@@ -1,4 +1,4 @@
-"""Unitary-invariant moments on the unit sphere of C^r and the phi_k functional.
+"""Unitary-invariant moments on the unit sphere of C^r and its direction stream.
 
 The diagonal moment of |v_{j_1}|^2 ... |v_{j_k}|^2 against the normalised
 sphere measure is the exact rational m_1! ... m_r! (r-1)! / (r-1+k)!, where
@@ -12,7 +12,7 @@ Gaussian side is a Wick pairing sum.  M is a disjoint union of all-ones
 blocks, one per index value, so perm(M) = m_1! ... m_r! when the lambda and
 mu multisets agree and 0 otherwise: every moment is a diagonal one or zero.
 Everything is computed in exact integer/rational arithmetic; floats only
-appear at form assembly and in the Monte Carlo estimator.
+appear in the Monte Carlo estimator.
 
 Every sampler of the package, that estimator included, reads a seed's
 direction stream (direction_chunks), which is fixed per seed and
@@ -20,11 +20,6 @@ prefix-stable: N samples are its first N directions.  They all read it
 through one reduction, _sample_stats, which keeps running sums, sums of
 squares, minima and maxima, so memory does not grow with the sample count.
 It takes N >= 2, since one direction has no standard error and no spread.
-
-phi_k averages <T v, v>^k over the sphere.  For a Hermitian matrix this is
-sigma_k(eigenvalues)/binom(r-1+k, k) (sigma_k complete homogeneous); for a
-curvature tensor the same average of the directional (1,1)-form produces,
-up to the sign (-1)^k and the binomial factor, the k-th Segre form.
 """
 
 from __future__ import annotations
@@ -32,12 +27,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .curvature import _complex_normals
-from .exterior import Form, wedge
 
 DIRECTION_CHUNK = 8192  # directions per key (seed, chunk) of a direction stream
 
@@ -120,51 +113,3 @@ def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
         for i in range(0, len(z), rows):
             yield z[i:i + rows]
 
-
-def phi_k_tensor(t, k):
-    """Sphere average of the k-th wedge power of the directional (1,1)-form.
-
-    Only tuples whose mu part rearranges the lambda part have a nonzero
-    moment, and with lambda sorted they all weigh 1/binom(r-1+k, k).  So the
-    average is that weight times the sum, over weakly increasing lambda and
-    the distinct rearrangements mu of lambda, of theta[lambda_1][mu_1] ^ ...
-    ^ theta[lambda_k][mu_k] with theta[lam][mu] = Theta_hat[mu, lam]; up to
-    (-1)^k, MacMahon's degree-k part of 1/det(I + Theta_hat).  The sum is
-    walked depth first, each suffix sum kept for the call under the lambda
-    and mu values still to place.  The lambdas are taken in colex order, so
-    those sharing a suffix are contiguous and the sums kept for a suffix are
-    dropped once it is finished; the sums of the lambdas are added by
-    math.fsum, coefficient by coefficient.  Returns a real (k,k)-form;
-    (-1)^k * binom(r-1+k, k) * phi_k_tensor(t, k) is the k-th Segre form.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return Form.constant(t.n)
-    if k > t.n:
-        return Form(t.n, k, k)
-    theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
-    suffix_sums = [{} for _ in range(k + 1)]  # [length]: sums by mus, for that suffix of lambda
-
-    def arrangements(lams, mus):
-        if len(lams) == 1:
-            return theta[lams[0]][mus[0]]
-        total = suffix_sums[len(lams)].get(mus)
-        if total is None:
-            for j, mu in enumerate(mus):
-                if j and mus[j - 1] == mu:
-                    continue
-                term = wedge(theta[lams[0]][mu], arrangements(lams[1:], mus[:j] + mus[j + 1:]))
-                total = term if total is None else total + term
-            suffix_sums[len(lams)][mus] = total
-        return total
-
-    parts, previous = [], ()
-    for lams in sorted(combinations_with_replacement(range(t.r), k), key=lambda lams: lams[::-1]):
-        shared = next(s for s in range(k, -1, -1) if lams[k - s:] == previous[k - s:])
-        for sums in suffix_sums[shared + 1:]:
-            sums.clear()
-        parts.append(arrangements(lams, lams).a)
-        previous = lams
-    summed = np.apply_along_axis(math.fsum, 0, np.array(parts).view(float)).view(complex)
-    return Form(t.n, k, k, summed / math.comb(t.r - 1 + k, k))

@@ -6,8 +6,9 @@ fiber coordinates and minus the directional (1,1)-form theta_v on the n base
 coordinates, where omega lives.  The vertical block is normalised so its
 (r-1)-st power carries unit fiber mass; then the pushforward of the
 (r-1+k)-th power of Xi is the k-th Segre form: pushforward_exact integrates
-it through the moment expansion, pushforward_mc by Monte Carlo over the
-k x k minors of the matrix of theta_v, which fill the array of theta_v^k.
+it through the moment expansion, every degree asked for from one walk of the
+largest, and pushforward_mc by Monte Carlo over the k x k minors of the
+matrix of theta_v, which fill the array of theta_v^k.
 
 Only that top vertical power survives in a top form, so the top-form
 identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: the k x k
@@ -22,13 +23,14 @@ whose per-direction arrays stay within _BLOCK_BYTES.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .curvature import direction_matrices, omega_ratio
-from .exterior import Form, one_one_power
+from .exterior import Form, one_one_power, wedge
 from .kahler import relative_eigenvalues
-from .moments import _sample_stats, phi_k_tensor
+from .moments import _sample_stats
 from .symfun import elem_sym
 
 TWO_PI = 2.0 * math.pi
@@ -40,17 +42,68 @@ def _block_rows(n, k):
     return max(1, _BLOCK_BYTES // (16 * (math.comb(n, k) * k + n) ** 2))
 
 
-def pushforward_exact(t, k):
-    """Fiber integral of the (r-1+k)-th power of the combined form, the k-th Segre form:
-    (-1)^k * binom(r-1+k, k) * E[theta_v ^ ... ^ theta_v] over fiber directions v,
-    through the moment expansion."""
-    if not 0 <= k <= t.n:
-        raise ValueError(f"k={k} out of range [0, {t.n}]")
-    return (-1.0) ** k * math.comb(t.r - 1 + k, k) * phi_k_tensor(t, k)
+def pushforward_exact(t, ks):
+    """Fiber integrals of the (r-1+k)-th power of the combined form, the Segre forms s_k, one
+    per degree k of the sequence ks: (-1)^k * binom(r-1+k, k) * E[theta_v ^ ... ^ theta_v] over
+    fiber directions v, through the moment expansion.
+
+    Only tuples whose mu part rearranges the lambda part have a nonzero
+    moment, and with lambda sorted they all weigh 1/binom(r-1+k, k).  So the
+    average is that weight times the sum, over weakly increasing lambda and
+    the distinct rearrangements mu of lambda, of theta[lambda_1][mu_1] ^ ...
+    ^ theta[lambda_k][mu_k] with theta[lam][mu] = Theta_hat[mu, lam]; up to
+    (-1)^k, MacMahon's degree-k part of 1/det(I + Theta_hat).  One walk of
+    the largest degree gives every degree: it goes depth first, each suffix
+    sum kept for the call under the lambda and mu values still to place, and
+    the suffix sum of a sorted lambda with mu = lambda, made once, is that
+    lambda's sum in its own degree.  The lambdas are taken in colex order, so
+    those sharing a suffix are contiguous and the sums kept for a suffix are
+    dropped once it is finished.  Each degree's sums are added by math.fsum,
+    coefficient by coefficient, which rounds correctly in any order.
+    """
+    ks = list(ks)
+    for k in ks:
+        if not 0 <= k <= t.n:
+            raise ValueError(f"k={k} out of range [0, {t.n}]")
+    top = max(ks, default=0)
+    theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
+    parts = {k: [] for k in ks}  # [degree]: the sums of its sorted lambdas
+    parts[0], parts[1] = [Form.constant(t.n).a], [theta[lam][lam].a for lam in range(t.r)]
+    suffix_sums = [{} for _ in range(top + 1)]  # [length]: sums by mus, for that suffix of lambda
+
+    def arrangements(lams, mus):
+        if len(lams) == 1:
+            return theta[lams[0]][mus[0]]
+        total = suffix_sums[len(lams)].get(mus)
+        if total is None:
+            for j, mu in enumerate(mus):
+                if j and mus[j - 1] == mu:
+                    continue
+                term = wedge(theta[lams[0]][mu], arrangements(lams[1:], mus[:j] + mus[j + 1:]))
+                total = term if total is None else total + term
+            suffix_sums[len(lams)][mus] = total
+            if lams == mus and len(lams) in parts:
+                parts[len(lams)].append(total.a)
+        return total
+
+    colex = sorted(combinations_with_replacement(range(t.r), top), key=lambda lams: lams[::-1])
+    previous = ()
+    for lams in colex if top >= 2 else []:
+        shared = next(s for s in range(top, -1, -1) if lams[top - s:] == previous[top - s:])
+        for sums in suffix_sums[shared + 1:]:
+            sums.clear()
+        arrangements(lams, lams)
+        previous = lams
+    forms = []
+    for k in ks:
+        summed = np.apply_along_axis(math.fsum, 0, np.array(parts[k]).view(float)).view(complex)
+        forms.append((-1.0) ** k * math.comb(t.r - 1 + k, k)
+                     * Form(t.n, k, k, summed / math.comb(t.r - 1 + k, k)))
+    return forms
 
 
 def pushforward_mc(t, k, samples, seed):
-    """Monte Carlo pushforward_exact(t, k) for k >= 1: the (mean, stderr) pair of forms of the
+    """Monte Carlo s_k of pushforward_exact for k >= 1: the (mean, stderr) pair of forms of the
     minors giving theta_v^k over the first `samples` directions of the seed's stream, with the
     stderr of moments._sample_stats per coefficient."""
     if not 1 <= k <= t.n:
@@ -62,30 +115,27 @@ def pushforward_mc(t, k, samples, seed):
     return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * err)
 
 
-def identity_residuals(t, w, V, k, scalar=None):
-    """Arrays (ratio, residual) of the degree-k top-form identity, one entry per row v of V.
+def identity_residuals(t, w, V, ks, scalar=None):
+    """Arrays (ratio, residual) of the top-form identity, one row per degree k of the sequence
+    ks and one entry per row v of V, from one build of the directional matrices and
+    eigenvalues of V; identity_max blocks V.
 
     ratio = [Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)!] / [Xi^{r-1}/(r-1)! ^
     omega^n/n!] at v, and residual = |left - scalar * right|, the coefficient
     of that difference of top forms on C^(n+r-1).  scalar defaults to
     (-1)^k gamma_k(theta_v/omega) per direction; a number, such as -lambda
-    for the Hermite-Einstein form at k = 1, applies to all.  A sequence of
-    degrees k gives arrays with one row per degree, from one build of the
-    directional matrices and eigenvalues of V; identity_max blocks V.
+    for the Hermite-Einstein form at k = 1, applies to all.
     """
-    ks = np.atleast_1d(k).tolist()
-    for deg in ks:
-        if not 1 <= deg <= t.n:
-            raise ValueError(f"k={deg} out of range [1, {t.n}]")
+    for k in ks:
+        if not 1 <= k <= t.n:
+            raise ValueError(f"k={k} out of range [1, {t.n}]")
     vol = np.prod(w.eigenvalues)  # |omega^n/n!|; the top vertical power has modulus (2pi)^(1-r)
     G = direction_matrices(t, V)
-    ratio = np.array([omega_ratio(one_one_power(-G, deg) / math.factorial(deg), w, deg)
-                      for deg in ks])
+    ratio = np.array([omega_ratio(one_one_power(-G, k) / math.factorial(k), w, k) for k in ks])
     if scalar is None:
         eigs = relative_eigenvalues(G, w)
-        scalar = np.array([(-1.0) ** deg * elem_sym(eigs, deg) for deg in ks])
-    residual = np.abs(ratio - scalar) * vol / TWO_PI ** (t.r - 1)
-    return (ratio, residual) if np.ndim(k) else (ratio[0], residual[0])
+        scalar = np.array([(-1.0) ** k * elem_sym(eigs, k) for k in ks])
+    return ratio, np.abs(ratio - scalar) * vol / TWO_PI ** (t.r - 1)
 
 
 def identity_max(t, w, ks, samples, seed, scalar=None):

@@ -6,7 +6,7 @@ products for the Monte Carlo moments, enumeration of weakly increasing
 tuples for the complete homogeneous polynomials, a loop over Python floats
 for the Newton-type recursion, moment sums over ordered
 index tuples weighted by those permanents for the phi_k averages (the library
-folds the balanced moments into one constant), the balanced walk over the
+folds the balanced moments into one constant), the balanced walk of one degree over the
 lambdas in lexicographic order keeping every suffix sum, one Python-float
 loop for gamma_k, one wedge power or one eigensolve per sampled fiber
 direction for the Monte Carlo pushforward and the gamma_k profile, a merge
@@ -26,6 +26,10 @@ for the one omega contraction of the library, curvature.omega_ratio; the
 primitive decomposition c_1 = eta + f omega, the gamma_2 bounds, the
 End(E) tensor and the closed form of phi_k on a matrix check the
 inequalities and the moments from the eigenvalue side.
+
+The orthogonal direct sum and the dual of a bundle at a point (direct_sum,
+dual) give the Whitney-sum and duality relations of the Chern and Segre
+forms and of the pushforward, against builds at the smaller ranks.
 
 A form built from a {(I, J): c} mapping (form_from_dict), the
 predicates on forms (is_zero, allclose, is_real, forms_equal), the
@@ -440,7 +444,8 @@ def phi_k_scalar_moments(T, k):
 
 
 def phi_k_tensor_naive(t, k):
-    """Reference r^(2k) loop for phi_k_tensor."""
+    """Reference r^(2k) loop for phi_k, the sphere average of theta_v^k:
+    (-1)^k binom(r-1+k, k) phi_k is the k-th form of projective.pushforward_exact."""
     if k == 0:
         return Form.constant(t.n)
     if k > t.n:
@@ -460,8 +465,8 @@ def phi_k_tensor_naive(t, k):
 
 
 def phi_k_tensor_lex(t, k):
-    """phi_k_tensor walking the weakly increasing lambdas in lexicographic
-    order and keeping every suffix sum to the end."""
+    """phi_k walking the weakly increasing lambdas of degree k alone, in
+    lexicographic order, and keeping every suffix sum to the end."""
     if k == 0:
         return Form.constant(t.n)
     if k > t.n:
@@ -486,6 +491,20 @@ def phi_k_tensor_lex(t, k):
                       for lams in combinations_with_replacement(range(t.r), k)])
     summed = np.apply_along_axis(math.fsum, 0, parts.view(float)).view(complex)
     return Form(t.n, k, k, summed / math.comb(t.r - 1 + k, k))
+
+
+def direct_sum(t1, t2):
+    """The curvature of the orthogonal direct sum E + F at a point, E's frame first: c is
+    block diagonal in the fiber indices."""
+    c = np.zeros((t1.n, t1.n, t1.r + t2.r, t1.r + t2.r), dtype=complex)
+    c[:, :, :t1.r, :t1.r] = t1.c
+    c[:, :, t1.r:, t1.r:] = t2.c
+    return CurvatureTensor(t1.n, t1.r + t2.r, c)
+
+
+def dual(t):
+    """The curvature of the dual bundle at a point: c[j,k,lam,mu] -> -c[j,k,mu,lam]."""
+    return CurvatureTensor(t.n, t.r, -t.c.transpose(0, 1, 3, 2))
 
 
 def elem_sym_scalar(values, k):

@@ -47,8 +47,7 @@ def test_criterion_1_pushforward_matches_segre_forms():
                 for seed in range(25):
                     t = sf.random_curvature(n, r, seed)
                     segre = sf.segre_forms(sf.chern_forms(t, t.r), n)
-                    for k in range(n + 1):
-                        got = sf.pushforward_exact(t, k)
+                    for k, got in enumerate(sf.pushforward_exact(t, range(n + 1))):
                         worst = max(worst, (got - segre[k]).max_abs())
     ok = worst <= tol and _timings[1] < 60.0
     _verdict(1, f"pushforward==segre (max err {worst:.2e}, {_timings[1]:.1f}s)", ok)
@@ -143,13 +142,12 @@ def test_criterion_4_top_form_identities():
             for i in range(count):
                 t = sf.random_curvature(n, r, seed=10_000 + 10 * n + r + i)
                 dirs = sample_directions(r, 20, seed=20_000 + i)
-                for k in range(1, n + 1):
-                    worst = max(worst, sf.identity_residuals(t, w, dirs, k)[1].max())
+                worst = max(worst, sf.identity_residuals(t, w, dirs, range(1, n + 1))[1].max())
                 # Hermite-Einstein variant of the rank-degree identity
                 t_he = sf.project_to_he(t, w, 0.5)
                 he, lam = sf.is_hermite_einstein(t_he, w)
                 he_ok &= he
-                worst = max(worst, sf.identity_residuals(t_he, w, dirs[:5], 1, -lam)[1].max())
+                worst = max(worst, sf.identity_residuals(t_he, w, dirs[:5], [1], -lam)[1].max())
     _verdict(4, f"identities on P(E), residual max {worst:.2e}", he_ok and worst <= tol)
 
 

@@ -861,6 +861,16 @@ class TestMomentsCommand:
         [(est, err)] = moment_mc(3, [([1], [1])], 50000, 0)
         assert row["value"]["units"] == stderr_units(est, err, complex(moment_wick(3, [1], [1])))
 
+    @pytest.mark.parametrize("seed, code, units", [(33, 0, 3.975), (54, 1, 13.10)])
+    def test_mc_units_boundary(self, capsys, seed, code, units):
+        # three directions of the seeded stream read 3.975 and 13.10 standard errors off
+        # E|v_1|^2 = 1/2: one just inside MC_UNITS = 4, one past it but inside 40
+        got, out = run_cli(capsys, "moments", "--r", "2", "--lambdas", "1", "--mus", "1",
+                           "--samples", "3", "--seed", str(seed))
+        row = json.loads(out)["results"][1]
+        assert (got, row["name"], row["pass"]) == (code, "mc_gap_stderr_units", code == 0)
+        assert row["value"]["units"] == pytest.approx(units, abs=5e-3)
+
 
     @pytest.mark.parametrize("argv, message", [
         (["--lambdas", "1", "3"], "index 3 out of range [1, 2]"),

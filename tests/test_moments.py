@@ -13,12 +13,12 @@ from segreform.cli import MC_MOMENT_PAIRS
 from segreform.curvature import (Kaehler11, _complex_normals, chern_forms, random_curvature,
                                  segre_forms)
 from segreform.moments import (DIRECTION_CHUNK, _sample_stats, direction_chunks, moment_mc,
-                               moment_wick, phi_k_tensor)
-from segreform.projective import gamma_profile, pushforward_mc
+                               moment_wick)
+from segreform.projective import gamma_profile, pushforward_exact, pushforward_mc
 from segreform.symfun import elem_sym
 
 from conftest import random_hermitian, traced_peak
-from oracles import (forms_equal, is_real, is_zero, moment_mc_loop, moment_permanent, permanent_int,
+from oracles import (forms_equal, is_real, moment_mc_loop, moment_permanent, permanent_int,
                      phi_k_scalar, phi_k_scalar_moments, phi_k_tensor_lex, phi_k_tensor_naive,
                      sample_directions)
 
@@ -333,51 +333,49 @@ class TestPhiScalar:
 
 
 class TestPhiTensor:
+    """phi_k, the sphere average of theta_v^k, is s_k / ((-1)^k binom(r-1+k, k)): the walk of
+    pushforward_exact against the oracles' walks of phi_k."""
+
     def test_degree_zero_is_one(self):
         t = random_curvature(2, 2, seed=0)
-        assert phi_k_tensor(t, 0).coeffs == {((), ()): 1}
+        assert pushforward_exact(t, [0])[0].coeffs == {((), ()): 1}
 
     def test_degree_one_is_scaled_first_chern(self):
         t = random_curvature(2, 3, seed=1)
         c1 = chern_forms(t, 1)[1]
-        assert (phi_k_tensor(t, 1) - c1 / 3).max_abs() <= 1e-12
-
-    def test_beyond_dimension_is_zero(self):
-        t = random_curvature(1, 3, seed=2)
-        assert is_zero(phi_k_tensor(t, 2))
+        assert (pushforward_exact(t, [1])[0] / -3 - c1 / 3).max_abs() <= 1e-12
 
     def test_headline_segre_identity(self):
         # (-1)^k C(r-1+k, k) phi_k = s_k
         for (n, r, seed) in ((2, 2, 3), (2, 3, 4), (3, 2, 5)):
             t = random_curvature(n, r, seed)
             ss = segre_forms(chern_forms(t, t.r), n)
-            for k in range(n + 1):
-                got = (-1.0) ** k * math.comb(r - 1 + k, k) * phi_k_tensor(t, k)
+            for k, got in enumerate(pushforward_exact(t, range(n + 1))):
                 assert (got - ss[k]).max_abs() <= 1e-10
 
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 2), (4, 2), (3, 3)])
     def test_balanced_walk_matches_naive_loop(self, n, r):
         # k > r has several distinct mu with the same pair multiset, e.g. lambda = (1,1,2,2)
         t = random_curvature(n, r, seed=6 + n + r)
-        for k in range(n + 1):
-            ref = phi_k_tensor_naive(t, k)
-            gap = (phi_k_tensor(t, k) - ref).max_abs()
-            assert gap <= 1e-12 * (1.0 + ref.max_abs())
+        for k, got in enumerate(pushforward_exact(t, range(n + 1))):
+            ref = (-1.0) ** k * math.comb(r - 1 + k, k) * phi_k_tensor_naive(t, k)
+            assert (got - ref).max_abs() <= 1e-12 * (1.0 + ref.max_abs())
 
     @pytest.mark.parametrize("n, r, ks", [(4, 4, range(5)), (5, 5, range(6)), (8, 3, (3, 6))],
                              ids=["4-4", "5-5", "8-3"])
     def test_colex_walk_matches_lex_walk_bitwise(self, n, r, ks):
         # the sum of each lambda is unchanged and math.fsum is correctly rounded
         t = random_curvature(n, r, seed=10 * n + r)
-        for k in ks:
-            assert forms_equal(phi_k_tensor(t, k), phi_k_tensor_lex(t, k))
+        for k, got in zip(ks, pushforward_exact(t, ks)):
+            assert forms_equal(got, (-1.0) ** k * math.comb(r - 1 + k, k) * phi_k_tensor_lex(t, k))
 
     def test_finished_suffix_sums_are_dropped(self):
-        # keeping every suffix sum peaks at about 13 MB here
+        # keeping every suffix sum peaks at about 13 MB here for degree 6 alone
         t = random_curvature(8, 3, seed=83)
-        assert traced_peak(phi_k_tensor, t, 6) < 8 * 2**20
+        for ks in ([6], range(7)):
+            assert traced_peak(pushforward_exact, t, ks) < 8 * 2**20
 
     def test_result_is_real(self):
         t = random_curvature(3, 2, seed=7)
-        for k in range(1, 4):
-            assert is_real(phi_k_tensor(t, k), 1e-11)
+        for form in pushforward_exact(t, range(1, 4)):
+            assert is_real(form, 1e-11)

@@ -1,7 +1,8 @@
 """The lazy package namespace, and the CLI process's BLAS threads, imports and
-garbage-collector freeze, checked in child processes; and the one reader of the
+garbage-collector freeze, checked in child processes; the one reader of the
 direction stream, its callers, the one home of each input bound and of the
-sample-count rule, and the use of every imported name, checked in the sources."""
+sample-count rule, and the use of every imported name, checked in the sources;
+and the test suite's warning filters, checked in a child pytest run."""
 
 import ast
 import gc
@@ -230,3 +231,30 @@ class TestOneHomePerBound:
                    for node in ast.walk(top)
                    if isinstance(node, ast.Raise) and "samples" in ast.unparse(node)]
         assert raisers == ["moments._sample_stats"]
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+class TestPytestSettings:
+    def test_a_failing_property_test_does_not_end_the_run(self, tmp_path):
+        # hypothesis imports libcst to write a patch for a failing @given test, and libcst warns
+        # as it loads: under filterwarnings = error that ended the run as an INTERNALERROR
+        (tmp_path / "test_pair.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject),
+                               "-p", "no:cacheprovider", "test_pair.py"], cwd=tmp_path,
+                              capture_output=True, text=True, env=child_env(), timeout=300)
+        assert "INTERNALERROR" not in proc.stdout + proc.stderr
+        assert proc.returncode == 1 and "1 failed, 1 passed" in proc.stdout

@@ -4,8 +4,9 @@ All scalar outputs are ratios of top forms against omega^n (no factorial),
 so they read exactly like the displayed inequalities: the classical check
 evaluates ((r-1) c_1^2 - 2 r c_2) ^ omega^{n-2} / omega^n, the Segre-form
 check compares s_2 ^ omega^{n-2} / omega^n with lambda^2 r(r+1)/(2 n^2).
-Each ratio of a (p,p)-form is the real part of one curvature.omega_ratio
-contraction of its coefficients against the minors of omega, over n!/(n-p)!.
+Every ratio comes from one trace contraction, _degree_two: for real (1,1)-forms with
+coefficient matrices A, B and W = omega^-1, alpha ^ beta ^ omega^{n-2}/(n-2)! =
+[tr(WA) tr(WB) - tr(WAWB)] omega^n/n!; c_2, s_2 follow from c_1^2 and p_2 = tr Theta_hat^2.
 Each check gates on T == lambda * Id within DEFAULT_HE_TOL and reuses that
 lambda.  Equality flags are the structural tests alone, coefficientwise within
 DEFAULT_EQUALITY_TOL: projective flatness for the classical inequality, and
@@ -14,18 +15,22 @@ Theta_hat equal to strong_flat_tensor(n, r, omega, lambda) for the Segre one.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .curvature import (DEFAULT_EQUALITY_TOL, PreconditionError, _require_he, chern_forms,
-                        is_projectively_flat, omega_ratio, segre_forms, strong_flat_tensor)
-from .exterior import wedge
+from .curvature import (DEFAULT_EQUALITY_TOL, PreconditionError, _require_he,
+                        is_projectively_flat, strong_flat_tensor)
 
 
-def _ratio(form, w):
-    """Ratio of form ^ omega^(n-p) against omega^n for a real (p,p)-form; its imaginary part is rounding."""
-    return float(omega_ratio(form.a, w, form.p).real) / math.perm(w.n, form.p)
+def _degree_two(t, w):
+    """Ratios against omega^n of c_1^2 ^ omega^{n-2}, p_2 ^ omega^{n-2} and c_1 ^ omega^{n-1},
+    p_2 = tr Theta_hat^2 = c_1^2 - 2 c_2: P[a, b] = W c[:, :, a, b] holds W times the coefficients
+    of Theta_hat[b, a], C_1 = sum_a P[a, a] those of c_1.  Imaginary parts are rounding."""
+    P = np.einsum("ij,jkab->abik", np.linalg.inv(w.g), t.c)
+    C1, tr = np.einsum("aaik->ik", P), np.einsum("abii->ab", P)
+    tr_c1, pairs = np.trace(C1), t.n * (t.n - 1)
+    c1_sq = float((tr_c1 * tr_c1 - np.einsum("ik,ki->", C1, C1)).real) / pairs
+    p2 = float((np.einsum("ab,ba->", tr, tr) - np.einsum("abik,baki->", P, P)).real) / pairs
+    return c1_sq, p2, float(tr_c1.real) / t.n
 
 
 def kl_classical(t, w):
@@ -38,9 +43,8 @@ def kl_classical(t, w):
     if t.n < 2:
         raise PreconditionError("classical check needs n >= 2")
     _require_he(t, w)
-    c = chern_forms(t, 2)
-    combo = (t.r - 1) * wedge(c[1], c[1]) - (2 * t.r) * c[2]
-    q = _ratio(combo, w)
+    c1_sq, p2, _ = _degree_two(t, w)
+    q = t.r * p2 - c1_sq  # (r-1) c_1^2 - 2r c_2
     return {"q": q, "equality": is_projectively_flat(t)}
 
 
@@ -56,10 +60,9 @@ def kl_segre(t, w):
         raise PreconditionError("Segre-form check needs n >= 2")
     lam = _require_he(t, w)
     n, r = t.n, t.r
-    c = chern_forms(t, 2)
-    s = segre_forms(c, 2)
-    lhs = _ratio(s[2], w)
-    rhs_chern = lam * (r + 1) / (2 * n) * _ratio(c[1], w)
+    c1_sq, p2, c1 = _degree_two(t, w)
+    lhs = c1_sq - (c1_sq - p2) / 2  # s_2 = c_1^2 - c_2
+    rhs_chern = lam * (r + 1) / (2 * n) * c1
     rhs_slope = lam * lam * r * (r + 1) / (2 * n * n)
     margin = rhs_slope - lhs
     equality = float(np.abs(t.c - strong_flat_tensor(n, r, w, lam).c).max()) <= DEFAULT_EQUALITY_TOL
@@ -75,8 +78,7 @@ def projective_flat_bound(t, w):
     lam = _require_he(t, w)
     if not is_projectively_flat(t):
         raise PreconditionError("input is not projectively flat within tolerance")
-    c = chern_forms(t, 1)
-    lhs = _ratio(wedge(c[1], c[1]), w)
+    lhs = _degree_two(t, w)[0]
     rhs = (lam * t.r / t.n) ** 2
     return {"lhs": lhs, "rhs": rhs}
 
@@ -97,10 +99,8 @@ def surface_compare(t, w):
         raise PreconditionError("classical bound needs r >= 2 (division by r - 1)")
     lam = _require_he(t, w)
     r = t.r
-    c = chern_forms(t, 2)
-    c1_sq = _ratio(wedge(c[1], c[1]), w)
-    c2 = _ratio(c[2], w)
-    c1_dot_omega = _ratio(c[1], w)
+    c1_sq, p2, c1_dot_omega = _degree_two(t, w)
+    c2 = (c1_sq - p2) / 2
     classical_rhs = 2 * r / (r - 1) * c2
     eq4_rhs = c2 + lam * lam * r * (r + 1) / 8
     if abs(eq4_rhs - classical_rhs) <= 1e-12:

@@ -22,7 +22,9 @@ its primitive part, beta) are Hermitian coefficient matrices here, as in
 the library; only omega is a Kaehler11.
 
 The wedge path (wedge_power, factorial_power, top_ratio) is the reference
-for the one omega contraction of the library, curvature.omega_ratio; the
+for the one omega contraction of the library, curvature.omega_ratio, and,
+through the Chern and Segre forms (degree_two_wedge), for the trace
+contraction of the inequality checks; the
 primitive decomposition c_1 = eta + f omega, the gamma_2 bounds, the
 End(E) tensor and the closed form of phi_k on a matrix check the
 inequalities and the moments from the eigenvalue side.
@@ -49,7 +51,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import numpy as np
 
 from segreform.curvature import (DEFAULT_EQUALITY_TOL, CurvatureTensor, PreconditionError,
-                                 _complex_normals, _require_he, direction_matrices, omega_ratio)
+                                 _complex_normals, _require_he, chern_forms, direction_matrices,
+                                 omega_ratio, segre_forms)
 from segreform.exterior import Form, _basis, wedge
 from segreform.inequalities import kl_classical
 from segreform.kahler import relative_eigenvalues
@@ -151,6 +154,22 @@ def mean_curvature_wedge(t, w):
         for lam in range(t.r):
             T[mu, lam] = top_ratio(wedge(t.entry(mu, lam), wpow), vol)
     return 0.5 * (T + T.conj().T)
+
+
+def degree_two_wedge(t, w):
+    """The ratios against omega^n that the inequality checks read, by the form algebra:
+    c_1^2, c_2 and s_2 wedged with omega^(n-2) and c_1 ^ omega^(n-1), from chern_forms and
+    segre_forms, each one top_ratio of a wedge with an explicit power of omega."""
+    omega = Form.one_one(w.g)
+    vol = wedge_power(omega, t.n)
+    c = chern_forms(t, 2)
+    s = segre_forms(c, 2)
+
+    def ratio(f):
+        return top_ratio(wedge(f, wedge_power(omega, t.n - f.p)), vol).real
+
+    return {"c1_sq": ratio(wedge(c[1], c[1])), "c2": ratio(c[2]), "s2": ratio(s[2]),
+            "c1": ratio(c[1])}
 
 
 def direction_form(t, v):

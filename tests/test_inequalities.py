@@ -1,26 +1,29 @@
 import inspect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError,
+from segreform import curvature, exterior, inequalities
+from segreform.curvature import (CurvatureTensor, Kaehler11, PreconditionError, _require_he,
                                  chern_forms, direction_matrices, is_projectively_flat,
                                  mean_curvature, project_to_he,
                                  projectively_flat_tensor, random_curvature,
                                  strong_flat_tensor, tensor_from_dict)
-from segreform.inequalities import (kl_classical, kl_segre, projective_flat_bound,
+from segreform.inequalities import (_degree_two, kl_classical, kl_segre, projective_flat_bound,
                                     surface_compare)
 from segreform.kahler import relative_eigenvalues
 from segreform.report import Report
 from segreform.symfun import elem_sym
 
 from conftest import random_spd
-from oracles import (dual_endomorphism_tensor, gamma2_bound, gamma2_constrained_gap,
-                     kl_segre_margin_primitive, primitive_square_ratio, sample_directions)
+from oracles import (degree_two_wedge, dual_endomorphism_tensor, gamma2_bound,
+                     gamma2_constrained_gap, kl_segre_margin_primitive, primitive_square_ratio,
+                     sample_directions)
 
 
 def he_instance(n, r, seed, lam=0.7, w=None):
@@ -196,6 +199,77 @@ class TestMarginAsMeanGap:
         assert self.units(margin + lam * lam * r / (2 * n * n), t, gaps) > 100
 
 
+class TestDegreeTwoTraces:
+    """Every ratio of the four checks is a trace of P[a, b] = omega^-1 c[:, :, a, b]; the
+    form algebra (chern_forms, segre_forms, explicit wedge powers of omega) is the oracle."""
+
+    @staticmethod
+    def largest_terms(t, w):
+        """The largest of the traces a degree-2 ratio sums, (tr C_1)^2, tr C_1^2,
+        sum_ab tr M_ab tr M_ba and sum_ab tr M_ab M_ba over n(n-1), M_ab = W c[:, :, a, b]
+        and C_1 = sum_a M_aa; and the largest diagonal entry of C_1, whose sum over n is
+        c_1 . omega.  Loops of matrix products, apart from the library's einsums."""
+        W, ab = np.linalg.inv(w.g), list(itertools.product(range(t.r), repeat=2))
+        M = {(a, b): W @ t.c[:, :, a, b] for a, b in ab}
+        C1 = sum(M[a, a] for a in range(t.r))
+        traces = (np.trace(C1) ** 2, np.trace(C1 @ C1),
+                  sum(np.trace(M[a, b]) * np.trace(M[b, a]) for a, b in ab),
+                  sum(np.trace(M[a, b] @ M[b, a]) for a, b in ab))
+        return max(map(abs, traces)) / (t.n * (t.n - 1)), float(np.abs(np.diag(C1)).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.floats(-10, 10, allow_nan=False))
+    def test_ratios_match_the_wedge_oracle(self, n, r, seed, lam):
+        w = Kaehler11(random_spd(n, np.random.default_rng(seed)))
+        t = project_to_he(random_curvature(n, r, seed), w, lam)
+        lam = _require_he(t, w)  # the slope each check reuses
+        ref = degree_two_wedge(t, w)
+        two, one = self.largest_terms(t, w)
+
+        def close(got, want, scale):
+            assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
+
+        c1_sq, p2, c1 = _degree_two(t, w)
+        close(c1_sq, ref["c1_sq"], two)
+        close((c1_sq - p2) / 2, ref["c2"], two)
+        close(c1, ref["c1"], one)
+        close(kl_classical(t, w)["q"], (r - 1) * ref["c1_sq"] - 2 * r * ref["c2"], 2 * r * two)
+        seg = kl_segre(t, w)
+        close(seg["lhs"], ref["s2"], two)
+        factor = lam * (r + 1) / (2 * n)
+        close(seg["rhs_chern"], factor * ref["c1"], abs(factor) * one)
+        if n == 2 and r >= 2:
+            surf = surface_compare(t, w)
+            close(surf["c1_sq"], ref["c1_sq"], two)
+            close(surf["c2"], ref["c2"], two)
+        flat = project_to_he(projectively_flat_tensor(n, r, seed), w, lam)
+        close(projective_flat_bound(flat, w)["lhs"], degree_two_wedge(flat, w)["c1_sq"],
+              self.largest_terms(flat, w)[0])
+
+    def test_checks_run_without_the_form_algebra(self, monkeypatch):
+        # wherever a segreform module binds wedge, chern_forms or segre_forms, it raises:
+        # each check still returns at n = r = 32, where chern_forms(t, 2) takes about 24 s
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inequality check called the form algebra")
+
+        algebra = (exterior.wedge, curvature.chern_forms, curvature.segre_forms)
+        for name, module in list(sys.modules.items()):
+            if name == "segreform" or name.startswith("segreform."):
+                for attr, obj in list(vars(module).items()):
+                    if any(obj is f for f in algebra):
+                        monkeypatch.setattr(module, attr, refuse)
+        w = Kaehler11.euclidean(32)
+        t = project_to_he(random_curvature(32, 32, 1), w, 1.0)
+        assert kl_classical(t, w)["q"] < 0
+        assert kl_segre(t, w)["margin"] > 0
+        flat = project_to_he(projectively_flat_tensor(32, 32, 1), w, 1.0)
+        out = projective_flat_bound(flat, w)
+        assert out["lhs"] <= out["rhs"]
+        w2 = Kaehler11.euclidean(2)  # the surface comparison is defined for n = 2 only
+        assert surface_compare(project_to_he(random_curvature(2, 32, 1), w2, 1.0), w2)["c2"] != 0
+
+
 class TestConstrainedGap:
     def test_zero_offset(self):
         assert gamma2_constrained_gap([0.0, 0.0], 1.5) == pytest.approx(0.0, abs=1e-14)
@@ -303,6 +377,17 @@ class TestSurfaceCompare:
         assert out["c2"] == pytest.approx(math.comb(r, 2) * lam * lam / 4, abs=1e-10)
         assert out["c1_sq"] <= out["classical_rhs"] + 1e-10
         assert out["c1_sq"] - out["c2"] <= out["eq4_rhs"] - out["c2"] + 1e-10
+
+    @pytest.mark.parametrize("gap, stronger", [(0.9e-12, "tie"), (1.1e-12, "classical"),
+                                               (-1.1e-12, "eq4")])
+    def test_tie_is_an_absolute_gap_of_1e_12(self, monkeypatch, gap, stronger):
+        # the zero tensor has lambda = 0, so at r = 2 eq4_rhs - classical_rhs = c2 - 4 c2; the
+        # patched ratios c_1^2 = 0 and p_2 = 2 gap/3 give c2 = -gap/3, hence the gap itself
+        monkeypatch.setattr(inequalities, "_degree_two", lambda t, w: (0.0, 2 * gap / 3, 0.0))
+        w = Kaehler11.euclidean(2)
+        out = surface_compare(strong_flat_tensor(2, 2, w, 0.0), w)
+        assert out["eq4_rhs"] - out["classical_rhs"] == pytest.approx(gap, rel=1e-12)
+        assert out["stronger"] == stronger
 
     def test_dimension_and_rank_guards(self):
         t, w = he_instance(3, 2, 12)

@@ -41,7 +41,7 @@ def test_tracer_counts_a_pipeline_and_uninstalls(tmp_path, capsys):
     try:
         inst = str(tmp_path / "he22.json")
         assert cli.main(["gen", "2", "2", "0", "--he", "1.0", "--out", inst]) == 0
-        assert cli.main(["check", "kl", "--in", inst]) == 0
+        assert cli.main(["verify", "pushforward", "--in", inst, "--k", "2"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()

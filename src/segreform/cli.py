@@ -166,9 +166,8 @@ def _verify_pushforward(args, report):
     segre = segre_forms(chern_forms(t, ks[-1]), ks[-1])
     for k, got in zip(ks, exact):
         report.add(f"pushforward_vs_segre_k{k}", (got - segre[k]).max_abs(), args.tol)
-    # Monte Carlo from degree 1 (degree 0 is the unit form), against the Segre form
-    for k in [k for k in ks if k > 0] if args.samples else []:
-        mean, err = pushforward_mc(t, k, args.samples, args.seed)
+    mc_ks = [k for k in ks if k > 0] if args.samples else []  # degree 0 is the unit form
+    for k, (mean, err) in zip(mc_ks, mc_ks and pushforward_mc(t, mc_ks, args.samples, args.seed)):
         report.add(f"pushforward_mc_k{k}_stderr_units",
                    stderr_units(mean.a, segre[k].a, err.a), MC_UNITS)
 

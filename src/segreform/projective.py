@@ -6,18 +6,16 @@ fiber coordinates and minus the directional (1,1)-form theta_v on the n base
 coordinates, where omega lives.  The vertical block is normalised so its
 (r-1)-st power carries unit fiber mass; then the pushforward of the
 (r-1+k)-th power of Xi is the k-th Segre form: pushforward_exact integrates
-it through the moment expansion, every degree asked for from one walk of the
-largest, and pushforward_mc by Monte Carlo over the k x k minors of the
-matrix of theta_v, which fill the array of theta_v^k.
+it through the moment expansion, pushforward_mc by Monte Carlo over the
+k x k minors of the matrix of theta_v, which fill the array of theta_v^k.
 
 Only that top vertical power survives in a top form, so the top-form
 identities at v reduce to (-theta_v)^k/k! ^ omega^(n-k)/(n-k)!: the k x k
 minors of -theta_v paired with those of omega^-1, cached per degree by
 curvature.omega_ratio, batched over directions and compared with
-gamma_k(theta_v/omega) from a batched eigensolve.  identity_residuals takes
-the directions it is given at once; the samplers, identity_max among them,
-read the seed's direction stream through moments._sample_stats, in blocks
-whose per-direction arrays stay within _BLOCK_BYTES.
+gamma_k(theta_v/omega) from a batched eigensolve.  All but gamma_profile take
+a sequence ks of degrees, checked by _degrees first; each sampler serves all
+of them from one pass of moments._sample_stats, in blocks of _block_rows.
 """
 
 from __future__ import annotations
@@ -33,13 +31,22 @@ from .kahler import relative_eigenvalues
 from .moments import _sample_stats
 from .symfun import elem_sym
 
-TWO_PI = 2.0 * math.pi
 _BLOCK_BYTES = 1 << 20  # per-direction arrays of one block of directions
 
 
-def _block_rows(n, k):
-    """Directions per block: their n x n matrices and k x k minors fill about _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (16 * (math.comb(n, k) * k + n) ** 2))
+def _block_rows(n, ks):
+    """Directions per block whose n x n matrices and k x k minors, any k of ks, fit _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (16 * max(math.comb(n, k) * k + n for k in ks) ** 2))
+
+
+def _degrees(ks, n, low):
+    """The sequence ks as a list of one or more degrees, each in [low, n], or a ValueError."""
+    ks = list(ks)
+    if not ks:
+        raise ValueError("ks must hold at least one degree")
+    if bad := [k for k in ks if not low <= k <= n]:
+        raise ValueError(f"k={bad[0]} out of range [{low}, {n}]")
+    return ks
 
 
 def pushforward_exact(t, ks):
@@ -61,11 +68,8 @@ def pushforward_exact(t, ks):
     dropped once it is finished.  Each degree's sums are added by math.fsum,
     coefficient by coefficient, which rounds correctly in any order.
     """
-    ks = list(ks)
-    for k in ks:
-        if not 0 <= k <= t.n:
-            raise ValueError(f"k={k} out of range [0, {t.n}]")
-    top = max(ks, default=0)
+    ks = _degrees(ks, t.n, 0)
+    top = max(ks)
     theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
     parts = {k: [] for k in ks}  # [degree]: the sums of its sorted lambdas
     parts[0], parts[1] = [Form.constant(t.n).a], [theta[lam][lam].a for lam in range(t.r)]
@@ -94,56 +98,53 @@ def pushforward_exact(t, ks):
             sums.clear()
         arrangements(lams, lams)
         previous = lams
-    forms = []
-    for k in ks:
-        summed = np.apply_along_axis(math.fsum, 0, np.array(parts[k]).view(float)).view(complex)
-        forms.append((-1.0) ** k * math.comb(t.r - 1 + k, k)
-                     * Form(t.n, k, k, summed / math.comb(t.r - 1 + k, k)))
-    return forms
+    sums = [np.apply_along_axis(math.fsum, 0, np.array(parts[k]).view(float)).view(complex)
+            for k in ks]
+    return [(-1.0) ** k * math.comb(t.r - 1 + k, k) * Form(t.n, k, k, s / math.comb(t.r - 1 + k, k))
+            for k, s in zip(ks, sums)]
 
 
-def pushforward_mc(t, k, samples, seed):
-    """Monte Carlo s_k of pushforward_exact for k >= 1: the (mean, stderr) pair of forms of the
-    minors giving theta_v^k over the first `samples` directions of the seed's stream, with the
-    stderr of moments._sample_stats per coefficient."""
-    if not 1 <= k <= t.n:
-        raise ValueError(f"k={k} out of range [1, {t.n}]")
-    mean, err, _, _ = _sample_stats(
-        lambda V: np.moveaxis(one_one_power(direction_matrices(t, V), k), 0, -1),
-        t.r, samples, seed, _block_rows(t.n, k))
-    factor = (-1.0) ** k * math.comb(t.r - 1 + k, k)
-    return Form(t.n, k, k, factor * mean), Form(t.n, k, k, abs(factor) * err)
+def pushforward_mc(t, ks, samples, seed):
+    """Monte Carlo s_k of pushforward_exact, one (mean, stderr) pair of forms per degree k >= 1
+    of the sequence ks, over the first `samples` directions of the seed's stream."""
+    ks = _degrees(ks, t.n, 1)
+
+    def values(V):  # every degree's minors from one build of the matrices of V
+        G = direction_matrices(t, V)
+        return np.concatenate([one_one_power(G, k).reshape(len(V), -1) for k in ks], axis=1).T
+    mean, err, _, _ = _sample_stats(values, t.r, samples, seed, _block_rows(t.n, ks))
+    ends = np.cumsum([math.comb(t.n, k) ** 2 for k in ks])[:-1]
+    signed = [(-1.0) ** k * math.comb(t.r - 1 + k, k) for k in ks]
+    return [(Form(t.n, k, k, f * m.reshape(math.comb(t.n, k), -1)),
+             Form(t.n, k, k, abs(f) * e.reshape(math.comb(t.n, k), -1)))
+            for k, f, m, e in zip(ks, signed, np.split(mean, ends), np.split(err, ends))]
 
 
 def identity_residuals(t, w, V, ks, scalar=None):
     """Arrays (ratio, residual) of the top-form identity, one row per degree k of the sequence
-    ks and one entry per row v of V, from one build of the directional matrices and
-    eigenvalues of V; identity_max blocks V.
+    ks and one entry per row v of V, from one build of the directional matrices and eigenvalues.
 
-    ratio = [Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)!] / [Xi^{r-1}/(r-1)! ^
-    omega^n/n!] at v, and residual = |left - scalar * right|, the coefficient
-    of that difference of top forms on C^(n+r-1).  scalar defaults to
-    (-1)^k gamma_k(theta_v/omega) per direction; a number, such as -lambda
-    for the Hermite-Einstein form at k = 1, applies to all.
+    ratio = [Xi^{r-1+k}/(r-1+k)! ^ omega^{n-k}/(n-k)!] / [Xi^{r-1}/(r-1)! ^ omega^n/n!] at v,
+    and residual = |left - scalar * right|, the coefficient of that difference of top forms on
+    C^(n+r-1).  scalar defaults to (-1)^k gamma_k(theta_v/omega) per direction; a number, such
+    as -lambda for the Hermite-Einstein form at k = 1, applies to all.
     """
-    for k in ks:
-        if not 1 <= k <= t.n:
-            raise ValueError(f"k={k} out of range [1, {t.n}]")
+    ks = _degrees(ks, t.n, 1)
     vol = np.prod(w.eigenvalues)  # |omega^n/n!|; the top vertical power has modulus (2pi)^(1-r)
     G = direction_matrices(t, V)
     ratio = np.array([omega_ratio(one_one_power(-G, k) / math.factorial(k), w, k) for k in ks])
     if scalar is None:
         eigs = relative_eigenvalues(G, w)
         scalar = np.array([(-1.0) ** k * elem_sym(eigs, k) for k in ks])
-    return ratio, np.abs(ratio - scalar) * vol / TWO_PI ** (t.r - 1)
+    return ratio, np.abs(ratio - scalar) * vol / (2 * math.pi) ** (t.r - 1)
 
 
 def identity_max(t, w, ks, samples, seed, scalar=None):
     """Largest residual of identity_residuals(t, w, V, ks, scalar) over the first `samples`
-    directions of the seed's stream, one per degree of the sequence ks, in blocks of
-    directions whose arrays for every degree stay within _BLOCK_BYTES."""
+    directions of the seed's stream, one per degree of the sequence ks."""
+    ks = _degrees(ks, t.n, 1)
     return _sample_stats(lambda V: identity_residuals(t, w, V, ks, scalar)[1], t.r, samples,
-                         seed, min(_block_rows(t.n, k) for k in ks))[3]
+                         seed, _block_rows(t.n, ks))[3]
 
 
 def gamma_profile(t, w, ell, samples, seed):
@@ -161,6 +162,6 @@ def gamma_profile(t, w, ell, samples, seed):
     def values(V):
         eigs = relative_eigenvalues(direction_matrices(t, V), w)
         return np.array([elem_sym(eigs, k) for k in range(1, ell + 1)])
-    mean, _, low, high = _sample_stats(values, t.r, samples, seed, _block_rows(t.n, 1))
+    mean, _, low, high = _sample_stats(values, t.r, samples, seed, _block_rows(t.n, (1,)))
     return [{"min": float(lo), "max": float(hi), "mean": float(m), "spread": float(hi - lo)}
             for lo, hi, m in zip(low, high, mean)]

@@ -313,9 +313,37 @@ class TestVerify:
         validate_report(report)
         row = {r["name"]: r for r in report["results"]}["pushforward_mc_k1_stderr_units"]
         t = load_tensor(he_instance_path)
-        mean, err = pushforward_mc(t, 1, 3, 5)
+        [(mean, err)] = pushforward_mc(t, [1], 3, 5)
         assert row["value"] == stderr_units(mean, err, segre_forms(chern_forms(t, t.r), 2)[1])
         assert code == (0 if row["pass"] else 1)
+
+    def test_pushforward_draws_directions_once_for_every_degree(self, tmp_path, capsys, draws,
+                                                                 monkeypatch):
+        from segreform import projective
+        from segreform.moments import DIRECTION_CHUNK
+
+        path = str(tmp_path / "he33.json")
+        assert run_cli(capsys, "gen", "3", "3", "5", "--he", "1.0", "--out", path)[0] == 0
+        builds = []
+        build = projective.direction_matrices
+        monkeypatch.setattr(projective, "direction_matrices",
+                            lambda t, V: builds.append(len(V)) or build(t, V))
+        code, out = run_cli(capsys, "verify", "pushforward", "--in", path, "--samples", "10000",
+                            "--seed", "3")
+        names = [r["name"] for r in json.loads(out)["results"]]
+        assert code in (0, 1)
+        assert [name for name in names if name.startswith("pushforward_mc_")] == [
+            f"pushforward_mc_k{k}_stderr_units" for k in (1, 2, 3)]
+        # one stream (seed, c) per chunk c, and one build of G_v per block, for all three degrees
+        assert draws == [(3, c) for c in range(math.ceil(10000 / DIRECTION_CHUNK))]
+        rows = projective._block_rows(3, [1, 2, 3])
+        chunks = [min(DIRECTION_CHUNK, 10000 - start) for start in range(0, 10000, DIRECTION_CHUNK)]
+        assert builds == [min(rows, chunk - i) for chunk in chunks for i in range(0, chunk, rows)]
+        # --k 0 leaves no Monte Carlo degree (degree 0 is the unit form): no draw, one row
+        code, out = run_cli(capsys, "verify", "pushforward", "--in", path, "--k", "0",
+                            "--samples", "2")
+        assert code == 0 and len(draws) == len(chunks)
+        assert [r["name"] for r in json.loads(out)["results"]] == ["pushforward_vs_segre_k0"]
 
     def test_pushforward_single_sample_is_usage_error(self, tmp_path, capsys):
         # the parser refuses the value before the (missing) input is read

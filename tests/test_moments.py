@@ -119,7 +119,7 @@ class TestSampleStats:
 
     @pytest.mark.parametrize("sampler", [
         lambda: moment_mc(3, [((1,), (1,))], 1, seed=0),
-        lambda: pushforward_mc(random_curvature(2, 2, seed=7), 1, 1, 0),
+        lambda: pushforward_mc(random_curvature(2, 2, seed=7), [1], 1, 0),
         lambda: gamma_profile(random_curvature(2, 2, seed=7), Kaehler11.euclidean(2), 2, 1, 0)],
         ids=["moment_mc", "pushforward_mc", "gamma_profile"])
     def test_one_direction_raises_before_drawing(self, draws, sampler):

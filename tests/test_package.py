@@ -1,8 +1,9 @@
 """The lazy package namespace, and the CLI process's BLAS threads, imports and
 garbage-collector freeze, checked in child processes; the one reader of the
-direction stream, its callers, the one home of each input bound and of the
-sample-count rule, and the use of every imported name, checked in the sources;
-and the test suite's warning filters, checked in a child pytest run."""
+direction stream, its callers, the one home of each input bound, of the
+sample-count rule and of the block rule, and the use of every imported name,
+checked in the sources; and the test suite's warning filters, checked in a
+child pytest run."""
 
 import ast
 import gc
@@ -231,6 +232,28 @@ class TestOneHomePerBound:
                    for node in ast.walk(top)
                    if isinstance(node, ast.Raise) and "samples" in ast.unparse(node)]
         assert raisers == ["moments._sample_stats"]
+
+    def test_one_block_rule_sizes_every_projective_sampler(self):
+        # _block_rows of a sampler's degrees is the one rule for its block size, and the one
+        # reader of _BLOCK_BYTES: no sampler sizes its blocks by a rule of its own
+        readers, sizes = set(), {}
+        for path in sorted(Path(moments.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                where = f"{path.stem}.{getattr(top, 'name', type(top).__name__)}"
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                            and node.id == "_BLOCK_BYTES"
+                            or isinstance(node, ast.Attribute) and node.attr == "_BLOCK_BYTES"):
+                        readers.add(where)
+                    if (path.stem == "projective" and isinstance(node, ast.Call)
+                            and ast.unparse(node.func) == "_sample_stats"):
+                        rows = node.args[4:] + [kw.value for kw in node.keywords
+                                                if kw.arg == "rows"]
+                        sizes[where] = [ast.unparse(size) for size in rows]
+        assert readers == {"projective._block_rows"}
+        assert sorted(sizes) == ["projective.gamma_profile", "projective.identity_max",
+                                 "projective.pushforward_mc"]
+        assert all(len(rows) == 1 and rows[0].startswith("_block_rows(") for rows in sizes.values())
 
 
 FAILING_PROPERTY = """\

@@ -121,42 +121,47 @@ class TestPushforward:
     def test_mc_path_agrees_within_stderr(self):
         t = random_curvature(2, 3, seed=5)
         ss = segre_forms(chern_forms(t, t.r), 2)
-        mean, err = pushforward_mc(t, 2, 32000, 100)
+        [(mean, err)] = pushforward_mc(t, [2], 32000, 100)
         assert stderr_units(mean, err, ss[2]) <= 4.0
 
     def test_mc_rejects_segre_form_of_perturbed_tensor(self):
         t = random_curvature(2, 3, seed=5)
-        mean, err = pushforward_mc(t, 2, 32000, 100)
+        [(mean, err)] = pushforward_mc(t, [2], 32000, 100)
         t_off = CurvatureTensor(2, 3, t.c + 0.2 * random_curvature(2, 3, seed=55).c)
         assert stderr_units(mean, err, segre_forms(chern_forms(t_off, t_off.r), 2)[2]) > 4.0
 
     @pytest.mark.parametrize("n, r", [(2, 3), (3, 3)])
     def test_mc_matches_per_direction_loop(self, n, r):
         t = random_curvature(n, r, seed=n + r)
-        for k in range(1, n + 1):
-            mean, err = pushforward_mc(t, k, 300, k)
-            ref_mean, ref_err = pushforward_mc_loop(t, k, 300, k)
+        for k, (mean, err) in zip(range(1, n + 1), pushforward_mc(t, range(1, n + 1), 300, n)):
+            ref_mean, ref_err = pushforward_mc_loop(t, k, 300, n)
             scale = 1.0 + ref_mean.max_abs()
             assert (mean - ref_mean).max_abs() <= 1e-13 * scale
             assert (err - ref_err).max_abs() <= 1e-12 * scale
 
     def test_mc_chunked_reduction_matches_one_chunk(self, monkeypatch):
         t = random_curvature(3, 3, seed=8)
-        whole = pushforward_mc(t, 2, 100, 3)
+        whole = pushforward_mc(t, [1, 2, 3], 100, 3)
         monkeypatch.setattr(projective, "_BLOCK_BYTES", 7 * 16 * (3 * 2 + 3) ** 2)  # 7 rows
-        chunked = pushforward_mc(t, 2, 100, 3)
-        for a, b in zip(whole, chunked):
-            assert (a - b).max_abs() <= 1e-12 * (1.0 + a.max_abs())
+        chunked = pushforward_mc(t, [1, 2, 3], 100, 3)
+        for pair, chunked_pair in zip(whole, chunked):
+            for a, b in zip(pair, chunked_pair):
+                assert (a - b).max_abs() <= 1e-12 * (1.0 + a.max_abs())
+        # at n = 2 every degree has the block size of its own call, so the bits are its own
+        t = random_curvature(2, 2, seed=8)
+        for k, pair in zip([1, 2], pushforward_mc(t, [1, 2], 100, 3)):
+            [one] = pushforward_mc(t, [k], 100, 3)
+            assert all(np.array_equal(a.a, b.a) for a, b in zip(pair, one))
 
     def test_mc_memory_flat_in_samples(self):
         t = random_curvature(3, 3, seed=8)
-        peak = traced_peak(pushforward_mc, t, 2, 2 * DIRECTION_CHUNK, 0)
-        assert traced_peak(pushforward_mc, t, 2, 8 * DIRECTION_CHUNK, 0) <= 1.5 * peak
+        peak = traced_peak(pushforward_mc, t, [1, 2, 3], 2 * DIRECTION_CHUNK, 0)
+        assert traced_peak(pushforward_mc, t, [1, 2, 3], 8 * DIRECTION_CHUNK, 0) <= 1.5 * peak
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_mc_rejects_samples_below_one(self, samples):
         with pytest.raises(ValueError, match="samples must be >= 2"):
-            pushforward_mc(random_curvature(2, 2, seed=7), 1, samples, 1)
+            pushforward_mc(random_curvature(2, 2, seed=7), [1], samples, 1)
 
     def test_frame_invariance(self, rng):
         t = random_curvature(2, 3, seed=6)
@@ -185,7 +190,25 @@ class TestPushforward:
                 pushforward_exact(t, ks)
         for k in (0, 3, -1):  # degree 0 is the unit form, exactly: Monte Carlo starts at k = 1
             with pytest.raises(ValueError, match=f"k={k} out of range"):
-                pushforward_mc(t, k, 10, 1)
+                pushforward_mc(t, [k], 10, 1)
+
+
+class TestDegreeCheck:
+    @pytest.mark.parametrize("ks", [[5], [-1], [1, 3], []], ids=["high", "negative", "last", "empty"])
+    def test_every_function_checks_its_degrees_before_any_draw(self, draws, ks):
+        # one check for all four: the first degree out of range, or no degree at all, raises
+        # before a direction is drawn or a block size is taken
+        t, w = random_curvature(2, 2, seed=7), Kaehler11.euclidean(2)
+        calls = {0: [lambda: pushforward_exact(t, ks)],
+                 1: [lambda: pushforward_mc(t, ks, 10, 1), lambda: identity_max(t, w, ks, 10, 1),
+                     lambda: identity_residuals(t, w, [[1, 0]], ks)]}
+        for low, fns in calls.items():
+            message = (f"k={ks[-1]} out of range [{low}, 2]" if ks
+                       else "ks must hold at least one degree")
+            for fn in fns:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    fn()
+        assert draws == []
 
 
 class TestPushforwardProperties:
@@ -267,7 +290,7 @@ class TestWhitneySumAndDual:
         e, f = random_curvature(3, 2, seed=3), random_curvature(3, 2, seed=4)
         se, sf = segre_forms(chern_forms(e, 3), 3), segre_forms(chern_forms(f, 3), 3)
         for k in (1, 2, 3):
-            mean, err = pushforward_mc(direct_sum(e, f), k, 20_000, 1)
+            [(mean, err)] = pushforward_mc(direct_sum(e, f), [k], 20_000, 1)
             assert stderr_units(mean, err, total_product(se, sf, k)) <= MC_UNITS
 
     @EXAMPLES

@@ -194,8 +194,11 @@ def direction_matrices(t, V):
     nrm2 = np.einsum("il,il->i", V, V.conj()).real
     if not np.all(nrm2 > 0):
         raise ValueError("direction must be nonzero")
-    G = np.einsum("jklm,il,im->ijk", t.c, V, V.conj()) / nrm2[:, None, None]
-    return 0.5 * (G + G.conj().transpose(0, 2, 1))
+    G = np.einsum("jklm,il,im->ijk", t.c, V, V.conj())
+    G /= nrm2[:, None, None]  # divided and symmetrised in place, beside one conjugate copy
+    G += G.conj().transpose(0, 2, 1)
+    G *= 0.5
+    return G
 
 
 def omega_ratio(a, w, k):

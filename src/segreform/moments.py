@@ -12,7 +12,8 @@ Gaussian side is a Wick pairing sum.  M is a disjoint union of all-ones
 blocks, one per index value, so perm(M) = m_1! ... m_r! when the lambda and
 mu multisets agree and 0 otherwise: every moment is a diagonal one or zero.
 Everything is computed in exact integer/rational arithmetic; floats only
-appear in the Monte Carlo estimator.
+appear in the Monte Carlo estimator.  moment_wick alone imports fractions,
+so a process that only samples never loads it.
 
 Every sampler of the package, that estimator included, reads a seed's
 direction stream (direction_chunks), which is fixed per seed and
@@ -20,12 +21,14 @@ prefix-stable: N samples are its first N directions.  They all read it
 through one reduction, _sample_stats, which keeps running sums, sums of
 squares, minima and maxima, so memory does not grow with the sample count.
 It takes N >= 2, since one direction has no standard error and no spread.
+One block of directions and its values are alive at a time: the stream
+drops each chunk, and the reduction each block, before the next is drawn,
+and moment_mc fills one values buffer, allocated per call, block by block.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -39,6 +42,7 @@ def moment_wick(r, lambdas, mus):
     """Exact moment E[v_{l_1}...v_{l_k} conj(v_{m_1})...conj(v_{m_k})] on the sphere of C^r
     for 1-based index sequences lambdas and mus of one length k: perm(M) (r-1)!/(r-1+k)!,
     which is m_1!...m_r! (r-1)!/(r-1+k)! when they agree as multisets, else 0."""
+    from fractions import Fraction  # here alone: the samplers' processes never load it
     _check_indices(r, lambdas, mus)
     if sorted(lambdas) != sorted(mus):
         return Fraction(0)
@@ -64,12 +68,14 @@ def moment_mc(r, pairs, samples, seed):
     live = [pair for pair in pairs if pair[0]]  # degree 0 is E[1] = 1
     if not live and int(samples) >= 2:  # nothing to draw; _sample_stats rejects bad samples
         return [(1 + 0j, 0.0)] * len(pairs)
+    buffer = np.empty((len(live), DIRECTION_CHUNK), dtype=complex)  # the values of each chunk
 
     def values(z):  # np.multiply, as `*` may reuse a temporary right operand, swapping factors
-        cols = z.T.copy()
-        return np.array([np.multiply(reduce(np.multiply, (cols[l - 1] for l in lambdas)),
-                                     reduce(np.multiply, (cols[m - 1].conj() for m in mus)))
-                         for lambdas, mus in live])
+        x = buffer[:, :len(z)]
+        for row, (lambdas, mus) in zip(x, live):
+            np.multiply(reduce(np.multiply, (z[:, l - 1] for l in lambdas)),
+                        reduce(np.multiply, (z[:, m - 1].conj() for m in mus)), out=row)
+        return x
     mean, err, _, _ = _sample_stats(values, r, samples, seed)
     stats = iter(zip(mean.tolist(), err.tolist()))
     return [next(stats) if lambdas else (1 + 0j, 0.0) for lambdas, _ in pairs]
@@ -79,7 +85,8 @@ def _sample_stats(values, r, samples, seed, rows=DIRECTION_CHUNK):
     """Per-entry (mean, stderr, low, high) of values(V), one entry per direction of V along its
     last axis, over the first N = samples >= 2 directions of the seed's stream, in blocks V of
     at most `rows`: stderr = sqrt(max(sum |x|^2 - N |mean|^2, 0) / (N-1) / N), and low and
-    high, the least and greatest entries, None for complex values."""
+    high, the least and greatest entries, None for complex values.  Each block and its values
+    are dropped before the next block is drawn, so one block is alive at a time."""
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be >= 2: a standard error or spread needs two directions")
@@ -90,6 +97,7 @@ def _sample_stats(values, r, samples, seed, rows=DIRECTION_CHUNK):
         total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=-1)
         if not np.iscomplexobj(x):
             low, high = np.minimum(low, x.min(axis=-1)), np.maximum(high, x.max(axis=-1))
+        del V, x
     mean = total / samples
     var = np.maximum(total_sq - samples * np.abs(mean) ** 2, 0.0) / (samples - 1)
     if np.iscomplexobj(mean):
@@ -103,8 +111,9 @@ def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
     Chunk c of the stream, directions c * DIRECTION_CHUNK onwards, holds the
     complex normals of the stream (seed, c) of curvature._complex_normals, r
     per direction, normalised in place.  Yields the directions in order as
-    (<= rows, r) views of one chunk at a time; `rows` only splits the
-    chunks, so the directions do not depend on it.
+    (<= rows, r) views of one chunk at a time, and drops the chunk before it
+    draws the next; `rows` only splits the chunks, so the directions do not
+    depend on it.
     """
     count = int(count)
     for c, start in enumerate(range(0, count, DIRECTION_CHUNK)):
@@ -112,4 +121,5 @@ def direction_chunks(r, count, seed, rows=DIRECTION_CHUNK):
         z *= 1 / np.linalg.norm(z, axis=1, keepdims=True)
         for i in range(0, len(z), rows):
             yield z[i:i + rows]
+        del z
 

@@ -15,7 +15,10 @@ minors of -theta_v paired with those of omega^-1, cached per degree by
 curvature.omega_ratio, batched over directions and compared with
 gamma_k(theta_v/omega) from a batched eigensolve.  All but gamma_profile take
 a sequence ks of degrees, checked by _degrees first; each sampler serves all
-of them from one pass of moments._sample_stats, in blocks of _block_rows.
+of them from one pass of moments._sample_stats, in blocks of _block_rows,
+and holds one block's directions, matrices and values at a time.  A degree
+whose arrays for a single direction pass _DIRECTION_BYTES is refused before
+anything is drawn or allocated.
 """
 
 from __future__ import annotations
@@ -32,11 +35,19 @@ from .moments import _sample_stats
 from .symfun import elem_sym
 
 _BLOCK_BYTES = 1 << 20  # per-direction arrays of one block of directions
+_DIRECTION_BYTES = 1 << 30  # most that the arrays of one direction may take
 
 
 def _block_rows(n, ks):
-    """Directions per block whose n x n matrices and k x k minors, any k of ks, fit _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (16 * max(math.comb(n, k) * k + n for k in ks) ** 2))
+    """Directions per block whose n x n matrices and k x k minors, any k of ks, fit _BLOCK_BYTES.
+    A degree whose arrays for one direction pass _DIRECTION_BYTES is a ValueError, raised
+    before the sampler draws a direction or enumerates a subset."""
+    k = max(ks, key=lambda d: math.comb(n, d) * d)
+    need = 16 * (math.comb(n, k) * k + n) ** 2
+    if need > _DIRECTION_BYTES:
+        raise ValueError(f"k={k} at n={n} needs {need} bytes per direction, "
+                         f"more than {_DIRECTION_BYTES}")
+    return max(1, _BLOCK_BYTES // need)
 
 
 def _degrees(ks, n, low):

@@ -838,6 +838,19 @@ class TestOutOfMemory:
         assert (code, err, out.count("\n")) == (2, "", 1)
         assert json.loads(out)["error"]["type"] == "memory"
 
+    def test_an_infeasible_sampled_degree_is_refused_before_it_allocates(self, tmp_path):
+        # at n = 32 and k = 16 one direction's minors would take 1.5e21 bytes, and their
+        # C(32, 16) = 601,080,390 subsets would be enumerated before any of them
+        assert run_child(tmp_path, "gen", "32", "2", "1", "--out", "t.json")[0] == 0
+        start = time.perf_counter()
+        code, out, err = run_limited(tmp_path, "verify", "identity9", "--in", "t.json",
+                                     "--k", "16", "--samples", "2")
+        assert (code, err, out.count("\n")) == (2, "", 1)
+        need = 16 * (math.comb(32, 16) * 16 + 32) ** 2
+        assert json.loads(out)["error"] == {"type": "usage", "message": (
+            f"k=16 at n=32 needs {need} bytes per direction, more than {1 << 30}")}
+        assert time.perf_counter() - start < 5
+
     @pytest.mark.parametrize("argv", [["check", "thm12"], ["check", "kl"],
                                       ["verify", "identity9", "--k", "2", "--samples", "2"]],
                              ids=["thm12", "kl", "identity9-k2"])

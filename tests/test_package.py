@@ -124,6 +124,22 @@ class TestProcessEntry:
                      ["moments", "--r", "2", "--lambdas", "1", "--samples", "100", "--out", out]):
             assert run_child(probe, *argv) == ["False"] * 3, argv
 
+    def test_sampling_loads_neither_fractions_nor_decimal(self, tmp_path):
+        # only moment_wick's exact moments are fractions, which import decimal
+        probe = ("import atexit, runpy, sys\n"
+                 "atexit.register(lambda: print(*(m in sys.modules\n"
+                 "                                for m in ('fractions', 'decimal'))))\n"
+                 "sys.argv[0] = 'segreform'\n"
+                 "runpy.run_module('segreform.cli', run_name='__main__')\n")
+        inst, out = str(tmp_path / "he33.json"), str(tmp_path / "out.json")
+        assert run_child(probe, "gen", "3", "3", "1", "--he", "1.0", "--out", inst) \
+            == ["False"] * 2
+        for argv in (["verify", "pushforward", "--in", inst, "--k", "2", "--samples", "30"],
+                     ["verify", "identity8", "--in", inst, "--samples", "30"],
+                     ["verify", "identity9", "--in", inst, "--samples", "30"],
+                     ["check", "lhe", "--in", inst, "--samples", "100"]):
+            assert run_child(probe, *argv, "--out", out) == ["False"] * 2, argv
+
     def test_entry_freezes_the_import_heap(self, tmp_path):
         freeze_count, _ = self.run_cli_child("gen", "2", "2", "1", "--out",
                                              str(tmp_path / "t.json"))

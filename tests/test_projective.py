@@ -36,6 +36,13 @@ def slope_residuals(t, w, V):
     return identity_residuals(t, w, V, [1], -lam)[1]
 
 
+def one_block_bytes(r):
+    """A chunk of r-vectors, 16-byte complex, and the _BLOCK_BYTES that a block of directions'
+    matrices and minors fill: a sampler holding one block at a time, temporaries and all, stays
+    within it; one that keeps a chunk while it draws the next, or copies its matrices, does not."""
+    return 16 * DIRECTION_CHUNK * r + projective._BLOCK_BYTES
+
+
 class TestFrames:
     def test_unitary_properties(self, rng):
         for r in (1, 2, 4):
@@ -156,7 +163,9 @@ class TestPushforward:
     def test_mc_memory_flat_in_samples(self):
         t = random_curvature(3, 3, seed=8)
         peak = traced_peak(pushforward_mc, t, [1, 2, 3], 2 * DIRECTION_CHUNK, 0)
-        assert traced_peak(pushforward_mc, t, [1, 2, 3], 8 * DIRECTION_CHUNK, 0) <= 1.5 * peak
+        later = traced_peak(pushforward_mc, t, [1, 2, 3], 8 * DIRECTION_CHUNK, 0)
+        assert later <= 1.5 * peak
+        assert max(peak, later) <= one_block_bytes(3)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_mc_rejects_samples_below_one(self, samples):
@@ -208,6 +217,22 @@ class TestDegreeCheck:
             for fn in fns:
                 with pytest.raises(ValueError, match=re.escape(message)):
                     fn()
+        assert draws == []
+
+
+    def test_a_direction_past_the_budget_is_refused_before_any_draw(self, monkeypatch, draws):
+        # one direction's arrays at degree k take 16 (C(n,k) k + n)^2 bytes, 16 * 1024^2 at
+        # n = 32 and k = 2: a budget of exactly that admits it, one byte less refuses it
+        t, w = random_curvature(32, 2, seed=1), Kaehler11.euclidean(32)
+        need = 16 * (math.comb(32, 2) * 2 + 32) ** 2
+        monkeypatch.setattr(projective, "_DIRECTION_BYTES", need)
+        assert projective._block_rows(32, [1, 2]) == 1
+        monkeypatch.setattr(projective, "_DIRECTION_BYTES", need - 1)
+        message = f"k=2 at n=32 needs {need} bytes per direction, more than {need - 1}"
+        for fn in (lambda: pushforward_mc(t, [1, 2], 10, 1),
+                   lambda: identity_max(t, w, [2, 1], 10, 1)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn()
         assert draws == []
 
 
@@ -597,7 +622,9 @@ class TestGammaProfile:
         t = random_curvature(3, 3, seed=21)
         w = Kaehler11.euclidean(3)
         peak = traced_peak(gamma_profile, t, w, 3, samples=2 * DIRECTION_CHUNK, seed=0)
-        assert traced_peak(gamma_profile, t, w, 3, samples=8 * DIRECTION_CHUNK, seed=0) <= 1.5 * peak
+        later = traced_peak(gamma_profile, t, w, 3, samples=8 * DIRECTION_CHUNK, seed=0)
+        assert later <= 1.5 * peak
+        assert max(peak, later) <= one_block_bytes(3)
 
     def test_rank_one_trivially_constant(self):
         w = Kaehler11.euclidean(2)

@@ -114,11 +114,6 @@ def _emit(text, out_path):
         print(text)
 
 
-def _finish_report(report, out_path):
-    _emit(report.dumps(), out_path)
-    return 0 if report.all_passed else 1
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -140,18 +135,20 @@ def cmd_gen(args):
 
 
 # ---------------------------------------------------------------------------
-# verify and check
+# reports: verify, check and moments
 # ---------------------------------------------------------------------------
 
 def cmd_report(run, args):
-    """A verify or check kind: run(args, report) fills a report whose inputs are the flags the
-    kind takes, with the values the run used, but for --out and --symmetrize: a report on
-    symmetrised input is byte for byte the one on the Hermitian part written out by hand."""
-    report = Report(f"{args.command} {args.kind}",
-                    {key: value for key, value in vars(args).items()
-                     if key not in ("command", "kind", "func", "out", "symmetrize")})
+    """The one report path, of every verify and check kind and of moments: run(args, report)
+    fills the report's rows, and its inputs are then the command's flags with the values the
+    run used, but for --out and --symmetrize: a report on symmetrised input is byte for byte
+    the one on the Hermitian part written out by hand."""
+    report = Report(f"{args.command} {args.kind}" if "kind" in args else args.command, {})
     run(args, report)
-    return _finish_report(report, args.out)
+    report.inputs = {key: value for key, value in vars(args).items()
+                     if key not in ("command", "kind", "func", "out", "symmetrize")}
+    _emit(report.dumps(), args.out)
+    return 0 if report.all_passed else 1
 
 
 def _load_input(args):
@@ -240,27 +237,20 @@ def _check(args, report):
         report.add(name, res, args.tol, measured(res))
 
 
-# ---------------------------------------------------------------------------
-# moments
-# ---------------------------------------------------------------------------
-
-def cmd_moments(args):
+def _moments(args, report):
     from .moments import moment_mc, moment_wick
-    lambdas = args.lambdas or []
-    mus = args.mus if args.mus is not None else lambdas
-    report = Report("moments",
-                    {"r": args.r, "lambdas": lambdas, "mus": mus,
-                     "samples": args.samples, "seed": args.seed})
-    exact = moment_wick(args.r, lambdas, mus)
+    args.lambdas = args.lambdas or []
+    if args.mus is None:
+        args.mus = args.lambdas
+    exact = moment_wick(args.r, args.lambdas, args.mus)
     report.add("exact", {"value": float(exact),
                          "fraction": f"{exact.numerator}/{exact.denominator}"}, 0.0, 0)
     if args.samples:
-        [(est, err)] = moment_mc(args.r, [(lambdas, mus)], args.samples, args.seed)
+        [(est, err)] = moment_mc(args.r, [(args.lambdas, args.mus)], args.samples, args.seed)
         units = stderr_units(est, complex(exact), err)
         report.add("mc_gap_stderr_units",
                    {"estimate_re": float(est.real), "estimate_im": float(est.imag),
                     "stderr": err, "units": units}, MC_UNITS, units)
-    return _finish_report(report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +321,7 @@ def build_parser():
     m.add_argument("--samples", **flags["--samples"])
     m.add_argument("--seed", **flags["--seed"])
     m.add_argument("--out", default=None)
-    m.set_defaults(func=cmd_moments)
+    m.set_defaults(func=functools.partial(cmd_report, _moments))
     return parser
 
 

@@ -82,9 +82,9 @@ class Form:
         self.a = a
 
     @classmethod
-    def constant(cls, m, value=1.0):
-        """The (0,0)-form with the given constant value."""
-        return cls(m, 0, 0, [[value]])
+    def constant(cls, m):
+        """The unit (0,0)-form, constant 1."""
+        return cls(m, 0, 0, [[1.0]])
 
     @classmethod
     def one_one(cls, g):

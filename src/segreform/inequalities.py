@@ -7,10 +7,11 @@ check compares s_2 ^ omega^{n-2} / omega^n with lambda^2 r(r+1)/(2 n^2).
 Every ratio comes from one trace contraction, _degree_two: for real (1,1)-forms with
 coefficient matrices A, B and W = omega^-1, alpha ^ beta ^ omega^{n-2}/(n-2)! =
 [tr(WA) tr(WB) - tr(WAWB)] omega^n/n!; c_2, s_2 follow from c_1^2 and p_2 = tr Theta_hat^2.
-Each check gates on T == lambda * Id within DEFAULT_HE_TOL and reuses that
-lambda.  Equality flags are the structural tests alone, coefficientwise within
-DEFAULT_EQUALITY_TOL: projective flatness for the classical inequality, and
-Theta_hat equal to strong_flat_tensor(n, r, omega, lambda) for the Segre one.
+All four checks pass one gate, _gate: n >= 2, T == lambda * Id within DEFAULT_HE_TOL,
+then _degree_two; each reuses that lambda.  Equality flags are the structural tests
+alone, coefficientwise within DEFAULT_EQUALITY_TOL: projective flatness for the
+classical inequality, and Theta_hat equal to strong_flat_tensor(n, r, omega, lambda)
+for the Segre one.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def _degree_two(t, w):
     return c1_sq, p2, float(tr_c1.real) / t.n
 
 
+def _gate(t, w, check):
+    """(lambda, c_1^2, p_2, c_1 . omega) of _degree_two on Hermite-Einstein input with n >= 2;
+    a PreconditionError naming the check for any other."""
+    if t.n < 2:
+        raise PreconditionError(f"{check} needs n >= 2")
+    return (_require_he(t, w), *_degree_two(t, w))
+
+
 def kl_classical(t, w):
     """Classical pointwise check: ((r-1) c_1^2 - 2r c_2) ^ omega^{n-2} <= 0.
 
@@ -40,10 +49,7 @@ def kl_classical(t, w):
     q is the ratio against omega^n and the equality flag mirrors projective
     flatness.
     """
-    if t.n < 2:
-        raise PreconditionError("classical check needs n >= 2")
-    _require_he(t, w)
-    c1_sq, p2, _ = _degree_two(t, w)
+    _, c1_sq, p2, _ = _gate(t, w, "classical check")
     q = t.r * p2 - c1_sq  # (r-1) c_1^2 - 2r c_2
     return {"q": q, "equality": is_projectively_flat(t)}
 
@@ -56,11 +62,8 @@ def kl_segre(t, w):
     which tests/test_inequalities.py checks.  Returns lhs, both, margin = rhs - lhs,
     and equality: Theta_hat == strong_flat_tensor(n, r, omega, lambda).
     """
-    if t.n < 2:
-        raise PreconditionError("Segre-form check needs n >= 2")
-    lam = _require_he(t, w)
+    lam, c1_sq, p2, c1 = _gate(t, w, "Segre-form check")
     n, r = t.n, t.r
-    c1_sq, p2, c1 = _degree_two(t, w)
     lhs = c1_sq - (c1_sq - p2) / 2  # s_2 = c_1^2 - c_2
     rhs_chern = lam * (r + 1) / (2 * n) * c1
     rhs_slope = lam * lam * r * (r + 1) / (2 * n * n)
@@ -73,12 +76,9 @@ def kl_segre(t, w):
 def projective_flat_bound(t, w):
     """For projectively flat Hermite-Einstein input, both sides of
     c_1^2 ^ omega^{n-2} <= (lambda r / n)^2 omega^n, as ratios against omega^n."""
-    if t.n < 2:
-        raise PreconditionError("needs n >= 2")
-    lam = _require_he(t, w)
+    lam, lhs, _, _ = _gate(t, w, "Remark 4.1 bound")
     if not is_projectively_flat(t):
         raise PreconditionError("input is not projectively flat within tolerance")
-    lhs = _degree_two(t, w)[0]
     rhs = (lam * t.r / t.n) ** 2
     return {"lhs": lhs, "rhs": rhs}
 
@@ -97,9 +97,8 @@ def surface_compare(t, w):
         raise PreconditionError("surface comparison is defined for n = 2 only")
     if t.r < 2:
         raise PreconditionError("classical bound needs r >= 2 (division by r - 1)")
-    lam = _require_he(t, w)
+    lam, c1_sq, p2, c1_dot_omega = _gate(t, w, "surface comparison")
     r = t.r
-    c1_sq, p2, c1_dot_omega = _degree_two(t, w)
     c2 = (c1_sq - p2) / 2
     classical_rhs = 2 * r / (r - 1) * c2
     eq4_rhs = c2 + lam * lam * r * (r + 1) / 8

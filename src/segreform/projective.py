@@ -17,8 +17,8 @@ gamma_k(theta_v/omega) from a batched eigensolve.  All but gamma_profile take
 a sequence ks of degrees, checked by _degrees first; each sampler serves all
 of them from one pass of moments._sample_stats, in blocks of _block_rows,
 and holds one block's directions, matrices and values at a time.  A degree
-whose arrays for a single direction pass _DIRECTION_BYTES is refused before
-anything is drawn or allocated.
+whose arrays for a single direction, or an exact degree whose largest wedge,
+pass _DIRECTION_BYTES is refused before anything is drawn or allocated.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .moments import _sample_stats
 from .symfun import elem_sym
 
 _BLOCK_BYTES = 1 << 20  # per-direction arrays of one block of directions
-_DIRECTION_BYTES = 1 << 30  # most that the arrays of one direction may take
+_DIRECTION_BYTES = 1 << 30  # most that the arrays of one direction, or one wedge, may take
 
 
 def _block_rows(n, ks):
@@ -81,6 +81,13 @@ def pushforward_exact(t, ks):
     """
     ks = _degrees(ks, t.n, 0)
     top = max(ks)
+    # The walk, and Newton's identities and the Segre inversion that its forms are checked
+    # against, wedge up to degree top; an (a,a) ^ (b,b) wedge of degree j = a + b takes
+    # C(n, j) C(j, a) split pairs per side, the most at a = j // 2.
+    need = max(16 * (math.comb(t.n, j) * math.comb(j, j // 2)) ** 2 for j in range(top + 1))
+    if need > _DIRECTION_BYTES:
+        raise ValueError(f"k={top} at n={t.n} needs {need} bytes for one wedge, "
+                         f"more than {_DIRECTION_BYTES}")
     theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
     parts = {k: [] for k in ks}  # [degree]: the sums of its sorted lambdas
     parts[0], parts[1] = [Form.constant(t.n).a], [theta[lam][lam].a for lam in range(t.r)]

@@ -86,8 +86,6 @@ def _render(obj, out):
         out.append(str(obj))
     elif obj is None:
         out.append("null")
-    elif hasattr(obj, "item") and callable(obj.item):
-        _render(obj.item(), out)  # numpy scalar
     else:
         out.append(json.dumps(str(obj)))
 

@@ -789,7 +789,14 @@ class TestInvariantGuards:
         (["verify", "pushforward", "--in", "t.json", "--k", "3"], "usage",
          "k=3 out of range [0, 2]"),
         (["verify", "identity8", "--in", "raw.json"], "precondition",
-         "tensor is not Hermite-Einstein within 1e-09 (deviation 5.000e-01)")],
+         "tensor is not Hermite-Einstein within 1e-09 (deviation 5.000e-01)"),
+        (["check", "he", "--in", "t.json", "--omega", "[[1,0],[0]]"], "usage",
+         "omega matrix must be square"),
+        (["check", "he", "--in", "t.json", "--omega", "[[1]]"], "usage",
+         "omega is 1x1, tensor needs 2x2"),
+        (["check", "thm12", "--in", "raw.json"], "precondition", "Segre-form check needs n >= 2"),
+        (["check", "remark41", "--in", "raw.json"], "precondition",
+         "Remark 4.1 bound needs n >= 2")],
         ids=["in-dir", "out-dir", "omega-dir", "deep-tensor", "deep-omega", "gen-he-nan",
              "gen-strong-flat-he-inf", "gen-he-oversized", "gen-strong-flat-he-oversized",
              "gen-flat-he-oversized", "gen-strong-flat-omega-overflow",
@@ -800,7 +807,8 @@ class TestInvariantGuards:
              "missing-in", "gen-conflicting-flags", "omega-subnormal", "gen-omega-subnormal",
              "gen-omega-near-float-max", "pushforward-omega-r", "moments-tol", "identity8-k",
              "he-ell-samples", "moments-in-omega", "lhe-ell-past-n", "identity9-k-past-n",
-             "pushforward-k-past-n", "identity8-non-he"])
+             "pushforward-k-past-n", "identity8-non-he", "omega-not-square", "omega-size-mismatch",
+             "thm12-n1", "remark41-n1"])
     def test_bad_input_is_one_error_line(self, tmp_path, argv, kind, words):
         # in a child process, so that a traceback or a warning on stderr would show
         (tmp_path / "t.json").write_text('{"n": 2, "r": 1, "coeffs": []}')
@@ -829,14 +837,29 @@ def run_limited(cwd, *argv):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 class TestOutOfMemory:
-    @pytest.mark.parametrize("argv", [["--k", "16"], ["--k", "3", "--samples", "2"]],
-                             ids=["exact-k16", "mc-k3"])
-    def test_an_allocation_failure_is_one_error_line(self, tmp_path, argv):
-        # at n = 32 the Chern wedges need arrays of more than 3 GiB
-        assert run_child(tmp_path, "gen", "32", "2", "1", "--out", "t.json")[0] == 0
-        code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json", *argv)
+    def test_an_allocation_failure_is_one_error_line(self, tmp_path):
+        # at n = 26 a degree-3 wedge takes C(26, 3) 3 = 7,800 split pairs per side, 928 MiB:
+        # inside the one-wedge budget, but the wedge needs two such arrays at once
+        assert run_child(tmp_path, "gen", "26", "2", "1", "--out", "t.json")[0] == 0
+        code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json",
+                                     "--k", "3")
         assert (code, err, out.count("\n")) == (2, "", 1)
         assert json.loads(out)["error"]["type"] == "memory"
+
+    @pytest.mark.parametrize("argv, k, pairs", [
+        (["--k", "16"], 16, max(math.comb(32, j) * math.comb(j, j // 2) for j in range(17))),
+        (["--k", "3", "--samples", "2"], 3, math.comb(32, 3) * 3)], ids=["exact-k16", "mc-k3"])
+    def test_an_infeasible_exact_degree_is_refused_before_it_allocates(self, tmp_path, argv, k,
+                                                                       pairs):
+        # the exact walk runs first, and its degree's largest wedge, 16 bytes a split pair
+        # squared, would take 3.5e9 bytes at k = 3 and 9.6e26 at k = 16
+        assert run_child(tmp_path, "gen", "32", "2", "1", "--out", "t.json")[0] == 0
+        start = time.perf_counter()
+        code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json", *argv)
+        assert (code, err, out.count("\n")) == (2, "", 1)
+        assert json.loads(out)["error"] == {"type": "usage", "message": (
+            f"k={k} at n=32 needs {16 * pairs ** 2} bytes for one wedge, more than {1 << 30}")}
+        assert time.perf_counter() - start < 5
 
     def test_an_infeasible_sampled_degree_is_refused_before_it_allocates(self, tmp_path):
         # at n = 32 and k = 16 one direction's minors would take 1.5e21 bytes, and their

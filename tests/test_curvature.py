@@ -243,6 +243,14 @@ class TestValidatedArrays:
         assert np.array_equal(got.conj(), got.transpose(1, 0, 3, 2))
         assert abs(got[0, 1, 2, 0] - (c[0, 1, 2, 0] + 2e-11 + 1.5e-11j)) <= 1e-16
 
+    @pytest.mark.parametrize("n, r, c, message", [
+        (0, 2, None, "need n >= 1 and r >= 1"), (2, 0, None, "need n >= 1 and r >= 1"),
+        (2, 2, np.zeros((2, 2, 2)), "coefficient array has shape (2, 2, 2), expected (2, 2, 2, 2)")],
+        ids=["n-zero", "r-zero", "wrong-shape"])
+    def test_dimensions_and_shape_are_checked(self, n, r, c, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CurvatureTensor(n, r, c)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("values, message", [
         (np.nan, "coefficients must be finite"),
@@ -625,6 +633,16 @@ class TestJsonInterchange:
         with pytest.raises(TensorValidationError, match="hermitian symmetry"):
             tensor_from_dict(payload)
         assert hermitian_deviation(tensor_from_dict(payload, symmetrize=True)) == 0
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ({"j": 1}, 'malformed tensor payload: coeffs must be a list, got {"j": 1}'),
+        ([{"j": 1, "k": 1, "lambda": 1, "re": 1.0}],
+         'malformed coefficient entry {"j": 1, "k": 1, "lambda": 1, "re": 1.0}: \'mu\''),
+        ([5], "malformed coefficient entry 5: 'int' object is not subscriptable")],
+        ids=["coeffs-not-a-list", "entry-without-mu", "entry-not-a-dict"])
+    def test_malformed_coefficients_are_rejected(self, coeffs, message):
+        with pytest.raises(TensorValidationError, match=re.escape(message)):
+            tensor_from_dict({"n": 2, "r": 1, "coeffs": coeffs})
 
     def test_out_of_range_entry(self):
         with pytest.raises(TensorValidationError, match="out of range"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,17 @@ class TestFormBasics:
         assert is_zero(f) and f.a.shape == (0, 0)
         with pytest.raises(ValueError, match="expected"):
             Form(2, 3, 3, [[1.0]])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Form(2, -1, 0), ValueError, "m, p, q must be nonnegative"),
+        (lambda: Form(2, 1, 1) + 1.0, TypeError, "expected Form, got float"),
+        (lambda: Form(2, 1, 1) - Form(2, 1, 0), ValueError,
+         "incompatible forms: (2,1,1) vs (2,1,0)"),
+        (lambda: wedge(Form(2, 1, 1), 1.0), TypeError, "wedge expects two Form values")],
+        ids=["negative-degree", "add-non-form", "add-other-bidegree", "wedge-non-form"])
+    def test_malformed_operands_raise(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
 
     def test_wedge_power_zeroth_is_one(self, rng):
         f = random_form(3, 1, 1, rng)

@@ -42,6 +42,13 @@ class TestKaehler11:
             with pytest.raises(ValueError, match=re.escape(message)):
                 Kaehler11(g)
 
+    @pytest.mark.parametrize("g", [np.ones((2, 3)), np.zeros((0, 0)), np.ones(2)],
+                             ids=["non-square", "empty", "vector"])
+    def test_a_non_square_or_empty_matrix_is_rejected(self, g):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a nonempty square matrix, got shape {np.shape(g)}")):
+            Kaehler11(g)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("g, message", [
         (np.diag([1.0, 1e-13]),
@@ -88,6 +95,10 @@ class TestRelativeEigenvalues:
         a = np.diag([2.0, 3.0])
         w = Kaehler11.euclidean(2)
         assert np.allclose(relative_eigenvalues(a, w), [2.0, 3.0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="forms live on different dimensions"):
+            relative_eigenvalues(np.eye(3), Kaehler11.euclidean(2))
 
     def test_not_pd_raises(self):
         # no relative_eigenvalues call can see a singular omega: building it raises

@@ -235,6 +235,32 @@ class TestDegreeCheck:
                 fn()
         assert draws == []
 
+    def test_an_exact_degree_past_its_largest_wedge_is_refused_before_any_wedge(self,
+                                                                                monkeypatch):
+        # at n = 8 and k = 4 the walk's (1,1) ^ (3,3) wedges take C(8, 4) 4 = 280 split pairs
+        # per side, and the Segre inversion's (2,2) ^ (2,2) ones C(8, 4) 6 = 420: the bound is
+        # the largest wedge of the three builds, so a budget of exactly its bytes admits the
+        # degree and one byte less refuses it before a wedge
+        t, sizes = random_curvature(8, 2, seed=1), []
+
+        def sized(a, b):
+            j = a.p + b.p
+            sizes.append(16 * (math.comb(8, j) * math.comb(j, a.p)) ** 2)
+            return wedge(a, b)
+        for module in (projective, curvature):
+            monkeypatch.setattr(module, "wedge", sized)
+        need = 16 * 420 ** 2
+        monkeypatch.setattr(projective, "_DIRECTION_BYTES", need)
+        pushforward_exact(t, [2, 4])
+        segre_forms(chern_forms(t, 4), 4)
+        assert max(sizes) == need
+        sizes.clear()
+        monkeypatch.setattr(projective, "_DIRECTION_BYTES", need - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"k=4 at n=8 needs {need} bytes for one wedge, more than {need - 1}")):
+            pushforward_exact(t, [2, 4])
+        assert sizes == []
+
 
 class TestPushforwardProperties:
     @settings(max_examples=25, deadline=None)
@@ -545,6 +571,15 @@ class TestPowerIdentity:
             w = Kaehler11(random_spd(n, rng))
             V = sample_directions(r, 20, seed)
             assert identity_residuals(t, w, V, range(1, n + 1))[1].max() <= 1e-10
+
+    def test_top_degrees_at_n32_agree_relative_to_the_ratio(self):
+        # `gen 32 2 1` and the 4 directions of `verify identity9 --samples 4`: the top ratios
+        # reach 6.5e18, so the CLI rows fail --tol 1e-9 on residuals of 1.0e4 and 7.3e3, while
+        # the two sides agree within 1e-14 of max|ratio|
+        t, w = random_curvature(32, 2, seed=1), Kaehler11.euclidean(32)
+        ratios, residuals = identity_residuals(t, w, sample_directions(2, 4, seed=0), [31, 32])
+        # residual = |ratio - (-1)^k gamma_k| / 2pi at r = 2, omega^n/n! of unit volume
+        assert np.all(2 * math.pi * residuals.max(axis=1) <= 1e-12 * np.abs(ratios).max(axis=1))
 
     def test_rank_one_reduces_to_wedge_identity(self, rng):
         # no vertical part: the identity is the gamma_k statement downstairs

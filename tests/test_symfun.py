@@ -110,7 +110,7 @@ class TestNewtonConvert:
 
     def test_unit_entry_enforced(self):
         with pytest.raises(ValueError, match="unit"):
-            sigmas_by_segre([Form.constant(2, 2.0), Form(2, 1, 1)], 1)
+            sigmas_by_segre([2.0 * Form.constant(2), Form(2, 1, 1)], 1)
         with pytest.raises(ValueError, match="unit"):
             sigmas_by_segre([1.0, 1.0], 1)  # scalars are not forms
         with pytest.raises(ValueError, match="unit"):

@@ -143,7 +143,7 @@ def cmd_report(run, args):
     fills the report's rows, and its inputs are then the command's flags with the values the
     run used, but for --out and --symmetrize: a report on symmetrised input is byte for byte
     the one on the Hermitian part written out by hand."""
-    report = Report(f"{args.command} {args.kind}" if "kind" in args else args.command, {})
+    report = Report(f"{args.command} {args.kind}" if "kind" in args else args.command)
     run(args, report)
     report.inputs = {key: value for key, value in vars(args).items()
                      if key not in ("command", "kind", "func", "out", "symmetrize")}

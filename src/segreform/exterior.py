@@ -147,7 +147,8 @@ def wedge(a, b):
     ja, jb, sign_q = _wedge_table(m, a.q, b.q)
     rows, cols = math.comb(m, p), math.comb(m, q)
     # x[row split, row union, column split, column union]
-    x = (swap * sign_p[:, None] * a.a[ia])[:, ja] * (b.a[:, jb] * sign_q)[ib]
+    x = (swap * sign_p[:, None] * a.a[ia])[:, ja]
+    x *= (b.a[:, jb] * sign_q)[ib]  # in place: _wedge_bytes counts x and this gather
     x = x.reshape(-1, rows, len(ja) // cols, cols)
     # One split pair at a time, in the same order for every coefficient: np.sum
     # goes pairwise for a lone coefficient, and the rounding of the Chern,
@@ -158,6 +159,12 @@ def wedge(a, b):
         for k in range(x.shape[2]):
             out += x[j, :, k]
     return Form(m, p, q, out)
+
+
+def _wedge_bytes(m, k):
+    """Most bytes that wedge holds at once for forms on C^m whose p's, and q's, add to <= k: two
+    arrays of 16 bytes per split pair, C(m, j) C(j, a) pairs a degree-j side, most at a = j // 2."""
+    return max(2 * 16 * (math.comb(m, j) * math.comb(j, j // 2)) ** 2 for j in range(k + 1))
 
 
 def one_one_power(G, k):

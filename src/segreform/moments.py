@@ -94,7 +94,7 @@ def _sample_stats(values, r, samples, seed, rows=DIRECTION_CHUNK):
     for V in direction_chunks(r, samples, seed, rows):
         x = values(V)
         total = total + x.sum(axis=-1)
-        total_sq = total_sq + (x.real**2 + x.imag**2).sum(axis=-1)
+        total_sq = total_sq + (x.real**2 + x.imag**2 if np.iscomplexobj(x) else x * x).sum(axis=-1)
         if not np.iscomplexobj(x):
             low, high = np.minimum(low, x.min(axis=-1)), np.maximum(high, x.max(axis=-1))
         del V, x

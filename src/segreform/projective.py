@@ -17,7 +17,7 @@ gamma_k(theta_v/omega) from a batched eigensolve.  All but gamma_profile take
 a sequence ks of degrees, checked by _degrees first; each sampler serves all
 of them from one pass of moments._sample_stats, in blocks of _block_rows,
 and holds one block's directions, matrices and values at a time.  A degree
-whose arrays for a single direction, or an exact degree whose largest wedge,
+whose one-direction arrays, or an exact degree whose exterior._wedge_bytes,
 pass _DIRECTION_BYTES is refused before anything is drawn or allocated.
 """
 
@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .curvature import direction_matrices, omega_ratio
-from .exterior import Form, one_one_power, wedge
+from .exterior import Form, _wedge_bytes, one_one_power, wedge
 from .kahler import relative_eigenvalues
 from .moments import _sample_stats
 from .symfun import elem_sym
@@ -77,15 +77,12 @@ def pushforward_exact(t, ks):
     lambda's sum in its own degree.  The lambdas are taken in colex order, so
     those sharing a suffix are contiguous and the sums kept for a suffix are
     dropped once it is finished.  Each degree's sums are added by math.fsum,
-    coefficient by coefficient, which rounds correctly in any order.
+    coefficient by coefficient, which rounds correctly in any order.  A degree whose largest
+    wedge, exterior._wedge_bytes, passes _DIRECTION_BYTES is a ValueError before any wedge.
     """
     ks = _degrees(ks, t.n, 0)
     top = max(ks)
-    # The walk, and Newton's identities and the Segre inversion that its forms are checked
-    # against, wedge up to degree top; an (a,a) ^ (b,b) wedge of degree j = a + b takes
-    # C(n, j) C(j, a) split pairs per side, the most at a = j // 2.
-    need = max(16 * (math.comb(t.n, j) * math.comb(j, j // 2)) ** 2 for j in range(top + 1))
-    if need > _DIRECTION_BYTES:
+    if (need := _wedge_bytes(t.n, top)) > _DIRECTION_BYTES:
         raise ValueError(f"k={top} at n={t.n} needs {need} bytes for one wedge, "
                          f"more than {_DIRECTION_BYTES}")
     theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]

@@ -29,10 +29,8 @@ def stderr_units(estimate, exact, stderr):
 class Report:
     """One command's report: its name, its inputs and one result row per check."""
 
-    def __init__(self, command, inputs):
-        self.command = command
-        self.inputs = inputs
-        self.results = []
+    def __init__(self, command):
+        self.command, self.inputs, self.results = command, {}, []
 
     def add(self, name, value, tolerance, measured=None):
         """Append a row passing iff measured (by default value) <= tolerance; return that."""
@@ -47,12 +45,9 @@ class Report:
     def all_passed(self):
         return all(row["pass"] for row in self.results)
 
-    def to_dict(self):
-        return {"command": self.command, "inputs": self.inputs,
-                "results": self.results, "version": __version__}
-
     def dumps(self):
-        return canonical_json(self.to_dict())
+        return canonical_json({"command": self.command, "inputs": self.inputs,
+                               "results": self.results, "version": __version__})
 
 
 class NonFiniteError(ValueError):

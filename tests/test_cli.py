@@ -821,16 +821,16 @@ class TestInvariantGuards:
         assert error["type"] == kind and words in error["message"]
 
 
-def run_limited(cwd, *argv):
-    """(exit code, stdout, stderr) of one CLI child run in cwd under a 2 GiB address-space
-    limit, set on the child alone: an allocation past it fails at once."""
+def run_limited(cwd, *argv, limit=2 << 30):
+    """(exit code, stdout, stderr) of one CLI child run in cwd under an address-space limit,
+    2 GiB by default, set on the child alone: an allocation past it fails at once."""
     import resource
 
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    def set_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run([sys.executable, "-m", "segreform.cli", *argv], cwd=cwd,
-                          capture_output=True, text=True, env=child_env(), preexec_fn=limit,
+                          capture_output=True, text=True, env=child_env(), preexec_fn=set_limit,
                           timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -838,27 +838,29 @@ def run_limited(cwd, *argv):
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 class TestOutOfMemory:
     def test_an_allocation_failure_is_one_error_line(self, tmp_path):
-        # at n = 26 a degree-3 wedge takes C(26, 3) 3 = 7,800 split pairs per side, 928 MiB:
-        # inside the one-wedge budget, but the wedge needs two such arrays at once
-        assert run_child(tmp_path, "gen", "26", "2", "1", "--out", "t.json")[0] == 0
+        # at n = 23 a degree-3 wedge takes C(23, 3) 3 = 5,313 split pairs per side, two arrays
+        # of 431 MiB: inside the budget, but past a 768 MiB address-space limit on their own
+        assert run_child(tmp_path, "gen", "23", "2", "1", "--out", "t.json")[0] == 0
         code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json",
-                                     "--k", "3")
+                                     "--k", "3", limit=768 << 20)
         assert (code, err, out.count("\n")) == (2, "", 1)
         assert json.loads(out)["error"]["type"] == "memory"
 
-    @pytest.mark.parametrize("argv, k, pairs", [
-        (["--k", "16"], 16, max(math.comb(32, j) * math.comb(j, j // 2) for j in range(17))),
-        (["--k", "3", "--samples", "2"], 3, math.comb(32, 3) * 3)], ids=["exact-k16", "mc-k3"])
-    def test_an_infeasible_exact_degree_is_refused_before_it_allocates(self, tmp_path, argv, k,
-                                                                       pairs):
-        # the exact walk runs first, and its degree's largest wedge, 16 bytes a split pair
-        # squared, would take 3.5e9 bytes at k = 3 and 9.6e26 at k = 16
-        assert run_child(tmp_path, "gen", "32", "2", "1", "--out", "t.json")[0] == 0
+    @pytest.mark.parametrize("n, argv, k, pairs", [
+        (32, ["--k", "16"], 16, max(math.comb(32, j) * math.comb(j, j // 2) for j in range(17))),
+        (32, ["--k", "3", "--samples", "2"], 3, math.comb(32, 3) * 3),
+        (26, ["--k", "3"], 3, math.comb(26, 3) * 3)], ids=["exact-k16", "mc-k3", "exact-n26-k3"])
+    def test_an_infeasible_exact_degree_is_refused_before_it_allocates(self, tmp_path, n, argv,
+                                                                       k, pairs):
+        # the exact walk runs first, and its degree's largest wedge, two arrays of 16 bytes a
+        # split pair squared, would take 1.9e9 bytes at n = 26 and k = 3, 7.1e9 at n = 32 and
+        # k = 3 and 1.9e27 at k = 16
+        assert run_child(tmp_path, "gen", str(n), "2", "1", "--out", "t.json")[0] == 0
         start = time.perf_counter()
         code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json", *argv)
         assert (code, err, out.count("\n")) == (2, "", 1)
         assert json.loads(out)["error"] == {"type": "usage", "message": (
-            f"k={k} at n=32 needs {16 * pairs ** 2} bytes for one wedge, more than {1 << 30}")}
+            f"k={k} at n={n} needs {32 * pairs ** 2} bytes for one wedge, more than {1 << 30}")}
         assert time.perf_counter() - start < 5
 
     def test_an_infeasible_sampled_degree_is_refused_before_it_allocates(self, tmp_path):
@@ -1013,7 +1015,7 @@ class TestOneRule:
     def test_a_row_returns_its_flag_and_a_dict_value_needs_its_measured_number(self):
         from segreform.report import Report
 
-        report = Report("check x", {})
+        report = Report("check x")
         assert report.add("a", 1.0, 1.0) is True and report.add("b", 2.0, 1.0) is False
         assert report.add("c", {"q": 0.5}, 1.0, 2.0) is False
         with pytest.raises(TypeError, match="row d"):

@@ -8,9 +8,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segreform.exterior import Form, one_one_power, wedge
+from segreform.exterior import Form, _wedge_bytes, one_one_power, wedge
 
-from conftest import random_form, random_hermitian, random_spd, real_one_one
+from conftest import random_form, random_hermitian, random_spd, real_one_one, traced_peak
 from oracles import (allclose, block_embed, factorial_power, form_from_dict, is_real, is_zero,
                      top_ratio, wedge_power, wedge_sparse)
 
@@ -102,6 +102,23 @@ def hermitian_matrices(draw, max_n=4):
     a = np.array(draw(st.lists(entry, min_size=2 * n * n, max_size=2 * n * n)))
     z = (a[:n * n] + 1j * a[n * n:]).reshape(n, n)
     return z + z.conj().T
+
+
+class TestWedgeBytes:
+    @pytest.mark.parametrize("m, k", [(8, 4), (7, 4)])
+    def test_the_balanced_wedge_peaks_at_the_bytes_and_no_other_wedge_passes_them(self, m, k,
+                                                                                    rng):
+        # the (2,2) ^ (2,2) wedge holds two arrays of its split pairs, 2.8 MB each on C^8 and
+        # 0.7 MB on C^7; each wedge runs once untraced first, since its cached tables outlive it
+        need = _wedge_bytes(m, k)
+        for a, b in [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]:
+            x, y = random_form(m, a, a, rng), random_form(m, b, b, rng)
+            wedge(x, y)
+            peak = traced_peak(wedge, x, y)
+            if a == b == k // 2:
+                assert need / 1.25 <= peak <= 1.25 * need, (a, b, peak, need)
+            else:
+                assert peak <= need, (a, b, peak, need)
 
 
 class TestOneOnePower:

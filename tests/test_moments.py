@@ -117,6 +117,13 @@ class TestSampleStats:
         else:
             assert low is None and high is None
 
+    def test_a_real_block_is_squared_with_one_temporary(self):
+        # the reduction reads the block alone, so one fixed (3, 100000) block stands for a
+        # block of 100,000 directions: its square is one temporary of the block's 2,344 KiB,
+        # where squaring x.real and a new x.imag of zeros took three
+        x = np.random.default_rng(3).standard_normal((3, 100_000))
+        assert traced_peak(_sample_stats, lambda V: x, 3, 2, seed=0) <= 1.25 * x.nbytes
+
     @pytest.mark.parametrize("sampler", [
         lambda: moment_mc(3, [((1,), (1,))], 1, seed=0),
         lambda: pushforward_mc(random_curvature(2, 2, seed=7), [1], 1, 0),

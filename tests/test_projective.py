@@ -238,18 +238,19 @@ class TestDegreeCheck:
     def test_an_exact_degree_past_its_largest_wedge_is_refused_before_any_wedge(self,
                                                                                 monkeypatch):
         # at n = 8 and k = 4 the walk's (1,1) ^ (3,3) wedges take C(8, 4) 4 = 280 split pairs
-        # per side, and the Segre inversion's (2,2) ^ (2,2) ones C(8, 4) 6 = 420: the bound is
-        # the largest wedge of the three builds, so a budget of exactly its bytes admits the
-        # degree and one byte less refuses it before a wedge
+        # per side, and the Segre inversion's (2,2) ^ (2,2) ones C(8, 4) 6 = 420, each wedge
+        # holding two arrays of 16 bytes a pair: the bound is the largest wedge of the three
+        # builds, so a budget of exactly its bytes admits the degree and one byte less refuses
+        # it before a wedge
         t, sizes = random_curvature(8, 2, seed=1), []
 
         def sized(a, b):
             j = a.p + b.p
-            sizes.append(16 * (math.comb(8, j) * math.comb(j, a.p)) ** 2)
+            sizes.append(32 * (math.comb(8, j) * math.comb(j, a.p)) ** 2)
             return wedge(a, b)
         for module in (projective, curvature):
             monkeypatch.setattr(module, "wedge", sized)
-        need = 16 * 420 ** 2
+        need = 32 * 420 ** 2
         monkeypatch.setattr(projective, "_DIRECTION_BYTES", need)
         pushforward_exact(t, [2, 4])
         segre_forms(chern_forms(t, 4), 4)

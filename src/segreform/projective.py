@@ -16,9 +16,9 @@ curvature.omega_ratio, batched over directions and compared with
 gamma_k(theta_v/omega) from a batched eigensolve.  All but gamma_profile take
 a sequence ks of degrees, checked by _degrees first; each sampler serves all
 of them from one pass of moments._sample_stats, in blocks of _block_rows,
-and holds one block's directions, matrices and values at a time.  A degree
-whose one-direction arrays, or an exact degree whose exterior._wedge_bytes,
-pass _DIRECTION_BYTES is refused before anything is drawn or allocated.
+and holds one block's directions, matrices and values at a time.  _admit
+refuses a degree whose bytes pass _DIRECTION_BYTES before anything is drawn or
+allocated: one direction's arrays, or the exact walk's wedge and kept sums.
 """
 
 from __future__ import annotations
@@ -35,19 +35,20 @@ from .moments import _sample_stats
 from .symfun import elem_sym
 
 _BLOCK_BYTES = 1 << 20  # per-direction arrays of one block of directions
-_DIRECTION_BYTES = 1 << 30  # most that the arrays of one direction, or one wedge, may take
+_DIRECTION_BYTES = 1 << 30  # most that one direction's arrays, or the whole exact walk, may take
+
+
+def _admit(k, n, need):
+    """need, the bytes degree k at n would hold, or past _DIRECTION_BYTES the one refusal."""
+    if need > _DIRECTION_BYTES:
+        raise ValueError(f"k={k} at n={n} needs {need} bytes, more than {_DIRECTION_BYTES}")
+    return need
 
 
 def _block_rows(n, ks):
-    """Directions per block whose n x n matrices and k x k minors, any k of ks, fit _BLOCK_BYTES.
-    A degree whose arrays for one direction pass _DIRECTION_BYTES is a ValueError, raised
-    before the sampler draws a direction or enumerates a subset."""
+    """Directions per block whose n x n matrices and k x k minors, any k of ks, fit _BLOCK_BYTES."""
     k = max(ks, key=lambda d: math.comb(n, d) * d)
-    need = 16 * (math.comb(n, k) * k + n) ** 2
-    if need > _DIRECTION_BYTES:
-        raise ValueError(f"k={k} at n={n} needs {need} bytes per direction, "
-                         f"more than {_DIRECTION_BYTES}")
-    return max(1, _BLOCK_BYTES // need)
+    return max(1, _BLOCK_BYTES // _admit(k, n, 16 * (math.comb(n, k) * k + n) ** 2))
 
 
 def _degrees(ks, n, low):
@@ -76,18 +77,19 @@ def pushforward_exact(t, ks):
     the suffix sum of a sorted lambda with mu = lambda, made once, is that
     lambda's sum in its own degree.  The lambdas are taken in colex order, so
     those sharing a suffix are contiguous and the sums kept for a suffix are
-    dropped once it is finished.  Each degree's sums are added by math.fsum,
-    coefficient by coefficient, which rounds correctly in any order.  A degree whose largest
-    wedge, exterior._wedge_bytes, passes _DIRECTION_BYTES is a ValueError before any wedge.
+    dropped once it is finished.  Each degree's sums fill one array, added by math.fsum, which
+    rounds correctly in any order.  Before any wedge, _admit counts the largest one and, of 16
+    C(n, j)^2 bytes each, up to C(r-1+j, j) sums at each length j <= max(ks) and each j in ks.
     """
     ks = _degrees(ks, t.n, 0)
     top = max(ks)
-    if (need := _wedge_bytes(t.n, top)) > _DIRECTION_BYTES:
-        raise ValueError(f"k={top} at n={t.n} needs {need} bytes for one wedge, "
-                         f"more than {_DIRECTION_BYTES}")
+    held = [16 * math.comb(t.r - 1 + j, j) * math.comb(t.n, j) ** 2 for j in range(top + 1)]
+    _admit(top, t.n, _wedge_bytes(t.n, top) + sum(held) + sum(held[k] for k in ks))
     theta = [[t.entry(mu, lam) for mu in range(t.r)] for lam in range(t.r)]
-    parts = {k: [] for k in ks}  # [degree]: the sums of its sorted lambdas
-    parts[0], parts[1] = [Form.constant(t.n).a], [theta[lam][lam].a for lam in range(t.r)]
+    parts = {k: np.empty((math.comb(t.r - 1 + k, k),) + (math.comb(t.n, k),) * 2, complex)
+             for k in ks if k >= 2}  # [degree]: the sums of its sorted lambdas, filled in place
+    parts[0], parts[1] = np.ones((1, 1, 1), complex), np.array([theta[i][i].a for i in range(t.r)])
+    slots = {k: iter(part) for k, part in parts.items()}  # a slot per sorted lambda, in turn
     suffix_sums = [{} for _ in range(top + 1)]  # [length]: sums by mus, for that suffix of lambda
 
     def arrangements(lams, mus):
@@ -102,19 +104,16 @@ def pushforward_exact(t, ks):
                 total = term if total is None else total + term
             suffix_sums[len(lams)][mus] = total
             if lams == mus and len(lams) in parts:
-                parts[len(lams)].append(total.a)
+                next(slots[len(lams)])[...] = total.a
         return total
 
     colex = sorted(combinations_with_replacement(range(t.r), top), key=lambda lams: lams[::-1])
-    previous = ()
-    for lams in colex if top >= 2 else []:
+    for previous, lams in zip([()] + colex, colex if top >= 2 else []):
         shared = next(s for s in range(top, -1, -1) if lams[top - s:] == previous[top - s:])
-        for sums in suffix_sums[shared + 1:]:
-            sums.clear()
+        suffix_sums[shared + 1:] = [{} for _ in range(top - shared)]
         arrangements(lams, lams)
-        previous = lams
-    sums = [np.apply_along_axis(math.fsum, 0, np.array(parts[k]).view(float)).view(complex)
-            for k in ks]
+    del arrangements  # a closure that calls itself is a cycle: unlinked, the sums go on return
+    sums = [np.apply_along_axis(math.fsum, 0, parts[k].view(float)).view(complex) for k in ks]
     return [(-1.0) ** k * math.comb(t.r - 1 + k, k) * Form(t.n, k, k, s / math.comb(t.r - 1 + k, k))
             for k, s in zip(ks, sums)]
 

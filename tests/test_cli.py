@@ -821,6 +821,15 @@ class TestInvariantGuards:
         assert error["type"] == kind and words in error["message"]
 
 
+def exact_walk_bytes(n, r, k):
+    """What the exact walk of the one degree k at (n, r) is predicted to hold: its largest wedge,
+    two arrays of 16 bytes a split pair squared, and of 16 C(n, j)^2 bytes each, up to
+    C(r-1+j, j) sums at each length j <= k and the C(r-1+k, k) of degree k."""
+    held = [16 * math.comb(r - 1 + j, j) * math.comb(n, j) ** 2 for j in range(k + 1)]
+    pairs = max(math.comb(n, j) * math.comb(j, j // 2) for j in range(k + 1))
+    return 32 * pairs ** 2 + sum(held) + held[k]
+
+
 def run_limited(cwd, *argv, limit=2 << 30):
     """(exit code, stdout, stderr) of one CLI child run in cwd under an address-space limit,
     2 GiB by default, set on the child alone: an allocation past it fails at once."""
@@ -838,29 +847,33 @@ def run_limited(cwd, *argv, limit=2 << 30):
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 class TestOutOfMemory:
     def test_an_allocation_failure_is_one_error_line(self, tmp_path):
-        # at n = 23 a degree-3 wedge takes C(23, 3) 3 = 5,313 split pairs per side, two arrays
-        # of 431 MiB: inside the budget, but past a 768 MiB address-space limit on their own
-        assert run_child(tmp_path, "gen", "23", "2", "1", "--out", "t.json")[0] == 0
+        # at n = 22 and k = 3 the walk is admitted at 989,162,432 bytes: two wedge arrays of
+        # C(22, 3) 3 = 4,620 split pairs a side, 342 MB each, and its sums; they pass a 768 MiB
+        # address-space limit, below the prediction, before the walk ends
+        assert run_child(tmp_path, "gen", "22", "2", "1", "--out", "t.json")[0] == 0
+        assert exact_walk_bytes(22, 2, 3) == 989_162_432
         code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json",
                                      "--k", "3", limit=768 << 20)
         assert (code, err, out.count("\n")) == (2, "", 1)
         assert json.loads(out)["error"]["type"] == "memory"
 
-    @pytest.mark.parametrize("n, argv, k, pairs", [
-        (32, ["--k", "16"], 16, max(math.comb(32, j) * math.comb(j, j // 2) for j in range(17))),
-        (32, ["--k", "3", "--samples", "2"], 3, math.comb(32, 3) * 3),
-        (26, ["--k", "3"], 3, math.comb(26, 3) * 3)], ids=["exact-k16", "mc-k3", "exact-n26-k3"])
-    def test_an_infeasible_exact_degree_is_refused_before_it_allocates(self, tmp_path, n, argv,
-                                                                       k, pairs):
-        # the exact walk runs first, and its degree's largest wedge, two arrays of 16 bytes a
-        # split pair squared, would take 1.9e9 bytes at n = 26 and k = 3, 7.1e9 at n = 32 and
-        # k = 3 and 1.9e27 at k = 16
-        assert run_child(tmp_path, "gen", str(n), "2", "1", "--out", "t.json")[0] == 0
+    @pytest.mark.parametrize("n, r, argv, k", [
+        (32, 2, ["--k", "16"], 16), (32, 2, ["--k", "3", "--samples", "2"], 3),
+        (26, 2, ["--k", "3"], 3), (32, 32, ["--k", "2"], 2), (8, 32, ["--k", "4"], 4)],
+        ids=["exact-k16", "mc-k3", "exact-n26-k3", "exact-r32-k2", "exact-n8-r32-k4"])
+    def test_an_infeasible_exact_degree_is_refused_before_it_allocates(self, tmp_path, n, r,
+                                                                       argv, k):
+        # the exact walk runs first, and would hold 2.8e9 bytes at (26, 2) and k = 3, 1.0e10 at
+        # (32, 2), 1.9e27 at k = 16, 4.2e9 at (32, 32) and k = 2, whose largest wedge alone
+        # takes 31 MB, and 8.5e9 at (8, 32) and k = 4, 96% of it the C(35, 4) sums of degree 4,
+        # 4.1e9, counted as kept suffix sums and as the degree's own; the zero tensor, written
+        # by hand, is valid input of any shape
+        (tmp_path / "t.json").write_text(json.dumps({"n": n, "r": r, "coeffs": []}))
         start = time.perf_counter()
         code, out, err = run_limited(tmp_path, "verify", "pushforward", "--in", "t.json", *argv)
         assert (code, err, out.count("\n")) == (2, "", 1)
         assert json.loads(out)["error"] == {"type": "usage", "message": (
-            f"k={k} at n={n} needs {32 * pairs ** 2} bytes for one wedge, more than {1 << 30}")}
+            f"k={k} at n={n} needs {exact_walk_bytes(n, r, k)} bytes, more than {1 << 30}")}
         assert time.perf_counter() - start < 5
 
     def test_an_infeasible_sampled_degree_is_refused_before_it_allocates(self, tmp_path):
@@ -873,7 +886,7 @@ class TestOutOfMemory:
         assert (code, err, out.count("\n")) == (2, "", 1)
         need = 16 * (math.comb(32, 16) * 16 + 32) ** 2
         assert json.loads(out)["error"] == {"type": "usage", "message": (
-            f"k=16 at n=32 needs {need} bytes per direction, more than {1 << 30}")}
+            f"k=16 at n=32 needs {need} bytes, more than {1 << 30}")}
         assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("argv", [["check", "thm12"], ["check", "kl"],

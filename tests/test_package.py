@@ -1,9 +1,9 @@
 """The lazy package namespace, and the CLI process's BLAS threads, imports and
 garbage-collector freeze, checked in child processes; the one reader of the
 direction stream, its callers, the one home of each input bound, of the
-sample-count rule and of the block rule, and the use of every imported name,
-checked in the sources; and the test suite's warning filters, checked in a
-child pytest run."""
+sample-count rule, of the block rule and of the byte refusal, and the use of
+every imported name, checked in the sources; and the test suite's warning
+filters, checked in a child pytest run."""
 
 import ast
 import gc
@@ -270,6 +270,23 @@ class TestOneHomePerBound:
         assert sorted(sizes) == ["projective.gamma_profile", "projective.identity_max",
                                  "projective.pushforward_mc"]
         assert all(len(rows) == 1 and rows[0].startswith("_block_rows(") for rows in sizes.values())
+
+    def test_one_admission_rule_refuses_a_degree_by_its_bytes(self):
+        # projective._admit alone reads _DIRECTION_BYTES, and its raise is the only one that
+        # names bytes: a sampler's direction and the exact walk are refused by one rule
+        readers, raisers = set(), []
+        for path in sorted(Path(moments.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                where = f"{path.stem}.{getattr(top, 'name', type(top).__name__)}"
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                            and node.id == "_DIRECTION_BYTES"
+                            or isinstance(node, ast.Attribute) and node.attr == "_DIRECTION_BYTES"):
+                        readers.add(where)
+                    if isinstance(node, ast.Raise) and "bytes" in ast.unparse(node):
+                        raisers.append(where)
+        assert readers == {"projective._admit"}
+        assert raisers == ["projective._admit"]
 
 
 FAILING_PROPERTY = """\
